@@ -114,11 +114,10 @@ def _is_fuzzy_input(path: Path) -> bool:
 def _cmd_lattice(args) -> int:
     path = Path(args.path)
     if _is_fuzzy_input(path):
-        if args.oracle:
-            raise CliError("no brute-force oracle exists for fuzzy concept lattices")
         ctx = _load_fuzzy(path, args.frame)
         lattice = fy.fuzzy_concepts(ctx, budget=_budget(args))
-        return _emit(args, lattice)
+        report = oracles.compare_fuzzy_concepts(ctx, lattice) if args.oracle else None
+        return _emit(args, lattice, report)
     ctx = _load_boolean(path)
     lattice = concepts(ctx)
     report = oracles.compare_concepts(ctx, lattice) if args.oracle else None
@@ -220,7 +219,7 @@ def _cmd_check(args) -> int:
     }
     for i in selected:
         pair = lattice[i]
-        row = {"pair": i, **fio.to_jsonable(lattice)["pairs"][i]}
+        row = {"pair": i, **fio.fn_pair_dict(ctx, pair)}
         if "fp1" in props:
             row["fp1"] = fy.check_fp1(ctx, pair)
         if "fp2" in props:

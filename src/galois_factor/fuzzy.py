@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import order
@@ -136,6 +135,8 @@ class FuzzyContext:
                 for s in row:
                     if not 0 <= s < len(self.triples):
                         raise ValueError(f"sigma index {s} out of range")
+        # per-operator lookup rows of the kernel, filled on first use
+        object.__setattr__(self, "_lookup", {})
 
     @classmethod
     def from_values(
@@ -283,121 +284,88 @@ def _require_arrangement(ctx: FuzzyContext, kind: FrameKind, op: str) -> None:
         )
 
 
-# numerator-level operator cores
+# numerator-level operator kernel
+#
+# Each graded operator is an inf or a sup, over one axis of the relation, of
+# a per-cell lookup: the cell's triple table read at the relation grade and
+# the input grade, in the order the operator's formula names them.  The rows
+# of lookups are built once per context and operator, so evaluating an
+# operator is only indexing and min/max.
+
+_OPERATORS = {
+    # name: (triple table, relation grade first, output axis, aggregate)
+    "up": ("res_left_table", True, "attributes", min),
+    "down": ("res_right_table", True, "objects", min),
+    "up_pi": ("conj_table", True, "attributes", max),
+    "down_n": ("res_right_table", False, "objects", min),
+    "up_n": ("res_left_table", False, "attributes", min),
+    "down_pi": ("conj_table", False, "objects", max),
+}
+
+_at = tuple.__getitem__
 
 
-def _up_vals(ctx: FuzzyContext, g: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for i in range(len(ctx.attributes)):
-        best = ctx.l1.m
-        for j in range(len(ctx.objects)):
-            t = ctx.triples[ctx.sigma_at(i, j)]
-            v = t.res_left_table[ctx.relation[i][j]][g[j]]
-            if v < best:
-                best = v
-        out.append(best)
-    return tuple(out)
+def _lookup_rows(ctx: FuzzyContext, op: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per output position, the lookup row of every input cell, by input order."""
+    table_name, relation_first, axis, _ = _OPERATORS[op]
+    by_triple = []
+    for t in ctx.triples:
+        table = getattr(t, table_name)
+        # indexed by relation grade, each entry a row over the input grades
+        by_triple.append(table if relation_first else tuple(zip(*table)))
+
+    def cell(i: int, j: int) -> tuple[int, ...]:
+        return by_triple[ctx.sigma_at(i, j)][ctx.relation[i][j]]
+
+    attrs, objs = range(len(ctx.attributes)), range(len(ctx.objects))
+    if axis == "attributes":
+        return tuple(tuple(cell(i, j) for j in objs) for i in attrs)
+    return tuple(tuple(cell(i, j) for i in attrs) for j in objs)
 
 
-def _down_vals(ctx: FuzzyContext, f: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for j in range(len(ctx.objects)):
-        best = ctx.l2.m
-        for i in range(len(ctx.attributes)):
-            t = ctx.triples[ctx.sigma_at(i, j)]
-            v = t.res_right_table[ctx.relation[i][j]][f[i]]
-            if v < best:
-                best = v
-        out.append(best)
-    return tuple(out)
-
-
-def _up_pi_vals(ctx: FuzzyContext, g: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for i in range(len(ctx.attributes)):
-        best = 0
-        for j in range(len(ctx.objects)):
-            t = ctx.triples[ctx.sigma_at(i, j)]
-            v = t.conj_table[ctx.relation[i][j]][g[j]]
-            if v > best:
-                best = v
-        out.append(best)
-    return tuple(out)
-
-
-def _down_n_vals(ctx: FuzzyContext, f: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for j in range(len(ctx.objects)):
-        best = ctx.l2.m
-        for i in range(len(ctx.attributes)):
-            t = ctx.triples[ctx.sigma_at(i, j)]
-            v = t.res_right_table[f[i]][ctx.relation[i][j]]
-            if v < best:
-                best = v
-        out.append(best)
-    return tuple(out)
-
-
-def _up_n_vals(ctx: FuzzyContext, g: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for i in range(len(ctx.attributes)):
-        best = ctx.l1.m
-        for j in range(len(ctx.objects)):
-            t = ctx.triples[ctx.sigma_at(i, j)]
-            v = t.res_left_table[g[j]][ctx.relation[i][j]]
-            if v < best:
-                best = v
-        out.append(best)
-    return tuple(out)
-
-
-def _down_pi_vals(ctx: FuzzyContext, f: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for j in range(len(ctx.objects)):
-        best = 0
-        for i in range(len(ctx.attributes)):
-            t = ctx.triples[ctx.sigma_at(i, j)]
-            v = t.conj_table[f[i]][ctx.relation[i][j]]
-            if v > best:
-                best = v
-        out.append(best)
-    return tuple(out)
+def _apply(ctx: FuzzyContext, op: str, x: tuple[int, ...]) -> tuple[int, ...]:
+    """Evaluate operator ``op`` on the numerators ``x``."""
+    rows = ctx._lookup.get(op)
+    if rows is None:
+        rows = ctx._lookup[op] = _lookup_rows(ctx, op)
+    aggregate = _OPERATORS[op][3]
+    return tuple([aggregate(map(_at, row, x)) for row in rows])
 
 
 def f_up(ctx: FuzzyContext, g: GradedObjectSet) -> GradedAttributeSet:
     """Derivation: a -> inf over b of res_left(R(a,b), g(b))."""
     _require_arrangement(ctx, FrameKind.CONCEPT_FORMING, "up")
-    return GradedAttributeSet(_up_vals(ctx, _claim_g(ctx, g)), ctx.l1)
+    return GradedAttributeSet(_apply(ctx, "up", _claim_g(ctx, g)), ctx.l1)
 
 
 def f_down(ctx: FuzzyContext, f: GradedAttributeSet) -> GradedObjectSet:
     """Derivation: b -> inf over a of res_right(R(a,b), f(a))."""
     _require_arrangement(ctx, FrameKind.CONCEPT_FORMING, "down")
-    return GradedObjectSet(_down_vals(ctx, _claim_f(ctx, f)), ctx.l2)
+    return GradedObjectSet(_apply(ctx, "down", _claim_f(ctx, f)), ctx.l2)
 
 
 def f_up_pi(ctx: FuzzyContext, g: GradedObjectSet) -> GradedAttributeSet:
     """Possibility: a -> sup over b of conj(R(a,b), g(b))."""
     _require_arrangement(ctx, FrameKind.PROPERTY_ORIENTED, "up_pi")
-    return GradedAttributeSet(_up_pi_vals(ctx, _claim_g(ctx, g)), ctx.l1)
+    return GradedAttributeSet(_apply(ctx, "up_pi", _claim_g(ctx, g)), ctx.l1)
 
 
 def f_down_n(ctx: FuzzyContext, f: GradedAttributeSet) -> GradedObjectSet:
     """Necessity: b -> inf over a of res_right(f(a), R(a,b))."""
     _require_arrangement(ctx, FrameKind.PROPERTY_ORIENTED, "down_n")
-    return GradedObjectSet(_down_n_vals(ctx, _claim_f(ctx, f)), ctx.l2)
+    return GradedObjectSet(_apply(ctx, "down_n", _claim_f(ctx, f)), ctx.l2)
 
 
 def f_up_n(ctx: FuzzyContext, g: GradedObjectSet) -> GradedAttributeSet:
     """Necessity: a -> inf over b of res_left(g(b), R(a,b))."""
     _require_arrangement(ctx, FrameKind.OBJECT_ORIENTED, "up_n")
-    return GradedAttributeSet(_up_n_vals(ctx, _claim_g(ctx, g)), ctx.l1)
+    return GradedAttributeSet(_apply(ctx, "up_n", _claim_g(ctx, g)), ctx.l1)
 
 
 def f_down_pi(ctx: FuzzyContext, f: GradedAttributeSet) -> GradedObjectSet:
     """Possibility: b -> sup over a of conj(f(a), R(a,b))."""
     _require_arrangement(ctx, FrameKind.OBJECT_ORIENTED, "down_pi")
-    return GradedObjectSet(_down_pi_vals(ctx, _claim_f(ctx, f)), ctx.l2)
+    return GradedObjectSet(_apply(ctx, "down_pi", _claim_f(ctx, f)), ctx.l2)
 
 
 @dataclass(frozen=True)
@@ -432,7 +400,7 @@ def in_fn(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
     _require_fn_operators(ctx)
     g = _claim_g(ctx, pair.g)
     f = _claim_f(ctx, pair.f)
-    return _up_n_vals(ctx, g) == f and _down_n_vals(ctx, f) == g
+    return _apply(ctx, "up_n", g) == f and _apply(ctx, "down_n", f) == g
 
 
 def _claim_member(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> None:
@@ -479,24 +447,42 @@ class FnLattice:
         raise ValueError(f"{pair!r} is not in the lattice")
 
 
-def fn_enumerate(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> FnLattice:
-    """Scan the whole grid of graded object sets for necessity-closed pairs.
-
-    The composite down-N o up-N is meet-preserving but not a closure
-    operator, so fixpoints are found by exhaustive scan rather than
-    iteration.  |L2| ** |B| candidates must fit the budget; the result is
-    sorted lexicographically on the object grades and verified meet-closed.
-    """
-    _require_fn_operators(ctx)
+def _check_budget(ctx: FuzzyContext, budget: int) -> None:
+    # the size of the graded search space, not the closures evaluated
     required = len(ctx.l2) ** len(ctx.objects)
     if required > budget:
         raise BudgetExceededError(required, budget)
 
+
+def fn_enumerate(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> FnLattice:
+    """All necessity-closed pairs, sorted lexicographically on the object grades.
+
+    The composite down-N o up-N is meet-preserving but not a closure
+    operator, so its fixpoints are searched among those of the closure
+    down-N o up-pi, enumerated by ``order.graded_closed_sets``; a fixpoint g
+    is kept when g-up-N-down-N = g, with f = g-up-N.
+
+    Nothing is missed.  up-pi and down-N form an isotone Galois connection
+    (up-pi g <= f iff g <= down-N f, cell by cell from the adjoint property),
+    so down-N o up-pi is extensive: g <= g-up-pi-down-N.  For a member g,
+    fp1 gives g-up-pi <= g-up-N, and down-N is monotone, so
+    g-up-pi-down-N <= g-up-N-down-N = g.  Hence every member is a fixpoint
+    of down-N o up-pi.
+
+    |L2| ** |B|, the size of the search space, must fit the budget; the
+    result is verified meet-closed.
+    """
+    _require_fn_operators(ctx)
+    _check_budget(ctx, budget)
+
+    def close(g: tuple[int, ...]) -> tuple[int, ...]:
+        return _apply(ctx, "down_n", _apply(ctx, "up_pi", g))
+
     pairs = []
     seen = set()
-    for g in product(range(ctx.l2.m + 1), repeat=len(ctx.objects)):
-        f = _up_n_vals(ctx, g)
-        if _down_n_vals(ctx, f) == g:
+    for g in order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close):
+        f = _apply(ctx, "up_n", g)
+        if _apply(ctx, "down_n", f) == g:
             pairs.append(
                 FuzzyNecessityPair(
                     GradedObjectSet(g, ctx.l2), GradedAttributeSet(f, ctx.l1)
@@ -568,22 +554,25 @@ class FuzzyConceptLattice:
 
 
 def fuzzy_concepts(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> FuzzyConceptLattice:
-    """All concepts <g-up-down, g-up> over the grid of graded object sets."""
-    _require_arrangement(ctx, FrameKind.CONCEPT_FORMING, "up")
-    required = len(ctx.l2) ** len(ctx.objects)
-    if required > budget:
-        raise BudgetExceededError(required, budget)
+    """All concepts <g, g-up>, sorted lexicographically on the extents.
 
-    by_extent: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for g in product(range(ctx.l2.m + 1), repeat=len(ctx.objects)):
-        f = _up_vals(ctx, g)
-        extent = _down_vals(ctx, f)
-        by_extent.setdefault(extent, f)
+    The extents are exactly the fixpoints of the closure operator down o up
+    (up and down form an antitone Galois connection), enumerated by
+    ``order.graded_closed_sets``.  |L2| ** |B|, the size of the search
+    space, must fit the budget.
+    """
+    _require_arrangement(ctx, FrameKind.CONCEPT_FORMING, "up")
+    _check_budget(ctx, budget)
+
+    def close(g: tuple[int, ...]) -> tuple[int, ...]:
+        return _apply(ctx, "down", _apply(ctx, "up", g))
+
     found = tuple(
         MultiAdjointConcept(
-            GradedObjectSet(extent, ctx.l2), GradedAttributeSet(intent, ctx.l1)
+            GradedObjectSet(extent, ctx.l2),
+            GradedAttributeSet(_apply(ctx, "up", extent), ctx.l1),
         )
-        for extent, intent in sorted(by_extent.items())
+        for extent in order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close)
     )
     return FuzzyConceptLattice(ctx, found)
 
@@ -623,14 +612,14 @@ def check_fp1(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
     """Possibility below necessity: g-up-pi <= g-up-N pointwise."""
     _claim_member(ctx, pair)
     g = pair.g.values
-    return all(a <= b for a, b in zip(_up_pi_vals(ctx, g), _up_n_vals(ctx, g)))
+    return all(a <= b for a, b in zip(_apply(ctx, "up_pi", g), _apply(ctx, "up_n", g)))
 
 
 def check_fp2(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
     """<g, g-up-pi> is a property-oriented concept: g-up-pi-down-N = g."""
     _claim_member(ctx, pair)
     g = pair.g.values
-    return _down_n_vals(ctx, _up_pi_vals(ctx, g)) == g
+    return _apply(ctx, "down_n", _apply(ctx, "up_pi", g)) == g
 
 
 def check_fp3(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
@@ -641,7 +630,7 @@ def check_fp3(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
     """
     _claim_member(ctx, pair)
     g = pair.g.values
-    return all(a <= b for a, b in zip(_up_n_vals(ctx, g), _up_pi_vals(ctx, g)))
+    return all(a <= b for a, b in zip(_apply(ctx, "up_n", g), _apply(ctx, "up_pi", g)))
 
 
 @dataclass(frozen=True)
@@ -682,8 +671,8 @@ def check_fp4(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> Fp4Report:
             )
         )
     either = tuple(s or t for s, t in zip(strict, top))
-    g_up = _up_vals(ctx, g)
-    g_up_pi = _up_pi_vals(ctx, g)
+    g_up = _apply(ctx, "up", g)
+    g_up_pi = _apply(ctx, "up_pi", g)
     return Fp4Report(
         strict_hypothesis=tuple(strict),
         top_hypothesis=tuple(top),
@@ -711,13 +700,13 @@ class ConceptInterval:
 
 def interval_from_pair(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> ConceptInterval:
     _claim_member(ctx, pair)
-    f_down_vals = _down_vals(ctx, pair.f.values)
+    f_down_vals = _apply(ctx, "down", pair.f.values)
     lower = MultiAdjointConcept(
         GradedObjectSet(f_down_vals, ctx.l2),
-        GradedAttributeSet(_up_vals(ctx, f_down_vals), ctx.l1),
+        GradedAttributeSet(_apply(ctx, "up", f_down_vals), ctx.l1),
     )
-    g_up = _up_vals(ctx, pair.g.values)
-    upper_extent = _down_vals(ctx, g_up)
+    g_up = _apply(ctx, "up", pair.g.values)
+    upper_extent = _apply(ctx, "down", g_up)
     upper = MultiAdjointConcept(
         GradedObjectSet(upper_extent, ctx.l2), GradedAttributeSet(g_up, ctx.l1)
     )

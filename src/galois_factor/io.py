@@ -260,7 +260,8 @@ def _fuzzy_concept_dict(ctx: FuzzyContext, c: MultiAdjointConcept) -> dict:
     }
 
 
-def _fn_pair_dict(ctx: FuzzyContext, p: FuzzyNecessityPair) -> dict:
+def fn_pair_dict(ctx: FuzzyContext, p: FuzzyNecessityPair) -> dict:
+    """One entry of an fn lattice's ``pairs``, without serialising the rest."""
     return {
         "g": _graded_dict(ctx.objects, p.g.values, ctx.l2.m),
         "f": _graded_dict(ctx.attributes, p.f.values, ctx.l1.m),
@@ -348,7 +349,7 @@ def to_jsonable(obj) -> dict:
         return {
             "schema": SCHEMA,
             "type": "fn-lattice",
-            "pairs": [_fn_pair_dict(obj.context, p) for p in obj.pairs],
+            "pairs": [fn_pair_dict(obj.context, p) for p in obj.pairs],
             "covers": [list(e) for e in obj.covers],
         }
     if isinstance(obj, FuzzyConceptLattice):

@@ -22,10 +22,12 @@ from .contexts import (
 )
 from .errors import BudgetExceededError
 from .fuzzy import (
+    FuzzyConceptLattice,
     FuzzyContext,
     FuzzyNecessityPair,
     GradedAttributeSet,
     GradedObjectSet,
+    MultiAdjointConcept,
 )
 
 __all__ = [
@@ -33,10 +35,12 @@ __all__ = [
     "brute_concepts",
     "brute_cn",
     "brute_fn",
+    "brute_fuzzy_concepts",
     "bipartite_components",
     "compare_concepts",
     "compare_cn",
     "compare_fn",
+    "compare_fuzzy_concepts",
     "compare_atoms",
 ]
 
@@ -196,11 +200,23 @@ class _SearchResiduum:
         return max(ys)
 
 
-def brute_fn(ctx: FuzzyContext) -> list[FuzzyNecessityPair]:
-    """Scan the full grid of graded object sets for necessity-closed pairs."""
+def _grid_fixpoints(ctx: FuzzyContext, up, down, make) -> list:
+    """Scan the full grid of graded object sets: make(g, g-up) for g-up-down = g."""
     required = len(ctx.l2) ** len(ctx.objects)
     if required > BRUTE_GRID_LIMIT:
         raise BudgetExceededError(required, BRUTE_GRID_LIMIT)
+    found = []
+    for g in product(range(ctx.l2.m + 1), repeat=len(ctx.objects)):
+        f = up(g)
+        if down(f) == g:
+            found.append(
+                make(GradedObjectSet(g, ctx.l2), GradedAttributeSet(f, ctx.l1))
+            )
+    return found
+
+
+def brute_fn(ctx: FuzzyContext) -> list[FuzzyNecessityPair]:
+    """Scan the full grid of graded object sets for necessity-closed pairs."""
     residua = [_SearchResiduum(t) for t in ctx.triples]
 
     def up_n(g):
@@ -223,16 +239,34 @@ def brute_fn(ctx: FuzzyContext) -> list[FuzzyNecessityPair]:
             out.append(min(vals))
         return tuple(out)
 
-    found = []
-    for g in product(range(ctx.l2.m + 1), repeat=len(ctx.objects)):
-        f = up_n(g)
-        if down_n(f) == g:
-            found.append(
-                FuzzyNecessityPair(
-                    GradedObjectSet(g, ctx.l2), GradedAttributeSet(f, ctx.l1)
-                )
-            )
-    return found
+    return _grid_fixpoints(ctx, up_n, down_n, FuzzyNecessityPair)
+
+
+def brute_fuzzy_concepts(ctx: FuzzyContext) -> list[MultiAdjointConcept]:
+    """Scan the full grid of graded object sets for the fixpoints of down o up."""
+    residua = [_SearchResiduum(t) for t in ctx.triples]
+
+    def up(g):
+        out = []
+        for i in range(len(ctx.attributes)):
+            vals = [
+                residua[ctx.sigma_at(i, j)].left(ctx.relation[i][j], g[j])
+                for j in range(len(ctx.objects))
+            ]
+            out.append(min(vals))
+        return tuple(out)
+
+    def down(f):
+        out = []
+        for j in range(len(ctx.objects)):
+            vals = [
+                residua[ctx.sigma_at(i, j)].right(ctx.relation[i][j], f[i])
+                for i in range(len(ctx.attributes))
+            ]
+            out.append(min(vals))
+        return tuple(out)
+
+    return _grid_fixpoints(ctx, up, down, MultiAdjointConcept)
 
 
 def _set_compare(kind: str, fast, slow) -> OracleReport:
@@ -256,6 +290,12 @@ def compare_cn(ctx: BooleanContext, fast_pairs) -> OracleReport:
 
 def compare_fn(ctx: FuzzyContext, fast_pairs) -> OracleReport:
     return _set_compare("fn-pair", fast_pairs, brute_fn(ctx))
+
+
+def compare_fuzzy_concepts(
+    ctx: FuzzyContext, fast: FuzzyConceptLattice
+) -> OracleReport:
+    return _set_compare("fuzzy-concept", fast.concepts, brute_fuzzy_concepts(ctx))
 
 
 def compare_atoms(ctx: BooleanContext, fast_atoms) -> OracleReport:

@@ -309,6 +309,13 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracle"]["mismatches"] == []
 
+    def test_oracle_flag_on_fuzzy_lattice(self, tmp_path, capsys):
+        path = write(tmp_path, "r2_godel.csv", R2_GODEL_CSV)
+        assert main(["lattice", path, "--frame", "godel:4", "--oracle"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["type"] == "fuzzy-concept-lattice"
+        assert payload["oracle"] == {"checked": 7, "mismatches": []}
+
     def test_reconstruct(self, tmp_path, capsys):
         path = write(tmp_path, "table2.cxt", format_cxt(TABLE2))
         assert main(["reconstruct", path]) == 0

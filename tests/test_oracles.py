@@ -9,21 +9,27 @@ from galois_factor import (
     cn_enumerate,
     concepts,
     fn_enumerate,
+    fuzzy_concepts,
 )
 from galois_factor.oracles import (
     bipartite_components,
     brute_cn,
     brute_concepts,
     brute_fn,
+    brute_fuzzy_concepts,
     compare_atoms,
     compare_cn,
     compare_concepts,
     compare_fn,
+    compare_fuzzy_concepts,
 )
 from tables import (
+    GODEL_R2_CONCEPTS,
     TABLE1,
     TABLE2,
+    dprod_r1,
     dprod_r2,
+    godel_r1,
     godel_r2,
     luk_table3,
     pair_set,
@@ -104,6 +110,50 @@ class TestBruteFn:
             ctx = random_fuzzy_context(rng)
             report = compare_fn(ctx, list(fn_enumerate(ctx)))
             assert report.ok, report.mismatches
+
+
+class TestBruteFuzzyConcepts:
+    def test_godel_r2_reference_list(self):
+        ctx = godel_r2()
+        found = {
+            (c.extent.values, c.intent.values) for c in brute_fuzzy_concepts(ctx)
+        }
+        expected = {
+            (ctx.graded_objects(e).values, ctx.graded_attributes(i).values)
+            for e, i in GODEL_R2_CONCEPTS
+        }
+        assert found == expected
+
+    def test_worked_contexts_agree_with_fast_path(self):
+        for ctx in (godel_r1(), godel_r2(), dprod_r1(), dprod_r2(), luk_table3()):
+            report = compare_fuzzy_concepts(ctx, fuzzy_concepts(ctx))
+            assert report.ok, report.mismatches
+
+    def test_seeded_random_agreement(self):
+        rng = random.Random(654)
+        for _ in range(20):
+            ctx = random_fuzzy_context(rng)
+            report = compare_fuzzy_concepts(ctx, fuzzy_concepts(ctx))
+            assert report.ok, report.mismatches
+
+    def test_dropped_concept_is_reported(self):
+        ctx = godel_r2()
+        fast = fuzzy_concepts(ctx)
+        short = type(fast)(ctx, fast.concepts[1:])
+        report = compare_fuzzy_concepts(ctx, short)
+        assert report.checked == 7
+        assert [w[1] for w in report.mismatches] == ["absent from fast enumeration"]
+
+    def test_grid_budget_guard(self):
+        from galois_factor import FuzzyContext, GradeChain, godel_triple
+
+        chain = GradeChain(4)
+        ctx = FuzzyContext(
+            ["a"], [f"b{j}" for j in range(11)], chain, chain, chain,
+            (godel_triple(chain),), [[0] * 11],
+        )
+        with pytest.raises(BudgetExceededError):
+            brute_fuzzy_concepts(ctx)
 
 
 class TestBipartiteComponents:
