@@ -272,16 +272,24 @@ def _claim_attrs(ctx: BooleanContext, ys: AttributeSubset) -> int:
 # raw-bits operator cores, shared with the enumeration routines
 
 
+def _and_over(masks: tuple[int, ...], bits: int, out: int) -> int:
+    """``out`` ANDed with ``masks[i]`` for every set bit i of ``bits``."""
+    # inlined bit walk: a generator here makes concepts() about 20% slower
+    while bits:
+        low = bits & -bits
+        out &= masks[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
 def _up_bits(ctx: BooleanContext, xbits: int) -> int:
-    return sum(
-        1 << i for i, row in enumerate(ctx._row_bits) if xbits & ~row == 0
-    )
+    # the columns of the objects in X: O(|X|) ANDs, not an O(|A|) scan
+    return _and_over(ctx._col_bits, xbits, ctx._full_attrs)
 
 
 def _down_bits(ctx: BooleanContext, ybits: int) -> int:
-    return sum(
-        1 << j for j, col in enumerate(ctx._col_bits) if ybits & ~col == 0
-    )
+    # the rows of the attributes in Y: O(|Y|) ANDs, not an O(|B|) scan
+    return _and_over(ctx._row_bits, ybits, ctx._full_objects)
 
 
 def _up_n_bits(ctx: BooleanContext, xbits: int) -> int:
@@ -343,7 +351,11 @@ class FormalConcept:
 
 @dataclass(frozen=True)
 class ConceptLattice:
-    """All concepts of a context, sorted by extent bit-pattern, plus covers."""
+    """All concepts of a context, sorted by extent bit-pattern, plus covers.
+
+    A smaller extent is a smaller int, so the listing is a linear extension
+    of the concept order: ``le(i, j)`` with i != j implies i < j.
+    """
 
     context: BooleanContext = field(compare=False, repr=False)
     concepts: tuple[FormalConcept, ...]
@@ -362,7 +374,7 @@ class ConceptLattice:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        return order.hasse_covers(len(self.concepts), self.le)
+        return order.pointwise_covers([c.extent.bits for c in self.concepts])
 
     @cached_property
     def bottom_index(self) -> int:

@@ -410,7 +410,12 @@ def _claim_member(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> None:
 
 @dataclass(frozen=True)
 class FnLattice:
-    """All necessity-closed pairs, ordered pointwise on the object side."""
+    """All necessity-closed pairs, ordered pointwise on the object side.
+
+    The pairs are listed in increasing tuple order of g, and pointwise <=
+    implies lexicographically <=, so the listing is a linear extension of
+    the order: ``le(i, j)`` with i != j implies i < j.
+    """
 
     context: FuzzyContext = field(compare=False, repr=False)
     pairs: tuple[FuzzyNecessityPair, ...]
@@ -430,7 +435,7 @@ class FnLattice:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        return order.hasse_covers(len(self.pairs), self.le)
+        return order.pointwise_covers([p.g.values for p in self.pairs])
 
     @cached_property
     def bottom_index(self) -> int:
@@ -516,7 +521,12 @@ def fn_meet(
 
 @dataclass(frozen=True)
 class FuzzyConceptLattice:
-    """All multi-adjoint concepts, ordered pointwise on extents."""
+    """All multi-adjoint concepts, ordered pointwise on extents.
+
+    The concepts are listed in increasing tuple order of the extent, and
+    pointwise <= implies lexicographically <=, so the listing is a linear
+    extension of the order: ``le(i, j)`` with i != j implies i < j.
+    """
 
     context: FuzzyContext = field(compare=False, repr=False)
     concepts: tuple[MultiAdjointConcept, ...]
@@ -536,7 +546,7 @@ class FuzzyConceptLattice:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        return order.hasse_covers(len(self.concepts), self.le)
+        return order.pointwise_covers([c.extent.values for c in self.concepts])
 
     @cached_property
     def bottom_index(self) -> int:

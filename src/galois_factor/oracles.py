@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 from .contexts import (
     AttributeSubset,
@@ -33,6 +34,7 @@ from .fuzzy import (
 __all__ = [
     "OracleReport",
     "brute_concepts",
+    "brute_covers",
     "brute_cn",
     "brute_fn",
     "brute_fuzzy_concepts",
@@ -120,6 +122,17 @@ def brute_concepts(ctx: BooleanContext) -> ConceptLattice:
             )
     found.sort(key=lambda c: c.extent.bits)
     return ConceptLattice(ctx, tuple(found))
+
+
+def brute_covers(n: int, le: Callable[[int, int], bool]) -> tuple[tuple[int, int], ...]:
+    """Transitive reduction of a finite order given by a reflexive ``le``."""
+    covers = []
+    for j in range(n):
+        lowers = [i for i in range(n) if i != j and le(i, j)]
+        for i in lowers:
+            if not any(k != i and le(i, k) for k in lowers):
+                covers.append((i, j))
+    return tuple(sorted(covers))
 
 
 def brute_cn(ctx: BooleanContext) -> list:

@@ -1,14 +1,23 @@
-"""Order-theoretic helpers shared by the lattice types.
+"""Order-theoretic kernels shared by the lattice types.
 
 Every lattice in this package is finite and exposes ``len(lattice)``,
-``lattice.le(i, j)`` (reflexive order on element indices) and
-``lattice.covers`` (the Hasse edges as ``(lower, upper)`` index pairs).
-The functions here work against that minimal surface.
+indexing, ``lattice.le(i, j)`` (reflexive order on element indices),
+``lattice.covers`` (the Hasse edges as sorted ``(lower, upper)`` index
+pairs), ``bottom_index`` and ``top_index``; all but the fuzzy concept
+lattice also have ``index_of``.  The helpers at the end of this module
+work against that surface.
+
+Precondition: every lattice lists its elements in a linear extension of
+its order, so ``le(i, j)`` with i != j implies i < j.  The concept, fn and
+fuzzy concept lattices list their elements in increasing extent order
+(subset implies a smaller int; pointwise <= implies lexicographically <=),
+and the cn lattice sorts its pairs by object bits.  ``pointwise_covers``
+relies on this and checks it; ``join_irreducibles`` reads only ``covers``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 
 def closed_sets(n: int, close: Callable[[int], int]) -> Iterator[int]:
@@ -75,15 +84,65 @@ def graded_closed_sets(
             raise RuntimeError("graded closure enumeration failed to advance")
 
 
-def hasse_covers(n: int, le: Callable[[int, int], bool]) -> tuple[tuple[int, int], ...]:
-    """Transitive reduction of a finite order given by a reflexive ``le``."""
-    covers = []
-    for j in range(n):
-        lowers = [i for i in range(n) if i != j and le(i, j)]
-        for i in lowers:
-            if not any(k != i and le(i, k) for k in lowers):
-                covers.append((i, j))
-    return tuple(sorted(covers))
+def set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a non-negative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> tuple[tuple[int, int], ...]:
+    """Hasse edges of distinct grade vectors under the pointwise order.
+
+    ``rows`` are vectors of non-negative grades as tuples, or 0/1 vectors
+    as ints whose bit x is the grade at position x (subsets under
+    inclusion).  They must be strictly increasing (as tuples, or as ints),
+    which makes the listing a linear extension of the pointwise order;
+    ``ValueError`` is raised otherwise, never a wrong edge.
+
+    For each position x and grade a >= 1, ``above[x, a]`` is the bitmask of
+    rows whose grade at x is at least a.  The strict up-set of row i is the
+    AND of the thresholds its non-zero grades name, with bits 0..i masked
+    off (no earlier row can lie above it).  Its upper covers are peeled off
+    lowest index first: the lowest index j left is minimal, since every row
+    below j comes before it, so (i, j) is an edge, and j and the up-set of j
+    leave.  Cost: O(sum of grades + edges) big-int operations.  The edges
+    come out sorted.
+    """
+    n = len(rows)
+    for i in range(1, n):
+        if not rows[i - 1] < rows[i]:
+            raise ValueError(f"rows {i - 1} and {i} are not strictly increasing")
+    above: dict[tuple[int, int], int] = {}
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for x, g in _support(row):
+            for a in range(1, g + 1):
+                above[x, a] = above.get((x, a), 0) | bit
+
+    full = (1 << n) - 1
+    ups = []
+    for i, row in enumerate(rows):
+        up = full >> (i + 1) << (i + 1)
+        for key in _support(row):
+            up &= above[key]
+        ups.append(up)
+    edges = []
+    for i, up in enumerate(ups):
+        while up:
+            low = up & -up
+            j = low.bit_length() - 1
+            edges.append((i, j))
+            up &= ~(low | ups[j])
+    return tuple(edges)
+
+
+def _support(row: Sequence[int] | int) -> Iterator[tuple[int, int]]:
+    """(position, grade) for each non-zero grade of a row."""
+    if isinstance(row, int):
+        return ((x, 1) for x in set_bits(row))
+    return ((x, g) for x, g in enumerate(row) if g)
 
 
 def bottom_index(lattice) -> int:
@@ -102,37 +161,22 @@ def top_index(lattice) -> int:
     raise ValueError("order has no top element")
 
 
-def join_index(lattice, i: int, j: int) -> int:
-    """Index of the least upper bound of elements i and j."""
-    n = len(lattice)
-    uppers = [k for k in range(n) if lattice.le(i, k) and lattice.le(j, k)]
-    for k in uppers:
-        if all(lattice.le(k, u) for u in uppers):
-            return k
-    raise ValueError(f"elements {i} and {j} have no join; not a lattice")
-
-
 def is_join_irreducible(lattice, element) -> bool:
     """Whether an element (given by index or by value) is join-irreducible.
 
-    Non-bottom, and not the join of two strictly smaller elements.  Any
-    witness pair can be replaced by lower covers of the element, so it
-    suffices to test pairs of distinct lower covers.
+    In a finite lattice that is exactly: it has one lower cover.  The
+    bottom has none; two distinct lower covers join to the element.
     """
     index = element if isinstance(element, int) else lattice.index_of(element)
-    bottom = bottom_index(lattice)
-    if index == bottom:
-        return False
-    lower_covers = [l for (l, u) in lattice.covers if u == index]
-    for a in range(len(lower_covers)):
-        for b in range(a + 1, len(lower_covers)):
-            if join_index(lattice, lower_covers[a], lower_covers[b]) == index:
-                return False
-    return True
+    return sum(1 for _, upper in lattice.covers if upper == index) == 1
 
 
 def join_irreducibles(lattice) -> list[int]:
-    return [i for i in range(len(lattice)) if is_join_irreducible(lattice, i)]
+    """Indices of the elements with exactly one lower cover, ascending."""
+    lower_covers = [0] * len(lattice)
+    for _, upper in lattice.covers:
+        lower_covers[upper] += 1
+    return [i for i, count in enumerate(lower_covers) if count == 1]
 
 
 def atoms(lattice) -> list[int]:

@@ -1,0 +1,93 @@
+"""Golden outputs: SHA-256 of the JSON and DOT renderings of the worked tables.
+
+The digests were recorded before the bitmask cover kernel replaced the
+generic transitive reduction, so any refactor of the lattice code that
+changes a single byte of a result on these contexts fails here.  Record
+again only for an intended change of output format.
+"""
+
+import hashlib
+
+import pytest
+
+import tables
+from galois_factor import concepts, cn_enumerate, factorize, fn_enumerate, fuzzy_concepts
+from galois_factor.io import emit_dot, emit_json
+
+BOOLEAN = {"TABLE1": tables.TABLE1, "TABLE2": tables.TABLE2, "DIAG2": tables.DIAG2}
+FUZZY = {
+    name: getattr(tables, name)
+    for name in ("godel_r1", "godel_r2", "luk_table3", "dprod_r1", "dprod_r2")
+}
+BUILDERS = {
+    "concepts": concepts,
+    "cn": cn_enumerate,
+    "factorization": factorize,
+    "fn": fn_enumerate,
+    "fuzzy-concepts": fuzzy_concepts,
+}
+EMITTERS = {"json": emit_json, "dot": emit_dot}
+
+DIGESTS = {
+    ("TABLE1", "concepts", "json"): "3f146fd9617ae5e095b0160c5080eab46939f57afddd116200f59500cd191f44",
+    ("TABLE1", "concepts", "dot"): "b212ebcd2c70c32347d03805ff041426bac57ba063046fc88dd76a9bccfd1833",
+    ("TABLE1", "cn", "json"): "6a30a84135f1d40d0ac4938168b9d341926c3fb6ccdf73db7e91bfb44b0a9797",
+    ("TABLE1", "cn", "dot"): "38e45e87f169d8fd4b0dfe606ce7ab6d0c572c57b31b158929cb6bdc7b1a5a25",
+    ("TABLE1", "factorization", "json"): "14ad32c50c65a3ec5e4a2a3a24fa321a790e2d2fb6bf778dcf727d816b23b601",
+    ("TABLE1", "factorization", "dot"): "572e0707b96b1aa2af34ac1741afcc95b5e808a7355e55bc5f5a613e67e20703",
+    ("TABLE2", "concepts", "json"): "e76c6cf0429161abc0d5e97acee494509a563156332e5cbce8691b54b3d4b540",
+    ("TABLE2", "concepts", "dot"): "6208c13af37fb1412f651664805a8afbee484b4057a2d1ea001a0fdddfcdf533",
+    ("TABLE2", "cn", "json"): "a9a7ad845b804d10875651462d3be4271e42680d44747e29a67488b5d785535f",
+    ("TABLE2", "cn", "dot"): "dad59c875fd36c20c205fa5ef1b13a011c16cacfa88c04d3972005597463637a",
+    ("TABLE2", "factorization", "json"): "b1a5dd07ab498ddc3eb70f314c651d772fc679fae41cece7ca37fe524d7abe51",
+    ("TABLE2", "factorization", "dot"): "8ea8e97bce434eea91fefe97f9da9726dd8eb1c9fdcbff44b2b7710fc08aeecd",
+    ("DIAG2", "concepts", "json"): "b9ec2ef1534b192afbe81c71d5fada9021e2ef742fd273cdc53dcc9209905b23",
+    ("DIAG2", "concepts", "dot"): "11d2706fefb498ba6d230c0c823ec1b9f4ddbc21f965a3e78a69b5729c9b685c",
+    ("DIAG2", "cn", "json"): "5b0a00402d1d214943f8908420968376d6517efb0c08e6b4cefe3c12dd504b9c",
+    ("DIAG2", "cn", "dot"): "3c3facc949f16aa9c5f28ceeb1c621cf72c48c72c8efb45335d2ec467c923571",
+    ("DIAG2", "factorization", "json"): "4f94078f2dd8c12bdc8ae3fb548840925342eba6326f38567451d8f8e262ea6f",
+    ("DIAG2", "factorization", "dot"): "f2ba73453a9093d68fc45521b752e9a7b05d84f043d1ecd51401bc1d38d26c09",
+    ("godel_r1", "fn", "json"): "3650d5bca85b344a1c21e50146f12e099a1eb7e12c31b8bc017358560d472d8d",
+    ("godel_r1", "fn", "dot"): "d693fa03b6d5042f7eeb809feaeb4b26eb93d00351d78d8f7cd4627ed1f74e89",
+    ("godel_r1", "fuzzy-concepts", "json"): "847aa4101efaec41da651cd578dbf61965e5090e9b9b6a4b5e5935a0fd1069ed",
+    ("godel_r1", "fuzzy-concepts", "dot"): "c679ee7131823055f43cdc600caccb3bfa370a4ef45d11f16fb3927e2dedef36",
+    ("godel_r2", "fn", "json"): "93dcd9e4d8814661f8be3ba1c51c8b1618a66555860c81401a61c8a1a030cd88",
+    ("godel_r2", "fn", "dot"): "54fcb207ef5a2c2e7987a3f2d9b085a8c65144a6e1816aefc11a709813d1f662",
+    ("godel_r2", "fuzzy-concepts", "json"): "8d23bd044561f3e6a44683009f7c4bbeaa37ac0f7e233cfdaa3d269826d7626c",
+    ("godel_r2", "fuzzy-concepts", "dot"): "f3ecad10773b9babd964eb226c41f55ef45e8ad20cbcbbc6140d36daa38f2f22",
+    ("luk_table3", "fn", "json"): "ba965a97848873774a9014965d908d22b342bd39c429ed84866c0a629cdc8f36",
+    ("luk_table3", "fn", "dot"): "3d8aa121be697031f674f7d57b1a3e9d015432e5159864ec7a3dfe25933a06fc",
+    ("luk_table3", "fuzzy-concepts", "json"): "23193991b00c854ae90a59e17a20f741978a36fc3d51cc19532b10d3762a240e",
+    ("luk_table3", "fuzzy-concepts", "dot"): "ea74e8781da0f685870728e90260d9546b368f9e7b2d40fe786cdfa8690e67fd",
+    ("dprod_r1", "fn", "json"): "ef150dc1cf6e82ceb14225c17204c347633044905efc3b397280525ab87cca87",
+    ("dprod_r1", "fn", "dot"): "589f089b81d6325ea2120a3671db7dd330a0f177898e1d248c09484855cbb167",
+    ("dprod_r1", "fuzzy-concepts", "json"): "63aff1eb27dbbb15ec77e8fa22be749c9b877e029dc2e580e20447bc54a454a0",
+    ("dprod_r1", "fuzzy-concepts", "dot"): "bbcd7fa0f41f59f2fd242256ea28fd20fc8841b2664aea5df55bec0bc54f27ee",
+    ("dprod_r2", "fn", "json"): "a77d8284faf0bdb3efa67561ca9aa45598900286a4d5c02899295d25c605858e",
+    ("dprod_r2", "fn", "dot"): "ed37435f2694b5265ed51764c115c403d8c85ced81d6db8cdbae23e014b3049f",
+    ("dprod_r2", "fuzzy-concepts", "json"): "46980104a691d5d827eeacb807af12394580b3625c14079bb2f657dec6dd5f63",
+    ("dprod_r2", "fuzzy-concepts", "dot"): "f569aeeaa1fddf5cc262dfb090cc3329efa148c23db829e8c9f9069df6bd4b11",
+}
+
+
+def _context(name):
+    return BOOLEAN[name] if name in BOOLEAN else FUZZY[name]()
+
+
+@pytest.mark.parametrize("name, kind, fmt", sorted(DIGESTS))
+def test_output_matches_recorded_digest(name, kind, fmt):
+    text = EMITTERS[fmt](BUILDERS[kind](_context(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name, kind, fmt]
+
+
+def test_every_table_and_result_kind_is_recorded():
+    boolean_kinds = ("concepts", "cn", "factorization")
+    fuzzy_kinds = ("fn", "fuzzy-concepts")
+    wanted = {
+        (name, kind, fmt)
+        for names, kinds in ((BOOLEAN, boolean_kinds), (FUZZY, fuzzy_kinds))
+        for name in names
+        for kind in kinds
+        for fmt in EMITTERS
+    }
+    assert set(DIGESTS) == wanted
