@@ -9,7 +9,6 @@ intervals.  Brute-force oracles validate every enumeration.
 from .contexts import (
     AttributeSubset,
     BooleanContext,
-    ConceptLattice,
     FormalConcept,
     NormalizationReport,
     ObjectSubset,
@@ -54,10 +53,8 @@ from .factorization import (
 )
 from .fuzzy import (
     ConceptInterval,
-    FnLattice,
     Fp4Report,
     FrameKind,
-    FuzzyConceptLattice,
     FuzzyContext,
     FuzzyNecessityPair,
     GradedAttributeSet,
@@ -93,5 +90,6 @@ from .grades import (
     residua_by_adjointness,
     triple_from_descriptor,
 )
+from .order import Lattice
 
 __version__ = "0.1.0"

@@ -139,14 +139,8 @@ def _cmd_factor(args) -> int:
     payload = fio.to_jsonable(result)
     exact = fz.reassemble(result) == result.core
     payload["reconstruction"] = "exact" if exact else "mismatch"
-    try:
-        mask = fz.rstar(result.core) if result.core.attributes else None
-        payload["rstar"] = (
-            None if mask is None else fio.to_jsonable(mask)["mask"]
-        )
-    except BudgetExceededError:
-        payload["rstar"] = None
-        payload["rstar_note"] = "too many atoms to cross-check the intersection form"
+    mask = fz.rstar(result.core) if result.core.attributes else None
+    payload["rstar"] = None if mask is None else fio.to_jsonable(mask)["mask"]
     report = None
     if args.oracle:
         atom_pairs = [fz.NecessityPair(b.objects, b.attrs) for b in result.blocks]
@@ -177,7 +171,7 @@ def _cmd_reconstruct(args) -> int:
         "type": "reconstruction",
         "blocks": len(result.blocks),
         "exact": exact,
-        "removed": fio.to_jsonable(result)["removed"],
+        "removed": fio.removals_dict(result.reattached),
     }
     _write(args, fio.emit_json(payload))
     return EXIT_OK if exact else EXIT_VALIDATION
@@ -186,7 +180,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_check(args) -> int:
     ctx = _load_fuzzy(Path(args.path), args.frame)
     props = [p.strip() for p in args.props.split(",") if p.strip()]
-    known = {"fp1", "fp2", "fp3", "fp4", "fp5"}
+    known = set(fio.CHECKERS)
     bad = sorted(set(props) - known)
     if bad:
         raise CliError(f"unknown props {bad}; expected a subset of {sorted(known)}")
@@ -205,53 +199,7 @@ def _cmd_check(args) -> int:
         if out_of_range:
             raise CliError(f"pair indices out of range: {out_of_range}")
 
-    is_godel = all(t.name.startswith("godel") for t in ctx.triples)
-    payload = {
-        "type": "check",
-        "preconditions": {
-            "normalized": fy.is_fuzzy_normalized(ctx),
-            "top_normalized_rows": fy.is_top_normalized(ctx, "rows"),
-            "top_normalized_columns": fy.is_top_normalized(ctx, "columns"),
-            "godel_frame": is_godel,
-        },
-        "pair_count": len(lattice),
-        "rows": [],
-    }
-    for i in selected:
-        pair = lattice[i]
-        row = {"pair": i, **fio.fn_pair_dict(ctx, pair)}
-        if "fp1" in props:
-            row["fp1"] = fy.check_fp1(ctx, pair)
-        if "fp2" in props:
-            row["fp2"] = fy.check_fp2(ctx, pair)
-        if "fp3" in props:
-            row["fp3"] = fy.check_fp3(ctx, pair)
-        if "fp4" in props:
-            rep = fy.check_fp4(ctx, pair)
-            row["fp4"] = {
-                "strict_hypothesis": list(rep.strict_hypothesis),
-                "top_hypothesis": list(rep.top_hypothesis),
-                "hypothesis_holds_per_attribute": list(rep.hypothesis_holds_per_attribute),
-                "all_hypotheses_hold": rep.all_hypotheses_hold,
-                "inequality_holds": rep.inequality_holds,
-                "g_up": dict(zip(ctx.attributes, map(str, rep.g_up.as_fractions()))),
-                "g_up_pi": dict(zip(ctx.attributes, map(str, rep.g_up_pi.as_fractions()))),
-            }
-        if "fp5" in props:
-            interval = fy.interval_from_pair(ctx, pair)
-            row["fp5"] = {
-                "lower": {
-                    "extent": dict(zip(ctx.objects, map(str, interval.lower.extent.as_fractions()))),
-                    "intent": dict(zip(ctx.attributes, map(str, interval.lower.intent.as_fractions()))),
-                },
-                "upper": {
-                    "extent": dict(zip(ctx.objects, map(str, interval.upper.extent.as_fractions()))),
-                    "intent": dict(zip(ctx.attributes, map(str, interval.upper.intent.as_fractions()))),
-                },
-                "ordered": interval.ordered,
-            }
-        payload["rows"].append(row)
-    _write(args, fio.emit_json(payload))
+    _write(args, fio.emit_json(fio.check_report(ctx, lattice, selected, props)))
     return EXIT_OK
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "ObjectSubset",
     "AttributeSubset",
     "FormalConcept",
-    "ConceptLattice",
     "NormalizationReport",
     "up",
     "down",
@@ -184,7 +183,7 @@ class _Subset:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self._universe())) if self.bits >> i & 1)
+        return tuple(order.set_bits(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -345,65 +344,15 @@ class FormalConcept:
     extent: ObjectSubset
     intent: AttributeSubset
 
+    @property
+    def order_key(self) -> int:
+        return self.extent.bits
+
     def __repr__(self) -> str:
         return f"<{{{', '.join(self.extent.names)}}}, {{{', '.join(self.intent.names)}}}>"
 
 
-@dataclass(frozen=True)
-class ConceptLattice:
-    """All concepts of a context, sorted by extent bit-pattern, plus covers.
-
-    A smaller extent is a smaller int, so the listing is a linear extension
-    of the concept order: ``le(i, j)`` with i != j implies i < j.
-    """
-
-    context: BooleanContext = field(compare=False, repr=False)
-    concepts: tuple[FormalConcept, ...]
-
-    def __len__(self) -> int:
-        return len(self.concepts)
-
-    def __iter__(self) -> Iterator[FormalConcept]:
-        return iter(self.concepts)
-
-    def __getitem__(self, i: int) -> FormalConcept:
-        return self.concepts[i]
-
-    def le(self, i: int, j: int) -> bool:
-        return self.concepts[i].extent.bits & ~self.concepts[j].extent.bits == 0
-
-    @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        return order.pointwise_covers([c.extent.bits for c in self.concepts])
-
-    @cached_property
-    def bottom_index(self) -> int:
-        return order.bottom_index(self)
-
-    @cached_property
-    def top_index(self) -> int:
-        return order.top_index(self)
-
-    def index_of(self, concept: FormalConcept) -> int:
-        for i, c in enumerate(self.concepts):
-            if c == concept:
-                return i
-        raise ValueError(f"{concept!r} is not in the lattice")
-
-    def find_extent(self, xs: ObjectSubset) -> FormalConcept | None:
-        for c in self.concepts:
-            if c.extent.bits == xs.bits:
-                return c
-        return None
-
-    def upper_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(u for (l, u) in self.covers if l == i)
-
-    def lower_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(l for (l, u) in self.covers if u == i)
-
-
-def concepts(ctx: BooleanContext) -> ConceptLattice:
+def concepts(ctx: BooleanContext) -> order.Lattice:
     """Enumerate the concept lattice.
 
     Intents are generated as the closed sets of Y -> Y-down-up by the
@@ -419,7 +368,7 @@ def concepts(ctx: BooleanContext) -> ConceptLattice:
             FormalConcept(ObjectSubset(ctx, extent_bits), AttributeSubset(ctx, intent_bits))
         )
     found.sort(key=lambda c: c.extent.bits)
-    return ConceptLattice(ctx, tuple(found))
+    return order.Lattice(ctx, tuple(found))
 
 
 def property_oriented_concepts(

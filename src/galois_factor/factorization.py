@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from . import order
 from .contexts import (
     AttributeSubset,
     BooleanContext,
-    ConceptLattice,
     FormalConcept,
     NormalizationReport,
     ObjectSubset,
@@ -34,6 +32,7 @@ from .contexts import (
     restrict,
 )
 from .errors import BudgetExceededError, NotNormalizedError
+from .order import Lattice, set_bits
 
 __all__ = [
     "NecessityPair",
@@ -60,6 +59,10 @@ class NecessityPair:
 
     objects: ObjectSubset
     attrs: AttributeSubset
+
+    @property
+    def order_key(self) -> int:
+        return self.objects.bits
 
     def __repr__(self) -> str:
         return f"({{{', '.join(self.objects.names)}}}, {{{', '.join(self.attrs.names)}}})"
@@ -118,79 +121,47 @@ def cn_atoms(ctx: BooleanContext) -> list[NecessityPair]:
 
 
 @dataclass(frozen=True)
-class CnLattice:
+class CnLattice(Lattice):
     """The complemented complete lattice of necessity-closed pairs.
 
-    ``pairs`` holds every pair, sorted by object bit-pattern, when the
-    lattice is materialized; with more than ``max_atoms`` atoms only the
-    atoms and the pair count are kept (the lattice is the powerset of the
-    atoms) and ``pairs``/``covers``/``atoms`` are None.
+    The lattice is the powerset of its atoms, and element i is the join of
+    the atoms at the set bits of i.  The atoms have disjoint non-empty
+    object sets and are sorted by object bits, so comparing two joins as
+    object-bit ints compares their atom masks: listing the pairs by object
+    bits puts the join of mask i at index i.  With more than ``max_atoms``
+    atoms only the atoms and the pair count are kept, ``elements`` is None
+    and ``len`` raises ``BudgetExceededError``.
     """
 
-    context: BooleanContext = field(compare=False, repr=False)
     atom_pairs: tuple[NecessityPair, ...]
-    pairs: tuple[NecessityPair, ...] | None
-    atom_masks: tuple[int, ...] | None = field(repr=False)  # per pair: which atoms it joins
+    max_atoms: int
 
     @property
     def materialized(self) -> bool:
-        return self.pairs is not None
+        return self.elements is not None
 
     @property
     def pair_count(self) -> int:
         return 1 << len(self.atom_pairs)
 
-    def _require_materialized(self) -> tuple[NecessityPair, ...]:
-        if self.pairs is None:
-            raise BudgetExceededError(self.pair_count, 1 << MAX_MATERIALIZED_ATOMS)
-        return self.pairs
-
     def __len__(self) -> int:
-        return len(self._require_materialized())
-
-    def __iter__(self) -> Iterator[NecessityPair]:
-        return iter(self._require_materialized())
-
-    def __getitem__(self, i: int) -> NecessityPair:
-        return self._require_materialized()[i]
-
-    def le(self, i: int, j: int) -> bool:
-        pairs = self._require_materialized()
-        return pairs[i].objects.bits & ~pairs[j].objects.bits == 0
+        if self.elements is None:
+            raise BudgetExceededError(self.pair_count, 1 << self.max_atoms)
+        return len(self.elements)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges: pairs whose atom sets differ by exactly one atom."""
-        self._require_materialized()
-        index_of = {mask: i for i, mask in enumerate(self.atom_masks)}
-        edges = []
-        for i, mask in enumerate(self.atom_masks):
-            for a in range(len(self.atom_pairs)):
-                if not mask >> a & 1:
-                    edges.append((i, index_of[mask | 1 << a]))
-        return tuple(sorted(edges))
-
-    @cached_property
-    def atoms(self) -> tuple[int, ...]:
-        """Indices into ``pairs`` of the atoms."""
-        self._require_materialized()
+        """Hasse edges (i, i | 1 << a) for each atom a not in i, in sorted order."""
+        k = len(self.atom_pairs)
         return tuple(
-            i for i, mask in enumerate(self.atom_masks) if mask.bit_count() == 1
+            (i, i | 1 << a) for i in range(len(self)) for a in range(k) if not i >> a & 1
         )
 
-    @cached_property
-    def bottom_index(self) -> int:
-        return order.bottom_index(self)
-
-    @cached_property
-    def top_index(self) -> int:
-        return order.top_index(self)
-
-    def index_of(self, pair: NecessityPair) -> int:
-        for i, p in enumerate(self._require_materialized()):
-            if p == pair:
-                return i
-        raise ValueError(f"{pair!r} is not in the lattice")
+    @property
+    def atoms(self) -> tuple[int, ...]:
+        """Indices of the atoms: the masks with one bit set."""
+        len(self)  # raises unless materialized
+        return tuple(1 << a for a in range(len(self.atom_pairs)))
 
     def pair_for_atoms(self, atom_positions: Iterable[int]) -> NecessityPair:
         """Join of the given atoms, available even when not materialized."""
@@ -216,29 +187,21 @@ def _require_normalized(ctx: BooleanContext) -> None:
 def cn_enumerate(ctx: BooleanContext, max_atoms: int = MAX_MATERIALIZED_ATOMS) -> CnLattice:
     """All necessity-closed pairs of a normalized context, with covers and atoms.
 
-    Built as the unions of atom subsets; with more than ``max_atoms`` atoms
-    the 2**k pairs are not materialized and only the atoms are returned.
+    Built as the unions of atom subsets, the pair at index i joining the
+    atoms at the set bits of i; with more than ``max_atoms`` atoms the 2**k
+    pairs are not materialized and only the atoms are returned.
     """
     atom_pairs = tuple(cn_atoms(ctx))
-    k = len(atom_pairs)
-    if k > max_atoms:
-        return CnLattice(ctx, atom_pairs, None, None)
-    entries = []
-    for mask in range(1 << k):
-        xbits = 0
-        ybits = 0
-        for a in range(k):
-            if mask >> a & 1:
-                xbits |= atom_pairs[a].objects.bits
-                ybits |= atom_pairs[a].attrs.bits
-        entries.append((xbits, ybits, mask))
-    entries.sort()
+    if len(atom_pairs) > max_atoms:
+        return CnLattice(ctx, None, atom_pairs, max_atoms)
+    xs, ys = [0], [0]
+    for atom in atom_pairs:  # doubling: the second half adds this atom
+        xs += [x | atom.objects.bits for x in xs]
+        ys += [y | atom.attrs.bits for y in ys]
     pairs = tuple(
-        NecessityPair(ObjectSubset(ctx, xb), AttributeSubset(ctx, yb))
-        for xb, yb, _ in entries
+        NecessityPair(ObjectSubset(ctx, x), AttributeSubset(ctx, y)) for x, y in zip(xs, ys)
     )
-    masks = tuple(mask for _, _, mask in entries)
-    return CnLattice(ctx, atom_pairs, pairs, masks)
+    return CnLattice(ctx, pairs, atom_pairs, max_atoms)
 
 
 def complement(ctx: BooleanContext, pair: NecessityPair) -> NecessityPair:
@@ -321,31 +284,18 @@ class BlockMask:
 
 
 def rstar(ctx: BooleanContext) -> BlockMask:
-    """Evaluate the block mask two ways and cross-check.
+    """The block mask R*: the union of the atom rectangles X x Y.
 
-    Literal form: intersection over every necessity-closed pair (X, Y) of
-    (X x Y) union (X^c x Y^c).  Fast form: union of the atom rectangles.
-    The two agree by construction of the lattice; a mismatch is a bug.
+    O(|A| * |B|) for any number of atoms.  The literal form, the
+    intersection over every necessity-closed pair (X, Y) of
+    (X x Y) union (X^c x Y^c), is ``oracles.brute_rstar``.
     """
-    lattice = cn_enumerate(ctx)
-    pairs = lattice._require_materialized()
-    full = ctx._full_objects
-    # per attribute, the object bitmask of allowed cells
-    allowed = [full] * len(ctx.attributes)
-    for pair in pairs:
-        xbits = pair.objects.bits
-        for i in range(len(ctx.attributes)):
-            allowed[i] &= xbits if pair.attrs.bits >> i & 1 else ~xbits & full
-
-    rectangles = [0] * len(ctx.attributes)
-    for atom in lattice.atom_pairs:
-        for i in atom.attrs.indices:
-            rectangles[i] |= atom.objects.bits
-    if rectangles != allowed:
-        raise RuntimeError("block mask mismatch between intersection and rectangles")
-
+    rows = [0] * len(ctx.attributes)  # per attribute, the object bits of R*
+    for atom in cn_atoms(ctx):
+        for i in set_bits(atom.attrs.bits):
+            rows[i] |= atom.objects.bits
     mask = tuple(
-        tuple(bool(allowed[i] >> j & 1) for j in range(len(ctx.objects)))
+        tuple(bool(rows[i] >> j & 1) for j in range(len(ctx.objects)))
         for i in range(len(ctx.attributes))
     )
     return BlockMask(ctx, mask)
@@ -371,7 +321,7 @@ class BlockBounds:
 
 
 def block_bounds(
-    ctx: BooleanContext, pair: NecessityPair, lattice: ConceptLattice | None = None
+    ctx: BooleanContext, pair: NecessityPair, lattice: Lattice | None = None
 ) -> BlockBounds:
     """Bounds of the concept block generated by a nontrivial pair."""
     if not in_cn(ctx, pair):

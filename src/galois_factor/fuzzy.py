@@ -18,10 +18,9 @@ satisfies every arrangement and all six operators are available.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import order
 from .errors import BudgetExceededError, FrameArrangementError
@@ -34,8 +33,6 @@ __all__ = [
     "GradedAttributeSet",
     "FuzzyNecessityPair",
     "MultiAdjointConcept",
-    "FnLattice",
-    "FuzzyConceptLattice",
     "Fp4Report",
     "ConceptInterval",
     "DEFAULT_ENUM_BUDGET",
@@ -375,6 +372,10 @@ class FuzzyNecessityPair:
     g: GradedObjectSet
     f: GradedAttributeSet
 
+    @property
+    def order_key(self) -> tuple[int, ...]:
+        return self.g.values
+
     def __repr__(self) -> str:
         return f"({self.g!r}, {self.f!r})"
 
@@ -385,6 +386,10 @@ class MultiAdjointConcept:
 
     extent: GradedObjectSet
     intent: GradedAttributeSet
+
+    @property
+    def order_key(self) -> tuple[int, ...]:
+        return self.extent.values
 
     def __repr__(self) -> str:
         return f"<{self.extent!r}, {self.intent!r}>"
@@ -408,50 +413,6 @@ def _claim_member(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> None:
         raise ValueError(f"{pair!r} is not a necessity-closed pair of this context")
 
 
-@dataclass(frozen=True)
-class FnLattice:
-    """All necessity-closed pairs, ordered pointwise on the object side.
-
-    The pairs are listed in increasing tuple order of g, and pointwise <=
-    implies lexicographically <=, so the listing is a linear extension of
-    the order: ``le(i, j)`` with i != j implies i < j.
-    """
-
-    context: FuzzyContext = field(compare=False, repr=False)
-    pairs: tuple[FuzzyNecessityPair, ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[FuzzyNecessityPair]:
-        return iter(self.pairs)
-
-    def __getitem__(self, i: int) -> FuzzyNecessityPair:
-        return self.pairs[i]
-
-    def le(self, i: int, j: int) -> bool:
-        a, b = self.pairs[i].g.values, self.pairs[j].g.values
-        return all(x <= y for x, y in zip(a, b))
-
-    @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        return order.pointwise_covers([p.g.values for p in self.pairs])
-
-    @cached_property
-    def bottom_index(self) -> int:
-        return order.bottom_index(self)
-
-    @cached_property
-    def top_index(self) -> int:
-        return order.top_index(self)
-
-    def index_of(self, pair: FuzzyNecessityPair) -> int:
-        for i, p in enumerate(self.pairs):
-            if p == pair:
-                return i
-        raise ValueError(f"{pair!r} is not in the lattice")
-
-
 def _check_budget(ctx: FuzzyContext, budget: int) -> None:
     # the size of the graded search space, not the closures evaluated
     required = len(ctx.l2) ** len(ctx.objects)
@@ -459,7 +420,7 @@ def _check_budget(ctx: FuzzyContext, budget: int) -> None:
         raise BudgetExceededError(required, budget)
 
 
-def fn_enumerate(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> FnLattice:
+def fn_enumerate(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> order.Lattice:
     """All necessity-closed pairs, sorted lexicographically on the object grades.
 
     The composite down-N o up-N is meet-preserving but not a closure
@@ -474,8 +435,7 @@ def fn_enumerate(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> FnLatt
     g-up-pi-down-N <= g-up-N-down-N = g.  Hence every member is a fixpoint
     of down-N o up-pi.
 
-    |L2| ** |B|, the size of the search space, must fit the budget; the
-    result is verified meet-closed.
+    |L2| ** |B|, the size of the search space, must fit the budget.
     """
     _require_fn_operators(ctx)
     _check_budget(ctx, budget)
@@ -484,7 +444,6 @@ def fn_enumerate(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> FnLatt
         return _apply(ctx, "down_n", _apply(ctx, "up_pi", g))
 
     pairs = []
-    seen = set()
     for g in order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close):
         f = _apply(ctx, "up_n", g)
         if _apply(ctx, "down_n", f) == g:
@@ -493,18 +452,7 @@ def fn_enumerate(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> FnLatt
                     GradedObjectSet(g, ctx.l2), GradedAttributeSet(f, ctx.l1)
                 )
             )
-            seen.add(g)
-
-    # the closure system is meet-closed; a miss here is a bug
-    members = sorted(seen)
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            met = tuple(map(min, members[a], members[b]))
-            if met not in seen:
-                raise RuntimeError(
-                    f"meet of two necessity-closed pairs escaped the closure: {met}"
-                )
-    return FnLattice(ctx, tuple(pairs))
+    return order.Lattice(ctx, tuple(pairs))
 
 
 def fn_meet(
@@ -519,51 +467,7 @@ def fn_meet(
     return met
 
 
-@dataclass(frozen=True)
-class FuzzyConceptLattice:
-    """All multi-adjoint concepts, ordered pointwise on extents.
-
-    The concepts are listed in increasing tuple order of the extent, and
-    pointwise <= implies lexicographically <=, so the listing is a linear
-    extension of the order: ``le(i, j)`` with i != j implies i < j.
-    """
-
-    context: FuzzyContext = field(compare=False, repr=False)
-    concepts: tuple[MultiAdjointConcept, ...]
-
-    def __len__(self) -> int:
-        return len(self.concepts)
-
-    def __iter__(self) -> Iterator[MultiAdjointConcept]:
-        return iter(self.concepts)
-
-    def __getitem__(self, i: int) -> MultiAdjointConcept:
-        return self.concepts[i]
-
-    def le(self, i: int, j: int) -> bool:
-        a, b = self.concepts[i].extent.values, self.concepts[j].extent.values
-        return all(x <= y for x, y in zip(a, b))
-
-    @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        return order.pointwise_covers([c.extent.values for c in self.concepts])
-
-    @cached_property
-    def bottom_index(self) -> int:
-        return order.bottom_index(self)
-
-    @cached_property
-    def top_index(self) -> int:
-        return order.top_index(self)
-
-    def find_extent(self, g: GradedObjectSet) -> MultiAdjointConcept | None:
-        for c in self.concepts:
-            if c.extent == g:
-                return c
-        return None
-
-
-def fuzzy_concepts(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> FuzzyConceptLattice:
+def fuzzy_concepts(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> order.Lattice:
     """All concepts <g, g-up>, sorted lexicographically on the extents.
 
     The extents are exactly the fixpoints of the closure operator down o up
@@ -584,7 +488,7 @@ def fuzzy_concepts(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> Fuzz
         )
         for extent in order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close)
     )
-    return FuzzyConceptLattice(ctx, found)
+    return order.Lattice(ctx, found)
 
 
 def is_fuzzy_normalized(ctx: FuzzyContext) -> bool:

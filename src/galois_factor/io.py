@@ -11,25 +11,41 @@ output.  Grades serialize as exact fraction strings, never as floats.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _stdio
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
-from .contexts import BooleanContext, ConceptLattice, FormalConcept
+from .contexts import (
+    AttributeSubset,
+    BooleanContext,
+    FormalConcept,
+    NormalizationReport,
+    ObjectSubset,
+    concepts,
+)
 from .errors import ContextFormatError
 from .factorization import BlockBounds, BlockMask, CnLattice, Factorization, NecessityPair
 from .fuzzy import (
-    FnLattice,
     FrameKind,
-    FuzzyConceptLattice,
     FuzzyContext,
     FuzzyNecessityPair,
+    GradedAttributeSet,
+    GradedObjectSet,
     MultiAdjointConcept,
+    check_fp1,
+    check_fp2,
+    check_fp3,
+    check_fp4,
+    interval_from_pair,
+    is_fuzzy_normalized,
+    is_top_normalized,
 )
 from .grades import AdjointTriple, GradeChain, godel_triple, triple_from_descriptor
 from .oracles import OracleReport
+from .order import Lattice
 
 SCHEMA = "galois-factor/1"
 
@@ -43,6 +59,9 @@ __all__ = [
     "emit_json",
     "emit_dot",
     "document_from_json",
+    "removals_dict",
+    "CHECKERS",
+    "check_report",
 ]
 
 
@@ -214,12 +233,15 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
 # ---------------------------------------------------------------------- JSON
 
 
-def _fraction_str(num: int, m: int) -> str:
-    return str(Fraction(num, m))
+@functools.cache
+def _grade_strings(m: int) -> tuple[str, ...]:
+    """Exact fraction strings of the grades 0/m, 1/m, .., m/m."""
+    return tuple(str(Fraction(v, m)) for v in range(m + 1))
 
 
 def _graded_dict(names, values, m) -> dict:
-    return {name: _fraction_str(v, m) for name, v in zip(names, values)}
+    strings = _grade_strings(m)
+    return {name: strings[v] for name, v in zip(names, values)}
 
 
 def _boolean_context_dict(ctx: BooleanContext) -> dict:
@@ -237,7 +259,7 @@ def _fuzzy_context_dict(ctx: FuzzyContext, frames: tuple[str, ...] | None) -> di
         "attributes": list(ctx.attributes),
         "objects": list(ctx.objects),
         "relation": [
-            [_fraction_str(v, ctx.p.m) for v in row] for row in ctx.relation
+            [_grade_strings(ctx.p.m)[v] for v in row] for row in ctx.relation
         ],
     }
     if ctx.sigma is not None:
@@ -245,26 +267,84 @@ def _fuzzy_context_dict(ctx: FuzzyContext, frames: tuple[str, ...] | None) -> di
     return out
 
 
-def _concept_dict(c: FormalConcept) -> dict:
-    return {"extent": list(c.extent.names), "intent": list(c.intent.names)}
+def _plain(value, ctx=None):
+    """A result record as JSON data: its dataclass fields in order, recursively.
+
+    Subsets become their member names and graded sets their grades by name
+    (``ctx`` names the positions of graded sets); tuples become lists.  So
+    a lattice element's keys are its field names: extent/intent,
+    objects/attrs or g/f.
+    """
+    if isinstance(value, GradedObjectSet):
+        return _graded_dict(ctx.objects, value.values, value.chain.m)
+    if isinstance(value, GradedAttributeSet):
+        return _graded_dict(ctx.attributes, value.values, value.chain.m)
+    if isinstance(value, (ObjectSubset, AttributeSubset)):
+        return list(value.names)
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name), ctx) for f in fields(value)}
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
 
-def _pair_dict(p: NecessityPair) -> dict:
-    return {"objects": list(p.objects.names), "attrs": list(p.attrs.names)}
+# per element type: the lattice's JSON "type" (its DOT graph name with
+# underscores) and the key of its element list
+_LATTICE_KINDS = {
+    FormalConcept: ("concept-lattice", "concepts"),
+    NecessityPair: ("cn-lattice", "pairs"),
+    FuzzyNecessityPair: ("fn-lattice", "pairs"),
+    MultiAdjointConcept: ("fuzzy-concept-lattice", "concepts"),
+}
 
 
-def _fuzzy_concept_dict(ctx: FuzzyContext, c: MultiAdjointConcept) -> dict:
+def _lattice_kind(lattice: Lattice) -> tuple[str, str]:
+    # a cn lattice beyond its atom cutoff has no elements to look at
+    element_type = NecessityPair if isinstance(lattice, CnLattice) else type(lattice[0])
+    return _LATTICE_KINDS[element_type]
+
+
+def removals_dict(report: NormalizationReport) -> dict:
+    """The lines ``normalize`` stripped: a factorization's ``removed``."""
     return {
-        "extent": _graded_dict(ctx.objects, c.extent.values, ctx.l2.m),
-        "intent": _graded_dict(ctx.attributes, c.intent.values, ctx.l1.m),
+        "full_rows": list(report.removed_full_rows),
+        "empty_rows": list(report.removed_empty_rows),
+        "full_cols": list(report.removed_full_cols),
+        "empty_cols": list(report.removed_empty_cols),
     }
 
 
-def fn_pair_dict(ctx: FuzzyContext, p: FuzzyNecessityPair) -> dict:
-    """One entry of an fn lattice's ``pairs``, without serialising the rest."""
+# the proposition checkers of the ``check`` report, in row order
+CHECKERS = {
+    "fp1": check_fp1,
+    "fp2": check_fp2,
+    "fp3": check_fp3,
+    "fp4": check_fp4,
+    "fp5": interval_from_pair,
+}
+
+
+def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
+    """The ``check`` report: the context's preconditions, then per selected
+    pair index a row with the pair and the checkers named in ``props``."""
+    rows = []
+    for i in selected:
+        pair = lattice[i]
+        row = {"pair": i, **_plain(pair, ctx)}
+        for name, checker in CHECKERS.items():
+            if name in props:
+                row[name] = _plain(checker(ctx, pair), ctx)
+        rows.append(row)
     return {
-        "g": _graded_dict(ctx.objects, p.g.values, ctx.l2.m),
-        "f": _graded_dict(ctx.attributes, p.f.values, ctx.l1.m),
+        "type": "check",
+        "preconditions": {
+            "normalized": is_fuzzy_normalized(ctx),
+            "top_normalized_rows": is_top_normalized(ctx, "rows"),
+            "top_normalized_columns": is_top_normalized(ctx, "columns"),
+            "godel_frame": all(t.name.startswith("godel") for t in ctx.triples),
+        },
+        "pair_count": len(lattice),
+        "rows": rows,
     }
 
 
@@ -283,37 +363,25 @@ def to_jsonable(obj) -> dict:
         return {"schema": SCHEMA, "kind": "boolean", **_boolean_context_dict(obj)}
     if isinstance(obj, FuzzyContext):
         return {"schema": SCHEMA, "kind": "fuzzy", **_fuzzy_context_dict(obj, None)}
-    if isinstance(obj, ConceptLattice):
-        return {
-            "schema": SCHEMA,
-            "type": "concept-lattice",
-            "concepts": [_concept_dict(c) for c in obj.concepts],
-            "covers": [list(e) for e in obj.covers],
-        }
-    if isinstance(obj, CnLattice):
-        out = {
-            "schema": SCHEMA,
-            "type": "cn-lattice",
-            "pair_count": obj.pair_count,
-            "materialized": obj.materialized,
-            "atom_pairs": [_pair_dict(p) for p in obj.atom_pairs],
-        }
-        if obj.materialized:
-            out["pairs"] = [_pair_dict(p) for p in obj.pairs]
-            out["covers"] = [list(e) for e in obj.covers]
+    if isinstance(obj, Lattice):
+        kind, key = _lattice_kind(obj)
+        out = {"schema": SCHEMA, "type": kind}
+        if isinstance(obj, CnLattice):
+            out["pair_count"] = obj.pair_count
+            out["materialized"] = obj.materialized
+            out["atom_pairs"] = [_plain(p) for p in obj.atom_pairs]
+            if not obj.materialized:
+                return out
+        out[key] = [_plain(e, obj.context) for e in obj]
+        out["covers"] = [list(e) for e in obj.covers]
+        if isinstance(obj, CnLattice):
             out["atoms"] = list(obj.atoms)
         return out
     if isinstance(obj, Factorization):
-        rep = obj.reattached
         return {
             "schema": SCHEMA,
             "type": "factorization",
-            "removed": {
-                "full_rows": list(rep.removed_full_rows),
-                "empty_rows": list(rep.removed_empty_rows),
-                "full_cols": list(rep.removed_full_cols),
-                "empty_cols": list(rep.removed_empty_cols),
-            },
+            "removed": removals_dict(obj.reattached),
             "core": _boolean_context_dict(obj.core),
             "blocks": [
                 {
@@ -334,31 +402,7 @@ def to_jsonable(obj) -> dict:
             "mask": ["".join("X" if v else "." for v in row) for row in obj.mask],
         }
     if isinstance(obj, BlockBounds):
-        return {
-            "schema": SCHEMA,
-            "type": "block-bounds",
-            "pair": _pair_dict(obj.pair),
-            "upper": None if obj.upper is None else _concept_dict(obj.upper),
-            "upper_identified_with_top": obj.upper_identified_with_top,
-            "lower": None if obj.lower is None else _concept_dict(obj.lower),
-            "lower_identified_with_bottom": obj.lower_identified_with_bottom,
-            "upper_is_coatom": obj.upper_is_coatom,
-            "lower_within_upper": obj.lower_within_upper,
-        }
-    if isinstance(obj, FnLattice):
-        return {
-            "schema": SCHEMA,
-            "type": "fn-lattice",
-            "pairs": [fn_pair_dict(obj.context, p) for p in obj.pairs],
-            "covers": [list(e) for e in obj.covers],
-        }
-    if isinstance(obj, FuzzyConceptLattice):
-        return {
-            "schema": SCHEMA,
-            "type": "fuzzy-concept-lattice",
-            "concepts": [_fuzzy_concept_dict(obj.context, c) for c in obj.concepts],
-            "covers": [list(e) for e in obj.covers],
-        }
+        return {"schema": SCHEMA, "type": "block-bounds", **_plain(obj)}
     if isinstance(obj, OracleReport):
         return {
             "checked": obj.checked,
@@ -409,14 +453,15 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _bool_label(extent_names, intent_names) -> str:
-    return "{%s} | {%s}" % (",".join(extent_names), ",".join(intent_names))
-
-
-def _graded_label(names, values, m) -> str:
-    return "{%s}" % ", ".join(
-        f"{n}:{_fraction_str(v, m)}" for n, v in zip(names, values)
-    )
+def _label(element, ctx=None) -> str:
+    """A lattice element as a DOT label: each side in braces, joined by ' | '."""
+    sides = []
+    for side in _plain(element, ctx).values():
+        if isinstance(side, dict):  # graded: name:grade pairs
+            sides.append("{%s}" % ", ".join(f"{n}:{v}" for n, v in side.items()))
+        else:
+            sides.append("{%s}" % ",".join(side))
+    return " | ".join(sides)
 
 
 def _lattice_dot_lines(name_of, count, covers, prefix="n", indent="  ") -> list[str]:
@@ -435,52 +480,18 @@ def emit_dot(result) -> str:
     closure of the digraph is exactly the lattice order.
     """
     lines = []
-    if isinstance(result, ConceptLattice):
-        lines.append("digraph concept_lattice {")
+    if isinstance(result, Lattice):
+        kind, _ = _lattice_kind(result)
+        lines.append(f"digraph {kind.replace('-', '_')} {{")
         lines.append("  rankdir=BT;")
         lines += _lattice_dot_lines(
-            lambda i: _bool_label(result[i].extent.names, result[i].intent.names),
-            len(result),
-            result.covers,
-        )
-    elif isinstance(result, CnLattice):
-        pairs = list(result)
-        lines.append("digraph cn_lattice {")
-        lines.append("  rankdir=BT;")
-        lines += _lattice_dot_lines(
-            lambda i: _bool_label(pairs[i].objects.names, pairs[i].attrs.names),
-            len(pairs),
-            result.covers,
-        )
-    elif isinstance(result, FnLattice):
-        ctx = result.context
-        lines.append("digraph fn_lattice {")
-        lines.append("  rankdir=BT;")
-        lines += _lattice_dot_lines(
-            lambda i: _graded_label(ctx.objects, result[i].g.values, ctx.l2.m)
-            + " | "
-            + _graded_label(ctx.attributes, result[i].f.values, ctx.l1.m),
-            len(result),
-            result.covers,
-        )
-    elif isinstance(result, FuzzyConceptLattice):
-        ctx = result.context
-        lines.append("digraph fuzzy_concept_lattice {")
-        lines.append("  rankdir=BT;")
-        lines += _lattice_dot_lines(
-            lambda i: _graded_label(ctx.objects, result[i].extent.values, ctx.l2.m)
-            + " | "
-            + _graded_label(ctx.attributes, result[i].intent.values, ctx.l1.m),
-            len(result),
-            result.covers,
+            lambda i: _label(result[i], result.context), len(result), result.covers
         )
     elif isinstance(result, Factorization):
-        from .contexts import concepts as _concepts
-
         lines.append("digraph factorization {")
         lines.append("  rankdir=BT;")
         for k, block in enumerate(result.blocks):
-            lattice = _concepts(block.context)
+            lattice = concepts(block.context)
             lines.append(f"  subgraph cluster_{k} {{")
             label = "objects {%s} x attributes {%s}" % (
                 ",".join(block.objects.names),
@@ -488,7 +499,7 @@ def emit_dot(result) -> str:
             )
             lines.append(f"    label={_quote(label)};")
             lines += _lattice_dot_lines(
-                lambda i: _bool_label(lattice[i].extent.names, lattice[i].intent.names),
+                lambda i: _label(lattice[i]),
                 len(lattice),
                 lattice.covers,
                 prefix=f"b{k}_n",

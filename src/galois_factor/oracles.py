@@ -14,28 +14,24 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .contexts import (
-    AttributeSubset,
-    BooleanContext,
-    ConceptLattice,
-    FormalConcept,
-    ObjectSubset,
-)
+from .contexts import AttributeSubset, BooleanContext, FormalConcept, ObjectSubset
 from .errors import BudgetExceededError
+from .factorization import BlockMask, NecessityPair
 from .fuzzy import (
-    FuzzyConceptLattice,
     FuzzyContext,
     FuzzyNecessityPair,
     GradedAttributeSet,
     GradedObjectSet,
     MultiAdjointConcept,
 )
+from .order import Lattice
 
 __all__ = [
     "OracleReport",
     "brute_concepts",
     "brute_covers",
     "brute_cn",
+    "brute_rstar",
     "brute_fn",
     "brute_fuzzy_concepts",
     "bipartite_components",
@@ -108,7 +104,7 @@ def _to_bits(indices: set[int]) -> int:
     return sum(1 << i for i in indices)
 
 
-def brute_concepts(ctx: BooleanContext) -> ConceptLattice:
+def brute_concepts(ctx: BooleanContext) -> Lattice:
     """Scan all object subsets, keep the fixpoints of down o up."""
     _guard_subsets(ctx)
     found = []
@@ -121,7 +117,7 @@ def brute_concepts(ctx: BooleanContext) -> ConceptLattice:
                 )
             )
     found.sort(key=lambda c: c.extent.bits)
-    return ConceptLattice(ctx, tuple(found))
+    return Lattice(ctx, tuple(found))
 
 
 def brute_covers(n: int, le: Callable[[int, int], bool]) -> tuple[tuple[int, int], ...]:
@@ -135,10 +131,8 @@ def brute_covers(n: int, le: Callable[[int, int], bool]) -> tuple[tuple[int, int
     return tuple(sorted(covers))
 
 
-def brute_cn(ctx: BooleanContext) -> list:
+def brute_cn(ctx: BooleanContext) -> list[NecessityPair]:
     """Scan all object subsets, keep X with X-up-N-down-N = X."""
-    from .factorization import NecessityPair  # local import to avoid a cycle
-
     _guard_subsets(ctx)
     found = []
     for xs in _subsets(len(ctx.objects)):
@@ -153,37 +147,48 @@ def brute_cn(ctx: BooleanContext) -> list:
     return found
 
 
+def brute_rstar(ctx: BooleanContext) -> BlockMask:
+    """The block mask in its literal form.
+
+    The intersection, over every necessity-closed pair (X, Y) of
+    ``brute_cn``, of (X x Y) union (X^c x Y^c): cell (a, b) stays when a
+    and b fall on the same side of every pair.
+    """
+    pairs = brute_cn(ctx)
+    mask = tuple(
+        tuple(
+            all((a in p.attrs) == (b in p.objects) for p in pairs)
+            for b in range(len(ctx.objects))
+        )
+        for a in range(len(ctx.attributes))
+    )
+    return BlockMask(ctx, mask)
+
+
 def bipartite_components(
     ctx: BooleanContext,
 ) -> list[tuple[ObjectSubset, AttributeSubset]]:
-    """Connected components of the incidence graph, via a small union-find."""
-    n_obj, n_attr = len(ctx.objects), len(ctx.attributes)
-    parent = list(range(n_obj + n_attr))
+    """Connected components of the incidence graph, by neighbour expansion.
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i in range(n_attr):
-        for j in range(n_obj):
-            if ctx.incidence[i][j]:
-                ra, rb = find(j), find(n_obj + i)
-                if ra != rb:
-                    parent[rb] = ra
-
-    groups: dict[int, tuple[int, int]] = {}
-    for j in range(n_obj):
-        xb, yb = groups.get(find(j), (0, 0))
-        groups[find(j)] = (xb | 1 << j, yb)
-    for i in range(n_attr):
-        xb, yb = groups.get(find(n_obj + i), (0, 0))
-        groups[find(n_obj + i)] = (xb, yb | 1 << i)
-
-    out = [
-        (ObjectSubset(ctx, xb), AttributeSubset(ctx, yb)) for xb, yb in groups.values()
-    ]
+    Each component starts from the first object (else attribute) not yet
+    placed and takes in every neighbour of its members until it stops
+    growing.
+    """
+    attrs, objs = range(len(ctx.attributes)), range(len(ctx.objects))
+    free_objs, free_attrs = set(objs), set(attrs)
+    out = []
+    while free_objs or free_attrs:
+        xs = {min(free_objs)} if free_objs else set()
+        ys = set() if free_objs else {min(free_attrs)}
+        while True:
+            grown_ys = ys | {i for i in attrs for j in xs if ctx.incidence[i][j]}
+            grown_xs = xs | {j for j in objs for i in grown_ys if ctx.incidence[i][j]}
+            if (grown_xs, grown_ys) == (xs, ys):
+                break
+            xs, ys = grown_xs, grown_ys
+        free_objs -= xs
+        free_attrs -= ys
+        out.append((ObjectSubset(ctx, _to_bits(xs)), AttributeSubset(ctx, _to_bits(ys))))
     out.sort(key=lambda pair: pair[0].bits)
     return out
 
@@ -293,8 +298,8 @@ def _set_compare(kind: str, fast, slow) -> OracleReport:
     return OracleReport(len(fast_set | slow_set), tuple(mismatches))
 
 
-def compare_concepts(ctx: BooleanContext, fast: ConceptLattice) -> OracleReport:
-    return _set_compare("concept", fast.concepts, brute_concepts(ctx).concepts)
+def compare_concepts(ctx: BooleanContext, fast: Lattice) -> OracleReport:
+    return _set_compare("concept", fast, brute_concepts(ctx))
 
 
 def compare_cn(ctx: BooleanContext, fast_pairs) -> OracleReport:
@@ -305,15 +310,11 @@ def compare_fn(ctx: FuzzyContext, fast_pairs) -> OracleReport:
     return _set_compare("fn-pair", fast_pairs, brute_fn(ctx))
 
 
-def compare_fuzzy_concepts(
-    ctx: FuzzyContext, fast: FuzzyConceptLattice
-) -> OracleReport:
-    return _set_compare("fuzzy-concept", fast.concepts, brute_fuzzy_concepts(ctx))
+def compare_fuzzy_concepts(ctx: FuzzyContext, fast: Lattice) -> OracleReport:
+    return _set_compare("fuzzy-concept", fast, brute_fuzzy_concepts(ctx))
 
 
 def compare_atoms(ctx: BooleanContext, fast_atoms) -> OracleReport:
     """Bipartite components against a caller-supplied atom list."""
-    from .factorization import NecessityPair
-
     components = [NecessityPair(xs, ys) for xs, ys in bipartite_components(ctx)]
     return _set_compare("atom", fast_atoms, components)

@@ -1,23 +1,88 @@
-"""Order-theoretic kernels shared by the lattice types.
+"""Finite lattices and the order-theoretic kernels behind them.
 
-Every lattice in this package is finite and exposes ``len(lattice)``,
-indexing, ``lattice.le(i, j)`` (reflexive order on element indices),
-``lattice.covers`` (the Hasse edges as sorted ``(lower, upper)`` index
-pairs), ``bottom_index`` and ``top_index``; all but the fuzzy concept
-lattice also have ``index_of``.  The helpers at the end of this module
-work against that surface.
+``Lattice(context, elements)`` is the one finite-lattice type: the concept,
+fn and fuzzy concept lattices are instances of it, and the cn lattice is
+its subclass ``factorization.CnLattice``.  It offers ``len(lattice)``,
+iteration, indexing, ``le(i, j)`` (reflexive order on element indices),
+``covers`` (the Hasse edges as sorted ``(lower, upper)`` index pairs),
+``bottom_index``, ``top_index``, ``index_of``, ``find_extent``,
+``upper_covers`` and ``lower_covers``.  The helpers at the end of this
+module work against that surface.
+
+Every element type has an ``order_key``: the extent bits of a formal
+concept, the object bits of a necessity pair, the object grades g of a
+fuzzy necessity pair and the extent grades of a multi-adjoint concept.  The
+lattice order is the pointwise order on those keys (inclusion, on bits).
 
 Precondition: every lattice lists its elements in a linear extension of
-its order, so ``le(i, j)`` with i != j implies i < j.  The concept, fn and
-fuzzy concept lattices list their elements in increasing extent order
-(subset implies a smaller int; pointwise <= implies lexicographically <=),
-and the cn lattice sorts its pairs by object bits.  ``pointwise_covers``
-relies on this and checks it; ``join_irreducibles`` reads only ``covers``.
+its order, so ``le(i, j)`` with i != j implies i < j; hence the bottom is
+index 0 and the top is index n - 1.  The enumerations list their elements
+in increasing key order (subset implies a smaller int; pointwise <=
+implies lexicographically <=).  ``pointwise_covers`` relies on this and
+checks it; ``join_irreducibles`` reads only ``covers``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable, Iterator, Sequence
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """The elements of a finite lattice, listed in a linear extension of its
+    order, and the context they were enumerated from."""
+
+    context: Any = field(compare=False, repr=False)
+    elements: tuple | None
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __iter__(self) -> Iterator:
+        return iter(self.elements)
+
+    def __getitem__(self, i: int):
+        return self.elements[i]
+
+    def le(self, i: int, j: int) -> bool:
+        a, b = self[i].order_key, self[j].order_key
+        if isinstance(a, int):
+            return a & ~b == 0
+        return all(map(operator.le, a, b))
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        return pointwise_covers([e.order_key for e in self])
+
+    @property
+    def bottom_index(self) -> int:
+        return 0
+
+    @property
+    def top_index(self) -> int:
+        return len(self) - 1
+
+    def index_of(self, element) -> int:
+        for i, e in enumerate(self):
+            if e == element:
+                return i
+        raise ValueError(f"{element!r} is not in the lattice")
+
+    def find_extent(self, extent):
+        """The element whose extent equals ``extent``, or None."""
+        for e in self:
+            if e.extent == extent:
+                return e
+        return None
+
+    def upper_covers(self, i: int) -> tuple[int, ...]:
+        return tuple(u for (l, u) in self.covers if l == i)
+
+    def lower_covers(self, i: int) -> tuple[int, ...]:
+        return tuple(l for (l, u) in self.covers if u == i)
 
 
 def closed_sets(n: int, close: Callable[[int], int]) -> Iterator[int]:
@@ -26,6 +91,8 @@ def closed_sets(n: int, close: Callable[[int], int]) -> Iterator[int]:
     ``close`` must be extensive, monotone and idempotent on subsets of
     ``{0, .., n-1}`` encoded as ints.  Classic lectic ("NextClosure") scan:
     polynomial delay, each closed set produced exactly once, in lectic order.
+    An operator that is not a closure raises ``RuntimeError`` or ends the
+    scan; it never makes the scan repeat a set.
     """
     full = (1 << n) - 1
     current = close(0)
@@ -37,12 +104,14 @@ def closed_sets(n: int, close: Callable[[int], int]) -> Iterator[int]:
                 current &= ~bit
             else:
                 candidate = close(current | bit)
-                # lectic successor: nothing new may appear below position i
-                if (candidate & ~current) & (bit - 1) == 0:
+                # lectic successor: the same bits below position i, plus i;
+                # an extensive close always keeps i, and the test keeps the
+                # scan strictly increasing, hence finite, on any operator
+                if candidate & bit and (candidate ^ current) & (bit - 1) == 0:
                     current = candidate
                     yield current
                     break
-        else:  # pragma: no cover - cannot happen for a closure operator
+        else:
             raise RuntimeError("closure enumeration failed to advance")
 
 
@@ -145,22 +214,6 @@ def _support(row: Sequence[int] | int) -> Iterator[tuple[int, int]]:
     return ((x, g) for x, g in enumerate(row) if g)
 
 
-def bottom_index(lattice) -> int:
-    n = len(lattice)
-    for i in range(n):
-        if all(lattice.le(i, j) for j in range(n)):
-            return i
-    raise ValueError("order has no bottom element")
-
-
-def top_index(lattice) -> int:
-    n = len(lattice)
-    for i in range(n):
-        if all(lattice.le(j, i) for j in range(n)):
-            return i
-    raise ValueError("order has no top element")
-
-
 def is_join_irreducible(lattice, element) -> bool:
     """Whether an element (given by index or by value) is join-irreducible.
 
@@ -181,5 +234,4 @@ def join_irreducibles(lattice) -> list[int]:
 
 def atoms(lattice) -> list[int]:
     """Indices of the elements covering the bottom element."""
-    bottom = bottom_index(lattice)
-    return sorted(u for (l, u) in lattice.covers if l == bottom)
+    return sorted(u for (l, u) in lattice.covers if l == lattice.bottom_index)

@@ -43,7 +43,7 @@ from galois_factor import (
     residua_by_adjointness,
     rstar,
 )
-from galois_factor.oracles import bipartite_components, brute_cn
+from galois_factor.oracles import bipartite_components, brute_cn, brute_rstar
 from tables import (
     DPROD_R2_FN_LISTED,
     GODEL_R2_CONCEPTS,
@@ -157,7 +157,8 @@ def test_criterion_3_factorization_soundness_on_random_contexts():
             result = factorize(ctx)
             assert reassemble(result) == result.core
 
-            mask = rstar(ctx)  # internally cross-checks the two computations
+            mask = rstar(ctx)
+            assert mask == brute_rstar(ctx)  # the literal intersection form
             assert mask.contains_relation()
             rects = [[False] * len(ctx.objects) for _ in ctx.attributes]
             for atom in cn_atoms(ctx):

@@ -39,6 +39,15 @@ def assert_covers_match(lattice):
     assert lattice.covers == brute_covers(len(lattice), lattice.le)
 
 
+def assert_bottom_and_top(lattice):
+    # the listing is a linear extension: the bottom first, the top last
+    n = len(lattice)
+    bottoms = [i for i in range(n) if all(lattice.le(i, j) for j in range(n))]
+    tops = [i for i in range(n) if all(lattice.le(j, i) for j in range(n))]
+    assert bottoms == [lattice.bottom_index] == [0]
+    assert tops == [lattice.top_index] == [n - 1]
+
+
 def boolean_context(n_attrs, n_objs, rows):
     return BooleanContext.from_rows(
         [f"a{i}" for i in range(n_attrs)], [f"b{j}" for j in range(n_objs)], rows
@@ -100,6 +109,36 @@ class TestCnLattice:
         rng = random.Random(4103)
         for _ in range(60):
             assert_covers_match(cn_enumerate(random_normalized_context(rng, max_side=8)))
+
+
+class TestBottomAndTop:
+    def test_concept_lattices(self):
+        rng = random.Random(4107)
+        for _ in range(100):
+            assert_bottom_and_top(concepts(random_context(rng, max_side=8)))
+
+    def test_cn_lattices(self):
+        rng = random.Random(4108)
+        for _ in range(60):
+            assert_bottom_and_top(cn_enumerate(random_normalized_context(rng, max_side=8)))
+
+    @pytest.mark.parametrize("frame", sorted(TRIPLES))
+    def test_fn_and_fuzzy_concept_lattices(self, frame):
+        rng = random.Random(f"bottom-top-{frame}")
+        for _ in range(25):
+            chain = GradeChain(rng.randint(1, 4))
+            n_attrs, n_objs = rng.randint(1, 4), rng.randint(1, 4)
+            ctx = FuzzyContext(
+                [f"a{i}" for i in range(n_attrs)],
+                [f"b{j}" for j in range(n_objs)],
+                chain,
+                chain,
+                chain,
+                (TRIPLES[frame](chain),),
+                [[rng.randint(0, chain.m) for _ in range(n_objs)] for _ in range(n_attrs)],
+            )
+            assert_bottom_and_top(fn_enumerate(ctx))
+            assert_bottom_and_top(fuzzy_concepts(ctx))
 
 
 class TestJoinIrreducibles:

@@ -6,7 +6,7 @@ over three unequal chains, and up to six objects.
 """
 
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -97,6 +97,27 @@ class TestGradedClosedSets:
         assert list(graded_closed_sets(3, 2, lambda x: x)) == grid
 
 
+class TestClosedSets:
+    def test_operator_that_is_not_extensive_raises(self):
+        with pytest.raises(RuntimeError):
+            list(islice(closed_sets(3, lambda b: 0), 100))
+
+    def test_any_operator_gives_a_finite_scan_without_repeats(self):
+        # each accepted set keeps the bits below the raised position and adds
+        # it, so the scan is strictly increasing in lectic order
+        rng = random.Random(5150)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            table = [rng.randrange(1 << n) for _ in range(1 << n)]
+            found = []
+            try:
+                for bits in islice(closed_sets(n, table.__getitem__), (1 << n) + 1):
+                    found.append(bits)
+            except RuntimeError:
+                pass
+            assert len(found) == len(set(found)) <= 1 << n
+
+
 def mixed_triple_context(rng):
     """Two or three triples on one chain, chosen per cell by sigma."""
     m = rng.randint(1, 4)
@@ -166,3 +187,34 @@ class TestEnumeratorsAgainstGridOracles:
             fast = fuzzy_concepts(ctx)
             assert list(fast) == brute_fuzzy_concepts(ctx), ctx
             assert is_sorted([c.extent.values for c in fast])
+
+
+class TestFnMeetClosure:
+    """The necessity-closed pairs are closed under componentwise meets."""
+
+    TRIPLES = {
+        "godel": godel_triple,
+        "lukasiewicz": lukasiewicz_triple,
+        "dprod": lambda chain: discretized_product_triple(chain.m, chain.m, chain.m),
+    }
+
+    @pytest.mark.parametrize("frame", sorted(TRIPLES))
+    def test_meet_of_two_pairs_is_a_pair(self, frame):
+        rng = random.Random(f"fn-meet-{frame}")
+        for _ in range(40):
+            chain = GradeChain(rng.randint(1, 4))
+            n_attrs, n_objs = rng.randint(1, 4), rng.randint(1, 5 if chain.m <= 2 else 4)
+            ctx = FuzzyContext(
+                [f"a{i}" for i in range(n_attrs)],
+                [f"b{j}" for j in range(n_objs)],
+                chain,
+                chain,
+                chain,
+                (self.TRIPLES[frame](chain),),
+                [[rng.randint(0, chain.m) for _ in range(n_objs)] for _ in range(n_attrs)],
+            )
+            members = {p.g.values: p.f.values for p in fn_enumerate(ctx)}
+            for g1, f1 in members.items():
+                for g2, f2 in members.items():
+                    met = tuple(map(min, g1, g2))
+                    assert members.get(met) == tuple(map(min, f1, f2))

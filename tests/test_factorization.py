@@ -17,6 +17,7 @@ from galois_factor import (
     reassemble,
     rstar,
 )
+from galois_factor.oracles import brute_rstar
 from tables import (
     DIAG2,
     TABLE1,
@@ -90,7 +91,7 @@ class TestCnEnumerate:
         lattice = cn_enumerate(TABLE1, max_atoms=2)
         assert not lattice.materialized
         assert lattice.pair_count == 8
-        assert lattice.pairs is None
+        assert lattice.elements is None
         join = lattice.pair_for_atoms([0, 1])
         assert in_cn(TABLE1, join)
         with pytest.raises(Exception):
@@ -223,6 +224,13 @@ class TestRstar:
     def test_diagonal_mask(self):
         mask = rstar(DIAG2)
         assert mask.mask == ((True, False), (False, True))
+
+    def test_matches_the_literal_intersection_form(self):
+        rng = random.Random(31337)
+        for _ in range(150):
+            ctx = random_normalized_context(rng, max_side=10)
+            assert rstar(ctx) == brute_rstar(ctx)
+        assert rstar(TABLE2) == brute_rstar(TABLE2)
 
 
 class TestBlockBounds:

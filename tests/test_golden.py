@@ -2,17 +2,28 @@
 
 The digests were recorded before the bitmask cover kernel replaced the
 generic transitive reduction, so any refactor of the lattice code that
-changes a single byte of a result on these contexts fails here.  Record
-again only for an intended change of output format.
+changes a single byte of a result on these contexts fails here.  The CLI
+digests of ``check`` and ``reconstruct`` were recorded while their JSON was
+still assembled in ``cli.py``.  Record again only for an intended change of
+output format.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 import tables
-from galois_factor import concepts, cn_enumerate, factorize, fn_enumerate, fuzzy_concepts
-from galois_factor.io import emit_dot, emit_json
+from galois_factor import (
+    BooleanContext,
+    concepts,
+    cn_enumerate,
+    factorize,
+    fn_enumerate,
+    fuzzy_concepts,
+)
+from galois_factor.cli import main
+from galois_factor.io import emit_dot, emit_json, format_cxt
 
 BOOLEAN = {"TABLE1": tables.TABLE1, "TABLE2": tables.TABLE2, "DIAG2": tables.DIAG2}
 FUZZY = {
@@ -91,3 +102,47 @@ def test_every_table_and_result_kind_is_recorded():
         for fmt in EMITTERS
     }
     assert set(DIGESTS) == wanted
+
+
+# TABLE1 with a full attribute row and an empty object column, so that
+# reconstruct has removals to report
+TABLE1_PADDED = BooleanContext.from_rows(
+    tables.TABLE1.attributes + ("top",),
+    tables.TABLE1.objects + ("none",),
+    [row + (False,) for row in tables.TABLE1.incidence] + [[1] * 6 + [0]],
+)
+CLI_BOOLEAN = {"TABLE1": tables.TABLE1, "DIAG2": tables.DIAG2, "TABLE1_PADDED": TABLE1_PADDED}
+
+CLI_DIGESTS = {
+    ("check", "godel_r1"): "58c981daab74ce31d763144ad9cc829ca786c79fec35384cb90b06cada5738dd",
+    ("check", "godel_r2"): "e706b38775da2d3a0ba29cb34397c63a0d0a43cd34b356ff2a5ef68c2b157399",
+    ("check", "luk_table3"): "70e7e5065f5758cf9d84421ca36474ee0f6b958a6e0d843e03ee92625a171f73",
+    ("check", "dprod_r1"): "c3d37bbce38632a3405422908fd348ab55ea72e20bf77d92f06a73880451373f",
+    ("check", "dprod_r2"): "64017a61361fbe48ef0c071abbca84f2ae7551a33089f7cdbf4c7f6235ba1143",
+    ("reconstruct", "TABLE1"): "c42623a2e4e91cf68b6a00faa3cf22819146377a1725ce2c521154323d1fc3fe",
+    ("reconstruct", "DIAG2"): "31565d78f39449d7bea72c4a2fd77b201fcaac9943c42a2c10e7fb78863ea34b",
+    ("reconstruct", "TABLE1_PADDED"): "d5be5898ed28f645174ecf8e7f36ac098b0cb9c29c41d995f637de03b2affb01",
+}
+
+
+def _fuzzy_csv(ctx) -> str:
+    lines = [",".join(["R", *ctx.objects])]
+    for name, row in zip(ctx.attributes, ctx.relation):
+        lines.append(",".join([name, *(str(Fraction(v, ctx.p.m)) for v in row)]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command, name", sorted(CLI_DIGESTS))
+def test_cli_output_matches_recorded_digest(tmp_path, command, name):
+    out = tmp_path / "out.json"
+    if command == "check":
+        ctx = FUZZY[name]()
+        path = tmp_path / f"{name}.csv"
+        path.write_text(_fuzzy_csv(ctx))
+        argv = ["check", str(path), "--frame", ctx.triples[0].name, "--pairs", "all"]
+    else:
+        path = tmp_path / f"{name}.cxt"
+        path.write_text(format_cxt(CLI_BOOLEAN[name]))
+        argv = ["reconstruct", str(path)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_DIGESTS[command, name]

@@ -60,6 +60,13 @@ a2,0,0.75
 """
 
 
+DIAG21 = BooleanContext.from_rows(
+    [f"a{i}" for i in range(21)],
+    [f"b{j}" for j in range(21)],
+    [[int(i == j) for j in range(21)] for i in range(21)],
+)
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -258,6 +265,20 @@ class TestCli:
         assert len(payload["blocks"]) == 3
         assert payload["reconstruction"] == "exact"
         assert payload["rstar"] is not None
+
+    def test_factor_beyond_the_cn_atom_cutoff(self, tmp_path, capsys):
+        # 21 atoms: the cn lattice is not materialized, R* needs only the atoms
+        path = write(tmp_path, "diag21.cxt", format_cxt(DIAG21))
+        assert main(["factor", path, "--oracle"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["blocks"]) == 21
+        assert payload["rstar"] == payload["core"]["incidence"]
+        assert "rstar_note" not in payload
+        assert payload["oracle"]["mismatches"] == []
+
+    def test_cn_dot_beyond_the_atom_cutoff_exits_2(self, tmp_path):
+        path = write(tmp_path, "diag21.cxt", format_cxt(DIAG21))
+        assert main(["cn", path, "--emit", "dot"]) == 2
 
     def test_lattice_on_fuzzy_input(self, tmp_path, capsys):
         path = write(tmp_path, "r2_godel.csv", R2_GODEL_CSV)

@@ -42,7 +42,7 @@ from tables import (
 class TestBruteConcepts:
     def test_matches_fast_path_on_worked_tables(self):
         for ctx in (TABLE1, TABLE2):
-            assert set(brute_concepts(ctx).concepts) == set(concepts(ctx).concepts)
+            assert set(brute_concepts(ctx).elements) == set(concepts(ctx).elements)
 
     def test_degenerate_context(self):
         ctx = BooleanContext.from_rows(["a1"], ["b1"], [[0]])
@@ -139,7 +139,7 @@ class TestBruteFuzzyConcepts:
     def test_dropped_concept_is_reported(self):
         ctx = godel_r2()
         fast = fuzzy_concepts(ctx)
-        short = type(fast)(ctx, fast.concepts[1:])
+        short = type(fast)(ctx, fast.elements[1:])
         report = compare_fuzzy_concepts(ctx, short)
         assert report.checked == 7
         assert [w[1] for w in report.mismatches] == ["absent from fast enumeration"]
@@ -167,6 +167,14 @@ class TestBipartiteComponents:
             ["a1", "a2"], ["b1", "b2"], [[1, 1], [1, 1]]
         )
         assert len(bipartite_components(ctx)) == 1
+
+    def test_isolated_lines_are_components(self):
+        # a chain a1-b1-a2-b3, an empty row a3 and an empty column b2
+        ctx = BooleanContext.from_rows(
+            ["a1", "a2", "a3"], ["b1", "b2", "b3"], [[1, 0, 0], [1, 0, 1], [0, 0, 0]]
+        )
+        comps = [(x.names, y.names) for x, y in bipartite_components(ctx)]
+        assert comps == [((), ("a3",)), (("b2",), ()), (("b1", "b3"), ("a1", "a2"))]
 
     def test_table2_components_match_atoms(self):
         report = compare_atoms(TABLE2, cn_atoms(TABLE2))
