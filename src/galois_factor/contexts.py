@@ -1,10 +1,13 @@
 """Boolean formal contexts, modal operators and concept lattices.
 
-A context holds attribute names, object names and an attribute-major
-incidence matrix.  Subsets of either side are bitmasks tied to their owning
-context; using a subset against a different context raises, even when the
-two contexts happen to be equal as values.  Everything is immutable and
-every operation is a pure function, so values can be shared freely.
+A context holds attribute names, object names and its relation as one
+bitmask per attribute: bit j of ``rows[i]`` is set when attribute i relates
+to object j.  The column masks ``cols`` and the bool grid ``incidence`` are
+views derived from those rows.  Subsets of either side are bitmasks tied to
+their owning context; using a subset against a different context raises,
+even when the two contexts happen to be equal as values.  Everything is
+immutable and every operation is a pure function, so values can be shared
+freely.
 """
 
 from __future__ import annotations
@@ -40,36 +43,42 @@ __all__ = [
 ]
 
 
+def _bool_grid(rows: Sequence[int], width: int) -> tuple[tuple[bool, ...], ...]:
+    """Bitmask rows as a grid of bools, ``width`` cells per row."""
+    return tuple(tuple(bool(row >> j & 1) for j in range(width)) for row in rows)
+
+
 @dataclass(frozen=True)
 class BooleanContext:
     """A triple of attributes, objects and an incidence relation.
 
-    ``incidence[i][j]`` is True when attribute i relates to object j.
+    ``rows[i]`` has bit j set when attribute i relates to object j.  Names
+    are non-empty single lines without surrounding whitespace, the names a
+    ``.cxt`` file can carry.
     """
 
     attributes: tuple[str, ...]
     objects: tuple[str, ...]
-    incidence: tuple[tuple[bool, ...], ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "objects", tuple(self.objects))
-        object.__setattr__(
-            self, "incidence", tuple(tuple(bool(v) for v in row) for row in self.incidence)
-        )
-        if len(set(self.attributes)) != len(self.attributes):
-            raise ValueError("duplicate attribute names")
-        if len(set(self.objects)) != len(self.objects):
-            raise ValueError("duplicate object names")
-        if len(self.incidence) != len(self.attributes):
+        object.__setattr__(self, "rows", tuple(self.rows))
+        for kind, names in (("attribute", self.attributes), ("object", self.objects)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate {kind} names")
+            for name in names:
+                one_line = isinstance(name, str) and name.splitlines() == [name]
+                if not one_line or name.strip() != name:
+                    raise ValueError(f"{kind} name {name!r} is not one unpadded non-empty line")
+        if len(self.rows) != len(self.attributes):
             raise ValueError(
-                f"incidence has {len(self.incidence)} rows for {len(self.attributes)} attributes"
+                f"incidence has {len(self.rows)} rows for {len(self.attributes)} attributes"
             )
-        for row in self.incidence:
-            if len(row) != len(self.objects):
-                raise ValueError(
-                    f"incidence row of length {len(row)} for {len(self.objects)} objects"
-                )
+        for row in self.rows:
+            if not isinstance(row, int) or row < 0 or row >> len(self.objects):
+                raise ValueError(f"row {row!r} is not a bitmask over {len(self.objects)} objects")
 
     @classmethod
     def from_rows(
@@ -79,30 +88,27 @@ class BooleanContext:
         rows: Iterable[Iterable[int]],
     ) -> "BooleanContext":
         """Build from 0/1 rows, one per attribute."""
-        return cls(tuple(attributes), tuple(objects), tuple(tuple(rows_) for rows_ in rows))
-
-    # bitmask caches; objects are bit i of row masks, attributes bit i of column masks
-    @cached_property
-    def _row_bits(self) -> tuple[int, ...]:
-        out = []
-        for row in self.incidence:
-            bits = 0
-            for j, v in enumerate(row):
-                if v:
-                    bits |= 1 << j
-            out.append(bits)
-        return tuple(out)
+        objects = tuple(objects)
+        packed = []
+        for row in map(tuple, rows):
+            if len(row) != len(objects):
+                raise ValueError(f"incidence row of length {len(row)} for {len(objects)} objects")
+            packed.append(sum(1 << j for j, v in enumerate(row) if v))
+        return cls(tuple(attributes), objects, tuple(packed))
 
     @cached_property
-    def _col_bits(self) -> tuple[int, ...]:
-        out = []
-        for j in range(len(self.objects)):
-            bits = 0
-            for i in range(len(self.attributes)):
-                if self.incidence[i][j]:
-                    bits |= 1 << i
-            out.append(bits)
-        return tuple(out)
+    def cols(self) -> tuple[int, ...]:
+        """Per object j, the attribute bits of its column: bit i when i relates to j."""
+        cols = [0] * len(self.objects)
+        for i, row in enumerate(self.rows):
+            for j in order.set_bits(row):
+                cols[j] |= 1 << i
+        return tuple(cols)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[bool, ...], ...]:
+        """The relation as a bool grid: row i for attribute i, cell j for object j."""
+        return _bool_grid(self.rows, len(self.objects))
 
     @cached_property
     def _attr_index(self) -> dict[str, int]:
@@ -121,7 +127,7 @@ class BooleanContext:
         return (1 << len(self.attributes)) - 1
 
     def has(self, attribute: str, obj: str) -> bool:
-        return self.incidence[self._attr_index[attribute]][self._obj_index[obj]]
+        return bool(self.rows[self._attr_index[attribute]] >> self._obj_index[obj] & 1)
 
     def object_set(self, members: Iterable[str | int] = ()) -> "ObjectSubset":
         bits = 0
@@ -150,7 +156,7 @@ class BooleanContext:
         return AttributeSubset(self, self._full_attrs)
 
     def incidence_count(self) -> int:
-        return sum(bits.bit_count() for bits in self._row_bits)
+        return sum(row.bit_count() for row in self.rows)
 
 
 class _Subset:
@@ -283,28 +289,28 @@ def _and_over(masks: tuple[int, ...], bits: int, out: int) -> int:
 
 def _up_bits(ctx: BooleanContext, xbits: int) -> int:
     # the columns of the objects in X: O(|X|) ANDs, not an O(|A|) scan
-    return _and_over(ctx._col_bits, xbits, ctx._full_attrs)
+    return _and_over(ctx.cols, xbits, ctx._full_attrs)
 
 
 def _down_bits(ctx: BooleanContext, ybits: int) -> int:
     # the rows of the attributes in Y: O(|Y|) ANDs, not an O(|B|) scan
-    return _and_over(ctx._row_bits, ybits, ctx._full_objects)
+    return _and_over(ctx.rows, ybits, ctx._full_objects)
 
 
 def _up_n_bits(ctx: BooleanContext, xbits: int) -> int:
-    return sum(1 << i for i, row in enumerate(ctx._row_bits) if row & ~xbits == 0)
+    return sum(1 << i for i, row in enumerate(ctx.rows) if row & ~xbits == 0)
 
 
 def _down_n_bits(ctx: BooleanContext, ybits: int) -> int:
-    return sum(1 << j for j, col in enumerate(ctx._col_bits) if col & ~ybits == 0)
+    return sum(1 << j for j, col in enumerate(ctx.cols) if col & ~ybits == 0)
 
 
 def _up_pi_bits(ctx: BooleanContext, xbits: int) -> int:
-    return sum(1 << i for i, row in enumerate(ctx._row_bits) if row & xbits)
+    return sum(1 << i for i, row in enumerate(ctx.rows) if row & xbits)
 
 
 def _down_pi_bits(ctx: BooleanContext, ybits: int) -> int:
-    return sum(1 << j for j, col in enumerate(ctx._col_bits) if col & ybits)
+    return sum(1 << j for j, col in enumerate(ctx.cols) if col & ybits)
 
 
 def up(ctx: BooleanContext, xs: ObjectSubset) -> AttributeSubset:
@@ -414,18 +420,15 @@ class NormalizationReport:
 
 def _offending_lines(ctx: BooleanContext) -> list[str]:
     problems = []
-    full_objs = ctx._full_objects
-    full_attrs = ctx._full_attrs
-    for i, row in enumerate(ctx._row_bits):
-        if full_objs and row == full_objs:
-            problems.append(f"attribute row {ctx.attributes[i]!r} is full")
-        elif row == 0:
-            problems.append(f"attribute row {ctx.attributes[i]!r} is empty")
-    for j, col in enumerate(ctx._col_bits):
-        if full_attrs and col == full_attrs:
-            problems.append(f"object column {ctx.objects[j]!r} is full")
-        elif col == 0:
-            problems.append(f"object column {ctx.objects[j]!r} is empty")
+    for kind, names, lines, full in (
+        ("attribute row", ctx.attributes, ctx.rows, ctx._full_objects),
+        ("object column", ctx.objects, ctx.cols, ctx._full_attrs),
+    ):
+        for name, line in zip(names, lines):
+            if full and line == full:
+                problems.append(f"{kind} {name!r} is full")
+            elif line == 0:
+                problems.append(f"{kind} {name!r} is empty")
     return problems
 
 
@@ -434,14 +437,36 @@ def is_normalized(ctx: BooleanContext) -> bool:
     return not _offending_lines(ctx)
 
 
+def _subcontext(ctx: BooleanContext, xbits: int, ybits: int) -> BooleanContext:
+    """The subcontext on the objects at ``xbits`` and attributes at ``ybits``."""
+    objs = tuple(order.set_bits(xbits))
+    attrs = tuple(order.set_bits(ybits))
+    packed = {j: 1 << k for k, j in enumerate(objs)}  # old object -> its new bit
+    rows = tuple(sum(packed[j] for j in order.set_bits(ctx.rows[i] & xbits)) for i in attrs)
+    return BooleanContext(
+        tuple(ctx.attributes[i] for i in attrs), tuple(ctx.objects[j] for j in objs), rows
+    )
+
+
 def restrict(ctx: BooleanContext, xs: ObjectSubset, ys: AttributeSubset) -> BooleanContext:
     """The subcontext on the given objects and attributes, in input order."""
-    _claim_objects(ctx, xs)
-    _claim_attrs(ctx, ys)
-    rows = tuple(
-        tuple(ctx.incidence[i][j] for j in xs.indices) for i in ys.indices
-    )
-    return BooleanContext(ys.names, xs.names, rows)
+    return _subcontext(ctx, _claim_objects(ctx, xs), _claim_attrs(ctx, ys))
+
+
+def _strip(lines, live: int, across: int, names, full: list, empty: list) -> int:
+    """The live ``lines`` full or empty on the live ``across`` lines, named in
+    ``full`` or ``empty``; a line with no live cells left counts as empty."""
+    dropped = 0
+    for i in order.set_bits(live):
+        cells = lines[i] & across
+        if across and cells == across:
+            full.append(names[i])
+        elif not cells:
+            empty.append(names[i])
+        else:
+            continue
+        dropped |= 1 << i
+    return dropped
 
 
 def normalize(ctx: BooleanContext) -> NormalizationReport:
@@ -449,42 +474,15 @@ def normalize(ctx: BooleanContext) -> NormalizationReport:
 
     A context may collapse to 0x0; that is reported, not an error.
     """
-    attrs = list(range(len(ctx.attributes)))
-    objs = list(range(len(ctx.objects)))
-    full_rows: list[str] = []
-    empty_rows: list[str] = []
-    full_cols: list[str] = []
-    empty_cols: list[str] = []
-
+    attrs, objs = ctx._full_attrs, ctx._full_objects  # the live lines
+    full_rows, empty_rows, full_cols, empty_cols = [], [], [], []
     while True:
-        drop_rows = {}
-        for i in attrs:
-            cells = [ctx.incidence[i][j] for j in objs]
-            if cells and all(cells):
-                drop_rows[i] = full_rows
-            elif not any(cells):
-                drop_rows[i] = empty_rows
-        drop_cols = {}
-        for j in objs:
-            cells = [ctx.incidence[i][j] for i in attrs]
-            if cells and all(cells):
-                drop_cols[j] = full_cols
-            elif not any(cells):
-                drop_cols[j] = empty_cols
-        if not drop_rows and not drop_cols:
+        # rows and columns are judged against the same live lines, then dropped
+        drop_attrs = _strip(ctx.rows, attrs, objs, ctx.attributes, full_rows, empty_rows)
+        drop_objs = _strip(ctx.cols, objs, attrs, ctx.objects, full_cols, empty_cols)
+        if not drop_attrs | drop_objs:
             break
-        for i, bucket in drop_rows.items():
-            bucket.append(ctx.attributes[i])
-        for j, bucket in drop_cols.items():
-            bucket.append(ctx.objects[j])
-        attrs = [i for i in attrs if i not in drop_rows]
-        objs = [j for j in objs if j not in drop_cols]
-
-    core = BooleanContext(
-        tuple(ctx.attributes[i] for i in attrs),
-        tuple(ctx.objects[j] for j in objs),
-        tuple(tuple(ctx.incidence[i][j] for j in objs) for i in attrs),
-    )
-    return NormalizationReport(
-        tuple(full_rows), tuple(empty_rows), tuple(full_cols), tuple(empty_cols), core
-    )
+        attrs &= ~drop_attrs
+        objs &= ~drop_objs
+    removed = map(tuple, (full_rows, empty_rows, full_cols, empty_cols))
+    return NormalizationReport(*removed, _subcontext(ctx, objs, attrs))

@@ -20,13 +20,16 @@ from .contexts import (
     FormalConcept,
     NormalizationReport,
     ObjectSubset,
+    _bool_grid,
     _claim_attrs,
     _claim_objects,
     _down_bits,
     _down_n_bits,
+    _down_pi_bits,
     _offending_lines,
     _up_bits,
     _up_n_bits,
+    _up_pi_bits,
     concepts,
     normalize,
     restrict,
@@ -78,45 +81,25 @@ def in_cn(ctx: BooleanContext, pair: NecessityPair) -> bool:
 def cn_atoms(ctx: BooleanContext) -> list[NecessityPair]:
     """Atoms of the closure lattice: connected components of the incidence graph.
 
-    Vertices are objects and attributes, edges the relation; union-find.
-    Requires a normalized context (otherwise components need not be closed).
+    Each component grows from the lowest object not yet placed, taking in
+    the attributes of its objects and the objects of its attributes until
+    it stops growing.  Requires a normalized context (otherwise components
+    need not be closed).
     """
     _require_normalized(ctx)
-    n_obj = len(ctx.objects)
-    n_attr = len(ctx.attributes)
-    parent = list(range(n_obj + n_attr))  # objects first, then attributes
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for i, row in enumerate(ctx._row_bits):
-        for j in range(n_obj):
-            if row >> j & 1:
-                union(j, n_obj + i)
-
-    groups: dict[int, tuple[int, int]] = {}  # root -> (object bits, attribute bits)
-    for j in range(n_obj):
-        root = find(j)
-        xb, yb = groups.get(root, (0, 0))
-        groups[root] = (xb | 1 << j, yb)
-    for i in range(n_attr):
-        root = find(n_obj + i)
-        xb, yb = groups.get(root, (0, 0))
-        groups[root] = (xb, yb | 1 << i)
-
-    pairs = [
-        NecessityPair(ObjectSubset(ctx, xb), AttributeSubset(ctx, yb))
-        for xb, yb in groups.values()
-    ]
-    pairs.sort(key=lambda p: p.objects.bits)
+    pairs = []
+    free = ctx._full_objects
+    while free:
+        xbits = free & -free
+        while True:
+            ybits = _up_pi_bits(ctx, xbits)
+            grown = _down_pi_bits(ctx, ybits)
+            if grown == xbits:
+                break
+            xbits = grown
+        free &= ~xbits
+        pairs.append(NecessityPair(ObjectSubset(ctx, xbits), AttributeSubset(ctx, ybits)))
+    pairs.sort(key=lambda p: p.objects.bits)  # found by lowest object, not by bits
     return pairs
 
 
@@ -128,13 +111,12 @@ class CnLattice(Lattice):
     the atoms at the set bits of i.  The atoms have disjoint non-empty
     object sets and are sorted by object bits, so comparing two joins as
     object-bit ints compares their atom masks: listing the pairs by object
-    bits puts the join of mask i at index i.  With more than ``max_atoms``
-    atoms only the atoms and the pair count are kept, ``elements`` is None
-    and ``len`` raises ``BudgetExceededError``.
+    bits puts the join of mask i at index i.  With more than
+    ``MAX_MATERIALIZED_ATOMS`` atoms only the atoms and the pair count are
+    kept, ``elements`` is None and ``len`` raises ``BudgetExceededError``.
     """
 
     atom_pairs: tuple[NecessityPair, ...]
-    max_atoms: int
 
     @property
     def materialized(self) -> bool:
@@ -146,7 +128,7 @@ class CnLattice(Lattice):
 
     def __len__(self) -> int:
         if self.elements is None:
-            raise BudgetExceededError(self.pair_count, 1 << self.max_atoms)
+            raise BudgetExceededError(self.pair_count, 1 << MAX_MATERIALIZED_ATOMS)
         return len(self.elements)
 
     @cached_property
@@ -184,16 +166,16 @@ def _require_normalized(ctx: BooleanContext) -> None:
         )
 
 
-def cn_enumerate(ctx: BooleanContext, max_atoms: int = MAX_MATERIALIZED_ATOMS) -> CnLattice:
+def cn_enumerate(ctx: BooleanContext) -> CnLattice:
     """All necessity-closed pairs of a normalized context, with covers and atoms.
 
     Built as the unions of atom subsets, the pair at index i joining the
-    atoms at the set bits of i; with more than ``max_atoms`` atoms the 2**k
-    pairs are not materialized and only the atoms are returned.
+    atoms at the set bits of i; with more than ``MAX_MATERIALIZED_ATOMS``
+    atoms the 2**k pairs are not materialized and only the atoms are returned.
     """
     atom_pairs = tuple(cn_atoms(ctx))
-    if len(atom_pairs) > max_atoms:
-        return CnLattice(ctx, None, atom_pairs, max_atoms)
+    if len(atom_pairs) > MAX_MATERIALIZED_ATOMS:
+        return CnLattice(ctx, None, atom_pairs)
     xs, ys = [0], [0]
     for atom in atom_pairs:  # doubling: the second half adds this atom
         xs += [x | atom.objects.bits for x in xs]
@@ -201,7 +183,7 @@ def cn_enumerate(ctx: BooleanContext, max_atoms: int = MAX_MATERIALIZED_ATOMS) -
     pairs = tuple(
         NecessityPair(ObjectSubset(ctx, x), AttributeSubset(ctx, y)) for x, y in zip(xs, ys)
     )
-    return CnLattice(ctx, pairs, atom_pairs, max_atoms)
+    return CnLattice(ctx, pairs, atom_pairs)
 
 
 def complement(ctx: BooleanContext, pair: NecessityPair) -> NecessityPair:
@@ -259,28 +241,31 @@ def factorize(ctx: BooleanContext) -> Factorization:
 def reassemble(factorization: Factorization) -> BooleanContext:
     """Rebuild the normalized core from the blocks (zero outside the blocks)."""
     core = factorization.core
-    grid = [[False] * len(core.objects) for _ in core.attributes]
+    rows = [0] * len(core.attributes)
     for block in factorization.blocks:
-        for bi, i in enumerate(block.attrs.indices):
-            for bj, j in enumerate(block.objects.indices):
-                if block.context.incidence[bi][bj]:
-                    grid[i][j] = True
-    return BooleanContext(core.attributes, core.objects, tuple(tuple(r) for r in grid))
+        objs = block.objects.indices  # block object k is core object objs[k]
+        for i, block_row in zip(block.attrs.indices, block.context.rows):
+            rows[i] |= sum(1 << objs[k] for k in set_bits(block_row))
+    return BooleanContext(core.attributes, core.objects, tuple(rows))
 
 
 @dataclass(frozen=True)
 class BlockMask:
-    """The relation R*: union of the atom rectangles; always contains R."""
+    """The relation R*: union of the atom rectangles; always contains R.
+
+    ``rows`` are bitmasks over the objects, as in ``BooleanContext.rows``;
+    ``mask`` is the same relation as a bool grid.
+    """
 
     context: BooleanContext = field(compare=False, repr=False)
-    mask: tuple[tuple[bool, ...], ...]
+    rows: tuple[int, ...]
+
+    @cached_property
+    def mask(self) -> tuple[tuple[bool, ...], ...]:
+        return _bool_grid(self.rows, len(self.context.objects))
 
     def contains_relation(self) -> bool:
-        return all(
-            not v or self.mask[i][j]
-            for i, row in enumerate(self.context.incidence)
-            for j, v in enumerate(row)
-        )
+        return all(row & ~m == 0 for row, m in zip(self.context.rows, self.rows))
 
 
 def rstar(ctx: BooleanContext) -> BlockMask:
@@ -294,11 +279,7 @@ def rstar(ctx: BooleanContext) -> BlockMask:
     for atom in cn_atoms(ctx):
         for i in set_bits(atom.attrs.bits):
             rows[i] |= atom.objects.bits
-    mask = tuple(
-        tuple(bool(rows[i] >> j & 1) for j in range(len(ctx.objects)))
-        for i in range(len(ctx.attributes))
-    )
-    return BlockMask(ctx, mask)
+    return BlockMask(ctx, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ satisfies every arrangement and all six operators are available.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -413,6 +414,17 @@ def _claim_member(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> None:
         raise ValueError(f"{pair!r} is not a necessity-closed pair of this context")
 
 
+def _claiming(body):
+    """A checker that claims its pair, then runs ``body`` (its ``__wrapped__``)."""
+
+    @functools.wraps(body)
+    def checker(ctx: FuzzyContext, pair: FuzzyNecessityPair):
+        _claim_member(ctx, pair)
+        return body(ctx, pair)
+
+    return checker
+
+
 def _check_budget(ctx: FuzzyContext, budget: int) -> None:
     # the size of the graded search space, not the closures evaluated
     required = len(ctx.l2) ** len(ctx.objects)
@@ -522,27 +534,27 @@ def is_top_normalized(ctx: FuzzyContext, axis: str = "rows") -> bool:
     )
 
 
+@_claiming
 def check_fp1(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
     """Possibility below necessity: g-up-pi <= g-up-N pointwise."""
-    _claim_member(ctx, pair)
     g = pair.g.values
     return all(a <= b for a, b in zip(_apply(ctx, "up_pi", g), _apply(ctx, "up_n", g)))
 
 
+@_claiming
 def check_fp2(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
     """<g, g-up-pi> is a property-oriented concept: g-up-pi-down-N = g."""
-    _claim_member(ctx, pair)
     g = pair.g.values
     return _apply(ctx, "down_n", _apply(ctx, "up_pi", g)) == g
 
 
+@_claiming
 def check_fp3(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
     """Necessity below possibility: g-up-N <= g-up-pi pointwise.
 
     Guaranteed on top-normalized contexts over the Goedel frame; runnable
     as a probe on any frame where both operators exist.
     """
-    _claim_member(ctx, pair)
     g = pair.g.values
     return all(a <= b for a, b in zip(_apply(ctx, "up_n", g), _apply(ctx, "up_pi", g)))
 
@@ -565,9 +577,9 @@ class Fp4Report:
     g_up_pi: GradedAttributeSet
 
 
+@_claiming
 def check_fp4(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> Fp4Report:
     """Check the hypotheses relating g-up to g-up-pi, attribute by attribute."""
-    _claim_member(ctx, pair)
     if ctx.l2 != ctx.p:
         raise FrameArrangementError(
             "the hypotheses compare object grades with relation grades; "
@@ -612,8 +624,8 @@ class ConceptInterval:
     ordered: bool
 
 
+@_claiming
 def interval_from_pair(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> ConceptInterval:
-    _claim_member(ctx, pair)
     f_down_vals = _apply(ctx, "down", pair.f.values)
     lower = MultiAdjointConcept(
         GradedObjectSet(f_down_vals, ctx.l2),

@@ -35,6 +35,7 @@ from .fuzzy import (
     GradedAttributeSet,
     GradedObjectSet,
     MultiAdjointConcept,
+    _claim_member,
     check_fp1,
     check_fp2,
     check_fp3,
@@ -95,55 +96,40 @@ def parse_cxt(text: str) -> BooleanContext:
     header, line_no = next_content("header 'B'")
     if header != "B":
         raise ContextFormatError(f"malformed header {header!r}, expected 'B'", line_no)
-    count_text, line_no = next_content("object count")
-    try:
-        n_objects = int(count_text)
-    except ValueError:
-        raise ContextFormatError(f"bad object count {count_text!r}", line_no) from None
-    count_text, line_no = next_content("attribute count")
-    try:
-        n_attributes = int(count_text)
-    except ValueError:
-        raise ContextFormatError(f"bad attribute count {count_text!r}", line_no) from None
+    counts = []
+    for kind in ("object", "attribute"):
+        count_text, line_no = next_content(f"{kind} count")
+        try:
+            counts.append(int(count_text))
+        except ValueError:
+            raise ContextFormatError(f"bad {kind} count {count_text!r}", line_no) from None
+    n_objects, n_attributes = counts
     if n_objects <= 0:
         raise ContextFormatError("empty object set", line_no)
     if n_attributes <= 0:
         raise ContextFormatError("empty attribute set", line_no)
 
-    objects = []
-    for _ in range(n_objects):
-        name, line_no = next_content("an object name")
-        if name in objects:
-            raise ContextFormatError(f"duplicate object name {name!r}", line_no)
-        objects.append(name)
-    attributes = []
-    for _ in range(n_attributes):
-        name, line_no = next_content("an attribute name")
-        if name in attributes:
-            raise ContextFormatError(f"duplicate attribute name {name!r}", line_no)
-        attributes.append(name)
+    objects, attributes = [], []
+    for kind, names, count in zip(("object", "attribute"), (objects, attributes), counts):
+        for _ in range(count):
+            name, line_no = next_content(f"an {kind} name")
+            if name in names:
+                raise ContextFormatError(f"duplicate {kind} name {name!r}", line_no)
+            names.append(name)
 
-    rows = []  # object-major, as in the file
-    for k in range(n_objects):
-        row_text, line_no = next_content(f"incidence row for {objects[k]!r}")
+    rows = [0] * n_attributes  # per attribute, the bits of its objects
+    for j, obj in enumerate(objects):  # the file lists one object per row
+        row_text, line_no = next_content(f"incidence row for {obj!r}")
         if len(row_text) != n_attributes:
             raise ContextFormatError(
                 f"row has {len(row_text)} cells, expected {n_attributes}", line_no
             )
-        row = []
-        for ch in row_text:
+        for i, ch in enumerate(row_text):
             if ch in "Xx":
-                row.append(True)
-            elif ch == ".":
-                row.append(False)
-            else:
+                rows[i] |= 1 << j
+            elif ch != ".":
                 raise ContextFormatError(f"bad incidence character {ch!r}", line_no)
-        rows.append(row)
-
-    incidence = tuple(
-        tuple(rows[j][i] for j in range(n_objects)) for i in range(n_attributes)
-    )
-    return BooleanContext(tuple(attributes), tuple(objects), incidence)
+    return BooleanContext(tuple(attributes), tuple(objects), tuple(rows))
 
 
 def format_cxt(ctx: BooleanContext) -> str:
@@ -151,9 +137,18 @@ def format_cxt(ctx: BooleanContext) -> str:
     out = ["B", "", str(len(ctx.objects)), str(len(ctx.attributes)), ""]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)
-    for j in range(len(ctx.objects)):
-        out.append("".join("X" if ctx.incidence[i][j] else "." for i in range(len(ctx.attributes))))
+    out.extend(_cell_rows(ctx.cols, len(ctx.attributes)))
     return "\n".join(out) + "\n"
+
+
+_CELL_CHARS = str.maketrans("01", ".X")
+
+
+def _cell_rows(rows, width: int) -> list[str]:
+    """Bitmask rows as ``X``/``.`` strings of ``width`` cells, lowest bit first."""
+    # the leading 1 keeps the high zero cells; [:2:-1] reverses and drops "0b1"
+    top = 1 << width
+    return [bin(row | top)[:2:-1].translate(_CELL_CHARS) for row in rows]
 
 
 # ----------------------------------------------------------------- fuzzy CSV
@@ -185,7 +180,10 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
     relation chain.
     """
     reader = csv.reader(_stdio.StringIO(text))
-    table = [row for row in reader if any(cell.strip() for cell in row)]
+    try:
+        table = [row for row in reader if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise ContextFormatError(f"unreadable CSV: {exc}", reader.line_num) from None
     if not table:
         raise ContextFormatError("empty fuzzy context document", 1)
     header = [cell.strip() for cell in table[0]]
@@ -248,7 +246,7 @@ def _boolean_context_dict(ctx: BooleanContext) -> dict:
     return {
         "attributes": list(ctx.attributes),
         "objects": list(ctx.objects),
-        "incidence": ["".join("X" if v else "." for v in row) for row in ctx.incidence],
+        "incidence": _cell_rows(ctx.rows, len(ctx.objects)),
     }
 
 
@@ -314,13 +312,14 @@ def removals_dict(report: NormalizationReport) -> dict:
     }
 
 
-# the proposition checkers of the ``check`` report, in row order
+# the proposition checkers of the ``check`` report, in row order; their
+# unchecked bodies, as ``check_report`` claims each pair once
 CHECKERS = {
-    "fp1": check_fp1,
-    "fp2": check_fp2,
-    "fp3": check_fp3,
-    "fp4": check_fp4,
-    "fp5": interval_from_pair,
+    "fp1": check_fp1.__wrapped__,
+    "fp2": check_fp2.__wrapped__,
+    "fp3": check_fp3.__wrapped__,
+    "fp4": check_fp4.__wrapped__,
+    "fp5": interval_from_pair.__wrapped__,
 }
 
 
@@ -330,6 +329,7 @@ def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
     rows = []
     for i in selected:
         pair = lattice[i]
+        _claim_member(ctx, pair)
         row = {"pair": i, **_plain(pair, ctx)}
         for name, checker in CHECKERS.items():
             if name in props:
@@ -387,10 +387,7 @@ def to_jsonable(obj) -> dict:
                 {
                     "objects": list(b.objects.names),
                     "attributes": list(b.attrs.names),
-                    "incidence": [
-                        "".join("X" if v else "." for v in row)
-                        for row in b.context.incidence
-                    ],
+                    "incidence": _cell_rows(b.context.rows, len(b.objects)),
                 }
                 for b in obj.blocks
             ],
@@ -399,7 +396,7 @@ def to_jsonable(obj) -> dict:
         return {
             "schema": SCHEMA,
             "type": "block-mask",
-            "mask": ["".join("X" if v else "." for v in row) for row in obj.mask],
+            "mask": _cell_rows(obj.rows, len(obj.context.objects)),
         }
     if isinstance(obj, BlockBounds):
         return {"schema": SCHEMA, "type": "block-bounds", **_plain(obj)}
@@ -417,32 +414,40 @@ def emit_json(result) -> str:
 
 def document_from_json(text: str) -> ContextDocument:
     """Inverse of ``emit_json`` on documents."""
-    data = json.loads(text)
-    if data.get("schema") != SCHEMA:
-        raise ContextFormatError(f"unknown schema {data.get('schema')!r}")
-    kind = data.get("kind")
-    if kind == "boolean":
-        incidence = tuple(
-            tuple(ch in "Xx" for ch in row) for row in data["incidence"]
-        )
-        return ContextDocument(
-            "boolean",
-            BooleanContext(tuple(data["attributes"]), tuple(data["objects"]), incidence),
-        )
-    if kind == "fuzzy":
-        frames = tuple(data["frames"])
-        triples = tuple(triple_from_descriptor(d) for d in frames)
-        kind_map = {k.value: k for k in FrameKind}
-        arrangement = kind_map[data.get("arrangement", FrameKind.CONCEPT_FORMING.value)]
-        ctx = FuzzyContext.from_values(
-            tuple(data["attributes"]),
-            tuple(data["objects"]),
-            triples,
-            [[Fraction(v) for v in row] for row in data["relation"]],
-            sigma=data.get("sigma"),
-            kind=arrangement,
-        )
-        return ContextDocument("fuzzy", ctx, frames)
+    try:
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ContextFormatError("a context document is a JSON object")
+        if data.get("schema") != SCHEMA:
+            raise ContextFormatError(f"unknown schema {data.get('schema')!r}")
+        kind = data.get("kind")
+        if kind == "boolean":
+            ctx = BooleanContext.from_rows(
+                data["attributes"],
+                data["objects"],
+                [[ch in "Xx" for ch in row] for row in data["incidence"]],
+            )
+            return ContextDocument("boolean", ctx)
+        if kind == "fuzzy":
+            frames = tuple(data["frames"])
+            triples = tuple(triple_from_descriptor(d) for d in frames)
+            kind_map = {k.value: k for k in FrameKind}
+            arrangement = kind_map[data.get("arrangement", FrameKind.CONCEPT_FORMING.value)]
+            ctx = FuzzyContext.from_values(
+                tuple(data["attributes"]),
+                tuple(data["objects"]),
+                triples,
+                [[Fraction(v) for v in row] for row in data["relation"]],
+                sigma=data.get("sigma"),
+                kind=arrangement,
+            )
+            return ContextDocument("fuzzy", ctx, frames)
+    except ContextFormatError:
+        raise
+    except (ValueError, TypeError, LookupError, AttributeError, ArithmeticError) as exc:
+        # JSONDecodeError is a ValueError; the rest come from fields of the
+        # wrong shape or type
+        raise ContextFormatError(f"bad context document: {exc!r}") from None
     raise ContextFormatError(f"unknown document kind {kind!r}")
 
 

@@ -154,15 +154,12 @@ def brute_rstar(ctx: BooleanContext) -> BlockMask:
     ``brute_cn``, of (X x Y) union (X^c x Y^c): cell (a, b) stays when a
     and b fall on the same side of every pair.
     """
-    pairs = brute_cn(ctx)
-    mask = tuple(
-        tuple(
-            all((a in p.attrs) == (b in p.objects) for p in pairs)
-            for b in range(len(ctx.objects))
-        )
+    pairs, objs = brute_cn(ctx), range(len(ctx.objects))
+    rows = tuple(
+        _to_bits({b for b in objs if all((a in p.attrs) == (b in p.objects) for p in pairs)})
         for a in range(len(ctx.attributes))
     )
-    return BlockMask(ctx, mask)
+    return BlockMask(ctx, rows)
 
 
 def bipartite_components(

@@ -62,6 +62,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BooleanContext.from_rows(["a1", "a2"], ["b"], [[1]])
 
+    @pytest.mark.parametrize("name", ["", " a", "a ", "a\tb\n", "a\nb", "a\rb", "a\x1cb", 7])
+    def test_names_a_cxt_file_cannot_carry_are_rejected(self, name):
+        with pytest.raises(ValueError):
+            BooleanContext.from_rows([name], ["b"], [[1]])
+        with pytest.raises(ValueError):
+            BooleanContext.from_rows(["a"], [name], [[1]])
+
+    def test_inner_spaces_and_unicode_names_accepted(self):
+        ctx = BooleanContext.from_rows(["a b"], ["\u00e9t\u00e9"], [[1]])
+        assert ctx.has("a b", "\u00e9t\u00e9")
+
+    def test_rows_are_bitmasks_over_the_objects(self):
+        assert BooleanContext(("a",), ("b1", "b2"), (3,)).rows == (3,)
+        for bad in (4, -1, "1", 1.0):
+            with pytest.raises(ValueError):
+                BooleanContext(("a",), ("b1", "b2"), (bad,))
+
     def test_incidence_count(self):
         assert TABLE1.incidence_count() == 9
         assert TABLE2.incidence_count() == 15

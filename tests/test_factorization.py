@@ -4,6 +4,7 @@ import pytest
 
 from galois_factor import (
     BooleanContext,
+    BudgetExceededError,
     NecessityPair,
     NotNormalizedError,
     block_bounds,
@@ -17,6 +18,7 @@ from galois_factor import (
     reassemble,
     rstar,
 )
+from galois_factor.factorization import MAX_MATERIALIZED_ATOMS
 from galois_factor.oracles import brute_rstar
 from tables import (
     DIAG2,
@@ -88,13 +90,19 @@ class TestCnEnumerate:
                 assert (meet[0].names, meet[1].names) in members
 
     def test_lattice_by_description_beyond_max_atoms(self):
-        lattice = cn_enumerate(TABLE1, max_atoms=2)
+        n = MAX_MATERIALIZED_ATOMS + 1
+        diagonal = BooleanContext.from_rows(
+            [f"a{i}" for i in range(n)],
+            [f"b{j}" for j in range(n)],
+            [[int(i == j) for j in range(n)] for i in range(n)],
+        )
+        lattice = cn_enumerate(diagonal)
         assert not lattice.materialized
-        assert lattice.pair_count == 8
+        assert lattice.pair_count == 2**21
         assert lattice.elements is None
         join = lattice.pair_for_atoms([0, 1])
-        assert in_cn(TABLE1, join)
-        with pytest.raises(Exception):
+        assert in_cn(diagonal, join)
+        with pytest.raises(BudgetExceededError):
             len(lattice)
 
 

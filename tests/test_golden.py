@@ -146,3 +146,20 @@ def test_cli_output_matches_recorded_digest(tmp_path, command, name):
         argv = ["reconstruct", str(path)]
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_DIGESTS[command, name]
+
+
+# ``format_cxt`` renderings, recorded while the writer still walked the
+# incidence grid cell by cell
+CXT_DIGESTS = {
+    "TABLE1": "ab1dc7fecf4fab1c5b1977a0d2db2e4c953a95d07cfa8292276016d6bc4347bd",
+    "TABLE2": "454dee9e1ba5b656b69fb7dd1521d91c59944bd9a5099c94043d786927bd9755",
+    "DIAG2": "9be8dcc206d9a65a4d076c2a70006c83e9e15ba1bb3d0de9bba61bc544b45a1f",
+    "TABLE1_PADDED": "208edd4a7636e14b36e5eaecdb1027da5086e962dc91b11ab75d74a4b8e3570d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CXT_DIGESTS))
+def test_format_cxt_matches_recorded_digest(name):
+    ctx = {**BOOLEAN, "TABLE1_PADDED": TABLE1_PADDED}[name]
+    digest = hashlib.sha256(format_cxt(ctx).encode()).hexdigest()
+    assert digest == CXT_DIGESTS[name]

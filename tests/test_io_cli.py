@@ -183,6 +183,22 @@ class TestJson:
         assert len(payload["concepts"]) == 8
         assert len(payload["covers"]) == 10
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            "[]",
+            '{"schema": "galois-factor/1", "kind": "boolean", "attributes": [], "objects": []}',
+            '{"schema": "galois-factor/1", "kind": "boolean",'
+            ' "attributes": ["a"], "objects": ["b"], "incidence": ["X."]}',
+            '{"schema": "galois-factor/1", "kind": "boolean",'
+            ' "attributes": [" a"], "objects": ["b"], "incidence": ["X"]}',
+        ],
+    )
+    def test_malformed_documents_raise_context_format_error(self, text):
+        with pytest.raises(ContextFormatError):
+            document_from_json(text)
+
     def test_unknown_schema_rejected(self):
         with pytest.raises(ContextFormatError):
             document_from_json('{"schema": "elsewhere/9", "kind": "boolean"}')
@@ -364,6 +380,27 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert [r["pair"] for r in payload["rows"]] == [0, 1]
         assert main(["check", path, "--frame", "godel:4", "--props", "fp9"]) == 1
+
+    def test_check_report_claims_each_pair_once(self, monkeypatch):
+        from galois_factor import fuzzy
+        from galois_factor.io import CHECKERS, check_report
+
+        ctx = godel_r2()
+        lattice = fn_enumerate(ctx)
+        claimed = []
+        in_fn = fuzzy.in_fn
+        monkeypatch.setattr(fuzzy, "in_fn", lambda c, p: claimed.append(p) or in_fn(c, p))
+        report = check_report(ctx, lattice, range(len(lattice)), list(CHECKERS))
+        assert len(report["rows"]) == len(lattice) > 1
+        assert claimed == list(lattice)
+
+    def test_oversized_csv_field_exits_1(self, tmp_path, capsys):
+        import csv
+
+        cell = "1" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, "big.csv", f"R,b1\na1,{cell}\n")
+        assert main(["fn", path, "--frame", "godel:4"]) == 1
+        assert capsys.readouterr().err.startswith("error: line ")
 
     def test_unknown_extension(self, tmp_path):
         path = write(tmp_path, "data.txt", "hello")
