@@ -1,22 +1,21 @@
 """Command-line interface.
 
-Subcommands: lattice, cn, factor, fn, check, reconstruct.  Exit status 0
-on success, 1 on any validation failure, 2 when an enumeration budget is
-exceeded.  ``GALOIS_FACTOR_BUDGET`` overrides the default budget;
-``--budget`` overrides both.
+Subcommands: lattice, cn, factor, fn, check, reconstruct.  ``--budget``
+caps the closure evaluations of the enumeration behind ``lattice`` (on
+``.cxt`` and ``.csv`` input), ``fn`` and ``check``.  Exit status 0 on
+success, 1 on any validation failure, 2 when a budget is exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from . import factorization as fz
 from . import fuzzy as fy
 from . import io as fio
-from . import oracles
+from . import oracles, order
 from .contexts import concepts
 from .errors import BudgetExceededError, ContextFormatError
 
@@ -40,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--emit", choices=["json", "dot"], default="json")
     common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     common.add_argument("--oracle", action="store_true", help="cross-check with brute force")
-    common.add_argument("--budget", type=int, default=None, help="enumeration budget")
+    common.add_argument("--budget", type=int, default=order.DEFAULT_ENUM_BUDGET,
+                        help="cap on closure evaluations (default %(default)s)")
     common.add_argument("--frame", metavar="NAME:M", help="fuzzy frame, e.g. godel:4")
 
     parser = _Parser(prog="galois-factor", description=__doc__)
@@ -60,15 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_parser("reconstruct", parents=[common], help="rebuild the relation from blocks")
     return parser
-
-
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("GALOIS_FACTOR_BUDGET")
-    if env:
-        return int(env)
-    return fy.DEFAULT_ENUM_BUDGET
 
 
 def _load_boolean(path: Path):
@@ -115,13 +106,12 @@ def _cmd_lattice(args) -> int:
     path = Path(args.path)
     if _is_fuzzy_input(path):
         ctx = _load_fuzzy(path, args.frame)
-        lattice = fy.fuzzy_concepts(ctx, budget=_budget(args))
-        report = oracles.compare_fuzzy_concepts(ctx, lattice) if args.oracle else None
-        return _emit(args, lattice, report)
-    ctx = _load_boolean(path)
-    lattice = concepts(ctx)
-    report = oracles.compare_concepts(ctx, lattice) if args.oracle else None
-    return _emit(args, lattice, report)
+        enumerate_, compare = fy.fuzzy_concepts, oracles.compare_fuzzy_concepts
+    else:
+        ctx = _load_boolean(path)
+        enumerate_, compare = concepts, oracles.compare_concepts
+    lattice = enumerate_(ctx, budget=args.budget)
+    return _emit(args, lattice, compare(ctx, lattice) if args.oracle else None)
 
 
 def _cmd_cn(args) -> int:
@@ -158,7 +148,7 @@ def _cmd_factor(args) -> int:
 
 def _cmd_fn(args) -> int:
     ctx = _load_fuzzy(Path(args.path), args.frame)
-    lattice = fy.fn_enumerate(ctx, budget=_budget(args))
+    lattice = fy.fn_enumerate(ctx, budget=args.budget)
     report = oracles.compare_fn(ctx, list(lattice)) if args.oracle else None
     return _emit(args, lattice, report)
 
@@ -187,7 +177,7 @@ def _cmd_check(args) -> int:
     if args.emit == "dot":
         raise CliError("check reports have no DOT form; use --emit json")
 
-    lattice = fy.fn_enumerate(ctx, budget=_budget(args))
+    lattice = fy.fn_enumerate(ctx, budget=args.budget)
     if args.pairs == "all":
         selected = list(range(len(lattice)))
     else:

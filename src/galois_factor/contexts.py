@@ -358,17 +358,17 @@ class FormalConcept:
         return f"<{{{', '.join(self.extent.names)}}}, {{{', '.join(self.intent.names)}}}>"
 
 
-def concepts(ctx: BooleanContext) -> order.Lattice:
+def concepts(ctx: BooleanContext, budget: int = order.DEFAULT_ENUM_BUDGET) -> order.Lattice:
     """Enumerate the concept lattice.
 
-    Intents are generated as the closed sets of Y -> Y-down-up by the
-    canonical lectic scan, then paired with their extents and sorted by
-    extent bit-pattern for a deterministic result.
+    Intents are the closed sets of Y -> Y-down-up, found by the canonical
+    lectic scan within ``budget`` closures, then paired with their extents
+    and sorted by extent bit-pattern for a deterministic result.
     """
     n = len(ctx.attributes)
     close = lambda ybits: _up_bits(ctx, _down_bits(ctx, ybits))
     found = []
-    for intent_bits in order.closed_sets(n, close):
+    for intent_bits in order.closed_sets(n, close, budget):
         extent_bits = _down_bits(ctx, intent_bits)
         found.append(
             FormalConcept(ObjectSubset(ctx, extent_bits), AttributeSubset(ctx, intent_bits))

@@ -40,12 +40,19 @@ class AdjointnessError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured candidate budget."""
+    """Work beyond a budget; ``unit`` names what was counted.
 
-    def __init__(self, required: int, budget: int):
-        self.required = required
-        self.budget = budget
-        super().__init__(
-            f"enumeration needs {required} candidates "
-            f"but the budget is {budget}; raise the budget to proceed"
-        )
+    The NextClosure scans in ``order`` count closure evaluations and stop
+    before evaluation budget + 1: ``count`` is the evaluations done and
+    ``found`` the closed sets yielded.  The ``lattice``, ``fn`` and ``check``
+    commands set that budget with ``--budget``.  A cn lattice beyond its
+    atom cutoff counts pairs, the brute-force oracles subsets or grid
+    points; there ``count`` is what would be needed and ``found`` is None.
+    """
+
+    def __init__(self, count: int, budget: int, unit="closure evaluations", found=None):
+        self.count, self.budget, self.unit, self.found = count, budget, unit, found
+        if found is None:
+            super().__init__(f"needs {count} {unit} but the budget is {budget}")
+        else:
+            super().__init__(f"the budget of {budget} {unit} ran out, {found} closed sets found")

@@ -128,7 +128,7 @@ class CnLattice(Lattice):
 
     def __len__(self) -> int:
         if self.elements is None:
-            raise BudgetExceededError(self.pair_count, 1 << MAX_MATERIALIZED_ATOMS)
+            raise BudgetExceededError(self.pair_count, 1 << MAX_MATERIALIZED_ATOMS, "pairs")
         return len(self.elements)
 
     @cached_property

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import order
-from .errors import BudgetExceededError, FrameArrangementError
+from .errors import FrameArrangementError
 from .grades import AdjointTriple, Grade, GradeChain
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "MultiAdjointConcept",
     "Fp4Report",
     "ConceptInterval",
-    "DEFAULT_ENUM_BUDGET",
     "f_up",
     "f_down",
     "f_up_pi",
@@ -55,8 +54,6 @@ __all__ = [
     "check_fp4",
     "interval_from_pair",
 ]
-
-DEFAULT_ENUM_BUDGET = 10_000_000
 
 
 class FrameKind(enum.Enum):
@@ -425,14 +422,7 @@ def _claiming(body):
     return checker
 
 
-def _check_budget(ctx: FuzzyContext, budget: int) -> None:
-    # the size of the graded search space, not the closures evaluated
-    required = len(ctx.l2) ** len(ctx.objects)
-    if required > budget:
-        raise BudgetExceededError(required, budget)
-
-
-def fn_enumerate(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> order.Lattice:
+def fn_enumerate(ctx: FuzzyContext, budget: int = order.DEFAULT_ENUM_BUDGET) -> order.Lattice:
     """All necessity-closed pairs, sorted lexicographically on the object grades.
 
     The composite down-N o up-N is meet-preserving but not a closure
@@ -445,18 +435,15 @@ def fn_enumerate(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> order.
     so down-N o up-pi is extensive: g <= g-up-pi-down-N.  For a member g,
     fp1 gives g-up-pi <= g-up-N, and down-N is monotone, so
     g-up-pi-down-N <= g-up-N-down-N = g.  Hence every member is a fixpoint
-    of down-N o up-pi.
-
-    |L2| ** |B|, the size of the search space, must fit the budget.
+    of down-N o up-pi.  ``budget`` caps the closures the scan evaluates.
     """
     _require_fn_operators(ctx)
-    _check_budget(ctx, budget)
 
     def close(g: tuple[int, ...]) -> tuple[int, ...]:
         return _apply(ctx, "down_n", _apply(ctx, "up_pi", g))
 
     pairs = []
-    for g in order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close):
+    for g in order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close, budget):
         f = _apply(ctx, "up_n", g)
         if _apply(ctx, "down_n", f) == g:
             pairs.append(
@@ -479,16 +466,14 @@ def fn_meet(
     return met
 
 
-def fuzzy_concepts(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> order.Lattice:
+def fuzzy_concepts(ctx: FuzzyContext, budget: int = order.DEFAULT_ENUM_BUDGET) -> order.Lattice:
     """All concepts <g, g-up>, sorted lexicographically on the extents.
 
     The extents are exactly the fixpoints of the closure operator down o up
     (up and down form an antitone Galois connection), enumerated by
-    ``order.graded_closed_sets``.  |L2| ** |B|, the size of the search
-    space, must fit the budget.
+    ``order.graded_closed_sets``; ``budget`` caps the closures it evaluates.
     """
     _require_arrangement(ctx, FrameKind.CONCEPT_FORMING, "up")
-    _check_budget(ctx, budget)
 
     def close(g: tuple[int, ...]) -> tuple[int, ...]:
         return _apply(ctx, "down", _apply(ctx, "up", g))
@@ -498,7 +483,7 @@ def fuzzy_concepts(ctx: FuzzyContext, budget: int = DEFAULT_ENUM_BUDGET) -> orde
             GradedObjectSet(extent, ctx.l2),
             GradedAttributeSet(_apply(ctx, "up", extent), ctx.l1),
         )
-        for extent in order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close)
+        for extent in order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close, budget)
     )
     return order.Lattice(ctx, found)
 

@@ -44,7 +44,9 @@ from .fuzzy import (
     is_fuzzy_normalized,
     is_top_normalized,
 )
-from .grades import AdjointTriple, GradeChain, godel_triple, triple_from_descriptor
+from .grades import (
+    MAX_GRANULARITY, AdjointTriple, GradeChain, godel_triple, triple_from_descriptor
+)
 from .oracles import OracleReport
 from .order import Lattice
 
@@ -133,7 +135,14 @@ def parse_cxt(text: str) -> BooleanContext:
 
 
 def format_cxt(ctx: BooleanContext) -> str:
-    """Render a context back to Burmeister form (objects as file rows)."""
+    """Render a context back to Burmeister form (objects as file rows).
+
+    A ``.cxt`` file has at least one object and one attribute, so a context
+    with an empty side raises ``ValueError``.
+    """
+    empty = [side for side in ("objects", "attributes") if not getattr(ctx, side)]
+    if empty:
+        raise ValueError(f"a .cxt file cannot hold a context with no {' and no '.join(empty)}")
     out = ["B", "", str(len(ctx.objects)), str(len(ctx.attributes)), ""]
     out.extend(ctx.objects)
     out.extend(ctx.attributes)
@@ -158,18 +167,47 @@ def resolve_frame(descriptor: str, values=None) -> AdjointTriple:
     """Turn a frame descriptor into a triple.
 
     A bare ``godel`` picks the smallest chain containing all the given
-    relation values (Goedel operations never leave such a grid).
+    relation values (Goedel operations never leave such a grid); a chain
+    finer than ``MAX_GRANULARITY`` raises ``ValueError``.
     """
     if ":" not in descriptor:
         if descriptor.strip().lower() == "godel" and values is not None:
             m = 1
             for v in values:
                 m = math.lcm(m, Fraction(v).denominator)
+                if m > MAX_GRANULARITY:
+                    break  # GradeChain refuses it; stop before the lcm grows
             return godel_triple(GradeChain(m))
         raise ValueError(
             f"frame descriptor {descriptor!r} needs a granularity, e.g. 'godel:4'"
         )
     return triple_from_descriptor(descriptor)
+
+
+# ``Fraction`` builds 10**k for a decimal exponent k, hundreds of megabytes
+# for ``1e-999999999``, so a longer cell or a larger exponent is refused first
+_MAX_GRADE_CHARS = 64
+_MAX_GRADE_EXPONENT = 64
+
+
+def _grade(cell, where: str, line: int | None = None) -> Fraction:
+    """A grade cell as a ``Fraction``, or ``ContextFormatError`` naming ``where``."""
+    if isinstance(cell, str):
+        if len(cell) > _MAX_GRADE_CHARS:
+            raise ContextFormatError(
+                f"{where}: grade of {len(cell)} characters, over {_MAX_GRADE_CHARS}", line
+            )
+        try:
+            exponent = int(cell.lower().partition("e")[2])
+        except ValueError:  # no exponent, or an unreadable one that Fraction refuses
+            exponent = 0
+        if abs(exponent) > _MAX_GRADE_EXPONENT:
+            message = f"grade {cell!r} has a decimal exponent beyond {_MAX_GRADE_EXPONENT}"
+            raise ContextFormatError(f"{where}: {message}", line)
+    try:
+        return Fraction(cell)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ContextFormatError(f"{where}: cannot read grade {cell!r}", line) from None
 
 
 def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
@@ -205,19 +243,16 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
         if name in attributes:
             raise ContextFormatError(f"duplicate attribute name {name!r}", k)
         attributes.append(name)
-        parsed = []
-        for obj, cell in zip(objects, row[1:]):
-            try:
-                parsed.append(Fraction(cell))
-            except (ValueError, ZeroDivisionError):
-                raise ContextFormatError(
-                    f"cell ({name}, {obj}): cannot read grade {cell!r}", k
-                ) from None
-        cells.append(parsed)
+        cells.append(
+            [_grade(cell, f"cell ({name}, {obj})", k) for obj, cell in zip(objects, row[1:])]
+        )
     if not attributes:
         raise ContextFormatError("empty attribute set", 1)
 
-    triple = resolve_frame(frame, [v for row in cells for v in row])
+    try:
+        triple = resolve_frame(frame, [v for row in cells for v in row])
+    except ValueError as exc:  # an unknown frame, or too fine a chain for the grades
+        raise ContextFormatError(str(exc)) from None
     p_chain = triple.domains[2]  # concept-forming arrangement: relation lives on P
     for k, (name, row) in enumerate(zip(attributes, cells), start=2):
         for obj, value in zip(objects, row):
@@ -437,7 +472,10 @@ def document_from_json(text: str) -> ContextDocument:
                 tuple(data["attributes"]),
                 tuple(data["objects"]),
                 triples,
-                [[Fraction(v) for v in row] for row in data["relation"]],
+                [
+                    [_grade(v, f"relation[{i}][{j}]") for j, v in enumerate(row)]
+                    for i, row in enumerate(data["relation"])
+                ],
                 sigma=data.get("sigma"),
                 kind=arrangement,
             )

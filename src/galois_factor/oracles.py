@@ -60,7 +60,7 @@ class OracleReport:
 
 def _guard_subsets(ctx: BooleanContext) -> None:
     if len(ctx.objects) > BRUTE_SUBSET_LIMIT:
-        raise BudgetExceededError(1 << len(ctx.objects), 1 << BRUTE_SUBSET_LIMIT)
+        raise BudgetExceededError(1 << len(ctx.objects), 1 << BRUTE_SUBSET_LIMIT, "subsets")
 
 
 def _naive_up(ctx: BooleanContext, xs: set[int]) -> set[int]:
@@ -219,7 +219,7 @@ def _grid_fixpoints(ctx: FuzzyContext, up, down, make) -> list:
     """Scan the full grid of graded object sets: make(g, g-up) for g-up-down = g."""
     required = len(ctx.l2) ** len(ctx.objects)
     if required > BRUTE_GRID_LIMIT:
-        raise BudgetExceededError(required, BRUTE_GRID_LIMIT)
+        raise BudgetExceededError(required, BRUTE_GRID_LIMIT, "grid points")
     found = []
     for g in product(range(ctx.l2.m + 1), repeat=len(ctx.objects)):
         f = up(g)

@@ -20,6 +20,13 @@ index 0 and the top is index n - 1.  The enumerations list their elements
 in increasing key order (subset implies a smaller int; pointwise <=
 implies lexicographically <=).  ``pointwise_covers`` relies on this and
 checks it; ``join_irreducibles`` reads only ``covers``.
+
+The concept, fn and fuzzy concept enumerations run through ``closed_sets``
+or ``graded_closed_sets``.  Their ``budget`` caps the closure evaluations,
+the unit of Kuznetsov & Obiedkov (JETAI 2002): before evaluation
+budget + 1 a scan raises ``BudgetExceededError`` with the closed sets
+yielded so far.  The ``lattice`` (both kinds), ``fn`` and ``check``
+commands set it with ``--budget``.
 """
 
 from __future__ import annotations
@@ -28,6 +35,10 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterator, Sequence
+
+from .errors import BudgetExceededError
+
+DEFAULT_ENUM_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,9 @@ class Lattice:
         return tuple(l for (l, u) in self.covers if u == i)
 
 
-def closed_sets(n: int, close: Callable[[int], int]) -> Iterator[int]:
+def closed_sets(
+    n: int, close: Callable[[int], int], budget: int = DEFAULT_ENUM_BUDGET
+) -> Iterator[int]:
     """Enumerate all fixpoints of a closure operator on bitmasks over n bits.
 
     ``close`` must be extensive, monotone and idempotent on subsets of
@@ -94,8 +107,11 @@ def closed_sets(n: int, close: Callable[[int], int]) -> Iterator[int]:
     An operator that is not a closure raises ``RuntimeError`` or ends the
     scan; it never makes the scan repeat a set.
     """
+    if budget < 1:
+        raise BudgetExceededError(0, budget, found=0)
     full = (1 << n) - 1
     current = close(0)
+    spent = found = 1
     yield current
     while current != full:
         for i in reversed(range(n)):
@@ -103,12 +119,16 @@ def closed_sets(n: int, close: Callable[[int], int]) -> Iterator[int]:
             if current & bit:
                 current &= ~bit
             else:
+                if spent >= budget:
+                    raise BudgetExceededError(spent, budget, found=found)
+                spent += 1
                 candidate = close(current | bit)
                 # lectic successor: the same bits below position i, plus i;
                 # an extensive close always keeps i, and the test keeps the
                 # scan strictly increasing, hence finite, on any operator
                 if candidate & bit and (candidate ^ current) & (bit - 1) == 0:
                     current = candidate
+                    found += 1
                     yield current
                     break
         else:
@@ -116,7 +136,10 @@ def closed_sets(n: int, close: Callable[[int], int]) -> Iterator[int]:
 
 
 def graded_closed_sets(
-    n: int, m: int, close: Callable[[tuple[int, ...]], tuple[int, ...]]
+    n: int,
+    m: int,
+    close: Callable[[tuple[int, ...]], tuple[int, ...]],
+    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Iterator[tuple[int, ...]]:
     """Enumerate all fixpoints of a closure operator on the grid {0..m}^n.
 
@@ -134,19 +157,26 @@ def graded_closed_sets(
     C; when C changes it, every larger raise changes it too (the closure is
     monotone).  So one closure per position decides, as in the Boolean scan.
     """
+    if budget < 1:
+        raise BudgetExceededError(0, budget, found=0)
     top = (m,) * n
     current = close((0,) * n)
+    spent = found = 1
     yield current
     while current != top:
         for i in reversed(range(n)):
             if current[i] == m:
                 continue
+            if spent >= budget:
+                raise BudgetExceededError(spent, budget, found=found)
+            spent += 1
             prefix = current[:i]
             candidate = close(prefix + (current[i] + 1,) + (0,) * (n - i - 1))
             # the second test holds for any extensive close; it keeps the
             # scan strictly increasing, hence finite, on any operator
             if candidate[:i] == prefix and candidate[i] > current[i]:
                 current = candidate
+                found += 1
                 yield current
                 break
         else:  # pragma: no cover - cannot happen for a closure operator

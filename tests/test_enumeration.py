@@ -1,8 +1,10 @@
-"""Closure-based enumeration: the graded lectic scan and the fuzzy enumerators.
+"""Closure-based enumeration: the lectic scans, their budget and the enumerators.
 
 The fuzzy contexts here are the ones ``random_fuzzy_context`` never draws:
 several triples mixed cell by cell through ``sigma``, concept-forming frames
-over three unequal chains, and up to six objects.
+over three unequal chains, and up to six objects.  The budget caps the
+closure evaluations of a scan; the counts below were measured and must
+repeat exactly.
 """
 
 import random
@@ -11,16 +13,20 @@ from itertools import islice, product
 import pytest
 
 from galois_factor import (
+    BudgetExceededError,
     FuzzyContext,
     GradeChain,
+    concepts,
     discretized_product_triple,
     fn_enumerate,
     fuzzy_concepts,
     godel_triple,
     lukasiewicz_triple,
 )
-from galois_factor.order import closed_sets, graded_closed_sets
+from galois_factor.io import parse_fuzzy_csv
+from galois_factor.order import DEFAULT_ENUM_BUDGET, closed_sets, graded_closed_sets
 from galois_factor.oracles import brute_fn, brute_fuzzy_concepts
+from tables import TABLE1, TABLE2, WIDE_GODEL_CSV, godel_r2
 
 
 def meet_closure(family, n, m):
@@ -42,6 +48,23 @@ def counted(close):
         return close(x)
 
     return wrapped, calls
+
+
+def exhausted(scan):
+    with pytest.raises(BudgetExceededError) as err:
+        list(scan)
+    return err.value
+
+
+# (enumerator, context, closures it evaluates, closed sets its scan yields,
+# elements it lists); fn keeps 55 of the 70 fixpoints of down-N o up-pi
+WORKED = [
+    pytest.param(fn_enumerate, godel_r2(), 71, 70, 55, id="fn-godel-r2"),
+    pytest.param(fuzzy_concepts, godel_r2(), 11, 7, 7, id="fuzzy-concepts-godel-r2"),
+    pytest.param(concepts, TABLE1, 22, 8, 8, id="concepts-table1"),
+    pytest.param(concepts, TABLE2, 36, 11, 11, id="concepts-table2"),
+]
+WORKED_ARGS = "enumerate_, ctx, closures, closed, elements"
 
 
 class TestGradedClosedSets:
@@ -218,3 +241,85 @@ class TestFnMeetClosure:
                 for g2, f2 in members.items():
                     met = tuple(map(min, g1, g2))
                     assert members.get(met) == tuple(map(min, f1, f2))
+
+
+class TestScanBudget:
+    # the budget caps the calls of close, the first one included.  The
+    # identity is a closure whose every set is closed; both scans accept the
+    # first candidate of each step, so they spend one closure per set
+
+    def test_closed_sets_stops_before_call_budget_plus_one(self):
+        close, calls = counted(lambda bits: bits)
+        assert sorted(closed_sets(3, close, budget=8)) == list(range(8))
+        assert len(calls) == 8
+        close, calls = counted(lambda bits: bits)
+        err = exhausted(closed_sets(3, close, budget=7))
+        assert len(calls) == 7
+        assert (err.count, err.budget, err.found) == (7, 7, 7)
+        assert err.unit == "closure evaluations"
+
+    def test_graded_closed_sets_stops_before_call_budget_plus_one(self):
+        close, calls = counted(lambda x: x)
+        assert len(list(graded_closed_sets(2, 2, close, budget=9))) == 9
+        assert len(calls) == 9
+        close, calls = counted(lambda x: x)
+        err = exhausted(graded_closed_sets(2, 2, close, budget=8))
+        assert len(calls) == 8
+        assert (err.count, err.budget, err.found) == (8, 8, 8)
+
+    def test_rejected_candidates_are_counted(self):
+        # {0, 1} closes to itself only as a whole: 1 and 2 close to 3
+        close, calls = counted(lambda bits: 3 if bits else 0)
+        assert list(closed_sets(2, close, budget=3)) == [0, 3]
+        assert calls == [0, 2, 1]
+        err = exhausted(closed_sets(2, lambda bits: 3 if bits else 0, budget=2))
+        assert (err.count, err.found) == (2, 1)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_evaluates_nothing(self, budget):
+        close, calls = counted(lambda bits: bits)
+        err = exhausted(closed_sets(3, close, budget=budget))
+        assert (err.count, err.found, calls) == (0, 0, [])
+        close, calls = counted(lambda x: x)
+        err = exhausted(graded_closed_sets(2, 2, close, budget=budget))
+        assert (err.count, err.found, calls) == (0, 0, [])
+
+    def test_message_names_what_was_counted(self):
+        err = exhausted(closed_sets(3, lambda bits: bits, budget=5))
+        assert str(err) == "the budget of 5 closure evaluations ran out, 5 closed sets found"
+
+    def test_default_budget(self):
+        assert DEFAULT_ENUM_BUDGET == 10_000_000
+
+
+class TestEnumeratorBudget:
+    # each count is the smallest budget under which the enumeration finishes
+
+    @pytest.mark.parametrize(WORKED_ARGS, WORKED)
+    def test_exact_closure_count(self, enumerate_, ctx, closures, closed, elements):
+        assert len(enumerate_(ctx, budget=closures)) == elements
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_(ctx, budget=closures - 1)
+        # the last closure the scan needs yields the top
+        assert (err.value.count, err.value.found) == (closures - 1, closed - 1)
+
+    @pytest.mark.parametrize(WORKED_ARGS, WORKED)
+    def test_counts_repeat_exactly(self, enumerate_, ctx, closures, closed, elements):
+        stops = []
+        for _ in range(3):
+            with pytest.raises(BudgetExceededError) as err:
+                enumerate_(ctx, budget=closures - 1)
+            stops.append((err.value.count, err.value.found, str(err.value)))
+            assert enumerate_(ctx, budget=closures) == enumerate_(ctx)
+        assert stops[0] == stops[1] == stops[2]
+
+    def test_wide_godel_context_runs_under_the_default_budget(self):
+        ctx = parse_fuzzy_csv(WIDE_GODEL_CSV, "godel:4")
+        assert len(fn_enumerate(ctx)) == 5
+        assert len(fn_enumerate(ctx, budget=2602)) == 5
+        with pytest.raises(BudgetExceededError):
+            fn_enumerate(ctx, budget=2601)
+        assert len(fuzzy_concepts(ctx)) == 727
+        assert len(fuzzy_concepts(ctx, budget=2535)) == 727
+        with pytest.raises(BudgetExceededError):
+            fuzzy_concepts(ctx, budget=2534)

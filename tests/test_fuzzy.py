@@ -222,10 +222,13 @@ class TestFnEnumerate:
         assert in_fn(ctx, pair)
 
     def test_budget_exceeded_reports_required(self):
+        # the scan needs 71 closure evaluations and stops before the 71st
         ctx = godel_r2()
         with pytest.raises(BudgetExceededError) as err:
-            fn_enumerate(ctx, budget=10)
-        assert err.value.required == 5**3
+            fn_enumerate(ctx, budget=70)
+        assert (err.value.count, err.value.budget) == (70, 70)
+        assert err.value.unit == "closure evaluations"
+        assert len(fn_enumerate(ctx, budget=71)) == len(fn_enumerate(ctx))
 
     def test_canonical_order(self):
         lattice = fn_enumerate(godel_r2())
@@ -286,9 +289,11 @@ class TestFuzzyConcepts:
         assert lattice.find_extent(ctx.graded_objects(["1", "0", "1"])) is not None
 
     def test_budget_guard(self):
+        # 11 closure evaluations find the 7 concepts; 10 find all but the top
         with pytest.raises(BudgetExceededError) as err:
-            fuzzy_concepts(godel_r2(), budget=100)
-        assert err.value.required == 125
+            fuzzy_concepts(godel_r2(), budget=10)
+        assert (err.value.count, err.value.found) == (10, 6)
+        assert len(fuzzy_concepts(godel_r2(), budget=11)) == 7
 
 
 class TestChainEmbedding:

@@ -8,6 +8,7 @@ from galois_factor import (
     AdjointTriple,
     Grade,
     GradeChain,
+    grades,
     check_triple_properties,
     discretized_product_triple,
     godel_triple,
@@ -42,6 +43,12 @@ class TestGradeChain:
     def test_bad_granularity(self):
         with pytest.raises(ValueError):
             GradeChain(0)
+
+    def test_granularity_cap(self):
+        assert grades.MAX_GRANULARITY == 256
+        assert len(GradeChain(256)) == 257
+        with pytest.raises(ValueError, match="between 1 and 256, got 257"):
+            GradeChain(257)
 
 
 class TestGodel:
@@ -188,6 +195,18 @@ class TestDescriptors:
     def test_bad_descriptors(self, bad):
         with pytest.raises(ValueError):
             triple_from_descriptor(bad)
+
+    @pytest.mark.parametrize("descriptor", ["godel:257", "godel:99999999", "lukasiewicz:99999999"])
+    def test_granularity_cap_comes_before_the_tables(self, descriptor, monkeypatch):
+        for factory in ("godel_triple", "lukasiewicz_triple"):
+            monkeypatch.setattr(grades, factory, lambda *_: pytest.fail("a triple was built"))
+        with pytest.raises(ValueError, match="between 1 and 256"):
+            triple_from_descriptor(descriptor)
+
+    def test_granularity_cap_on_each_dprod_chain(self):
+        for descriptor in ("dprod:257,4,4", "dprod:4,257,4", "dprod:4,4,257"):
+            with pytest.raises(ValueError, match="between 1 and 256, got 257"):
+                triple_from_descriptor(descriptor)
 
 
 @given(

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,10 @@ from galois_factor import (
     factorize,
     fn_enumerate,
     fuzzy_concepts,
+    normalize,
 )
+from galois_factor import grades
+from galois_factor import io as fio
 from galois_factor.cli import main
 from galois_factor.io import (
     ContextDocument,
@@ -20,7 +24,7 @@ from galois_factor.io import (
     parse_cxt,
     parse_fuzzy_csv,
 )
-from tables import TABLE1, TABLE2, godel_r2
+from tables import TABLE1, TABLE2, WIDE_GODEL_CSV, godel_r2
 
 # Transposed by hand from the 6x6 relation: file rows are objects
 TABLE1_CXT = """B
@@ -65,6 +69,23 @@ DIAG21 = BooleanContext.from_rows(
     [f"b{j}" for j in range(21)],
     [[int(i == j) for j in range(21)] for i in range(21)],
 )
+
+
+def refuse_tables(chain):
+    raise AssertionError(f"a triple on {chain} was built")
+
+
+def fraction_refusing(*cells):
+    """``Fraction``, but failing the test on ``cells`` instead of building them."""
+
+    def fraction(value, *args):
+        assert value not in cells, f"Fraction({value!r}) was reached"
+        return Fraction(value, *args)
+
+    return fraction
+
+
+HUGE_EXPONENTS = ["1e-999999999", "1e999999999"]
 
 
 def write(tmp_path, name, text):
@@ -112,6 +133,17 @@ class TestCxtParsing:
         with pytest.raises(ContextFormatError):
             parse_cxt(bad)
 
+    def test_empty_core_is_not_written(self):
+        # the core of a full 1x1 context has neither objects nor attributes
+        core = normalize(BooleanContext.from_rows(["a1"], ["b1"], [[1]])).core
+        assert core.objects == () and core.attributes == ()
+        with pytest.raises(ValueError, match="no objects and no attributes"):
+            format_cxt(core)
+
+    def test_context_without_attributes_is_not_written(self):
+        with pytest.raises(ValueError, match="no attributes$"):
+            format_cxt(BooleanContext((), ("b1",), ()))
+
 
 class TestFuzzyCsvParsing:
     def test_table6_with_godel_frame(self):
@@ -143,6 +175,39 @@ class TestFuzzyCsvParsing:
     def test_fractions_accepted(self):
         ctx = parse_fuzzy_csv("R,b1\na1,1/4\na2,1\n", "godel:4")
         assert ctx.relation == ((1,), (4,))
+
+    @pytest.mark.parametrize("cell", HUGE_EXPONENTS)
+    def test_huge_exponent_refused_before_fraction(self, cell, monkeypatch):
+        monkeypatch.setattr(fio, "Fraction", fraction_refusing(cell))
+        with pytest.raises(ContextFormatError, match=r"line 2: cell \(a1, b1\): .*exponent"):
+            parse_fuzzy_csv(f"R,b1\na1,{cell}\n", "godel:4")
+
+    def test_cell_length_bound(self):
+        longest = "0.25" + "0" * 60
+        assert parse_fuzzy_csv(f"R,b1\na1,{longest}\n", "godel:4").relation == ((1,),)
+        with pytest.raises(ContextFormatError, match="grade of 65 characters"):
+            parse_fuzzy_csv(f"R,b1\na1,{longest}0\n", "godel:4")
+
+    @pytest.mark.parametrize("cell", ["1/257", "1/3000", "1/99999999"])
+    def test_autodetected_granularity_is_capped(self, cell, monkeypatch):
+        monkeypatch.setattr(fio, "godel_triple", refuse_tables)
+        with pytest.raises(ContextFormatError, match="between 1 and 256"):
+            parse_fuzzy_csv(f"R,b1\na1,{cell}\n", "godel")
+
+    def test_autodetected_granularity_stops_at_the_first_lcm_over_the_cap(self):
+        # 2 * 3 * 5 * 7 * 11 = 2310; the cells after 1/11 are not folded in
+        cells = ",".join(f"1/{p}" for p in (2, 3, 5, 7, 11, 13, 17))
+        header = ",".join(f"b{j}" for j in range(7))
+        with pytest.raises(ContextFormatError, match="got 2310$"):
+            parse_fuzzy_csv(f"R,{header}\na1,{cells}\n", "godel")
+
+    def test_autodetected_granularity_at_the_cap(self):
+        assert parse_fuzzy_csv("R,b1,b2\na1,1/256,1/2\n", "godel").p.m == 256
+
+    def test_frame_granularity_is_capped(self, monkeypatch):
+        monkeypatch.setattr(grades, "godel_triple", refuse_tables)
+        with pytest.raises(ContextFormatError, match="between 1 and 256"):
+            parse_fuzzy_csv(R2_GODEL_CSV, "godel:99999999")
 
 
 class TestJson:
@@ -198,6 +263,14 @@ class TestJson:
     def test_malformed_documents_raise_context_format_error(self, text):
         with pytest.raises(ContextFormatError):
             document_from_json(text)
+
+    @pytest.mark.parametrize("cell", HUGE_EXPONENTS)
+    def test_huge_exponent_refused_before_fraction(self, cell, monkeypatch):
+        monkeypatch.setattr(fio, "Fraction", fraction_refusing(cell))
+        doc = json.loads(emit_json(ContextDocument("fuzzy", godel_r2(), ("godel:4",))))
+        doc["relation"][1][2] = cell
+        with pytest.raises(ContextFormatError, match=r"relation\[1\]\[2\]: .*exponent"):
+            document_from_json(json.dumps(doc))
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ContextFormatError):
@@ -318,10 +391,36 @@ class TestCli:
         path = write(tmp_path, "r2.csv", R2_GODEL_CSV)
         assert main(["fn", path, "--frame", "godel:4", "--budget", "10"]) == 2
 
-    def test_budget_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GALOIS_FACTOR_BUDGET", "10")
-        path = write(tmp_path, "r2.csv", R2_GODEL_CSV)
-        assert main(["fn", path, "--frame", "godel:4"]) == 2
+    @pytest.mark.parametrize(
+        "command, key, closures, elements",
+        [("fn", "pairs", 2602, 5), ("lattice", "concepts", 2535, 727)],
+    )
+    def test_wide_godel_context(self, tmp_path, capsys, command, key, closures, elements):
+        path = write(tmp_path, "wide.csv", WIDE_GODEL_CSV)
+        for argv in ([], ["--budget", str(closures)]):
+            assert main([command, path, "--frame", "godel:4", *argv]) == 0
+            assert len(json.loads(capsys.readouterr().out)[key]) == elements
+        assert main([command, path, "--frame", "godel:4", "--budget", str(closures - 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"the budget of {closures - 1} closure evaluations ran out" in err
+
+    def test_check_honours_the_budget(self, tmp_path, capsys):
+        path = write(tmp_path, "wide.csv", WIDE_GODEL_CSV)
+        argv = ["check", path, "--frame", "godel:4", "--props", "fp1"]
+        assert main([*argv, "--budget", "2602"]) == 0
+        assert json.loads(capsys.readouterr().out)["pair_count"] == 5
+        assert main([*argv, "--budget", "2601"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_boolean_lattice_honours_the_budget(self, tmp_path, capsys):
+        path = write(tmp_path, "table1.cxt", format_cxt(TABLE1))
+        assert main(["lattice", path, "--budget", "21"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the budget of 21 closure evaluations ran out, 7 closed sets found\n"
+        assert main(["lattice", path, "--budget", "22"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["concepts"]) == 8
 
     def test_missing_frame_for_fuzzy(self, tmp_path):
         path = write(tmp_path, "r2.csv", R2_GODEL_CSV)
