@@ -82,8 +82,6 @@ from .grades import (
     AdjointTriple,
     Grade,
     GradeChain,
-    TripleReport,
-    check_triple_properties,
     discretized_product_triple,
     godel_triple,
     lukasiewicz_triple,

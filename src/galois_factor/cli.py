@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: lattice, cn, factor, fn, check, reconstruct.  ``--budget``
-caps the closure evaluations of the enumeration behind ``lattice`` (on
-``.cxt`` and ``.csv`` input), ``fn`` and ``check``.  Exit status 0 on
-success, 1 on any validation failure, 2 when a budget is exceeded.
+Subcommands: lattice, cn, factor, fn, check, reconstruct.  Each takes only
+the options it reads; any other flag exits 1.  ``--budget`` caps the
+closure evaluations of each enumeration behind ``lattice`` (on ``.cxt``
+and ``.csv`` input), ``factor --emit dot`` (one per block), ``fn`` and
+``check``.  Exit status 0 on success, 1 on any validation failure, 2 when
+a budget is exceeded.
 """
 
 from __future__ import annotations
@@ -33,32 +35,38 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("path", help="input context (.cxt for Boolean, .csv for fuzzy)")
-    common.add_argument("--emit", choices=["json", "dot"], default="json")
-    common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    common.add_argument("--oracle", action="store_true", help="cross-check with brute force")
-    common.add_argument("--budget", type=int, default=order.DEFAULT_ENUM_BUDGET,
-                        help="cap on closure evaluations (default %(default)s)")
-    common.add_argument("--frame", metavar="NAME:M", help="fuzzy frame, e.g. godel:4")
+# each subcommand takes the path and only the options it reads
+_OPTIONS = {
+    "emit": dict(choices=["json", "dot"], default="json"),
+    "out": dict(metavar="PATH", help="write output here instead of stdout"),
+    "oracle": dict(action="store_true", help="cross-check with brute force"),
+    "budget": dict(type=int, default=order.DEFAULT_ENUM_BUDGET,
+                   help="cap on closure evaluations (default %(default)s)"),
+    "frame": dict(metavar="NAME:M", help="fuzzy frame, e.g. godel:4"),
+    "props": dict(default="fp1,fp2,fp3,fp4,fp5",
+                  help="comma-separated subset of fp1,fp2,fp3,fp4,fp5"),
+    "pairs": dict(default="all", help="'all' or comma-separated pair indices"),
+}
+_SUBCOMMANDS = {
+    "lattice": ("concept lattice", "emit out oracle budget frame"),
+    "cn": ("necessity-closed pairs and atoms", "emit out oracle"),
+    "factor": ("independent subcontexts and R*", "emit out oracle budget"),
+    "fn": ("graded necessity-closed pairs", "emit out oracle budget frame"),
+    "check": ("run proposition checkers", "out budget frame props pairs"),
+    "reconstruct": ("rebuild the relation from blocks", "out"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="galois-factor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("lattice", parents=[common], help="concept lattice")
-    sub.add_parser("cn", parents=[common], help="necessity-closed pairs and atoms")
-    sub.add_parser("factor", parents=[common], help="independent subcontexts and R*")
-    sub.add_parser("fn", parents=[common], help="graded necessity-closed pairs")
-    check = sub.add_parser("check", parents=[common], help="run proposition checkers")
-    check.add_argument(
-        "--props",
-        default="fp1,fp2,fp3,fp4,fp5",
-        help="comma-separated subset of fp1,fp2,fp3,fp4,fp5",
-    )
-    check.add_argument(
-        "--pairs", default="all", help="'all' or comma-separated pair indices"
-    )
-    sub.add_parser("reconstruct", parents=[common], help="rebuild the relation from blocks")
+    for command, (help_text, options) in _SUBCOMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        command_parser.add_argument(
+            "path", help="input context (.cxt for Boolean, .csv for fuzzy)"
+        )
+        for option in options.split():
+            command_parser.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
@@ -136,7 +144,9 @@ def _cmd_factor(args) -> int:
         atom_pairs = [fz.NecessityPair(b.objects, b.attrs) for b in result.blocks]
         report = oracles.compare_atoms(result.core, atom_pairs)
     if args.emit == "dot":
-        _write(args, fio.emit_dot(result))
+        # each block's lattice within the budget, so the writer enumerates nothing
+        lattices = [concepts(b.context, budget=args.budget) for b in result.blocks]
+        _write(args, fio.emit_dot(result, lattices))
     else:
         if report is not None:
             payload["oracle"] = fio.to_jsonable(report)
@@ -174,8 +184,6 @@ def _cmd_check(args) -> int:
     bad = sorted(set(props) - known)
     if bad:
         raise CliError(f"unknown props {bad}; expected a subset of {sorted(known)}")
-    if args.emit == "dot":
-        raise CliError("check reports have no DOT form; use --emit json")
 
     lattice = fy.fn_enumerate(ctx, budget=args.budget)
     if args.pairs == "all":

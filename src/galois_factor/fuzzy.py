@@ -9,10 +9,14 @@ domains arranged differently:
     property-oriented up_pi / down_n  triple on (P, L2, L1)
     object-oriented   up_n / down_pi  triple on (L1, P, L2)
 
-A context is constructed for one arrangement; an operator whose
-arrangement the triple does not satisfy raises FrameArrangementError.
-When all three chains coincide (the usual case in examples) one triple
-satisfies every arrangement and all six operators are available.
+A context is constructed from its triples for one arrangement, and takes
+its chains from them: all its triples share one set of domains (else
+FrameArrangementError), which the arrangement names.  Each arrangement
+swaps at most two chains, so ``_arrangement`` maps the domains back to
+(L1, L2, P) as well.  An operator whose arrangement the triple does not
+satisfy raises FrameArrangementError.  When all three chains coincide
+(the usual case in examples) one triple satisfies every arrangement and
+all six operators are available.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ class FrameKind(enum.Enum):
 def _arrangement(
     kind: FrameKind, l1: GradeChain, l2: GradeChain, p: GradeChain
 ) -> tuple[GradeChain, GradeChain, GradeChain]:
+    """The domains a triple needs under ``kind``, from (L1, L2, P); each such
+    permutation is its own inverse, so it also maps domains to (L1, L2, P)."""
     if kind is FrameKind.CONCEPT_FORMING:
         return (l1, l2, p)
     if kind is FrameKind.PROPERTY_ORIENTED:
@@ -78,14 +84,12 @@ class FuzzyContext:
 
     ``relation[i][j]`` is the numerator on P of the grade relating
     attribute i to object j; ``sigma`` picks the triple per cell (None
-    means the first triple everywhere).
+    means the first triple everywhere).  The chains ``l1``, ``l2``, ``p``
+    are the triples' shared domains, read in the ``kind`` arrangement.
     """
 
     attributes: tuple[str, ...]
     objects: tuple[str, ...]
-    l1: GradeChain
-    l2: GradeChain
-    p: GradeChain
     triples: tuple[AdjointTriple, ...]
     relation: tuple[tuple[int, ...], ...]
     sigma: tuple[tuple[int, ...], ...] | None = None
@@ -106,13 +110,15 @@ class FuzzyContext:
             raise ValueError("duplicate object names")
         if not self.triples:
             raise ValueError("a context needs at least one adjoint triple")
-        wanted = _arrangement(self.kind, self.l1, self.l2, self.p)
+        first = self.triples[0]
         for t in self.triples:
-            if t.domains != wanted:
+            if t.domains != first.domains:
                 raise FrameArrangementError(
-                    f"triple {t.name} has domains {tuple(map(str, t.domains))} but the "
-                    f"{self.kind.value} frame needs {tuple(map(str, wanted))}"
+                    f"triple {t.name} has domains {tuple(map(str, t.domains))} but "
+                    f"{first.name} has {tuple(map(str, first.domains))}"
                 )
+        for name, chain in zip(("l1", "l2", "p"), _arrangement(self.kind, *first.domains)):
+            object.__setattr__(self, name, chain)
         if len(self.relation) != len(self.attributes):
             raise ValueError("relation must have one row per attribute")
         for row in self.relation:
@@ -143,20 +149,11 @@ class FuzzyContext:
         sigma: Iterable[Iterable[int]] | None = None,
         kind: FrameKind = FrameKind.CONCEPT_FORMING,
     ) -> "FuzzyContext":
-        """Build a context from grade values, deriving the chains from the triple."""
+        """Build a context from grade values on the relation chain P."""
         triples = (triple,) if isinstance(triple, AdjointTriple) else tuple(triple)
-        d = triples[0].domains
-        if kind is FrameKind.CONCEPT_FORMING:
-            l1, l2, p = d
-        elif kind is FrameKind.PROPERTY_ORIENTED:
-            p, l2, l1 = d
-        else:
-            l1, p, l2 = d
+        p = _arrangement(kind, *triples[0].domains)[2]
         relation = tuple(tuple(p.numerator_of(v) for v in row) for row in values)
-        return cls(
-            tuple(attributes), tuple(objects), l1, l2, p, triples, relation,
-            None if sigma is None else tuple(tuple(r) for r in sigma), kind,
-        )
+        return cls(attributes, objects, triples, relation, sigma, kind)
 
     def sigma_at(self, i: int, j: int) -> int:
         return 0 if self.sigma is None else self.sigma[i][j]

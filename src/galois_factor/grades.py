@@ -8,20 +8,52 @@ chains; the residua are linked to the conjunctor by the adjoint property
 
     x <= res_left(z, y)  iff  conj(x, y) <= z  iff  y <= res_right(z, x)
 
-which is checked exhaustively by :func:`check_triple_properties`.
+which ``AdjointTriple`` checks, in O(m^2), when it is built: no triple
+holds tables that fail it.  ``oracles.brute_adjointness_witness`` is the
+naive O(m^3) twin of that check.  Grade strings go through
+``read_grade``, which refuses the ones ``Fraction`` would stall on.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from .errors import AdjointnessError
 
-# the finest chain: a triple's tables have (m + 1)**2 entries, so a Goedel
-# triple takes about 0.03 s and 1.1 MB at m = 256, 0.4 s and 25 MB at m = 1000
+# the finest chain: a triple's tables have (m + 1)**2 entries, so at m = 256
+# building and checking a triple takes 0.05-0.075 s and holds 1.1 MB
 MAX_GRANULARITY = 256
+
+# ``Fraction`` builds 10**k for a decimal exponent k, hundreds of megabytes
+# for ``1e-999999999``, so a longer string or a larger exponent is refused first
+MAX_GRADE_CHARS = 64
+MAX_GRADE_EXPONENT = 64
+
+
+def read_grade(value) -> Fraction:
+    """A grade value (number or string) as a ``Fraction``, or ``ValueError``.
+
+    A string over ``MAX_GRADE_CHARS`` characters, or with a decimal exponent
+    beyond ``MAX_GRADE_EXPONENT``, is refused before ``Fraction`` sees it.
+    """
+    if isinstance(value, str):
+        if len(value) > MAX_GRADE_CHARS:
+            raise ValueError(f"grade of {len(value)} characters, over {MAX_GRADE_CHARS}")
+        try:
+            exponent = int(value.lower().partition("e")[2])
+        except ValueError:  # no exponent, or an unreadable one that Fraction refuses
+            exponent = 0
+        if abs(exponent) > MAX_GRADE_EXPONENT:
+            raise ValueError(
+                f"grade {value!r} has a decimal exponent beyond {MAX_GRADE_EXPONENT}"
+            )
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ValueError(f"cannot read grade {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -57,8 +89,8 @@ class GradeChain:
         return Grade(num, self)
 
     def numerator_of(self, value) -> int:
-        """Numerator of a value on this chain, or ValueError if off-grid."""
-        frac = Fraction(value)
+        """Numerator of a value on this chain, or ValueError if unreadable or off-grid."""
+        frac = read_grade(value)
         num = frac * self.m
         if num.denominator != 1 or not 0 <= num <= self.m:
             low = max(0, min(self.m, int(frac * self.m)))
@@ -124,7 +156,18 @@ class AdjointTriple:
 
     ``res_left_table[k][j]`` is the numerator of ``(k/m3) res_left (j/m2)``
     in P1; ``res_right_table[k][i]`` the numerator of
-    ``(k/m3) res_right (i/m1)`` in P2.
+    ``(k/m3) res_right (i/m1)`` in P2.  Building a triple checks the table
+    sizes and that every entry lies on its chain (``ValueError``), then the
+    adjoint property (``AdjointnessError`` with a violating (x, y, z)).
+
+    On chains adjointness gives the other laws the operators rely on.
+    Boundary: conj(0, y) <= 0 iff 0 <= res_left(0, y), so conj(0, y) = 0,
+    and m1 <= res_left(m3, y) iff conj(m1, y) <= m3, so res_left(m3, y) =
+    m1; conj(x, 0) = 0 and res_right(m3, x) = m2 alike.  Meet distribution:
+    x <= res_left(min(z1, z2), y) iff conj(x, y) <= z1 and <= z2 iff
+    x <= min(res_left(z1, y), res_left(z2, y)); grades of a chain with the
+    same lower bounds are equal, and on a finite chain binary meets settle
+    every infimum (res_right alike).
     """
 
     name: str
@@ -134,6 +177,29 @@ class AdjointTriple:
     conj_table: Table = field(repr=False)
     res_left_table: Table = field(repr=False)
     res_right_table: Table = field(repr=False)
+
+    def __post_init__(self):
+        tables = (self.conj_table, self.res_left_table, self.res_right_table)
+        m1, m2, m3 = (c.m for c in self.domains)
+        for label, table, rows, cols, top in zip(
+            ("conjunctor", "left residuum", "right residuum"), tables,
+            (m1, m3, m3), (m2, m2, m1), (m3, m1, m2),
+        ):
+            # a set of ints also holds 1.0, so the types are checked as well
+            on_chain = set(range(top + 1)).issuperset
+            if len(table) != rows + 1 or any(
+                len(row) != cols + 1 or not on_chain(row) or set(map(type, row)) != {int}
+                for row in table
+            ):
+                raise ValueError(f"{self.name}: the {label} table must be "
+                                 f"{rows + 1} x {cols + 1} numerators in 0..{top}")
+        witness = _adjointness_witness(*tables)
+        if witness is not None:
+            x, y, z = (Grade(n, c) for n, c in zip(witness, self.domains))
+            raise AdjointnessError(
+                f"{self.name}: the adjoint property fails at x={x}, y={y}, z={z}",
+                witness=(x, y, z),
+            )
 
     @property
     def domains(self) -> tuple[GradeChain, GradeChain, GradeChain]:
@@ -212,8 +278,8 @@ def residua_by_adjointness(
     """Derive both residua of a conjunctor by exhaustive search.
 
     res_left(z, y) = max{x | conj(x, y) <= z} and symmetrically for
-    res_right.  The result is verified against the adjoint property on the
-    whole grid; if the maxima do not exist or the property fails, an
+    res_right.  If a maximum does not exist, or the conjunctor is not
+    monotone so that the maxima fail the adjoint property, an
     AdjointnessError names the offending grades.
     """
     p1, p2, p3 = domains
@@ -250,95 +316,58 @@ def residua_by_adjointness(
             row.append(max(ys))
         res_right.append(tuple(row))
 
-    candidate = AdjointTriple(
-        "derived", p1, p2, p3, table, tuple(res_left), tuple(res_right)
-    )
-    witness = _adjointness_witness(candidate)
-    if witness is not None:
-        x, y, z = witness
-        raise AdjointnessError(
-            f"adjoint property fails at x={x}, y={y}, z={z}: "
-            "the conjunctor is not residuated (is it monotone?)",
-            witness=witness,
-        )
+    # building the triple checks the adjoint property
+    AdjointTriple("derived", p1, p2, p3, table, tuple(res_left), tuple(res_right))
     return tuple(res_left), tuple(res_right)
 
 
-def _adjointness_witness(triple: AdjointTriple):
-    """First (x, y, z) violating the adjoint property, or None."""
-    m1, m2, m3 = triple.p1.m, triple.p2.m, triple.p3.m
-    conj, left, right = triple.conj_table, triple.res_left_table, triple.res_right_table
-    for i in range(m1 + 1):
-        for j in range(m2 + 1):
-            for k in range(m3 + 1):
-                a = i <= left[k][j]
-                b = conj[i][j] <= k
-                c = j <= right[k][i]
-                if a != b or b != c:
-                    return (Grade(i, triple.p1), Grade(j, triple.p2), Grade(k, triple.p3))
-    return None
+def _adjointness_witness(conj: Table, res_left: Table, res_right: Table):
+    """Numerators (x, y, z) at which the adjoint property fails, or None.
 
+    The O(m^2) test: (a) conj is monotone in each argument, (b) each
+    res_left[z][y] is the largest x with conj[x][y] <= z, (c) each
+    res_right[z][x] the largest y with conj[x][y] <= z.  Under (a) those x
+    form a lower set, so u = res_left[z][y] is its top iff conj[u][y] <= z
+    and (u = m1 or conj[u + 1][y] > z): two lookups, no search.
 
-@dataclass(frozen=True)
-class TripleReport:
-    """Outcome of the exhaustive checks on an adjoint triple."""
-
-    adjointness_ok: bool
-    boundary_ok: bool
-    meet_distribution_ok: bool
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.adjointness_ok and self.boundary_ok and self.meet_distribution_ok
-
-
-def check_triple_properties(triple: AdjointTriple) -> TripleReport:
-    """Exhaustively verify adjointness, boundary laws and meet distribution.
-
-    Boundary laws: bottom & y = bottom, top res_left y = top, x & bottom =
-    bottom, top res_right x = top.  Meet distribution: (z1 min z2) res_left y
-    = (z1 res_left y) min (z2 res_left y) over all pairs, which on a chain
-    settles the law for arbitrary infima.
+    (a)-(c) are equivalent to the adjoint property.  If they hold,
+    x <= res_left[z][y] iff x is in that lower set iff conj[x][y] <= z, and
+    (c) gives the right half.  Conversely every failure names a witness
+    that violates the property, so an adjoint triple yields none.  At a
+    descent conj[x][y] > conj[x + 1][y] = z, adjointness would need both
+    x + 1 <= res_left[z][y] and x > res_left[z][y]: (x, y, z) fails if
+    x <= res_left[z][y], else (x + 1, y, z).  With u = res_left[z][y],
+    conj[u][y] > z makes (u, y, z) fail and conj[u + 1][y] <= z makes
+    (u + 1, y, z) fail.  Descents in y and (c) are the same against
+    res_right.
     """
-    failures = []
-    m1, m2, m3 = triple.p1.m, triple.p2.m, triple.p3.m
-    conj, left, right = triple.conj_table, triple.res_left_table, triple.res_right_table
+    top = len(res_left)  # above every numerator on P3
+    by_rows = _first_miss([(*row, top) for row in conj], res_right)  # (x, y, z)
+    if by_rows is not None:
+        return by_rows
+    by_cols = _first_miss([(*col, top) for col in zip(*conj)], res_left)  # (y, x, z)
+    return None if by_cols is None else (by_cols[1], by_cols[0], by_cols[2])
 
-    witness = _adjointness_witness(triple)
-    adjointness_ok = witness is None
-    if witness is not None:
-        x, y, z = witness
-        failures.append(f"adjointness fails at x={x}, y={y}, z={z}")
 
-    boundary_ok = True
-    for j in range(m2 + 1):
-        if conj[0][j] != 0:
-            boundary_ok = False
-            failures.append(f"bottom & {Fraction(j, m2)} != bottom")
-        if left[m3][j] != m1:
-            boundary_ok = False
-            failures.append(f"top res_left {Fraction(j, m2)} != top")
-    for i in range(m1 + 1):
-        if conj[i][0] != 0:
-            boundary_ok = False
-            failures.append(f"{Fraction(i, m1)} & bottom != bottom")
-        if right[m3][i] != m2:
-            boundary_ok = False
-            failures.append(f"top res_right {Fraction(i, m1)} != top")
-
-    meet_ok = True
-    for k1 in range(m3 + 1):
-        for k2 in range(k1, m3 + 1):
-            lo = min(k1, k2)
-            for j in range(m2 + 1):
-                if left[lo][j] != min(left[k1][j], left[k2][j]):
-                    meet_ok = False
-                    failures.append(
-                        f"meet distribution fails at z1={Fraction(k1, m3)}, "
-                        f"z2={Fraction(k2, m3)}, y={Fraction(j, m2)}"
-                    )
-    return TripleReport(adjointness_ok, boundary_ok, meet_ok, tuple(failures))
+def _first_miss(lines, res):
+    """(v, u, z) failing (a) along ``lines[v]`` (the conjunctor with one
+    argument fixed at v, padded with a value above every z) or failing
+    ``res[z][v]`` = the largest u with ``lines[v][u] <= z``; or None."""
+    for v, line in enumerate(lines):
+        if sorted(line) != list(line):
+            u = next(u for u in range(len(line)) if line[u] > line[u + 1])
+            z = line[u + 1]
+            return v, (u if u <= res[z][v] else u + 1), z
+    after = [line[1:] for line in lines]  # after[v][u] = lines[v][u + 1]
+    for z, row in enumerate(res):
+        at, next_up = map(operator.getitem, lines, row), map(operator.getitem, after, row)
+        if max(at) > z or min(next_up) <= z:
+            for v, u in enumerate(row):
+                if lines[v][u] > z:
+                    return v, u, z
+                if after[v][u] <= z:
+                    return v, u + 1, z
+    return None
 
 
 def triple_from_descriptor(descriptor: str) -> AdjointTriple:

@@ -45,7 +45,8 @@ from .fuzzy import (
     is_top_normalized,
 )
 from .grades import (
-    MAX_GRANULARITY, AdjointTriple, GradeChain, godel_triple, triple_from_descriptor
+    MAX_GRANULARITY, AdjointTriple, GradeChain, godel_triple, read_grade,
+    triple_from_descriptor,
 )
 from .oracles import OracleReport
 from .order import Lattice
@@ -184,30 +185,12 @@ def resolve_frame(descriptor: str, values=None) -> AdjointTriple:
     return triple_from_descriptor(descriptor)
 
 
-# ``Fraction`` builds 10**k for a decimal exponent k, hundreds of megabytes
-# for ``1e-999999999``, so a longer cell or a larger exponent is refused first
-_MAX_GRADE_CHARS = 64
-_MAX_GRADE_EXPONENT = 64
-
-
 def _grade(cell, where: str, line: int | None = None) -> Fraction:
     """A grade cell as a ``Fraction``, or ``ContextFormatError`` naming ``where``."""
-    if isinstance(cell, str):
-        if len(cell) > _MAX_GRADE_CHARS:
-            raise ContextFormatError(
-                f"{where}: grade of {len(cell)} characters, over {_MAX_GRADE_CHARS}", line
-            )
-        try:
-            exponent = int(cell.lower().partition("e")[2])
-        except ValueError:  # no exponent, or an unreadable one that Fraction refuses
-            exponent = 0
-        if abs(exponent) > _MAX_GRADE_EXPONENT:
-            message = f"grade {cell!r} has a decimal exponent beyond {_MAX_GRADE_EXPONENT}"
-            raise ContextFormatError(f"{where}: {message}", line)
     try:
-        return Fraction(cell)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise ContextFormatError(f"{where}: cannot read grade {cell!r}", line) from None
+        return read_grade(cell)
+    except ValueError as exc:
+        raise ContextFormatError(f"{where}: {exc}", line) from None
 
 
 def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
@@ -516,11 +499,14 @@ def _lattice_dot_lines(name_of, count, covers, prefix="n", indent="  ") -> list[
     return lines
 
 
-def emit_dot(result) -> str:
+def emit_dot(result, block_lattices=None) -> str:
     """Render a lattice (or a factorization, one cluster per block) as DOT.
 
     Edges point from each element to its upper covers, so the transitive
-    closure of the digraph is exactly the lattice order.
+    closure of the digraph is exactly the lattice order.  A factorization's
+    clusters draw ``block_lattices``, the concept lattice of each block in
+    block order; without them the blocks are enumerated here under the
+    default budget.
     """
     lines = []
     if isinstance(result, Lattice):
@@ -533,8 +519,9 @@ def emit_dot(result) -> str:
     elif isinstance(result, Factorization):
         lines.append("digraph factorization {")
         lines.append("  rankdir=BT;")
-        for k, block in enumerate(result.blocks):
-            lattice = concepts(block.context)
+        if block_lattices is None:
+            block_lattices = [concepts(block.context) for block in result.blocks]
+        for k, (block, lattice) in enumerate(zip(result.blocks, block_lattices)):
             lines.append(f"  subgraph cluster_{k} {{")
             label = "objects {%s} x attributes {%s}" % (
                 ",".join(block.objects.names),

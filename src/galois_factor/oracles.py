@@ -34,6 +34,7 @@ __all__ = [
     "brute_rstar",
     "brute_fn",
     "brute_fuzzy_concepts",
+    "brute_adjointness_witness",
     "bipartite_components",
     "compare_concepts",
     "compare_cn",
@@ -190,11 +191,22 @@ def bipartite_components(
     return out
 
 
+def brute_adjointness_witness(conj, res_left, res_right):
+    """First numerators (x, y, z) breaking x <= res_left(z, y) iff
+    conj(x, y) <= z iff y <= res_right(z, x), or None: the naive O(m^3)
+    twin of the check ``AdjointTriple`` runs, on raw tables."""
+    grid = product(range(len(conj)), range(len(conj[0])), range(len(res_left)))
+    for x, y, z in grid:
+        if not (x <= res_left[z][y]) == (conj[x][y] <= z) == (y <= res_right[z][x]):
+            return (x, y, z)
+    return None
+
+
 class _SearchResiduum:
     """Residua recomputed from the conjunctor table by maximum search.
 
-    Trusts only the conjunctor; the stored residuum tables of the triple
-    are deliberately not consulted.
+    Trusts only the conjunctor (the maxima exist, as every triple is
+    adjoint); the stored residuum tables are deliberately not consulted.
     """
 
     def __init__(self, triple):
@@ -203,16 +215,10 @@ class _SearchResiduum:
         self.m2 = triple.p2.m
 
     def left(self, z: int, y: int) -> int:
-        xs = [x for x in range(self.m1 + 1) if self.table[x][y] <= z]
-        if not xs:
-            raise ValueError("conjunctor admits no left residuum")
-        return max(xs)
+        return max([x for x in range(self.m1 + 1) if self.table[x][y] <= z])
 
     def right(self, z: int, x: int) -> int:
-        ys = [y for y in range(self.m2 + 1) if self.table[x][y] <= z]
-        if not ys:
-            raise ValueError("conjunctor admits no right residuum")
-        return max(ys)
+        return max([y for y in range(self.m2 + 1) if self.table[x][y] <= z])
 
 
 def _grid_fixpoints(ctx: FuzzyContext, up, down, make) -> list:

@@ -8,6 +8,7 @@ re-deriving anything through the code under test.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from galois_factor import (
     BooleanContext,
@@ -333,9 +334,42 @@ def random_fuzzy_context(rng: random.Random) -> FuzzyContext:
     return FuzzyContext(
         [f"a{i}" for i in range(n_attrs)],
         [f"b{j}" for j in range(n_objs)],
-        chain,
-        chain,
-        chain,
         (triple,),
         relation,
     )
+
+
+def triple_law_failures(triple) -> list[str]:
+    """The boundary and meet-distribution laws a triple breaks, by direct loops.
+
+    Boundary: bottom & y = bottom, x & bottom = bottom, top res_left y = top,
+    top res_right x = top.  Meet distribution: (z1 min z2) res_left y =
+    (z1 res_left y) min (z2 res_left y), and the same for res_right.
+    """
+    m1, m2, m3 = (c.m for c in triple.domains)
+    conj, left, right = triple.conj_table, triple.res_left_table, triple.res_right_table
+    failures = []
+    failures += [f"bottom & {j}" for j in range(m2 + 1) if conj[0][j] != 0]
+    failures += [f"{i} & bottom" for i in range(m1 + 1) if conj[i][0] != 0]
+    failures += [f"top res_left {j}" for j in range(m2 + 1) if left[m3][j] != m1]
+    failures += [f"top res_right {i}" for i in range(m1 + 1) if right[m3][i] != m2]
+    for res, width in ((left, m2), (right, m1)):
+        for z1 in range(m3 + 1):
+            for z2 in range(m3 + 1):
+                for v in range(width + 1):
+                    if res[min(z1, z2)][v] != min(res[z1][v], res[z2][v]):
+                        failures.append(f"meet at z1={z1}, z2={z2}, argument {v}")
+    return failures
+
+
+HUGE_EXPONENTS = ["1e-999999999", "1e999999999"]
+
+
+def fraction_refusing(*cells):
+    """``Fraction``, but failing the test on ``cells`` instead of building them."""
+
+    def fraction(value, *args):
+        assert value not in cells, f"Fraction({value!r}) was reached"
+        return Fraction(value, *args)
+
+    return fraction

@@ -18,7 +18,6 @@ from galois_factor import (
     check_fp2,
     check_fp3,
     check_fp4,
-    check_triple_properties,
     cn_atoms,
     cn_enumerate,
     complement,
@@ -43,7 +42,9 @@ from galois_factor import (
     residua_by_adjointness,
     rstar,
 )
-from galois_factor.oracles import bipartite_components, brute_cn, brute_rstar
+from galois_factor.oracles import (
+    bipartite_components, brute_adjointness_witness, brute_cn, brute_rstar
+)
 from tables import (
     DPROD_R2_FN_LISTED,
     GODEL_R2_CONCEPTS,
@@ -65,6 +66,7 @@ from tables import (
     pair_set,
     random_fuzzy_context,
     random_normalized_context,
+    triple_law_failures,
 )
 
 
@@ -275,13 +277,14 @@ def test_criterion_7_negative_control_without_top_normalization():
 
 
 def test_criterion_8_adjoint_triple_suite():
-    with criterion(8, "triples: exhaustive adjointness/boundary/meet checks, derived residua"):
+    with criterion(8, "triples: checked when built, oracle twin, boundary/meet laws, residua"):
         triples = [godel_triple(GradeChain(m)) for m in range(2, 17)]
         triples += [lukasiewicz_triple(GradeChain(m)) for m in range(2, 17)]
         triples += [discretized_product_triple(4, 8, 10), discretized_product_triple(4, 4, 4)]
         for t in triples:
-            report = check_triple_properties(t)
-            assert report.ok, (t.name, report.failures)
+            tables = (t.conj_table, t.res_left_table, t.res_right_table)
+            assert brute_adjointness_witness(*tables) is None, t.name
+            assert triple_law_failures(t) == [], t.name
             left, right = residua_by_adjointness(t.conj, t.domains)
             assert left == t.res_left_table, t.name
             assert right == t.res_right_table, t.name

@@ -94,9 +94,6 @@ class TestGradedLattices:
             ctx = FuzzyContext(
                 [f"a{i}" for i in range(n_attrs)],
                 [f"b{j}" for j in range(n_objs)],
-                chain,
-                chain,
-                chain,
                 (TRIPLES[frame](chain),),
                 [[rng.randint(0, chain.m) for _ in range(n_objs)] for _ in range(n_attrs)],
             )
@@ -131,9 +128,6 @@ class TestBottomAndTop:
             ctx = FuzzyContext(
                 [f"a{i}" for i in range(n_attrs)],
                 [f"b{j}" for j in range(n_objs)],
-                chain,
-                chain,
-                chain,
                 (TRIPLES[frame](chain),),
                 [[rng.randint(0, chain.m) for _ in range(n_objs)] for _ in range(n_attrs)],
             )

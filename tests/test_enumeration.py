@@ -157,9 +157,6 @@ def mixed_triple_context(rng):
     return FuzzyContext(
         [f"a{i}" for i in range(n_attrs)],
         [f"b{j}" for j in range(n_objs)],
-        chain,
-        chain,
-        chain,
         triples,
         [[rng.randint(0, m) for _ in range(n_objs)] for _ in range(n_attrs)],
         [[rng.randrange(len(triples)) for _ in range(n_objs)] for _ in range(n_attrs)],
@@ -174,9 +171,6 @@ def unequal_chain_context(rng):
     return FuzzyContext(
         [f"a{i}" for i in range(n_attrs)],
         [f"b{j}" for j in range(n_objs)],
-        GradeChain(m1),
-        GradeChain(m2),
-        GradeChain(m3),
         (discretized_product_triple(m1, m2, m3),),
         [[rng.randint(0, m3) for _ in range(n_objs)] for _ in range(n_attrs)],
     )
@@ -230,9 +224,6 @@ class TestFnMeetClosure:
             ctx = FuzzyContext(
                 [f"a{i}" for i in range(n_attrs)],
                 [f"b{j}" for j in range(n_objs)],
-                chain,
-                chain,
-                chain,
                 (self.TRIPLES[frame](chain),),
                 [[rng.randint(0, chain.m) for _ in range(n_objs)] for _ in range(n_attrs)],
             )

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -138,12 +139,28 @@ class TestFrameArrangements:
             f_down(ctx, ctx.f_top)
 
     def test_mismatched_triple_rejected_at_construction(self):
-        chain = GradeChain(4)
-        with pytest.raises(FrameArrangementError):
-            FuzzyContext(
-                ["a1"], ["b1"], chain, chain, chain,
-                (discretized_product_triple(4, 8, 10),), [[2]],
-            )
+        mixed = (godel_triple(GradeChain(4)), discretized_product_triple(4, 8, 10))
+        for triples in (mixed, mixed[::-1]):
+            with pytest.raises(FrameArrangementError, match="has domains"):
+                FuzzyContext(["a1"], ["b1"], triples, [[2]])
+
+    @pytest.mark.parametrize(
+        "kind, names",
+        [
+            (FrameKind.CONCEPT_FORMING, ("l1", "l2", "p")),
+            (FrameKind.PROPERTY_ORIENTED, ("p", "l2", "l1")),
+            (FrameKind.OBJECT_ORIENTED, ("l1", "p", "l2")),
+        ],
+    )
+    def test_chains_are_read_off_the_triple(self, kind, names):
+        triple = discretized_product_triple(4, 8, 10)
+        ctx = FuzzyContext(["a1"], ["b1"], (triple, triple), [[0]], kind=kind)
+        assert tuple(getattr(ctx, name) for name in names) == triple.domains
+
+    def test_chains_are_not_init_fields(self):
+        assert [f.name for f in dataclasses.fields(FuzzyContext)] == [
+            "attributes", "objects", "triples", "relation", "sigma", "kind"
+        ]
 
     def test_uniform_frame_supports_all_six_operators(self):
         ctx = godel_r2()
@@ -156,9 +173,7 @@ class TestFrameArrangements:
     def test_off_chain_relation_rejected(self):
         chain = GradeChain(4)
         with pytest.raises(ValueError):
-            FuzzyContext(
-                ["a1"], ["b1"], chain, chain, chain, (godel_triple(chain),), [[9]]
-            )
+            FuzzyContext(["a1"], ["b1"], (godel_triple(chain),), [[9]])
 
 
 class TestSigma:

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -24,7 +23,9 @@ from galois_factor.io import (
     parse_cxt,
     parse_fuzzy_csv,
 )
-from tables import TABLE1, TABLE2, WIDE_GODEL_CSV, godel_r2
+from tables import (
+    DIAG2, HUGE_EXPONENTS, TABLE1, TABLE2, WIDE_GODEL_CSV, fraction_refusing, godel_r2
+)
 
 # Transposed by hand from the 6x6 relation: file rows are objects
 TABLE1_CXT = """B
@@ -75,17 +76,24 @@ def refuse_tables(chain):
     raise AssertionError(f"a triple on {chain} was built")
 
 
-def fraction_refusing(*cells):
-    """``Fraction``, but failing the test on ``cells`` instead of building them."""
-
-    def fraction(value, *args):
-        assert value not in cells, f"Fraction({value!r}) was reached"
-        return Fraction(value, *args)
-
-    return fraction
-
-
-HUGE_EXPONENTS = ["1e-999999999", "1e999999999"]
+# the options each subcommand reads; any other is refused
+SUBCOMMAND_FLAGS = {
+    "lattice": {"emit", "out", "oracle", "budget", "frame"},
+    "cn": {"emit", "out", "oracle"},
+    "factor": {"emit", "out", "oracle", "budget"},
+    "fn": {"emit", "out", "oracle", "budget", "frame"},
+    "check": {"out", "budget", "frame", "props", "pairs"},
+    "reconstruct": {"out"},
+}
+FLAG_ARGV = {
+    "emit": ["--emit", "dot"],
+    "out": ["--out", "unused.json"],
+    "oracle": ["--oracle"],
+    "budget": ["--budget", "1"],
+    "frame": ["--frame", "x:1"],
+    "props": ["--props", "fp1"],
+    "pairs": ["--pairs", "0"],
+}
 
 
 def write(tmp_path, name, text):
@@ -178,7 +186,7 @@ class TestFuzzyCsvParsing:
 
     @pytest.mark.parametrize("cell", HUGE_EXPONENTS)
     def test_huge_exponent_refused_before_fraction(self, cell, monkeypatch):
-        monkeypatch.setattr(fio, "Fraction", fraction_refusing(cell))
+        monkeypatch.setattr(grades, "Fraction", fraction_refusing(cell))
         with pytest.raises(ContextFormatError, match=r"line 2: cell \(a1, b1\): .*exponent"):
             parse_fuzzy_csv(f"R,b1\na1,{cell}\n", "godel:4")
 
@@ -266,7 +274,7 @@ class TestJson:
 
     @pytest.mark.parametrize("cell", HUGE_EXPONENTS)
     def test_huge_exponent_refused_before_fraction(self, cell, monkeypatch):
-        monkeypatch.setattr(fio, "Fraction", fraction_refusing(cell))
+        monkeypatch.setattr(grades, "Fraction", fraction_refusing(cell))
         doc = json.loads(emit_json(ContextDocument("fuzzy", godel_r2(), ("godel:4",))))
         doc["relation"][1][2] = cell
         with pytest.raises(ContextFormatError, match=r"relation\[1\]\[2\]: .*exponent"):
@@ -421,6 +429,49 @@ class TestCli:
         assert err == "error: the budget of 21 closure evaluations ran out, 7 closed sets found\n"
         assert main(["lattice", path, "--budget", "22"]) == 0
         assert len(json.loads(capsys.readouterr().out)["concepts"]) == 8
+
+    def test_factor_dot_honours_the_budget(self, tmp_path, capsys):
+        # TABLE1's three blocks need 1, 4 and 2 closure evaluations
+        path = write(tmp_path, "table1.cxt", format_cxt(TABLE1))
+        for budget in ("1", "3"):
+            assert main(["factor", path, "--emit", "dot", "--budget", budget]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"the budget of {budget} closure evaluations ran out" in err
+        assert main(["factor", path, "--emit", "dot", "--budget", "4"]) == 0
+        assert capsys.readouterr().out == emit_dot(factorize(TABLE1))
+        assert main(["factor", path, "--emit", "dot"]) == 0
+        assert capsys.readouterr().out == emit_dot(factorize(TABLE1))
+
+    def test_factor_dot_on_the_diagonal_within_the_budget(self, tmp_path, capsys):
+        # each 1x1 block of the 2x2 diagonal needs one closure evaluation
+        path = write(tmp_path, "diag2.cxt", format_cxt(DIAG2))
+        assert main(["factor", path, "--emit", "dot", "--budget", "0"]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(["factor", path, "--emit", "dot", "--budget", "1"]) == 0
+        assert capsys.readouterr().out == emit_dot(factorize(DIAG2))
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command, accepted in SUBCOMMAND_FLAGS.items()
+            for flag in FLAG_ARGV
+            if flag not in accepted
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_are_refused(self, tmp_path, capsys, command, flag):
+        source = (
+            write(tmp_path, "r2.csv", R2_GODEL_CSV) if command in ("fn", "check")
+            else write(tmp_path, "table1.cxt", TABLE1_CXT)
+        )
+        frame = ["--frame", "godel:4"] if command in ("fn", "check") else []
+        assert main([command, source, *frame]) == 0
+        capsys.readouterr()
+        assert main([command, source, *frame, *FLAG_ARGV[flag]]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unrecognized arguments: ")
 
     def test_missing_frame_for_fuzzy(self, tmp_path):
         path = write(tmp_path, "r2.csv", R2_GODEL_CSV)

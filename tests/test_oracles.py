@@ -149,8 +149,7 @@ class TestBruteFuzzyConcepts:
 
         chain = GradeChain(4)
         ctx = FuzzyContext(
-            ["a"], [f"b{j}" for j in range(11)], chain, chain, chain,
-            (godel_triple(chain),), [[0] * 11],
+            ["a"], [f"b{j}" for j in range(11)], (godel_triple(chain),), [[0] * 11],
         )
         with pytest.raises(BudgetExceededError):
             brute_fuzzy_concepts(ctx)

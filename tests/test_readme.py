@@ -1,0 +1,14 @@
+"""The README's Python blocks run as written, so an API change cannot leave
+the quick tour stale."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_tour_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
