@@ -3,8 +3,8 @@
 Subcommands: lattice, cn, factor, fn, check, reconstruct.  Each takes only
 the options it reads; any other flag exits 1.  ``--budget`` caps the
 closure evaluations of each enumeration behind ``lattice`` (on ``.cxt``
-and ``.csv`` input), ``factor --emit dot`` (one per block), ``fn`` and
-``check``.  Exit status 0 on success, 1 on any validation failure, 2 when
+and ``.csv`` input), ``fn`` and ``check``, and of all the block scans of
+``factor --emit dot`` together.  Exit status 0 on success, 1 on any validation failure, 2 when
 a budget is exceeded.
 """
 
@@ -144,9 +144,7 @@ def _cmd_factor(args) -> int:
         atom_pairs = [fz.NecessityPair(b.objects, b.attrs) for b in result.blocks]
         report = oracles.compare_atoms(result.core, atom_pairs)
     if args.emit == "dot":
-        # each block's lattice within the budget, so the writer enumerates nothing
-        lattices = [concepts(b.context, budget=args.budget) for b in result.blocks]
-        _write(args, fio.emit_dot(result, lattices))
+        _write(args, fio.emit_dot(result, args.budget))
     else:
         if report is not None:
             payload["oracle"] = fio.to_jsonable(report)

@@ -358,7 +358,9 @@ class FormalConcept:
         return f"<{{{', '.join(self.extent.names)}}}, {{{', '.join(self.intent.names)}}}>"
 
 
-def concepts(ctx: BooleanContext, budget: int = order.DEFAULT_ENUM_BUDGET) -> order.Lattice:
+def concepts(
+    ctx: BooleanContext, budget: int | order.Budget = order.DEFAULT_ENUM_BUDGET
+) -> order.Lattice:
     """Enumerate the concept lattice.
 
     Intents are the closed sets of Y -> Y-down-up, found by the canonical

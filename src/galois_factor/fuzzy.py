@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -94,6 +94,9 @@ class FuzzyContext:
     relation: tuple[tuple[int, ...], ...]
     sigma: tuple[tuple[int, ...], ...] | None = None
     kind: FrameKind = FrameKind.CONCEPT_FORMING
+    l1: GradeChain = field(init=False, repr=False, compare=False)
+    l2: GradeChain = field(init=False, repr=False, compare=False)
+    p: GradeChain = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", tuple(self.attributes))

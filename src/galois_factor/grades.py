@@ -16,7 +16,6 @@ naive O(m^3) twin of that check.  Grade strings go through
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -358,15 +357,12 @@ def _first_miss(lines, res):
             u = next(u for u in range(len(line)) if line[u] > line[u + 1])
             z = line[u + 1]
             return v, (u if u <= res[z][v] else u + 1), z
-    after = [line[1:] for line in lines]  # after[v][u] = lines[v][u + 1]
     for z, row in enumerate(res):
-        at, next_up = map(operator.getitem, lines, row), map(operator.getitem, after, row)
-        if max(at) > z or min(next_up) <= z:
-            for v, u in enumerate(row):
-                if lines[v][u] > z:
-                    return v, u, z
-                if after[v][u] <= z:
-                    return v, u + 1, z
+        for v, u in enumerate(row):
+            if lines[v][u] > z:
+                return v, u, z
+            if lines[v][u + 1] <= z:
+                return v, u + 1, z
     return None
 
 

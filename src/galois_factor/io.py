@@ -49,7 +49,7 @@ from .grades import (
     triple_from_descriptor,
 )
 from .oracles import OracleReport
-from .order import Lattice
+from .order import DEFAULT_ENUM_BUDGET, Budget, Lattice
 
 SCHEMA = "galois-factor/1"
 
@@ -499,14 +499,13 @@ def _lattice_dot_lines(name_of, count, covers, prefix="n", indent="  ") -> list[
     return lines
 
 
-def emit_dot(result, block_lattices=None) -> str:
+def emit_dot(result, budget: int = DEFAULT_ENUM_BUDGET) -> str:
     """Render a lattice (or a factorization, one cluster per block) as DOT.
 
     Edges point from each element to its upper covers, so the transitive
     closure of the digraph is exactly the lattice order.  A factorization's
-    clusters draw ``block_lattices``, the concept lattice of each block in
-    block order; without them the blocks are enumerated here under the
-    default budget.
+    clusters draw the concept lattice of each block, enumerated here by
+    scans that share ``budget`` closure evaluations.
     """
     lines = []
     if isinstance(result, Lattice):
@@ -519,9 +518,9 @@ def emit_dot(result, block_lattices=None) -> str:
     elif isinstance(result, Factorization):
         lines.append("digraph factorization {")
         lines.append("  rankdir=BT;")
-        if block_lattices is None:
-            block_lattices = [concepts(block.context) for block in result.blocks]
-        for k, (block, lattice) in enumerate(zip(result.blocks, block_lattices)):
+        shared = Budget(budget)
+        for k, block in enumerate(result.blocks):
+            lattice = concepts(block.context, shared)
             lines.append(f"  subgraph cluster_{k} {{")
             label = "objects {%s} x attributes {%s}" % (
                 ",".join(block.objects.names),

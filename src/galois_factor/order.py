@@ -26,7 +26,8 @@ or ``graded_closed_sets``.  Their ``budget`` caps the closure evaluations,
 the unit of Kuznetsov & Obiedkov (JETAI 2002): before evaluation
 budget + 1 a scan raises ``BudgetExceededError`` with the closed sets
 yielded so far.  The ``lattice`` (both kinds), ``fn`` and ``check``
-commands set it with ``--budget``.
+commands set it with ``--budget``; the block scans of ``factor --emit
+dot`` share one ``Budget``.
 """
 
 from __future__ import annotations
@@ -96,8 +97,17 @@ class Lattice:
         return tuple(l for (l, u) in self.covers if u == i)
 
 
+class Budget:
+    """Closure evaluations shared by several ``closed_sets`` scans: each scan
+    adds its evaluations and closed sets to ``spent`` and ``found``, so the
+    scans together stop before evaluation ``limit`` + 1."""
+
+    def __init__(self, limit: int):
+        self.limit, self.spent, self.found = limit, 0, 0
+
+
 def closed_sets(
-    n: int, close: Callable[[int], int], budget: int = DEFAULT_ENUM_BUDGET
+    n: int, close: Callable[[int], int], budget: int | Budget = DEFAULT_ENUM_BUDGET
 ) -> Iterator[int]:
     """Enumerate all fixpoints of a closure operator on bitmasks over n bits.
 
@@ -105,34 +115,41 @@ def closed_sets(
     ``{0, .., n-1}`` encoded as ints.  Classic lectic ("NextClosure") scan:
     polynomial delay, each closed set produced exactly once, in lectic order.
     An operator that is not a closure raises ``RuntimeError`` or ends the
-    scan; it never makes the scan repeat a set.
+    scan; it never makes the scan repeat a set.  ``budget`` is the scan's
+    own cap, or a ``Budget`` it shares with other scans.
     """
-    if budget < 1:
-        raise BudgetExceededError(0, budget, found=0)
-    full = (1 << n) - 1
-    current = close(0)
-    spent = found = 1
-    yield current
-    while current != full:
-        for i in reversed(range(n)):
-            bit = 1 << i
-            if current & bit:
-                current &= ~bit
+    pool = budget if isinstance(budget, Budget) else Budget(budget)
+    limit, spent, found = pool.limit, pool.spent, pool.found
+    try:
+        if spent >= limit:
+            raise BudgetExceededError(spent, limit, found=found)
+        full = (1 << n) - 1
+        current = close(0)
+        spent += 1
+        found += 1
+        yield current
+        while current != full:
+            for i in reversed(range(n)):
+                bit = 1 << i
+                if current & bit:
+                    current &= ~bit
+                else:
+                    if spent >= limit:
+                        raise BudgetExceededError(spent, limit, found=found)
+                    spent += 1
+                    candidate = close(current | bit)
+                    # lectic successor: the same bits below position i, plus i;
+                    # an extensive close always keeps i, and the test keeps the
+                    # scan strictly increasing, hence finite, on any operator
+                    if candidate & bit and (candidate ^ current) & (bit - 1) == 0:
+                        current = candidate
+                        found += 1
+                        yield current
+                        break
             else:
-                if spent >= budget:
-                    raise BudgetExceededError(spent, budget, found=found)
-                spent += 1
-                candidate = close(current | bit)
-                # lectic successor: the same bits below position i, plus i;
-                # an extensive close always keeps i, and the test keeps the
-                # scan strictly increasing, hence finite, on any operator
-                if candidate & bit and (candidate ^ current) & (bit - 1) == 0:
-                    current = candidate
-                    found += 1
-                    yield current
-                    break
-        else:
-            raise RuntimeError("closure enumeration failed to advance")
+                raise RuntimeError("closure enumeration failed to advance")
+    finally:
+        pool.spent, pool.found = spent, found
 
 
 def graded_closed_sets(

@@ -24,7 +24,7 @@ from galois_factor import (
     lukasiewicz_triple,
 )
 from galois_factor.io import parse_fuzzy_csv
-from galois_factor.order import DEFAULT_ENUM_BUDGET, closed_sets, graded_closed_sets
+from galois_factor.order import DEFAULT_ENUM_BUDGET, Budget, closed_sets, graded_closed_sets
 from galois_factor.oracles import brute_fn, brute_fuzzy_concepts
 from tables import TABLE1, TABLE2, WIDE_GODEL_CSV, godel_r2
 
@@ -274,6 +274,24 @@ class TestScanBudget:
         close, calls = counted(lambda x: x)
         err = exhausted(graded_closed_sets(2, 2, close, budget=budget))
         assert (err.count, err.found, calls) == (0, 0, [])
+
+    def test_scans_sharing_a_budget_stop_together(self):
+        # each identity scan over 2 bits spends 4 closures and finds 4 sets
+        shared = Budget(10)
+        for _ in range(2):
+            assert len(list(closed_sets(2, lambda bits: bits, shared))) == 4
+        assert (shared.spent, shared.found) == (8, 8)
+        close, calls = counted(lambda bits: bits)
+        err = exhausted(closed_sets(2, close, shared))
+        assert len(calls) == 2
+        assert (err.count, err.budget, err.found) == (10, 10, 10)
+
+    def test_an_abandoned_scan_charges_what_it_spent(self):
+        shared = Budget(10)
+        scan = closed_sets(3, lambda bits: bits, shared)
+        assert [next(scan), next(scan)] == [0, 4]
+        scan.close()
+        assert (shared.spent, shared.found) == (2, 2)
 
     def test_message_names_what_was_counted(self):
         err = exhausted(closed_sets(3, lambda bits: bits, budget=5))

@@ -158,9 +158,11 @@ class TestFrameArrangements:
         assert tuple(getattr(ctx, name) for name in names) == triple.domains
 
     def test_chains_are_not_init_fields(self):
-        assert [f.name for f in dataclasses.fields(FuzzyContext)] == [
+        fields = dataclasses.fields(FuzzyContext)
+        assert [f.name for f in fields if f.init] == [
             "attributes", "objects", "triples", "relation", "sigma", "kind"
         ]
+        assert [f.name for f in fields if not f.init] == ["l1", "l2", "p"]
 
     def test_uniform_frame_supports_all_six_operators(self):
         ctx = godel_r2()

@@ -430,25 +430,28 @@ class TestCli:
         assert main(["lattice", path, "--budget", "22"]) == 0
         assert len(json.loads(capsys.readouterr().out)["concepts"]) == 8
 
-    def test_factor_dot_honours_the_budget(self, tmp_path, capsys):
-        # TABLE1's three blocks need 1, 4 and 2 closure evaluations
+    def test_factor_dot_blocks_share_the_budget(self, tmp_path, capsys):
+        # TABLE1's three blocks need 1, 4 and 2 closure evaluations, 7 in all
         path = write(tmp_path, "table1.cxt", format_cxt(TABLE1))
-        for budget in ("1", "3"):
+        for budget in ("1", "6"):
             assert main(["factor", path, "--emit", "dot", "--budget", budget]) == 2
             out, err = capsys.readouterr()
             assert out == ""
             assert f"the budget of {budget} closure evaluations ran out" in err
-        assert main(["factor", path, "--emit", "dot", "--budget", "4"]) == 0
+        assert main(["factor", path, "--emit", "dot", "--budget", "7"]) == 0
         assert capsys.readouterr().out == emit_dot(factorize(TABLE1))
         assert main(["factor", path, "--emit", "dot"]) == 0
         assert capsys.readouterr().out == emit_dot(factorize(TABLE1))
 
-    def test_factor_dot_on_the_diagonal_within_the_budget(self, tmp_path, capsys):
+    def test_factor_dot_on_the_diagonal_stops_where_lattice_does(self, tmp_path, capsys):
         # each 1x1 block of the 2x2 diagonal needs one closure evaluation
         path = write(tmp_path, "diag2.cxt", format_cxt(DIAG2))
-        assert main(["factor", path, "--emit", "dot", "--budget", "0"]) == 2
-        assert capsys.readouterr().out == ""
-        assert main(["factor", path, "--emit", "dot", "--budget", "1"]) == 0
+        for command in (["lattice", path], ["factor", path, "--emit", "dot"]):
+            assert main([*command, "--budget", "1"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: the budget of 1 closure evaluations ran out")
+        assert main(["factor", path, "--emit", "dot", "--budget", "2"]) == 0
         assert capsys.readouterr().out == emit_dot(factorize(DIAG2))
 
     @pytest.mark.parametrize(
