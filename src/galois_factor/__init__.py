@@ -38,7 +38,6 @@ from .errors import (
 from .factorization import (
     Block,
     BlockBounds,
-    BlockMask,
     CnLattice,
     Factorization,
     NecessityPair,

@@ -138,7 +138,7 @@ def _cmd_factor(args) -> int:
     exact = fz.reassemble(result) == result.core
     payload["reconstruction"] = "exact" if exact else "mismatch"
     mask = fz.rstar(result.core) if result.core.attributes else None
-    payload["rstar"] = None if mask is None else fio.to_jsonable(mask)["mask"]
+    payload["rstar"] = None if mask is None else fio.to_jsonable(mask)["incidence"]
     report = None
     if args.oracle:
         atom_pairs = [fz.NecessityPair(b.objects, b.attrs) for b in result.blocks]

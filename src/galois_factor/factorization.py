@@ -5,12 +5,14 @@ complete lattice under componentwise union/intersection/complement.  On a
 normalized context those pairs are exactly the unions of connected
 components of the bipartite incidence graph, so the lattice is built from
 its atoms (the components) instead of scanning all object subsets; the
-exhaustive scan lives in :mod:`galois_factor.oracles` as the referee.
+exhaustive scan lives in :mod:`galois_factor.oracles` as the referee.  The
+block relation R*, the union of the atom rectangles, is a relation on the
+same attributes and objects, so ``rstar`` returns it as a context.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -20,7 +22,6 @@ from .contexts import (
     FormalConcept,
     NormalizationReport,
     ObjectSubset,
-    _bool_grid,
     _claim_attrs,
     _claim_objects,
     _down_bits,
@@ -42,7 +43,6 @@ __all__ = [
     "CnLattice",
     "Block",
     "Factorization",
-    "BlockMask",
     "BlockBounds",
     "cn_enumerate",
     "cn_atoms",
@@ -249,27 +249,9 @@ def reassemble(factorization: Factorization) -> BooleanContext:
     return BooleanContext(core.attributes, core.objects, tuple(rows))
 
 
-@dataclass(frozen=True)
-class BlockMask:
-    """The relation R*: union of the atom rectangles; always contains R.
-
-    ``rows`` are bitmasks over the objects, as in ``BooleanContext.rows``;
-    ``mask`` is the same relation as a bool grid.
-    """
-
-    context: BooleanContext = field(compare=False, repr=False)
-    rows: tuple[int, ...]
-
-    @cached_property
-    def mask(self) -> tuple[tuple[bool, ...], ...]:
-        return _bool_grid(self.rows, len(self.context.objects))
-
-    def contains_relation(self) -> bool:
-        return all(row & ~m == 0 for row, m in zip(self.context.rows, self.rows))
-
-
-def rstar(ctx: BooleanContext) -> BlockMask:
-    """The block mask R*: the union of the atom rectangles X x Y.
+def rstar(ctx: BooleanContext) -> BooleanContext:
+    """The block relation R* as the context (A, B, R*): the union of the atom
+    rectangles X x Y, which contains R.
 
     O(|A| * |B|) for any number of atoms.  The literal form, the
     intersection over every necessity-closed pair (X, Y) of
@@ -279,7 +261,7 @@ def rstar(ctx: BooleanContext) -> BlockMask:
     for atom in cn_atoms(ctx):
         for i in set_bits(atom.attrs.bits):
             rows[i] |= atom.objects.bits
-    return BlockMask(ctx, tuple(rows))
+    return BooleanContext(ctx.attributes, ctx.objects, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ naive O(m^3) twin of that check.  Grade strings go through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -366,12 +367,28 @@ def _first_miss(lines, res):
     return None
 
 
-def triple_from_descriptor(descriptor: str) -> AdjointTriple:
-    """Build a triple from a CLI descriptor: godel:4, lukasiewicz:4, dprod:4,8,10."""
+def triple_from_descriptor(descriptor: str, values=None) -> AdjointTriple:
+    """Build a triple from a frame descriptor: godel:4, lukasiewicz:4, dprod:4,8,10.
+
+    A bare ``godel`` takes the smallest chain holding every one of
+    ``values`` (Fractions; Goedel operations never leave such a grid),
+    stopping once the lcm of their denominators passes ``MAX_GRANULARITY``,
+    which ``GradeChain`` then refuses.  Any other descriptor without a
+    granularity raises ``ValueError``, as does an unknown name.
+    """
     name, sep, params = descriptor.partition(":")
     name = name.strip().lower()
     if not sep:
-        raise ValueError(f"frame descriptor {descriptor!r} is missing a granularity")
+        if name != "godel" or values is None:
+            raise ValueError(
+                f"frame descriptor {descriptor!r} needs a granularity, e.g. 'godel:4'"
+            )
+        m = 1
+        for v in values:
+            m = math.lcm(m, v.denominator)
+            if m > MAX_GRANULARITY:
+                break  # GradeChain refuses it; stop before the lcm grows
+        return godel_triple(GradeChain(m))
     try:
         sizes = [int(p) for p in params.split(",")]
     except ValueError:

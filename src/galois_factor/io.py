@@ -3,9 +3,14 @@
 Boolean contexts travel as Burmeister ``.cxt`` files, fuzzy contexts as
 CSV grids with a frame descriptor (``godel:4``, ``lukasiewicz:4``,
 ``dprod:4,8,10``; plain ``godel`` auto-detects the granularity from the
-values).  Results serialize to JSON with a fixed key order and to DOT
-digraphs of the Hasse covers; identical inputs produce byte-identical
-output.  Grades serialize as exact fraction strings, never as floats.
+values).  Contexts are also JSON documents, and a document is read back as
+the ``BooleanContext`` or ``FuzzyContext`` itself: ``document_from_json``
+inverts ``emit_json`` on every context it writes.  A fuzzy document names
+its frame by its triples' names, so writing a triple whose name is not a
+descriptor that rebuilds it raises ``ValueError``.  Results serialize to
+JSON with a fixed key order and to DOT digraphs of the Hasse covers;
+identical inputs produce byte-identical output.  Grades serialize as exact
+fraction strings, never as floats.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ import csv
 import functools
 import io as _stdio
 import json
-import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .contexts import (
@@ -27,7 +31,7 @@ from .contexts import (
     concepts,
 )
 from .errors import ContextFormatError
-from .factorization import BlockBounds, BlockMask, CnLattice, Factorization, NecessityPair
+from .factorization import BlockBounds, CnLattice, Factorization, NecessityPair
 from .fuzzy import (
     FrameKind,
     FuzzyContext,
@@ -44,10 +48,7 @@ from .fuzzy import (
     is_fuzzy_normalized,
     is_top_normalized,
 )
-from .grades import (
-    MAX_GRANULARITY, AdjointTriple, GradeChain, godel_triple, read_grade,
-    triple_from_descriptor,
-)
+from .grades import read_grade, triple_from_descriptor
 from .oracles import OracleReport
 from .order import DEFAULT_ENUM_BUDGET, Budget, Lattice
 
@@ -55,11 +56,9 @@ SCHEMA = "galois-factor/1"
 
 __all__ = [
     "SCHEMA",
-    "ContextDocument",
     "parse_cxt",
     "format_cxt",
     "parse_fuzzy_csv",
-    "resolve_frame",
     "emit_json",
     "emit_dot",
     "document_from_json",
@@ -67,15 +66,6 @@ __all__ = [
     "CHECKERS",
     "check_report",
 ]
-
-
-@dataclass(frozen=True)
-class ContextDocument:
-    """A parsed input: either a Boolean context or a fuzzy one with its frame."""
-
-    kind: str  # "boolean" | "fuzzy"
-    payload: BooleanContext | FuzzyContext
-    frames: tuple[str, ...] | None = None  # descriptors, fuzzy only
 
 
 # ---------------------------------------------------------------- Burmeister
@@ -164,27 +154,6 @@ def _cell_rows(rows, width: int) -> list[str]:
 # ----------------------------------------------------------------- fuzzy CSV
 
 
-def resolve_frame(descriptor: str, values=None) -> AdjointTriple:
-    """Turn a frame descriptor into a triple.
-
-    A bare ``godel`` picks the smallest chain containing all the given
-    relation values (Goedel operations never leave such a grid); a chain
-    finer than ``MAX_GRANULARITY`` raises ``ValueError``.
-    """
-    if ":" not in descriptor:
-        if descriptor.strip().lower() == "godel" and values is not None:
-            m = 1
-            for v in values:
-                m = math.lcm(m, Fraction(v).denominator)
-                if m > MAX_GRANULARITY:
-                    break  # GradeChain refuses it; stop before the lcm grows
-            return godel_triple(GradeChain(m))
-        raise ValueError(
-            f"frame descriptor {descriptor!r} needs a granularity, e.g. 'godel:4'"
-        )
-    return triple_from_descriptor(descriptor)
-
-
 def _grade(cell, where: str, line: int | None = None) -> Fraction:
     """A grade cell as a ``Fraction``, or ``ContextFormatError`` naming ``where``."""
     try:
@@ -233,17 +202,20 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
         raise ContextFormatError("empty attribute set", 1)
 
     try:
-        triple = resolve_frame(frame, [v for row in cells for v in row])
+        triple = triple_from_descriptor(frame, [v for row in cells for v in row])
     except ValueError as exc:  # an unknown frame, or too fine a chain for the grades
         raise ContextFormatError(str(exc)) from None
-    p_chain = triple.domains[2]  # concept-forming arrangement: relation lives on P
+    p_chain = triple.p3  # concept-forming arrangement: relation lives on P
+    relation = []
     for k, (name, row) in enumerate(zip(attributes, cells), start=2):
+        numerators = []
         for obj, value in zip(objects, row):
             try:
-                p_chain.numerator_of(value)
+                numerators.append(p_chain.numerator_of(value))
             except ValueError as exc:
                 raise ContextFormatError(f"cell ({name}, {obj}): {exc}", k) from None
-    return FuzzyContext.from_values(attributes, objects, triple, cells)
+        relation.append(numerators)
+    return FuzzyContext(attributes, objects, (triple,), relation)
 
 
 # ---------------------------------------------------------------------- JSON
@@ -268,9 +240,25 @@ def _boolean_context_dict(ctx: BooleanContext) -> dict:
     }
 
 
-def _fuzzy_context_dict(ctx: FuzzyContext, frames: tuple[str, ...] | None) -> dict:
+def _frame_names(ctx: FuzzyContext) -> list[str]:
+    """The triples' names, the only record of the frame a document keeps;
+    ``ValueError`` unless each name is a descriptor that rebuilds its triple."""
+    for t in ctx.triples:
+        try:
+            faithful = triple_from_descriptor(t.name) == t
+        except ValueError:
+            faithful = False
+        if not faithful:
+            raise ValueError(
+                f"triple {t.name!r} cannot be written: its name is not a frame "
+                "descriptor that rebuilds it"
+            )
+    return [t.name for t in ctx.triples]
+
+
+def _fuzzy_context_dict(ctx: FuzzyContext) -> dict:
     out = {
-        "frames": list(frames) if frames else [t.name for t in ctx.triples],
+        "frames": _frame_names(ctx),
         "arrangement": ctx.kind.value,
         "attributes": list(ctx.attributes),
         "objects": list(ctx.objects),
@@ -370,17 +358,10 @@ def to_jsonable(obj) -> dict:
     """Convert a result object to plain JSON data with a stable key order."""
     if isinstance(obj, dict):
         return {"schema": SCHEMA, **obj} if "schema" not in obj else obj
-    if isinstance(obj, ContextDocument):
-        body = (
-            _boolean_context_dict(obj.payload)
-            if obj.kind == "boolean"
-            else _fuzzy_context_dict(obj.payload, obj.frames)
-        )
-        return {"schema": SCHEMA, "kind": obj.kind, **body}
     if isinstance(obj, BooleanContext):
         return {"schema": SCHEMA, "kind": "boolean", **_boolean_context_dict(obj)}
     if isinstance(obj, FuzzyContext):
-        return {"schema": SCHEMA, "kind": "fuzzy", **_fuzzy_context_dict(obj, None)}
+        return {"schema": SCHEMA, "kind": "fuzzy", **_fuzzy_context_dict(obj)}
     if isinstance(obj, Lattice):
         kind, key = _lattice_kind(obj)
         out = {"schema": SCHEMA, "type": kind}
@@ -410,12 +391,6 @@ def to_jsonable(obj) -> dict:
                 for b in obj.blocks
             ],
         }
-    if isinstance(obj, BlockMask):
-        return {
-            "schema": SCHEMA,
-            "type": "block-mask",
-            "mask": _cell_rows(obj.rows, len(obj.context.objects)),
-        }
     if isinstance(obj, BlockBounds):
         return {"schema": SCHEMA, "type": "block-bounds", **_plain(obj)}
     if isinstance(obj, OracleReport):
@@ -430,8 +405,8 @@ def emit_json(result) -> str:
     return json.dumps(to_jsonable(result), indent=2, ensure_ascii=False) + "\n"
 
 
-def document_from_json(text: str) -> ContextDocument:
-    """Inverse of ``emit_json`` on documents."""
+def document_from_json(text: str) -> BooleanContext | FuzzyContext:
+    """The context a document holds: the inverse of ``emit_json`` on contexts."""
     try:
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -440,18 +415,16 @@ def document_from_json(text: str) -> ContextDocument:
             raise ContextFormatError(f"unknown schema {data.get('schema')!r}")
         kind = data.get("kind")
         if kind == "boolean":
-            ctx = BooleanContext.from_rows(
+            return BooleanContext.from_rows(
                 data["attributes"],
                 data["objects"],
                 [[ch in "Xx" for ch in row] for row in data["incidence"]],
             )
-            return ContextDocument("boolean", ctx)
         if kind == "fuzzy":
-            frames = tuple(data["frames"])
-            triples = tuple(triple_from_descriptor(d) for d in frames)
+            triples = tuple(triple_from_descriptor(d) for d in data["frames"])
             kind_map = {k.value: k for k in FrameKind}
             arrangement = kind_map[data.get("arrangement", FrameKind.CONCEPT_FORMING.value)]
-            ctx = FuzzyContext.from_values(
+            return FuzzyContext.from_values(
                 tuple(data["attributes"]),
                 tuple(data["objects"]),
                 triples,
@@ -462,7 +435,6 @@ def document_from_json(text: str) -> ContextDocument:
                 sigma=data.get("sigma"),
                 kind=arrangement,
             )
-            return ContextDocument("fuzzy", ctx, frames)
     except ContextFormatError:
         raise
     except (ValueError, TypeError, LookupError, AttributeError, ArithmeticError) as exc:

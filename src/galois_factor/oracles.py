@@ -16,7 +16,7 @@ from typing import Callable
 
 from .contexts import AttributeSubset, BooleanContext, FormalConcept, ObjectSubset
 from .errors import BudgetExceededError
-from .factorization import BlockMask, NecessityPair
+from .factorization import NecessityPair
 from .fuzzy import (
     FuzzyContext,
     FuzzyNecessityPair,
@@ -148,8 +148,8 @@ def brute_cn(ctx: BooleanContext) -> list[NecessityPair]:
     return found
 
 
-def brute_rstar(ctx: BooleanContext) -> BlockMask:
-    """The block mask in its literal form.
+def brute_rstar(ctx: BooleanContext) -> BooleanContext:
+    """The block relation R* in its literal form, as the context (A, B, R*).
 
     The intersection, over every necessity-closed pair (X, Y) of
     ``brute_cn``, of (X x Y) union (X^c x Y^c): cell (a, b) stays when a
@@ -160,7 +160,7 @@ def brute_rstar(ctx: BooleanContext) -> BlockMask:
         _to_bits({b for b in objs if all((a in p.attrs) == (b in p.objects) for p in pairs)})
         for a in range(len(ctx.attributes))
     )
-    return BlockMask(ctx, rows)
+    return BooleanContext(ctx.attributes, ctx.objects, rows)
 
 
 def bipartite_components(

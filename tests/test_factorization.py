@@ -222,16 +222,16 @@ class TestRstar:
                 in_rect = any(
                     a in attrs and b in objs for attrs, objs in expected_rects.items()
                 )
-                assert mask.mask[i][j] == in_rect
-        assert mask.contains_relation()
+                assert mask.incidence[i][j] == in_rect
+        assert all(r & ~m == 0 for r, m in zip(TABLE1.rows, mask.rows))  # R ⊆ R*
 
     def test_single_component_mask_is_full(self):
         mask = rstar(CONNECTED)
-        assert all(all(row) for row in mask.mask)
+        assert all(all(row) for row in mask.incidence)
 
     def test_diagonal_mask(self):
         mask = rstar(DIAG2)
-        assert mask.mask == ((True, False), (False, True))
+        assert mask.incidence == ((True, False), (False, True))
 
     def test_matches_the_literal_intersection_form(self):
         rng = random.Random(31337)
@@ -336,4 +336,4 @@ class TestRandomizedSoundness:
 
             result = factorize(ctx)
             assert reassemble(result) == result.core
-            assert rstar(ctx).contains_relation()
+            assert all(r & ~m == 0 for r, m in zip(ctx.rows, rstar(ctx).rows))  # R ⊆ R*

@@ -1,17 +1,26 @@
 """Round trips through the file formats, and parsers fed arbitrary text.
 
-What the library writes it reads back unchanged, and a parser given any
-text either returns a context or raises ``ContextFormatError``.
+What the library writes it reads back unchanged: Boolean contexts, the R*
+contexts of their normalized cores, and fuzzy contexts on every shipped
+frame and arrangement.  A parser given any text either returns a context
+or raises ``ContextFormatError``.
 """
 
 import json
 
 from hypothesis import given, settings, strategies as st
 
-from galois_factor import BooleanContext, ContextFormatError
+from galois_factor import (
+    BooleanContext,
+    ContextFormatError,
+    FrameKind,
+    FuzzyContext,
+    normalize,
+    rstar,
+    triple_from_descriptor,
+)
 from galois_factor.io import (
     SCHEMA,
-    ContextDocument,
     document_from_json,
     emit_json,
     format_cxt,
@@ -52,9 +61,57 @@ def test_cxt_round_trip(ctx):
 @settings(deadline=None)
 @given(boolean_contexts())
 def test_json_round_trip(ctx):
-    assert document_from_json(emit_json(ctx)).payload == ctx
-    doc = ContextDocument("boolean", ctx)
-    assert document_from_json(emit_json(doc)) == doc
+    assert document_from_json(emit_json(ctx)) == ctx
+
+
+@settings(deadline=None)
+@given(boolean_contexts())
+def test_rstar_json_round_trip(ctx):
+    core = normalize(ctx).core
+    if core.attributes:
+        mask = rstar(core)
+        assert document_from_json(emit_json(mask)) == mask
+
+
+# the domain of a triple that holds the relation chain P, per arrangement
+P_DOMAIN = {
+    FrameKind.CONCEPT_FORMING: 2,
+    FrameKind.PROPERTY_ORIENTED: 0,
+    FrameKind.OBJECT_ORIENTED: 1,
+}
+
+
+@st.composite
+def fuzzy_contexts(draw):
+    """Contexts on godel, lukasiewicz and dprod frames with m <= 4, in any
+    arrangement, with one triple or two that ``sigma`` picks between."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=3, max_size=3))
+    if draw(st.booleans()):
+        sizes = [sizes[0]] * 3
+    m1, m2, m3 = sizes
+    descriptors = [f"dprod:{m1},{m2},{m3}"]
+    if m1 == m2 == m3:  # one chain: the three frames share their domains
+        descriptors += [f"godel:{m1}", f"lukasiewicz:{m1}"]
+    chosen = draw(st.lists(st.sampled_from(descriptors), min_size=1, max_size=2))
+    triples = [triple_from_descriptor(d) for d in chosen]
+    kind = draw(st.sampled_from(list(FrameKind)))
+    p = triples[0].domains[P_DOMAIN[kind]]
+    n_attrs, n_objs = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    attributes = draw(st.lists(names, min_size=n_attrs, max_size=n_attrs, unique=True))
+    objects = draw(st.lists(names, min_size=n_objs, max_size=n_objs, unique=True))
+
+    def grid(top):
+        row = st.lists(st.integers(0, top), min_size=n_objs, max_size=n_objs)
+        return st.lists(row, min_size=n_attrs, max_size=n_attrs)
+
+    sigma = draw(st.none() | grid(len(triples) - 1))
+    return FuzzyContext(attributes, objects, triples, draw(grid(p.m)), sigma, kind)
+
+
+@settings(deadline=None)
+@given(fuzzy_contexts())
+def test_fuzzy_json_round_trip(ctx):
+    assert document_from_json(emit_json(ctx)) == ctx
 
 
 def only_format_errors(parse, text):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -10,12 +11,12 @@ from galois_factor import (
     fn_enumerate,
     fuzzy_concepts,
     normalize,
+    rstar,
 )
 from galois_factor import grades
 from galois_factor import io as fio
 from galois_factor.cli import main
 from galois_factor.io import (
-    ContextDocument,
     document_from_json,
     emit_dot,
     emit_json,
@@ -198,7 +199,7 @@ class TestFuzzyCsvParsing:
 
     @pytest.mark.parametrize("cell", ["1/257", "1/3000", "1/99999999"])
     def test_autodetected_granularity_is_capped(self, cell, monkeypatch):
-        monkeypatch.setattr(fio, "godel_triple", refuse_tables)
+        monkeypatch.setattr(grades, "godel_triple", refuse_tables)
         with pytest.raises(ContextFormatError, match="between 1 and 256"):
             parse_fuzzy_csv(f"R,b1\na1,{cell}\n", "godel")
 
@@ -212,6 +213,25 @@ class TestFuzzyCsvParsing:
     def test_autodetected_granularity_at_the_cap(self):
         assert parse_fuzzy_csv("R,b1,b2\na1,1/256,1/2\n", "godel").p.m == 256
 
+    def test_each_cell_is_read_once(self, monkeypatch):
+        calls = []
+        numerator_of = grades.GradeChain.numerator_of
+
+        def counted(chain, value):
+            calls.append(value)
+            return numerator_of(chain, value)
+
+        monkeypatch.setattr(grades.GradeChain, "numerator_of", counted)
+        grades_ = ["0", "1/4", "0.5", "3/4", "1"]
+        header = ",".join(f"b{j}" for j in range(6))
+        rows = "".join(
+            f"a{i}," + ",".join(grades_[(i + j) % 5] for j in range(6)) + "\n"
+            for i in range(7)
+        )
+        ctx = parse_fuzzy_csv(f"R,{header}\n{rows}", "dprod:4,4,4")
+        assert ctx.relation[1] == (1, 2, 3, 4, 0, 1)
+        assert len(calls) == 42
+
     def test_frame_granularity_is_capped(self, monkeypatch):
         monkeypatch.setattr(grades, "godel_triple", refuse_tables)
         with pytest.raises(ContextFormatError, match="between 1 and 256"):
@@ -220,14 +240,12 @@ class TestFuzzyCsvParsing:
 
 class TestJson:
     def test_boolean_document_round_trip(self):
-        doc = ContextDocument("boolean", TABLE1)
-        text = emit_json(doc)
-        assert document_from_json(text) == doc
-        assert emit_json(doc) == text  # byte-identical across runs
+        text = emit_json(TABLE1)
+        assert document_from_json(text) == TABLE1
+        assert emit_json(TABLE1) == text  # byte-identical across runs
 
     def test_fuzzy_document_round_trip(self):
-        doc = ContextDocument("fuzzy", godel_r2(), ("godel:4",))
-        assert document_from_json(emit_json(doc)) == doc
+        assert document_from_json(emit_json(godel_r2())) == godel_r2()
 
     def test_two_triple_document_round_trip(self):
         from galois_factor import FuzzyContext, GradeChain, godel_triple, lukasiewicz_triple
@@ -240,13 +258,33 @@ class TestJson:
             [["0.75"], ["0.5"]],
             sigma=[[0], [1]],
         )
-        doc = ContextDocument("fuzzy", ctx, ("godel:4", "lukasiewicz:4"))
-        rebuilt = document_from_json(emit_json(doc))
-        assert rebuilt == doc
-        assert rebuilt.payload.sigma == ((0,), (1,))
+        rebuilt = document_from_json(emit_json(ctx))
+        assert rebuilt == ctx
+        assert rebuilt.sigma == ((0,), (1,))
+
+    def test_rstar_document_reads_back_as_a_context(self):
+        mask = rstar(TABLE1)
+        payload = json.loads(emit_json(mask))
+        assert payload["kind"] == "boolean"
+        assert payload["incidence"][2] == "X....."  # a3 against its block b1
+        assert document_from_json(emit_json(mask)) == mask
+
+    @pytest.mark.parametrize("name", ["derived", "godel:4", "godel", "dprod:4,4,4"])
+    def test_a_triple_its_name_does_not_rebuild_is_not_written(self, name):
+        luk = grades.lukasiewicz_triple(grades.GradeChain(4))
+        ctx = dataclasses.replace(godel_r2(), triples=(dataclasses.replace(luk, name=name),))
+        with pytest.raises(ValueError, match="cannot be written"):
+            emit_json(ctx)
+
+    def test_descriptor_spelling_reads_back_and_writes_in_lower_case(self):
+        doc = json.loads(emit_json(godel_r2()))
+        doc["frames"] = ["GODEL:4"]
+        ctx = document_from_json(json.dumps(doc))
+        assert ctx == godel_r2()
+        assert json.loads(emit_json(ctx))["frames"] == ["godel:4"]
 
     def test_grades_serialize_as_fractions(self):
-        payload = json.loads(emit_json(ContextDocument("fuzzy", godel_r2(), ("godel:4",))))
+        payload = json.loads(emit_json(godel_r2()))
         assert payload["relation"][0] == ["1", "1/4", "0"]
         assert payload["schema"] == "galois-factor/1"
 
@@ -275,7 +313,7 @@ class TestJson:
     @pytest.mark.parametrize("cell", HUGE_EXPONENTS)
     def test_huge_exponent_refused_before_fraction(self, cell, monkeypatch):
         monkeypatch.setattr(grades, "Fraction", fraction_refusing(cell))
-        doc = json.loads(emit_json(ContextDocument("fuzzy", godel_r2(), ("godel:4",))))
+        doc = json.loads(emit_json(godel_r2()))
         doc["relation"][1][2] = cell
         with pytest.raises(ContextFormatError, match=r"relation\[1\]\[2\]: .*exponent"):
             document_from_json(json.dumps(doc))

@@ -1,7 +1,7 @@
 """Bitmask rows against naive code over the bool grid.
 
 A ``BooleanContext`` stores its relation only as ``rows``; ``incidence``,
-``cols`` and ``BlockMask.mask`` are views of them.  ``normalize``,
+``cols`` and the incidence of the R* context are views of them.  ``normalize``,
 ``restrict`` and ``reassemble`` work on the bits.  Here they are checked
 against in-test versions that loop over ``incidence`` cell by cell, on
 seeded random contexts with planted full and empty rows and columns.
@@ -82,8 +82,9 @@ def test_views_agree_with_rows():
         core = normalize(ctx).core
         if core.objects:
             mask = rstar(core)
-            assert len(mask.mask) == len(mask.rows) == len(core.attributes)
-            for cells, row in zip(mask.mask, mask.rows):
+            assert (mask.attributes, mask.objects) == (core.attributes, core.objects)
+            assert len(mask.incidence) == len(mask.rows) == len(core.attributes)
+            for cells, row in zip(mask.incidence, mask.rows):
                 assert cells == tuple(bool(row >> j & 1) for j in range(len(core.objects)))
 
 
