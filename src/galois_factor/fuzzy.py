@@ -127,9 +127,8 @@ class FuzzyContext:
         for row in self.relation:
             if len(row) != len(self.objects):
                 raise ValueError("relation row length must equal the number of objects")
-            for v in row:
-                if not 0 <= v <= self.p.m:
-                    raise ValueError(f"relation numerator {v} is off the chain {self.p}")
+            if not self.p.holds(row):
+                raise ValueError(f"relation row {row} is not int numerators on {self.p}")
         if self.sigma is not None:
             if len(self.sigma) != len(self.attributes) or any(
                 len(r) != len(self.objects) for r in self.sigma
@@ -137,8 +136,8 @@ class FuzzyContext:
                 raise ValueError("sigma must match the relation shape")
             for row in self.sigma:
                 for s in row:
-                    if not 0 <= s < len(self.triples):
-                        raise ValueError(f"sigma index {s} out of range")
+                    if type(s) is not int or not 0 <= s < len(self.triples):
+                        raise ValueError(f"sigma index {s!r} is not an int in range")
         # per-operator lookup rows of the kernel, filled on first use
         object.__setattr__(self, "_lookup", {})
 
@@ -207,6 +206,11 @@ class FuzzyContext:
 class _GradedSet:
     values: tuple[int, ...]
     chain: GradeChain
+
+    def __post_init__(self):
+        # a negative numerator would index the lookup rows from the end
+        if not self.chain.holds(self.values):
+            raise ValueError(f"grades {self.values} are not int numerators on {self.chain}")
 
     def _mate(self, other) -> None:
         if type(other) is not type(self):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable
 
@@ -32,27 +33,33 @@ MAX_GRANULARITY = 256
 MAX_GRADE_CHARS = 64
 MAX_GRADE_EXPONENT = 64
 
+# an error message names a value only below this size; ``str`` of an int
+# past 4300 digits raises instead
+_LARGEST_SHOWN = 10**MAX_GRADE_CHARS
+
 
 def read_grade(value) -> Fraction:
     """A grade value (number or string) as a ``Fraction``, or ``ValueError``.
 
-    A string over ``MAX_GRADE_CHARS`` characters, or with a decimal exponent
-    beyond ``MAX_GRADE_EXPONENT``, is refused before ``Fraction`` sees it.
+    A string over ``MAX_GRADE_CHARS`` characters, or a string or ``Decimal``
+    with a decimal exponent beyond ``MAX_GRADE_EXPONENT``, is refused before
+    ``Fraction`` sees it.  An infinite or NaN number is refused as well.
     """
+    exponent = 0
     if isinstance(value, str):
         if len(value) > MAX_GRADE_CHARS:
             raise ValueError(f"grade of {len(value)} characters, over {MAX_GRADE_CHARS}")
         try:
             exponent = int(value.lower().partition("e")[2])
         except ValueError:  # no exponent, or an unreadable one that Fraction refuses
-            exponent = 0
-        if abs(exponent) > MAX_GRADE_EXPONENT:
-            raise ValueError(
-                f"grade {value!r} has a decimal exponent beyond {MAX_GRADE_EXPONENT}"
-            )
+            pass
+    elif isinstance(value, Decimal) and value.is_finite():
+        exponent = value.as_tuple().exponent
+    if abs(exponent) > MAX_GRADE_EXPONENT:
+        raise ValueError(f"grade {value!r} has a decimal exponent beyond {MAX_GRADE_EXPONENT}")
     try:
         return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError):
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         raise ValueError(f"cannot read grade {value!r}") from None
 
 
@@ -95,8 +102,10 @@ class GradeChain:
         if num.denominator != 1 or not 0 <= num <= self.m:
             low = max(0, min(self.m, int(frac * self.m)))
             high = min(self.m, low + 1)
+            small = max(abs(frac.numerator), frac.denominator) < _LARGEST_SHOWN
+            shown = str(frac) if small else f"of over {MAX_GRADE_CHARS} digits"
             raise ValueError(
-                f"value {frac} is not on chain {self}; nearest grid points "
+                f"value {shown} is not on chain {self}; nearest grid points "
                 f"are {float(Fraction(low, self.m))} ({Fraction(low, self.m)}) "
                 f"and {float(Fraction(high, self.m))} ({Fraction(high, self.m)})"
             )
@@ -104,6 +113,13 @@ class GradeChain:
 
     def from_value(self, value) -> "Grade":
         return Grade(self.numerator_of(value), self)
+
+    def holds(self, nums) -> bool:
+        """Whether every entry of the sequence ``nums`` is an ``int``
+        numerator on this chain; a float or bool equal to one is not."""
+        return set(map(type, nums)) <= {int} and (
+            not nums or (min(nums) >= 0 and max(nums) <= self.m)
+        )
 
 
 @dataclass(frozen=True, order=False)
@@ -114,8 +130,8 @@ class Grade:
     chain: GradeChain
 
     def __post_init__(self):
-        if not 0 <= self.num <= self.chain.m:
-            raise ValueError(f"numerator {self.num} out of range for {self.chain}")
+        if not self.chain.holds((self.num,)):
+            raise ValueError(f"numerator {self.num!r} is not an int on {self.chain}")
 
     def _check(self, other: "Grade") -> None:
         if not isinstance(other, Grade):
@@ -180,19 +196,16 @@ class AdjointTriple:
 
     def __post_init__(self):
         tables = (self.conj_table, self.res_left_table, self.res_right_table)
-        m1, m2, m3 = (c.m for c in self.domains)
-        for label, table, rows, cols, top in zip(
+        p1, p2, p3 = self.domains
+        for label, table, rows, cols, out in zip(
             ("conjunctor", "left residuum", "right residuum"), tables,
-            (m1, m3, m3), (m2, m2, m1), (m3, m1, m2),
+            (p1, p3, p3), (p2, p2, p1), (p3, p1, p2),
         ):
-            # a set of ints also holds 1.0, so the types are checked as well
-            on_chain = set(range(top + 1)).issuperset
-            if len(table) != rows + 1 or any(
-                len(row) != cols + 1 or not on_chain(row) or set(map(type, row)) != {int}
-                for row in table
+            if len(table) != len(rows) or any(
+                len(row) != len(cols) or not out.holds(row) for row in table
             ):
                 raise ValueError(f"{self.name}: the {label} table must be "
-                                 f"{rows + 1} x {cols + 1} numerators in 0..{top}")
+                                 f"{len(rows)} x {len(cols)} numerators in 0..{out.m}")
         witness = _adjointness_witness(*tables)
         if witness is not None:
             x, y, z = (Grade(n, c) for n, c in zip(witness, self.domains))
@@ -204,6 +217,16 @@ class AdjointTriple:
     @property
     def domains(self) -> tuple[GradeChain, GradeChain, GradeChain]:
         return (self.p1, self.p2, self.p3)
+
+    @property
+    def is_godel(self) -> bool:
+        """Whether this is the Goedel triple, decided from the tables, not
+        the name: one chain and the minimum as conjunctor.  Adjointness
+        fixes each residuum entry as the largest grade the conjunctor
+        allows, so the residua are Goedel's too."""
+        return self.p1 == self.p2 == self.p3 and all(
+            v == min(i, j) for i, row in enumerate(self.conj_table) for j, v in enumerate(row)
+        )
 
     def conj(self, x: Grade, y: Grade) -> Grade:
         if x.chain != self.p1 or y.chain != self.p2:

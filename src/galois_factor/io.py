@@ -347,7 +347,7 @@ def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
             "normalized": is_fuzzy_normalized(ctx),
             "top_normalized_rows": is_top_normalized(ctx, "rows"),
             "top_normalized_columns": is_top_normalized(ctx, "columns"),
-            "godel_frame": all(t.name.startswith("godel") for t in ctx.triples),
+            "godel_frame": all(t.is_godel for t in ctx.triples),
         },
         "pair_count": len(lattice),
         "rows": rows,

@@ -12,6 +12,8 @@ from galois_factor import (
     FuzzyContext,
     FuzzyNecessityPair,
     GradeChain,
+    GradedAttributeSet,
+    GradedObjectSet,
     check_fp1,
     check_fp2,
     check_fp3,
@@ -177,6 +179,26 @@ class TestFrameArrangements:
         with pytest.raises(ValueError):
             FuzzyContext(["a1"], ["b1"], (godel_triple(chain),), [[9]])
 
+    @pytest.mark.parametrize("cell", [1.0, True, -1, "1"])
+    def test_relation_takes_only_int_numerators(self, cell):
+        chain = GradeChain(4)
+        with pytest.raises(ValueError, match="not int numerators on"):
+            FuzzyContext(["a1"], ["b1"], (godel_triple(chain),), [[cell]])
+
+
+class TestGradedSets:
+    @pytest.mark.parametrize("graded", [GradedObjectSet, GradedAttributeSet])
+    @pytest.mark.parametrize("values", [(-1, 0), (7, 0), (1.0, 0), (True, 0)])
+    def test_only_int_numerators_on_the_chain(self, graded, values):
+        with pytest.raises(ValueError, match=r"not int numerators on \[0,1\]_4"):
+            graded(values, GradeChain(4))
+
+    def test_a_negative_grade_no_longer_reads_as_the_top(self):
+        ctx = godel_r2()
+        assert f_up(ctx, GradedObjectSet((0, 0, 0), GradeChain(4))) == ctx.f_top
+        with pytest.raises(ValueError):
+            f_up(ctx, GradedObjectSet((-1, 0, 0), GradeChain(4)))
+
 
 class TestSigma:
     def test_per_cell_triple_selection(self):
@@ -199,6 +221,14 @@ class TestSigma:
             FuzzyContext.from_values(
                 ["a1"], ["b1"], godel_triple(chain), [["0.5"]], sigma=[[1]]
             )
+
+    @pytest.mark.parametrize("index", [0.0, False, -1])
+    def test_sigma_takes_only_int_indices(self, index):
+        chain = GradeChain(4)
+        triples = (godel_triple(chain), lukasiewicz_triple(chain))
+        with pytest.raises(ValueError, match="not an int in range"):
+            FuzzyContext(["a1", "a2"], ["b1", "b2"], triples, [[0, 0], [0, 0]],
+                         sigma=[[index, 0], [0, 0]])
 
 
 class TestFnEnumerate:

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,11 @@ class TestGradeChain:
         assert "1/4" in str(err.value) and "1/2" in str(err.value)
         assert "0.25" in str(err.value) and "0.5" in str(err.value)
 
+    @pytest.mark.parametrize("num", [1.0, True, -1, 5])
+    def test_a_grade_takes_only_an_int_numerator_on_its_chain(self, num):
+        with pytest.raises(ValueError, match=r"is not an int on \[0,1\]_4"):
+            Grade(num, GradeChain(4))
+
     def test_cross_chain_comparison_rejected(self):
         with pytest.raises(ValueError):
             GradeChain(4).top <= GradeChain(8).top
@@ -75,6 +81,30 @@ class TestReadGrade:
 
     @pytest.mark.parametrize("value", ["1e-64", "3/4", "0.75", Fraction(3, 4), 0.75, 1])
     def test_ordinary_values_read_exactly(self, value):
+        assert grades.read_grade(value) == Fraction(value)
+
+    @pytest.mark.parametrize("value", [Decimal("1e-3000000"), Decimal("1e3000000")])
+    def test_huge_decimal_exponent_refused_before_fraction(self, value, monkeypatch):
+        monkeypatch.setattr(grades, "Fraction", fraction_refusing(value))
+        with pytest.raises(ValueError, match="decimal exponent beyond 64"):
+            GradeChain(4).numerator_of(value)
+
+    @pytest.mark.parametrize(
+        "value", [10**5000, -(10**5000), Fraction(1, 10**5000)], ids=["big", "negative", "tiny"]
+    )
+    def test_off_chain_message_does_not_print_huge_values(self, value):
+        with pytest.raises(ValueError, match="value of over 64 digits is not on chain"):
+            GradeChain(4).numerator_of(value)
+
+    @pytest.mark.parametrize(
+        "value", [float("inf"), float("-inf"), Decimal("Infinity"), Decimal("NaN"), float("nan")]
+    )
+    def test_infinite_and_nan_numbers_raise_value_error(self, value):
+        with pytest.raises(ValueError, match="cannot read grade"):
+            GradeChain(4).numerator_of(value)
+
+    @pytest.mark.parametrize("value", [Decimal("0.75"), Decimal("75e-2"), Decimal("3E-64")])
+    def test_ordinary_decimals_read_exactly(self, value):
         assert grades.read_grade(value) == Fraction(value)
 
     @pytest.mark.parametrize("value", ["x", "1/0", None, "0.5e"])

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -222,10 +226,10 @@ class TestFuzzyCsvParsing:
             return numerator_of(chain, value)
 
         monkeypatch.setattr(grades.GradeChain, "numerator_of", counted)
-        grades_ = ["0", "1/4", "0.5", "3/4", "1"]
+        cells = ["0", "1/4", "0.5", "3/4", "1"]
         header = ",".join(f"b{j}" for j in range(6))
         rows = "".join(
-            f"a{i}," + ",".join(grades_[(i + j) % 5] for j in range(6)) + "\n"
+            f"a{i}," + ",".join(cells[(i + j) % 5] for j in range(6)) + "\n"
             for i in range(7)
         )
         ctx = parse_fuzzy_csv(f"R,{header}\n{rows}", "dprod:4,4,4")
@@ -585,6 +589,23 @@ class TestCli:
         assert len(report["rows"]) == len(lattice) > 1
         assert claimed == list(lattice)
 
+    @pytest.mark.parametrize(
+        "frame, name, godel",
+        [
+            ("lukasiewicz:4", "godel:4", False),  # misnamed Lukasiewicz tables
+            ("godel:4", "minimum", True),  # Goedel tables under another name
+            ("godel:4", "godel:4", True),
+            ("dprod:4,4,4", "godel-like", False),
+        ],
+    )
+    def test_godel_frame_is_read_off_the_tables(self, frame, name, godel):
+        from galois_factor.io import check_report
+
+        triple = dataclasses.replace(grades.triple_from_descriptor(frame), name=name)
+        ctx = dataclasses.replace(godel_r2(), triples=(triple,))
+        report = check_report(ctx, fn_enumerate(ctx), [], [])
+        assert report["preconditions"]["godel_frame"] is godel
+
     def test_oversized_csv_field_exits_1(self, tmp_path, capsys):
         import csv
 
@@ -596,3 +617,32 @@ class TestCli:
     def test_unknown_extension(self, tmp_path):
         path = write(tmp_path, "data.txt", "hello")
         assert main(["lattice", path]) == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestProcessEntryPoint:
+    """``python -m galois_factor.cli`` runs ``entrypoint``, whose
+    ``sys.exit`` carries ``main``'s status out of the process."""
+
+    def run(self, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "galois_factor.cli", *args],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+        )
+
+    def test_success_exits_0_with_json(self, tmp_path):
+        done = self.run("lattice", write(tmp_path, "table1.cxt", TABLE1_CXT))
+        assert done.returncode == 0
+        assert len(json.loads(done.stdout)["concepts"]) == 8
+
+    def test_unknown_flag_exits_1(self, tmp_path):
+        done = self.run("lattice", write(tmp_path, "table1.cxt", TABLE1_CXT), "--bogus")
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+
+    def test_exceeded_budget_exits_2_with_empty_stdout(self, tmp_path):
+        done = self.run("lattice", write(tmp_path, "table1.cxt", TABLE1_CXT), "--budget", "1")
+        assert done.returncode == 2
+        assert done.stdout == ""
