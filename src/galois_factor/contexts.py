@@ -43,11 +43,6 @@ __all__ = [
 ]
 
 
-def _bool_grid(rows: Sequence[int], width: int) -> tuple[tuple[bool, ...], ...]:
-    """Bitmask rows as a grid of bools, ``width`` cells per row."""
-    return tuple(tuple(bool(row >> j & 1) for j in range(width)) for row in rows)
-
-
 @dataclass(frozen=True)
 class BooleanContext:
     """A triple of attributes, objects and an incidence relation.
@@ -108,7 +103,8 @@ class BooleanContext:
     @cached_property
     def incidence(self) -> tuple[tuple[bool, ...], ...]:
         """The relation as a bool grid: row i for attribute i, cell j for object j."""
-        return _bool_grid(self.rows, len(self.objects))
+        width = len(self.objects)
+        return tuple(tuple(bool(row >> j & 1) for j in range(width)) for row in self.rows)
 
     @cached_property
     def _attr_index(self) -> dict[str, int]:
