@@ -91,10 +91,7 @@ def _emit(args, result, oracle_report=None) -> int:
     if args.emit == "dot":
         text = fio.emit_dot(result)
     else:
-        payload = fio.to_jsonable(result)
-        if oracle_report is not None:
-            payload["oracle"] = fio.to_jsonable(oracle_report)
-        text = fio.emit_json(payload)
+        text = fio.emit_json(result, oracle_report)
     _write(args, text)
     if oracle_report is not None and not oracle_report.ok:
         print("oracle mismatch detected", file=sys.stderr)
@@ -134,11 +131,13 @@ def _cmd_cn(args) -> int:
 def _cmd_factor(args) -> int:
     ctx = _load_boolean(Path(args.path))
     result = fz.factorize(ctx)
-    payload = fio.to_jsonable(result)
     exact = fz.reassemble(result) == result.core
-    payload["reconstruction"] = "exact" if exact else "mismatch"
     mask = fz.rstar(result.core) if result.core.attributes else None
-    payload["rstar"] = None if mask is None else fio.to_jsonable(mask)["incidence"]
+    payload = {
+        **fio.to_jsonable(result),
+        "reconstruction": "exact" if exact else "mismatch",
+        "rstar": None if mask is None else fio.to_jsonable(mask)["incidence"],
+    }
     report = None
     if args.oracle:
         atom_pairs = [fz.NecessityPair(b.objects, b.attrs) for b in result.blocks]
@@ -146,9 +145,7 @@ def _cmd_factor(args) -> int:
     if args.emit == "dot":
         _write(args, fio.emit_dot(result, args.budget))
     else:
-        if report is not None:
-            payload["oracle"] = fio.to_jsonable(report)
-        _write(args, fio.emit_json(payload))
+        _write(args, fio.emit_json(payload, report))
     if not exact or (report is not None and not report.ok):
         return EXIT_VALIDATION
     return EXIT_OK

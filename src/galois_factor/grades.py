@@ -11,7 +11,9 @@ chains; the residua are linked to the conjunctor by the adjoint property
 which ``AdjointTriple`` checks, in O(m^2), when it is built: no triple
 holds tables that fail it.  ``oracles.brute_adjointness_witness`` is the
 naive O(m^3) twin of that check.  Grade strings go through
-``read_grade``, which refuses the ones ``Fraction`` would stall on.
+``read_grade``, which refuses the ones ``Fraction`` would stall on;
+``GradeChain.numerator_of_fraction`` places a grade already read, so the
+parsers read each cell once.
 """
 
 from __future__ import annotations
@@ -97,7 +99,10 @@ class GradeChain:
 
     def numerator_of(self, value) -> int:
         """Numerator of a value on this chain, or ValueError if unreadable or off-grid."""
-        frac = read_grade(value)
+        return self.numerator_of_fraction(read_grade(value))
+
+    def numerator_of_fraction(self, frac: Fraction) -> int:
+        """Numerator of a grade already read by ``read_grade``, or ValueError if off-grid."""
         num = frac * self.m
         if num.denominator != 1 or not 0 <= num <= self.m:
             low = max(0, min(self.m, int(frac * self.m)))

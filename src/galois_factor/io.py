@@ -5,12 +5,23 @@ CSV grids with a frame descriptor (``godel:4``, ``lukasiewicz:4``,
 ``dprod:4,8,10``; plain ``godel`` auto-detects the granularity from the
 values).  Contexts are also JSON documents, and a document is read back as
 the ``BooleanContext`` or ``FuzzyContext`` itself: ``document_from_json``
-inverts ``emit_json`` on every context it writes.  A fuzzy document names
-its frame by its triples' names, so writing a triple whose name is not a
-descriptor that rebuilds it raises ``ValueError``.  Results serialize to
-JSON with a fixed key order and to DOT digraphs of the Hasse covers;
-identical inputs produce byte-identical output.  Grades serialize as exact
-fraction strings, never as floats.
+inverts ``emit_json`` on every context it writes, and refuses a document
+whose list fields are not JSON arrays.  A fuzzy document names its frame
+by its triples' names, so writing a triple whose name is not a descriptor
+that rebuilds it raises ``ValueError``.  Each grade cell is read once.
+
+``emit_json`` writes the text ``json.dumps(data, indent=2,
+ensure_ascii=False)`` would give, with one small recursive writer instead.
+The writer takes only str, int, bool, None, list and dict with str keys
+and raises ``TypeError`` on anything else (a float, tuple, set, bytes or
+a non-str key); strings go through ``json.encoder.encode_basestring``.
+Concept and cn lattices build no tree: each object and attribute name is
+encoded once per document, with its newline and indent, and each element
+is one string joined over the set bits of its two subsets.  DOT labels
+join the escaped names the same way.  Fuzzy lattices and the other
+results go through the generic writer.  Keys come in a fixed order, so
+identical inputs produce byte-identical output; grades serialize as exact
+fraction strings, never as floats.  DOT digraphs draw the Hasse covers.
 """
 
 from __future__ import annotations
@@ -21,6 +32,9 @@ import io as _stdio
 import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from itertools import chain, compress, repeat
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
 from .contexts import (
     AttributeSubset,
@@ -39,6 +53,7 @@ from .fuzzy import (
     GradedAttributeSet,
     GradedObjectSet,
     MultiAdjointConcept,
+    _arrangement,
     _claim_member,
     check_fp1,
     check_fp2,
@@ -211,7 +226,7 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
         numerators = []
         for obj, value in zip(objects, row):
             try:
-                numerators.append(p_chain.numerator_of(value))
+                numerators.append(p_chain.numerator_of_fraction(value))
             except ValueError as exc:
                 raise ContextFormatError(f"cell ({name}, {obj}): {exc}", k) from None
         relation.append(numerators)
@@ -300,12 +315,13 @@ _LATTICE_KINDS = {
     FuzzyNecessityPair: ("fn-lattice", "pairs"),
     MultiAdjointConcept: ("fuzzy-concept-lattice", "concepts"),
 }
+# element types that are an object subset then an attribute subset
+_SUBSET_PAIRS = (FormalConcept, NecessityPair)
 
 
-def _lattice_kind(lattice: Lattice) -> tuple[str, str]:
+def _element_type(lattice: Lattice) -> type:
     # a cn lattice beyond its atom cutoff has no elements to look at
-    element_type = NecessityPair if isinstance(lattice, CnLattice) else type(lattice[0])
-    return _LATTICE_KINDS[element_type]
+    return NecessityPair if isinstance(lattice, CnLattice) else type(lattice[0])
 
 
 def removals_dict(report: NormalizationReport) -> dict:
@@ -355,27 +371,14 @@ def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
 
 
 def to_jsonable(obj) -> dict:
-    """Convert a result object to plain JSON data with a stable key order."""
+    """A result other than a lattice as plain JSON data with a stable key
+    order; ``emit_json`` writes lattices without building such a tree."""
     if isinstance(obj, dict):
         return {"schema": SCHEMA, **obj} if "schema" not in obj else obj
     if isinstance(obj, BooleanContext):
         return {"schema": SCHEMA, "kind": "boolean", **_boolean_context_dict(obj)}
     if isinstance(obj, FuzzyContext):
         return {"schema": SCHEMA, "kind": "fuzzy", **_fuzzy_context_dict(obj)}
-    if isinstance(obj, Lattice):
-        kind, key = _lattice_kind(obj)
-        out = {"schema": SCHEMA, "type": kind}
-        if isinstance(obj, CnLattice):
-            out["pair_count"] = obj.pair_count
-            out["materialized"] = obj.materialized
-            out["atom_pairs"] = [_plain(p) for p in obj.atom_pairs]
-            if not obj.materialized:
-                return out
-        out[key] = [_plain(e, obj.context) for e in obj]
-        out["covers"] = [list(e) for e in obj.covers]
-        if isinstance(obj, CnLattice):
-            out["atoms"] = list(obj.atoms)
-        return out
     if isinstance(obj, Factorization):
         return {
             "schema": SCHEMA,
@@ -401,8 +404,174 @@ def to_jsonable(obj) -> dict:
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
-def emit_json(result) -> str:
-    return json.dumps(to_jsonable(result), indent=2, ensure_ascii=False) + "\n"
+# ------------------------------------------------------------------- writer
+
+_encode_str = json.encoder.encode_basestring  # the C encoder when there is one
+
+
+@functools.cache
+def _separators(level: int) -> tuple[str, str, str]:
+    """Before the first item at ``level``, between items, before the bracket."""
+    indent = "\n" + "  " * level
+    return indent, "," + indent, indent[:-2]
+
+
+def _scalar(value) -> str:
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"no JSON form for {type(value).__name__}")
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+    return _encode_str(key) + ": "
+
+
+def _write(value, out: list[str], level: int = 0) -> None:
+    """Append ``json.dumps(value, indent=2, ensure_ascii=False)`` to ``out``,
+    ``level`` levels deep; only str, int, bool, None, list and dict with
+    str keys have a JSON form, anything else raises ``TypeError``.  A
+    scalar in a container shares one string with its separator and key."""
+    if isinstance(value, list):
+        keys, items, brackets = repeat(""), value, "[]"
+    elif isinstance(value, dict):
+        keys, items, brackets = map(_key, value), value.values(), "{}"
+    else:
+        out.append(_scalar(value))
+        return
+    if not value:
+        out.append(brackets)
+        return
+    first, between, close = _separators(level + 1)
+    sep = brackets[0] + first
+    for key, item in zip(keys, items):
+        if isinstance(item, (list, dict)):
+            out.append(sep + key)
+            _write(item, out, level + 1)
+        else:
+            out.append(sep + key + _scalar(item))
+        sep = between
+    out.append(close + brackets[1])
+
+
+_BIT_FLAGS = str.maketrans("01", "\x00\x01")
+
+
+def _joined(fragments: tuple[str, ...], bits: int) -> str:
+    """The fragments at the set bits of ``bits``, in index order, joined by commas."""
+    return ",".join(compress(fragments, bin(bits)[:1:-1].translate(_BIT_FLAGS).encode()))
+
+
+def _subset_sides(lattice: Lattice, encode) -> Callable:
+    """For a concept or cn lattice: a function from its elements to, per
+    element, its object and its attribute subset, each the comma-joined
+    ``encode``d names of its members; each name is encoded once."""
+    ctx = lattice.context
+    objects = tuple(map(encode, ctx.objects))
+    attributes = tuple(map(encode, ctx.attributes))
+    bits = attrgetter(*(f.name + ".bits" for f in fields(_element_type(lattice))))
+
+    def sides(elements):
+        for xbits, ybits in map(bits, elements):
+            yield _joined(objects, xbits), _joined(attributes, ybits)
+
+    return sides
+
+
+# names sit four levels deep: document, element list, element, subset
+_NAME_INDENT = "\n" + "  " * 4
+
+
+def _elements_json(lattice: Lattice) -> Callable[[Iterable, list[str]], None]:
+    """A writer of lattice elements to ``out`` as a JSON list one level deep.
+
+    Concept and cn lattice elements are one string each, joined from one
+    pre-encoded fragment per name; graded elements go through ``_plain``.
+    """
+    element_type = _element_type(lattice)
+    if element_type not in _SUBSET_PAIRS:
+        return lambda elements, out: _write([_plain(e, lattice.context) for e in elements], out, 1)
+    first, second = (_encode_str(f.name) for f in fields(element_type))
+    element = "%s{\n      " + first + ": %s,\n      " + second + ": %s\n    }"
+    sides = _subset_sides(lattice, lambda name: _NAME_INDENT + _encode_str(name))
+
+    def write(elements, out):
+        start = len(out)
+        sep = "[\n    "
+        for objects, attributes in sides(elements):
+            out.append(element % (
+                sep,
+                "[%s\n      ]" % objects if objects else "[]",
+                "[%s\n      ]" % attributes if attributes else "[]",
+            ))
+            sep = ",\n    "
+        out.append("\n  ]" if len(out) > start else "[]")
+
+    return write
+
+
+def _write_covers(covers, out: list[str]) -> None:
+    edge = "\n    [\n      %d,\n      %d\n    ]"
+    out.append("[" + ",".join(map(edge.__mod__, covers)) + "\n  ]" if covers else "[]")
+
+
+def _member(value) -> Callable[[list[str]], None]:
+    """A writer of the JSON value ``value`` one level deep."""
+    return functools.partial(_write, value, level=1)
+
+
+def _lattice_members(lattice: Lattice) -> Iterator[tuple[str, Callable[[list[str]], None]]]:
+    """A lattice document's members, each a key and a writer of its value."""
+    kind, key = _LATTICE_KINDS[_element_type(lattice)]
+    elements = _elements_json(lattice)
+    yield "schema", _member(SCHEMA)
+    yield "type", _member(kind)
+    if isinstance(lattice, CnLattice):
+        yield "pair_count", _member(lattice.pair_count)
+        yield "materialized", _member(lattice.materialized)
+        yield "atom_pairs", functools.partial(elements, lattice.atom_pairs)
+        if not lattice.materialized:
+            return
+    yield key, functools.partial(elements, lattice)
+    yield "covers", functools.partial(_write_covers, lattice.covers)
+    if isinstance(lattice, CnLattice):
+        yield "atoms", _member(list(lattice.atoms))
+
+
+def emit_json(result, oracle: OracleReport | None = None) -> str:
+    """``result`` as an indented JSON document; ``oracle`` is its last member.
+
+    The text is that of ``json.dumps(..., indent=2, ensure_ascii=False)``
+    on the result's JSON data, but no tree is built for a lattice.
+    """
+    if isinstance(result, Lattice):
+        members = _lattice_members(result)
+    else:
+        members = ((key, _member(value)) for key, value in to_jsonable(result).items())
+    if oracle is not None:
+        members = chain(members, [("oracle", _member(to_jsonable(oracle)))])
+    out: list[str] = []
+    sep = "{\n  "
+    for key, write in members:
+        out.append(sep + _key(key))
+        write(out)
+        sep = ",\n  "
+    out.append("\n}\n")
+    return "".join(out)
+
+
+def _array(value, field: str) -> list:
+    """``value``, the document's ``field``, if it is a JSON array."""
+    if not isinstance(value, list):
+        raise ContextFormatError(f"bad context document: {field} is not a JSON array")
+    return value
 
 
 def document_from_json(text: str) -> BooleanContext | FuzzyContext:
@@ -414,60 +583,65 @@ def document_from_json(text: str) -> BooleanContext | FuzzyContext:
         if data.get("schema") != SCHEMA:
             raise ContextFormatError(f"unknown schema {data.get('schema')!r}")
         kind = data.get("kind")
+        if kind not in ("boolean", "fuzzy"):
+            raise ContextFormatError(f"unknown document kind {kind!r}")
+        attributes = _array(data["attributes"], "attributes")
+        objects = _array(data["objects"], "objects")
         if kind == "boolean":
             return BooleanContext.from_rows(
-                data["attributes"],
-                data["objects"],
-                [[ch in "Xx" for ch in row] for row in data["incidence"]],
+                attributes,
+                objects,
+                [[ch in "Xx" for ch in row] for row in _array(data["incidence"], "incidence")],
             )
-        if kind == "fuzzy":
-            triples = tuple(triple_from_descriptor(d) for d in data["frames"])
-            kind_map = {k.value: k for k in FrameKind}
-            arrangement = kind_map[data.get("arrangement", FrameKind.CONCEPT_FORMING.value)]
-            return FuzzyContext.from_values(
-                tuple(data["attributes"]),
-                tuple(data["objects"]),
-                triples,
-                [
-                    [_grade(v, f"relation[{i}][{j}]") for j, v in enumerate(row)]
-                    for i, row in enumerate(data["relation"])
-                ],
-                sigma=data.get("sigma"),
-                kind=arrangement,
-            )
+        triples = tuple(triple_from_descriptor(d) for d in _array(data["frames"], "frames"))
+        kind_map = {k.value: k for k in FrameKind}
+        arrangement = kind_map[data.get("arrangement", FrameKind.CONCEPT_FORMING.value)]
+        p_chain = _arrangement(arrangement, *triples[0].domains)[2]
+        relation = [
+            [
+                p_chain.numerator_of_fraction(_grade(v, f"relation[{i}][{j}]"))
+                for j, v in enumerate(_array(row, f"relation[{i}]"))
+            ]
+            for i, row in enumerate(_array(data["relation"], "relation"))
+        ]
+        sigma = data.get("sigma")
+        if sigma is not None:
+            sigma = [_array(row, f"sigma[{i}]") for i, row in enumerate(_array(sigma, "sigma"))]
+        return FuzzyContext(attributes, objects, triples, relation, sigma, arrangement)
     except ContextFormatError:
         raise
     except (ValueError, TypeError, LookupError, AttributeError, ArithmeticError) as exc:
         # JSONDecodeError is a ValueError; the rest come from fields of the
         # wrong shape or type
         raise ContextFormatError(f"bad context document: {exc!r}") from None
-    raise ContextFormatError(f"unknown document kind {kind!r}")
 
 
 # ----------------------------------------------------------------------- DOT
 
 
-def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _label(element, ctx=None) -> str:
-    """A lattice element as a DOT label: each side in braces, joined by ' | '."""
-    sides = []
-    for side in _plain(element, ctx).values():
-        if isinstance(side, dict):  # graded: name:grade pairs
-            sides.append("{%s}" % ", ".join(f"{n}:{v}" for n, v in side.items()))
-        else:
-            sides.append("{%s}" % ",".join(side))
-    return " | ".join(sides)
+def _graded_label(element, ctx) -> str:
+    """A graded lattice element as a DOT label: its name:grade pairs per
+    side in braces, the sides joined by ' | '."""
+    return " | ".join(
+        "{%s}" % ", ".join(f"{n}:{v}" for n, v in side.items())
+        for side in _plain(element, ctx).values()
+    )
 
 
-def _lattice_dot_lines(name_of, count, covers, prefix="n", indent="  ") -> list[str]:
-    lines = []
-    for i in range(count):
-        lines.append(f"{indent}{prefix}{i} [label={_quote(name_of(i))}];")
-    for lower, upper in sorted(covers):
-        lines.append(f"{indent}{prefix}{lower} -> {prefix}{upper};")
+def _lattice_dot_lines(lattice: Lattice, prefix="n", indent="  ") -> list[str]:
+    """A node per element, labelled by its two sides, and an edge per cover."""
+    len(lattice)  # raises for a cn lattice that is not materialized
+    if _element_type(lattice) in _SUBSET_PAIRS:
+        labels = ("{%s} | {%s}" % pair for pair in _subset_sides(lattice, _escape)(lattice))
+    else:
+        labels = (_escape(_graded_label(e, lattice.context)) for e in lattice)
+    node = indent + prefix + '%d [label="%s"];'
+    lines = [node % item for item in enumerate(labels)]
+    lines += map((indent + prefix + "%d -> " + prefix + "%d;").__mod__, lattice.covers)
     return lines
 
 
@@ -481,12 +655,10 @@ def emit_dot(result, budget: int = DEFAULT_ENUM_BUDGET) -> str:
     """
     lines = []
     if isinstance(result, Lattice):
-        kind, _ = _lattice_kind(result)
+        kind, _ = _LATTICE_KINDS[_element_type(result)]
         lines.append(f"digraph {kind.replace('-', '_')} {{")
         lines.append("  rankdir=BT;")
-        lines += _lattice_dot_lines(
-            lambda i: _label(result[i], result.context), len(result), result.covers
-        )
+        lines += _lattice_dot_lines(result)
     elif isinstance(result, Factorization):
         lines.append("digraph factorization {")
         lines.append("  rankdir=BT;")
@@ -498,14 +670,8 @@ def emit_dot(result, budget: int = DEFAULT_ENUM_BUDGET) -> str:
                 ",".join(block.objects.names),
                 ",".join(block.attrs.names),
             )
-            lines.append(f"    label={_quote(label)};")
-            lines += _lattice_dot_lines(
-                lambda i: _label(lattice[i]),
-                len(lattice),
-                lattice.covers,
-                prefix=f"b{k}_n",
-                indent="    ",
-            )
+            lines.append(f'    label="{_escape(label)}";')
+            lines += _lattice_dot_lines(lattice, prefix=f"b{k}_n", indent="    ")
             lines.append("  }")
     else:
         raise TypeError(f"no DOT form for {type(result).__name__}")

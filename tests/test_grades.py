@@ -96,6 +96,21 @@ class TestReadGrade:
         with pytest.raises(ValueError, match="value of over 64 digits is not on chain"):
             GradeChain(4).numerator_of(value)
 
+    @pytest.mark.parametrize("value", ["1/3", "-1/4", "5/4", Fraction(1, 10**5000)])
+    def test_a_fraction_already_read_gets_the_same_off_chain_message(self, value):
+        chain = GradeChain(4)
+        with pytest.raises(ValueError) as direct:
+            chain.numerator_of(value)
+        with pytest.raises(ValueError) as read:
+            chain.numerator_of_fraction(grades.read_grade(value))
+        assert str(read.value) == str(direct.value)
+        assert "is not on chain" in str(direct.value)
+
+    def test_a_fraction_already_read_is_placed_on_the_chain(self):
+        assert [GradeChain(4).numerator_of_fraction(Fraction(k, 4)) for k in range(5)] == [
+            0, 1, 2, 3, 4
+        ]
+
     @pytest.mark.parametrize(
         "value", [float("inf"), float("-inf"), Decimal("Infinity"), Decimal("NaN"), float("nan")]
     )

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +159,26 @@ class TestCxtParsing:
             format_cxt(BooleanContext((), ("b1",), ()))
 
 
+GRID_CELLS = ["0", "1/4", "0.5", "3/4", "1"]
+GRID_7X6_CSV = "R," + ",".join(f"b{j}" for j in range(6)) + "\n" + "".join(
+    f"a{i}," + ",".join(GRID_CELLS[(i + j) % 5] for j in range(6)) + "\n" for i in range(7)
+)
+
+
+def count_grade_reads(monkeypatch) -> list:
+    """Record every ``read_grade`` call; io holds its own name for it."""
+    calls = []
+    read_grade = grades.read_grade
+
+    def counted(value):
+        calls.append(value)
+        return read_grade(value)
+
+    monkeypatch.setattr(grades, "read_grade", counted)
+    monkeypatch.setattr(fio, "read_grade", counted)
+    return calls
+
+
 class TestFuzzyCsvParsing:
     def test_table6_with_godel_frame(self):
         ctx = parse_fuzzy_csv(R2_GODEL_CSV, "godel:4")
@@ -218,23 +239,23 @@ class TestFuzzyCsvParsing:
         assert parse_fuzzy_csv("R,b1,b2\na1,1/256,1/2\n", "godel").p.m == 256
 
     def test_each_cell_is_read_once(self, monkeypatch):
-        calls = []
-        numerator_of = grades.GradeChain.numerator_of
-
-        def counted(chain, value):
-            calls.append(value)
-            return numerator_of(chain, value)
-
-        monkeypatch.setattr(grades.GradeChain, "numerator_of", counted)
-        cells = ["0", "1/4", "0.5", "3/4", "1"]
-        header = ",".join(f"b{j}" for j in range(6))
-        rows = "".join(
-            f"a{i}," + ",".join(cells[(i + j) % 5] for j in range(6)) + "\n"
-            for i in range(7)
-        )
-        ctx = parse_fuzzy_csv(f"R,{header}\n{rows}", "dprod:4,4,4")
+        calls = count_grade_reads(monkeypatch)
+        ctx = parse_fuzzy_csv(GRID_7X6_CSV, "dprod:4,4,4")
         assert ctx.relation[1] == (1, 2, 3, 4, 0, 1)
         assert len(calls) == 42
+
+    def test_off_chain_cell_messages(self):
+        expected = (
+            "value 1/3 is not on chain [0,1]_4; nearest grid points are 0.25 (1/4) and 0.5 (1/2)"
+        )
+        with pytest.raises(ContextFormatError) as csv_error:
+            parse_fuzzy_csv("R,b1,b2\na1,1/3,1\n", "godel:4")
+        assert str(csv_error.value) == f"line 2: cell (a1, b1): {expected}"
+        doc = json.loads(emit_json(parse_fuzzy_csv("R,b1,b2\na1,1/4,1\n", "godel:4")))
+        doc["relation"][0][0] = "1/3"
+        with pytest.raises(ContextFormatError) as json_error:
+            document_from_json(json.dumps(doc))
+        assert str(json_error.value) == f"bad context document: ValueError({expected!r})"
 
     def test_frame_granularity_is_capped(self, monkeypatch):
         monkeypatch.setattr(grades, "godel_triple", refuse_tables)
@@ -247,6 +268,14 @@ class TestJson:
         text = emit_json(TABLE1)
         assert document_from_json(text) == TABLE1
         assert emit_json(TABLE1) == text  # byte-identical across runs
+
+    def test_each_document_cell_is_read_once(self, monkeypatch):
+        doc = json.loads(emit_json(parse_fuzzy_csv(GRID_7X6_CSV, "dprod:4,4,4")))
+        doc["relation"] = [row.split(",")[1:] for row in GRID_7X6_CSV.splitlines()[1:]]
+        calls = count_grade_reads(monkeypatch)
+        ctx = document_from_json(json.dumps(doc))
+        assert ctx.relation[1] == (1, 2, 3, 4, 0, 1)
+        assert len(calls) == 42
 
     def test_fuzzy_document_round_trip(self):
         assert document_from_json(emit_json(godel_r2())) == godel_r2()
@@ -313,6 +342,35 @@ class TestJson:
     def test_malformed_documents_raise_context_format_error(self, text):
         with pytest.raises(ContextFormatError):
             document_from_json(text)
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("boolean", "attributes", "ab"),
+            ("boolean", "objects", {"b1": 0}),
+            ("boolean", "incidence", "X....."),
+            ("fuzzy", "frames", "godel:4"),
+            ("fuzzy", "attributes", "a1a2a3"),
+            ("fuzzy", "objects", None),
+            ("fuzzy", "relation", "1,1/4,0"),
+            ("fuzzy", "relation[1]", "1/2,1,3/4"),
+            ("fuzzy", "sigma", 0),
+            ("fuzzy", "sigma[0]", "000"),
+        ],
+    )
+    def test_fields_that_are_not_arrays_are_refused(self, kind, field, value):
+        if kind == "boolean":
+            doc = json.loads(emit_json(TABLE1))
+        else:
+            doc = json.loads(emit_json(godel_r2()))
+            doc["sigma"] = [[0] * 3] * 3
+        key, _, index = field.partition("[")
+        if index:
+            doc[key][int(index[:-1])] = value
+        else:
+            doc[key] = value
+        with pytest.raises(ContextFormatError, match=rf"{re.escape(field)} is not a JSON array"):
+            document_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("cell", HUGE_EXPONENTS)
     def test_huge_exponent_refused_before_fraction(self, cell, monkeypatch):
