@@ -71,18 +71,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_boolean(path: Path):
-    return fio.parse_cxt(path.read_text())
+    return fio.parse_cxt(path.read_text(encoding="utf-8"))
 
 
 def _load_fuzzy(path: Path, frame: str | None):
     if not frame:
         raise CliError("fuzzy input needs --frame (godel:M, lukasiewicz:M or dprod:M1,M2,M3)")
-    return fio.parse_fuzzy_csv(path.read_text(), frame)
+    return fio.parse_fuzzy_csv(path.read_text(encoding="utf-8"), frame)
 
 
 def _write(args, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -125,6 +125,8 @@ def _cmd_cn(args) -> int:
     report = None
     if args.oracle and lattice.materialized:
         report = oracles.compare_cn(ctx, list(lattice))
+    elif args.oracle:  # past the atom cutoff only the atoms are there to check
+        report = oracles.compare_atoms(ctx, list(lattice.atom_pairs))
     return _emit(args, lattice, report)
 
 

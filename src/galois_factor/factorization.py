@@ -3,18 +3,21 @@
 The pairs (X, Y) with X-up-N = Y and Y-down-N = X form a complemented
 complete lattice under componentwise union/intersection/complement.  On a
 normalized context those pairs are exactly the unions of connected
-components of the bipartite incidence graph, so the lattice is built from
-its atoms (the components) instead of scanning all object subsets; the
-exhaustive scan lives in :mod:`galois_factor.oracles` as the referee.  The
+components of the bipartite incidence graph, so the lattice is the
+powerset of its atoms (the components), and ``CnLattice`` holds only
+them: the bits of its 2^k elements come from doubling two int lists, and
+an element is built as a ``NecessityPair`` only when it is asked for.  The
+exhaustive scan over all object subsets lives in
+:mod:`galois_factor.oracles` as the referee.  The
 block relation R*, the union of the atom rectangles, is a relation on the
 same attributes and objects, so ``rstar`` returns it as a context.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .contexts import (
     AttributeSubset,
@@ -111,25 +114,52 @@ class CnLattice(Lattice):
     the atoms at the set bits of i.  The atoms have disjoint non-empty
     object sets and are sorted by object bits, so comparing two joins as
     object-bit ints compares their atom masks: listing the pairs by object
-    bits puts the join of mask i at index i.  With more than
-    ``MAX_MATERIALIZED_ATOMS`` atoms only the atoms and the pair count are
-    kept, ``elements`` is None and ``len`` raises ``BudgetExceededError``.
+    bits puts the join of mask i at index i.  So the lattice keeps only its
+    atoms: ``elements`` is None, ``element_bits`` holds the object and
+    attribute bits of every element, and an element is built as a
+    ``NecessityPair`` only when it is asked for (indexing, iteration).  The
+    Hasse edges are the cube's (i, i | 1 << a), for each atom a not in i.
+    With more than ``MAX_MATERIALIZED_ATOMS`` atoms the lattice is not
+    materialized: only the atoms and the pair count are available, and
+    ``len`` raises ``BudgetExceededError``.
     """
 
-    atom_pairs: tuple[NecessityPair, ...]
+    elements: None = field(default=None, init=False, repr=False, compare=False)
+    atom_pairs: tuple[NecessityPair, ...] = ()
 
     @property
     def materialized(self) -> bool:
-        return self.elements is not None
+        return len(self.atom_pairs) <= MAX_MATERIALIZED_ATOMS
 
     @property
     def pair_count(self) -> int:
         return 1 << len(self.atom_pairs)
 
     def __len__(self) -> int:
-        if self.elements is None:
+        if not self.materialized:
             raise BudgetExceededError(self.pair_count, 1 << MAX_MATERIALIZED_ATOMS, "pairs")
-        return len(self.elements)
+        return self.pair_count
+
+    @cached_property
+    def element_bits(self) -> tuple[list[int], list[int]]:
+        """The object bits and the attribute bits of element i, at index i."""
+        len(self)  # raises unless materialized
+        xs, ys = [0], [0]
+        for atom in self.atom_pairs:  # doubling: the second half adds this atom
+            xs += [x | atom.objects.bits for x in xs]
+            ys += [y | atom.attrs.bits for y in ys]
+        return xs, ys
+
+    def _pair(self, xbits: int, ybits: int) -> NecessityPair:
+        ctx = self.context
+        return NecessityPair(ObjectSubset(ctx, xbits), AttributeSubset(ctx, ybits))
+
+    def __iter__(self) -> Iterator[NecessityPair]:
+        return map(self._pair, *self.element_bits)
+
+    def __getitem__(self, i: int) -> NecessityPair:
+        xs, ys = self.element_bits
+        return self._pair(xs[i], ys[i])
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -152,9 +182,7 @@ class CnLattice(Lattice):
         for a in atom_positions:
             xbits |= self.atom_pairs[a].objects.bits
             ybits |= self.atom_pairs[a].attrs.bits
-        return NecessityPair(
-            ObjectSubset(self.context, xbits), AttributeSubset(self.context, ybits)
-        )
+        return self._pair(xbits, ybits)
 
 
 def _require_normalized(ctx: BooleanContext) -> None:
@@ -167,23 +195,9 @@ def _require_normalized(ctx: BooleanContext) -> None:
 
 
 def cn_enumerate(ctx: BooleanContext) -> CnLattice:
-    """All necessity-closed pairs of a normalized context, with covers and atoms.
-
-    Built as the unions of atom subsets, the pair at index i joining the
-    atoms at the set bits of i; with more than ``MAX_MATERIALIZED_ATOMS``
-    atoms the 2**k pairs are not materialized and only the atoms are returned.
-    """
-    atom_pairs = tuple(cn_atoms(ctx))
-    if len(atom_pairs) > MAX_MATERIALIZED_ATOMS:
-        return CnLattice(ctx, None, atom_pairs)
-    xs, ys = [0], [0]
-    for atom in atom_pairs:  # doubling: the second half adds this atom
-        xs += [x | atom.objects.bits for x in xs]
-        ys += [y | atom.attrs.bits for y in ys]
-    pairs = tuple(
-        NecessityPair(ObjectSubset(ctx, x), AttributeSubset(ctx, y)) for x, y in zip(xs, ys)
-    )
-    return CnLattice(ctx, pairs, atom_pairs)
+    """All necessity-closed pairs of a normalized context, as the lattice of
+    its atoms; the pair at index i joins the atoms at the set bits of i."""
+    return CnLattice(ctx, tuple(cn_atoms(ctx)))
 
 
 def complement(ctx: BooleanContext, pair: NecessityPair) -> NecessityPair:

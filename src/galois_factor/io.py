@@ -6,7 +6,9 @@ CSV grids with a frame descriptor (``godel:4``, ``lukasiewicz:4``,
 values).  Contexts are also JSON documents, and a document is read back as
 the ``BooleanContext`` or ``FuzzyContext`` itself: ``document_from_json``
 inverts ``emit_json`` on every context it writes, and refuses a document
-whose list fields are not JSON arrays.  A fuzzy document names its frame
+whose list fields are not JSON arrays.  A Boolean document's incidence
+rows are strings of ``X``, ``x`` or ``.`` cells, one per object, read as
+strictly as the rows of a ``.cxt`` file.  A fuzzy document names its frame
 by its triples' names, so writing a triple whose name is not a descriptor
 that rebuilds it raises ``ValueError``.  Each grade cell is read once.
 
@@ -16,12 +18,18 @@ The writer takes only str, int, bool, None, list and dict with str keys
 and raises ``TypeError`` on anything else (a float, tuple, set, bytes or
 a non-str key); strings go through ``json.encoder.encode_basestring``.
 Concept and cn lattices build no tree: each object and attribute name is
-encoded once per document, with its newline and indent, and each element
-is one string joined over the set bits of its two subsets.  DOT labels
-join the escaped names the same way.  Fuzzy lattices and the other
-results go through the generic writer.  Keys come in a fixed order, so
-identical inputs produce byte-identical output; grades serialize as exact
-fraction strings, never as floats.  DOT digraphs draw the Hasse covers.
+encoded once per document, with its newline and indent, into one table
+per byte of a subset's bits, whose entry b joins the names at the set
+bits of b; each element is one string, one table lookup per byte of each
+of its two subsets.  DOT labels join the escaped names through the same
+tables.  A cn lattice is written from its atoms alone: its element bits
+come from ``CnLattice.element_bits`` and its cube edges (i, i | 1 << a)
+from that formula, so no ``NecessityPair`` is built and ``covers`` is not
+read.  Hasse edges, in JSON and in DOT, are one join per element over
+pre-built index strings.  Fuzzy lattices and the other results go through
+the generic writer.  Keys come in a fixed order, so identical inputs
+produce byte-identical output; grades serialize as exact fraction
+strings, never as floats.  DOT digraphs draw the Hasse covers.
 """
 
 from __future__ import annotations
@@ -32,9 +40,9 @@ import io as _stdio
 import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .contexts import (
     AttributeSubset,
@@ -65,7 +73,7 @@ from .fuzzy import (
 )
 from .grades import read_grade, triple_from_descriptor
 from .oracles import OracleReport
-from .order import DEFAULT_ENUM_BUDGET, Budget, Lattice
+from .order import DEFAULT_ENUM_BUDGET, Budget, Lattice, set_bits
 
 SCHEMA = "galois-factor/1"
 
@@ -128,16 +136,27 @@ def parse_cxt(text: str) -> BooleanContext:
     rows = [0] * n_attributes  # per attribute, the bits of its objects
     for j, obj in enumerate(objects):  # the file lists one object per row
         row_text, line_no = next_content(f"incidence row for {obj!r}")
-        if len(row_text) != n_attributes:
-            raise ContextFormatError(
-                f"row has {len(row_text)} cells, expected {n_attributes}", line_no
-            )
-        for i, ch in enumerate(row_text):
-            if ch in "Xx":
-                rows[i] |= 1 << j
-            elif ch != ".":
-                raise ContextFormatError(f"bad incidence character {ch!r}", line_no)
+        try:
+            col = _row_bits(row_text, n_attributes)
+        except ValueError as exc:
+            raise ContextFormatError(str(exc), line_no) from None
+        for i in set_bits(col):
+            rows[i] |= 1 << j
     return BooleanContext(tuple(attributes), tuple(objects), tuple(rows))
+
+
+_CELL_BITS = str.maketrans("Xx.", "110")
+
+
+def _row_bits(row: str, width: int) -> int:
+    """The bits of a row of ``width`` cells, lowest first: ``X`` or ``x`` is
+    an incidence and ``.`` none; ``ValueError`` for any other row."""
+    if len(row) != width:
+        raise ValueError(f"row has {len(row)} cells, expected {width}")
+    if row.strip("Xx."):  # what is left holds every other character
+        bad = next(ch for ch in row if ch not in "Xx.")
+        raise ValueError(f"bad incidence character {bad!r}")
+    return int("0" + row[::-1].translate(_CELL_BITS), 2)
 
 
 def format_cxt(ctx: BooleanContext) -> str:
@@ -461,28 +480,84 @@ def _write(value, out: list[str], level: int = 0) -> None:
     out.append(close + brackets[1])
 
 
-_BIT_FLAGS = str.maketrans("01", "\x00\x01")
+def _joiner(names: Sequence[str], encode: Callable[[str], str]) -> Callable[[int], str]:
+    """A function from a subset's bits to the ``encode``d names of its
+    members, in index order, joined by commas.
+
+    Each name is encoded once, into one table per byte of the bits: entry b
+    of the table of byte p holds, each after a comma, the names at the set
+    bits of b among names 8p .. 8p + 7.  The tables are built by doubling,
+    and a subset costs one lookup per byte.
+    """
+    tables = []
+    for start in range(0, len(names), 8):
+        table = [""]
+        for name in names[start:start + 8]:  # doubling: the second half adds this name
+            fragment = "," + encode(name)
+            table += [entry + fragment for entry in table]
+        tables.append(table)
+    size = len(tables)
+    lookup = list.__getitem__
+
+    def joined(bits: int) -> str:
+        # the byte order is given: Python 3.10's to_bytes has no default
+        return "".join(map(lookup, tables, bits.to_bytes(size, "little")))[1:]
+
+    return joined
 
 
-def _joined(fragments: tuple[str, ...], bits: int) -> str:
-    """The fragments at the set bits of ``bits``, in index order, joined by commas."""
-    return ",".join(compress(fragments, bin(bits)[:1:-1].translate(_BIT_FLAGS).encode()))
-
-
-def _subset_sides(lattice: Lattice, encode) -> Callable:
-    """For a concept or cn lattice: a function from its elements to, per
-    element, its object and its attribute subset, each the comma-joined
-    ``encode``d names of its members; each name is encoded once."""
+def _side_joiners(lattice: Lattice, encode) -> tuple[Callable, Callable]:
+    """Name joiners for the objects and the attributes of a lattice's context."""
     ctx = lattice.context
-    objects = tuple(map(encode, ctx.objects))
-    attributes = tuple(map(encode, ctx.attributes))
-    bits = attrgetter(*(f.name + ".bits" for f in fields(_element_type(lattice))))
+    return _joiner(ctx.objects, encode), _joiner(ctx.attributes, encode)
 
-    def sides(elements):
-        for xbits, ybits in map(bits, elements):
-            yield _joined(objects, xbits), _joined(attributes, ybits)
 
-    return sides
+def _element_bits(elements, element_type: type) -> tuple[list[int], list[int]]:
+    """The object bits and the attribute bits of concepts or necessity
+    pairs; a cn lattice has them without building its elements."""
+    if isinstance(elements, CnLattice):
+        return elements.element_bits
+    first, second = (attrgetter(f.name + ".bits") for f in fields(element_type))
+    return list(map(first, elements)), list(map(second, elements))
+
+
+def _upper_covers(lattice: Lattice) -> list[list[int]]:
+    """Per element index, the indices of its upper covers, ascending.
+
+    A cn lattice's are the cube's, by doubling: adding atom a appends
+    i | 1 << a to the upper covers of each i without a, and gives i | 1 << a
+    the upper covers of i, each with a added.  Other lattices' are read off
+    ``covers``.
+    """
+    if isinstance(lattice, CnLattice):
+        ups: list[list[int]] = [[]]
+        for a in range(len(lattice.atom_pairs)):
+            bit = 1 << a
+            added = [[j | bit for j in above] for above in ups]
+            for i, above in enumerate(ups):
+                above.append(i | bit)
+            ups += added
+        return ups
+    ups = [[] for _ in range(len(lattice))]
+    for lower, upper in lattice.covers:
+        ups[lower].append(upper)
+    return ups
+
+
+def _edges(lattice: Lattice, edge: str, sep: str) -> str:
+    """The Hasse edges in the order of ``covers``, each ``edge`` with its
+    lower and upper index in place of its two ``%s``, joined by ``sep``.
+
+    Each index is printed once, and each element's edges are one join of
+    the pre-built texts of its upper covers.
+    """
+    head, mid, tail = edge.split("%s")
+    ups = _upper_covers(lattice)
+    numbers = list(map(str, range(len(ups))))
+    upper = [number + tail for number in numbers].__getitem__
+    leads = [sep + head + number + mid for number in numbers]
+    edges = [lead + lead.join(map(upper, above)) for lead, above in zip(leads, ups) if above]
+    return "".join(edges)[len(sep):]
 
 
 # names sit four levels deep: document, element list, element, subset
@@ -500,26 +575,27 @@ def _elements_json(lattice: Lattice) -> Callable[[Iterable, list[str]], None]:
         return lambda elements, out: _write([_plain(e, lattice.context) for e in elements], out, 1)
     first, second = (_encode_str(f.name) for f in fields(element_type))
     element = "%s{\n      " + first + ": %s,\n      " + second + ": %s\n    }"
-    sides = _subset_sides(lattice, lambda name: _NAME_INDENT + _encode_str(name))
+    objects, attributes = _side_joiners(lattice, lambda name: _NAME_INDENT + _encode_str(name))
 
     def write(elements, out):
-        start = len(out)
+        xs, ys = _element_bits(elements, element_type)
         sep = "[\n    "
-        for objects, attributes in sides(elements):
+        for xbits, ybits in zip(xs, ys):
+            names, attrs = objects(xbits), attributes(ybits)
             out.append(element % (
                 sep,
-                "[%s\n      ]" % objects if objects else "[]",
-                "[%s\n      ]" % attributes if attributes else "[]",
+                "[%s\n      ]" % names if names else "[]",
+                "[%s\n      ]" % attrs if attrs else "[]",
             ))
             sep = ",\n    "
-        out.append("\n  ]" if len(out) > start else "[]")
+        out.append("\n  ]" if xs else "[]")
 
     return write
 
 
-def _write_covers(covers, out: list[str]) -> None:
-    edge = "\n    [\n      %d,\n      %d\n    ]"
-    out.append("[" + ",".join(map(edge.__mod__, covers)) + "\n  ]" if covers else "[]")
+def _write_covers(lattice: Lattice, out: list[str]) -> None:
+    edges = _edges(lattice, "\n    [\n      %s,\n      %s\n    ]", ",")
+    out.append("[" + edges + "\n  ]" if edges else "[]")
 
 
 def _member(value) -> Callable[[list[str]], None]:
@@ -540,7 +616,7 @@ def _lattice_members(lattice: Lattice) -> Iterator[tuple[str, Callable[[list[str
         if not lattice.materialized:
             return
     yield key, functools.partial(elements, lattice)
-    yield "covers", functools.partial(_write_covers, lattice.covers)
+    yield "covers", functools.partial(_write_covers, lattice)
     if isinstance(lattice, CnLattice):
         yield "atoms", _member(list(lattice.atoms))
 
@@ -588,11 +664,19 @@ def document_from_json(text: str) -> BooleanContext | FuzzyContext:
         attributes = _array(data["attributes"], "attributes")
         objects = _array(data["objects"], "objects")
         if kind == "boolean":
-            return BooleanContext.from_rows(
-                attributes,
-                objects,
-                [[ch in "Xx" for ch in row] for row in _array(data["incidence"], "incidence")],
-            )
+            rows = []
+            for i, row in enumerate(_array(data["incidence"], "incidence")):
+                if not isinstance(row, str):
+                    raise ContextFormatError(
+                        f"bad context document: incidence[{i}] is not a string"
+                    )
+                try:
+                    rows.append(_row_bits(row, len(objects)))
+                except ValueError as exc:
+                    raise ContextFormatError(
+                        f"bad context document: incidence[{i}]: {exc}"
+                    ) from None
+            return BooleanContext(attributes, objects, rows)
         triples = tuple(triple_from_descriptor(d) for d in _array(data["frames"], "frames"))
         kind_map = {k.value: k for k in FrameKind}
         arrangement = kind_map[data.get("arrangement", FrameKind.CONCEPT_FORMING.value)]
@@ -635,13 +719,20 @@ def _graded_label(element, ctx) -> str:
 def _lattice_dot_lines(lattice: Lattice, prefix="n", indent="  ") -> list[str]:
     """A node per element, labelled by its two sides, and an edge per cover."""
     len(lattice)  # raises for a cn lattice that is not materialized
-    if _element_type(lattice) in _SUBSET_PAIRS:
-        labels = ("{%s} | {%s}" % pair for pair in _subset_sides(lattice, _escape)(lattice))
+    element_type = _element_type(lattice)
+    if element_type in _SUBSET_PAIRS:
+        objects, attributes = _side_joiners(lattice, _escape)
+        labels = (
+            "{%s} | {%s}" % (objects(xbits), attributes(ybits))
+            for xbits, ybits in zip(*_element_bits(lattice, element_type))
+        )
     else:
         labels = (_escape(_graded_label(e, lattice.context)) for e in lattice)
     node = indent + prefix + '%d [label="%s"];'
     lines = [node % item for item in enumerate(labels)]
-    lines += map((indent + prefix + "%d -> " + prefix + "%d;").__mod__, lattice.covers)
+    edges = _edges(lattice, indent + prefix + "%s -> " + prefix + "%s;", "\n")
+    if edges:
+        lines.append(edges)
     return lines
 
 

@@ -130,6 +130,33 @@ DIAG2 = BooleanContext.from_rows(
     ["a1", "a2"], ["b1", "b2"], [[1, 0], [0, 1]]
 )
 
+# a normalized 11 x 20 context of 6 shuffled blocks (64 cn pairs, 15
+# concepts), whose names JSON and DOT must escape; its object and attribute
+# bits span three and two bytes
+WIDE = BooleanContext.from_rows(
+    ["a0", 'a"1', "a\\2", "é3", "a4", "tab\t5", "a6", "€7", 'q"8"', "a9", "😀10"],
+    [
+        "b0", 'b"1', "b\\2", "ö3", "b4", "b\t5", "b6", "Ж7", "b8", '"b9"',
+        "b10", "b\\11", "b12", "b13", "€14", "b15", "b16", "b17", 'x"\\18', "b19",
+    ],
+    [
+        [ch == "X" for ch in row]
+        for row in (
+            "..X......X........X.",
+            ".......X...X........",
+            "......XX....X.......",
+            "X.......X........X..",
+            "................X...",
+            "..X......X..........",
+            ".X..X.........X.....",
+            ".X...........X......",
+            "X................X..",
+            ".....X....X....X....",
+            "...X............X..X",
+        )
+    ],
+)
+
 
 def godel4():
     return godel_triple(GradeChain(4))

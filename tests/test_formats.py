@@ -73,6 +73,26 @@ def test_rstar_json_round_trip(ctx):
         assert document_from_json(emit_json(mask)) == mask
 
 
+# an incidence row: mostly strings of cells, some lists of strings
+incidence_rows = st.text(st.sampled_from("Xx.") | st.characters(), min_size=2, max_size=4) | (
+    st.lists(st.text(max_size=2), max_size=3)
+)
+
+
+@given(incidence_rows)
+def test_boolean_incidence_is_read_strictly(row):
+    # a row is read only as a string of X, x and . cells, one per object
+    doc = {"schema": SCHEMA, "kind": "boolean", "attributes": ["a"], "objects": ["b", "c", "d"]}
+    strict = isinstance(row, str) and len(row) == 3 and set(row) <= set("Xx.")
+    try:
+        ctx = document_from_json(json.dumps({**doc, "incidence": [row]}))
+    except ContextFormatError:
+        assert not strict
+    else:
+        assert strict
+        assert ctx.rows == (sum(1 << j for j, ch in enumerate(row) if ch in "Xx"),)
+
+
 # the domain of a triple that holds the relation chain P, per arrangement
 P_DOMAIN = {
     FrameKind.CONCEPT_FORMING: 2,

@@ -2,10 +2,12 @@
 
 The digests were recorded before the bitmask cover kernel replaced the
 generic transitive reduction, so any refactor of the lattice code that
-changes a single byte of a result on these contexts fails here.  The CLI
-digests of ``check`` and ``reconstruct`` were recorded while their JSON was
-still assembled in ``cli.py``.  Record again only for an intended change of
-output format.
+changes a single byte of a result on these contexts fails here.  The WIDE
+digests were recorded before the writers joined names through per-byte
+tables: unlike the worked tables, WIDE has names that need escaping and
+subsets that cross byte boundaries.  The CLI digests of ``check`` and
+``reconstruct`` were recorded while their JSON was still assembled in
+``cli.py``.  Record again only for an intended change of output format.
 """
 
 import hashlib
@@ -25,7 +27,12 @@ from galois_factor import (
 from galois_factor.cli import main
 from galois_factor.io import emit_dot, emit_json, format_cxt
 
-BOOLEAN = {"TABLE1": tables.TABLE1, "TABLE2": tables.TABLE2, "DIAG2": tables.DIAG2}
+BOOLEAN = {
+    "TABLE1": tables.TABLE1,
+    "TABLE2": tables.TABLE2,
+    "DIAG2": tables.DIAG2,
+    "WIDE": tables.WIDE,
+}
 FUZZY = {
     name: getattr(tables, name)
     for name in ("godel_r1", "godel_r2", "luk_table3", "dprod_r1", "dprod_r2")
@@ -58,6 +65,12 @@ DIGESTS = {
     ("DIAG2", "cn", "dot"): "3c3facc949f16aa9c5f28ceeb1c621cf72c48c72c8efb45335d2ec467c923571",
     ("DIAG2", "factorization", "json"): "4f94078f2dd8c12bdc8ae3fb548840925342eba6326f38567451d8f8e262ea6f",
     ("DIAG2", "factorization", "dot"): "f2ba73453a9093d68fc45521b752e9a7b05d84f043d1ecd51401bc1d38d26c09",
+    ("WIDE", "concepts", "json"): "d238ebf0cddccd33b098a0d60540e8b3ad128de0c5c4c413c9e10a73b3286a2d",
+    ("WIDE", "concepts", "dot"): "c85dee6579691e00ede94ff6966136ccd22de4901ebc182ec83f88ed65725692",
+    ("WIDE", "cn", "json"): "4968a634269c05c53ff238019993a8a583e6447be76152a9c8417b39513f1184",
+    ("WIDE", "cn", "dot"): "aaf8d611075347936d364b30f515f140547642379766f2814fc776ca3980b925",
+    ("WIDE", "factorization", "json"): "103b4c175ea91bcc87a1ff713074a0e4352871e8a90ece43d8667e4e3f492a0a",
+    ("WIDE", "factorization", "dot"): "d0a5085c6196f10aafa128ca8e5c2b4da9df86a7e5a80264c24692e1a00f38aa",
     ("godel_r1", "fn", "json"): "3650d5bca85b344a1c21e50146f12e099a1eb7e12c31b8bc017358560d472d8d",
     ("godel_r1", "fn", "dot"): "d693fa03b6d5042f7eeb809feaeb4b26eb93d00351d78d8f7cd4627ed1f74e89",
     ("godel_r1", "fuzzy-concepts", "json"): "847aa4101efaec41da651cd578dbf61965e5090e9b9b6a4b5e5935a0fd1069ed",
@@ -138,11 +151,11 @@ def test_cli_output_matches_recorded_digest(tmp_path, command, name):
     if command == "check":
         ctx = FUZZY[name]()
         path = tmp_path / f"{name}.csv"
-        path.write_text(_fuzzy_csv(ctx))
+        path.write_text(_fuzzy_csv(ctx), encoding="utf-8")
         argv = ["check", str(path), "--frame", ctx.triples[0].name, "--pairs", "all"]
     else:
         path = tmp_path / f"{name}.cxt"
-        path.write_text(format_cxt(CLI_BOOLEAN[name]))
+        path.write_text(format_cxt(CLI_BOOLEAN[name]), encoding="utf-8")
         argv = ["reconstruct", str(path)]
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_DIGESTS[command, name]

@@ -104,7 +104,7 @@ FLAG_ARGV = {
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -337,6 +337,19 @@ class TestJson:
             ' "attributes": ["a"], "objects": ["b"], "incidence": ["X."]}',
             '{"schema": "galois-factor/1", "kind": "boolean",'
             ' "attributes": [" a"], "objects": ["b"], "incidence": ["X"]}',
+            # each row is a string of X, x or . cells, one per object
+            '{"schema": "galois-factor/1", "kind": "boolean",'
+            ' "attributes": ["a"], "objects": ["b", "c"], "incidence": ["X?"]}',
+            '{"schema": "galois-factor/1", "kind": "boolean",'
+            ' "attributes": ["a"], "objects": ["b", "c"], "incidence": [["X", ""]]}',
+            '{"schema": "galois-factor/1", "kind": "boolean",'
+            ' "attributes": ["a"], "objects": ["b", "c"], "incidence": [["Xx", "X"]]}',
+            '{"schema": "galois-factor/1", "kind": "boolean",'
+            ' "attributes": ["a"], "objects": ["b", "c"], "incidence": ["X"]}',
+            '{"schema": "galois-factor/1", "kind": "boolean",'
+            ' "attributes": ["a"], "objects": ["b", "c"], "incidence": ["X.x"]}',
+            '{"schema": "galois-factor/1", "kind": "boolean",'
+            ' "attributes": ["a"], "objects": ["b", "c"], "incidence": ["1."]}',
         ],
     )
     def test_malformed_documents_raise_context_format_error(self, text):
@@ -473,6 +486,16 @@ class TestCli:
         assert "rstar_note" not in payload
         assert payload["oracle"]["mismatches"] == []
 
+    def test_cn_oracle_beyond_the_atom_cutoff_checks_the_atoms(self, tmp_path, capsys):
+        # 2**21 pairs are not listed, so the oracle compares the 21 atoms
+        # with the bipartite components, as factor --oracle does
+        path = write(tmp_path, "diag21.cxt", format_cxt(DIAG21))
+        assert main(["cn", path, "--oracle"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["materialized"] is False
+        assert len(payload["atom_pairs"]) == 21
+        assert payload["oracle"] == {"checked": 21, "mismatches": []}
+
     def test_cn_dot_beyond_the_atom_cutoff_exits_2(self, tmp_path):
         path = write(tmp_path, "diag21.cxt", format_cxt(DIAG21))
         assert main(["cn", path, "--emit", "dot"]) == 2
@@ -591,7 +614,7 @@ class TestCli:
         path = write(tmp_path, "table1.cxt", TABLE1_CXT)
         out = tmp_path / "lattice.dot"
         assert main(["lattice", path, "--emit", "dot", "--out", str(out)]) == 0
-        assert out.read_text().startswith("digraph")
+        assert out.read_text(encoding="utf-8").startswith("digraph")
 
     def test_oracle_flag(self, tmp_path, capsys):
         path = write(tmp_path, "table1.cxt", TABLE1_CXT)
@@ -687,7 +710,10 @@ class TestProcessEntryPoint:
     def run(self, *args):
         return subprocess.run(
             [sys.executable, "-m", "galois_factor.cli", *args],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+            capture_output=True,
+            encoding="utf-8",
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
         )
 
     def test_success_exits_0_with_json(self, tmp_path):

@@ -8,7 +8,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_quick_tour_runs():
-    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})

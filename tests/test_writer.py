@@ -4,8 +4,10 @@ The generic writer must give the text of ``json.dumps(..., indent=2,
 ensure_ascii=False)`` on every JSON tree and refuse everything else.  The
 concept and cn lattice path, which joins pre-encoded name fragments, must
 give the text of the generic writer over ``_plain`` element dicts, and the
-DOT text of the per-element labels it replaced.  Every JSON output of the
-CLI is a fixed point of ``json.loads`` then ``json.dumps(indent=2)``.
+DOT text of the per-element labels it replaced.  A cn lattice is written
+from its atoms' bits and the cube's edges, without building a pair or
+reading ``covers``.  Every JSON output of the CLI is a fixed point of
+``json.loads`` then ``json.dumps(indent=2)``.
 """
 
 import json
@@ -18,16 +20,19 @@ import tables
 from galois_factor import (
     BooleanContext,
     CnLattice,
+    NecessityPair,
     cn_enumerate,
     concepts,
     factorize,
     fn_enumerate,
     fuzzy_concepts,
+    normalize,
 )
 from galois_factor import io as fio
 from galois_factor.cli import main
 from galois_factor.io import SCHEMA, emit_dot, emit_json, format_cxt
 from galois_factor.oracles import compare_concepts
+from galois_factor.order import pointwise_covers
 
 
 def generic(tree) -> str:
@@ -166,6 +171,86 @@ def test_fragment_path_matches_the_generic_twin_on_random_contexts():
         assert emit_dot(result) == twin_factor_dot(result)
 
 
+def _split(rng: random.Random, total: int, k: int) -> list[int]:
+    """``total`` as a sum of ``k`` positive parts."""
+    cuts = sorted(rng.sample(range(1, total), k - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+def blocks_context(rng: random.Random, k: int) -> BooleanContext:
+    """A normalized context of ``k`` >= 1 connected random blocks, rows and
+    columns shuffled, over 9 to 20 attributes and objects: its cn lattice has
+    ``k`` atoms and its subsets cross the bytes of the name tables."""
+    while True:
+        heights = _split(rng, rng.randint(9, 20), k)
+        widths = _split(rng, rng.randint(9, 20), k)
+        cells = set()
+        top = left = 0
+        for h, w in zip(heights, widths):
+            i = j = 0
+            cells.add((top, left))
+            while (i, j) != (h - 1, w - 1):  # a staircase joins every line of the block
+                if j == w - 1 or (i < h - 1 and rng.random() < 0.5):
+                    i += 1
+                else:
+                    j += 1
+                cells.add((top + i, left + j))
+            cells |= {
+                (top + i, left + j) for i in range(h) for j in range(w) if rng.random() < 0.3
+            }
+            top, left = top + h, left + w
+        attrs, objs = rng.sample(range(top), top), rng.sample(range(left), left)
+        rows = [0] * top
+        for i, j in cells:
+            rows[attrs[i]] |= 1 << objs[j]
+        ctx = BooleanContext([f"a{i}" for i in range(top)], [f"o{j}" for j in range(left)], rows)
+        if normalize(ctx).core == ctx:
+            return renamed(ctx, rng)
+
+
+def cn_lattices_across_bytes(seed: int):
+    """Seeded cn lattices with 0 to 8 atoms, three of each."""
+    rng = random.Random(seed)
+    yield cn_enumerate(BooleanContext([], [], []))
+    for k in range(1, 9):
+        for _ in range(3):
+            lattice = cn_enumerate(blocks_context(rng, k))
+            assert len(lattice.atom_pairs) == k
+            yield lattice
+
+
+def test_cn_bit_path_matches_the_generic_twin_across_bytes():
+    # the twin writes NecessityPairs built one by one, and lattice.covers
+    for lattice in cn_lattices_across_bytes(1111):
+        tree = twin_tree(lattice)
+        assert emit_json(lattice) == generic(tree)
+        assert emit_dot(lattice) == twin_dot(lattice)
+
+
+def test_cube_edges_are_the_pointwise_covers_of_the_object_bits():
+    for lattice in cn_lattices_across_bytes(1112):
+        expected = pointwise_covers(lattice.element_bits[0])
+        cube = [(i, j) for i, above in enumerate(fio._upper_covers(lattice)) for j in above]
+        assert tuple(cube) == lattice.covers == expected
+
+
+def test_cn_writers_read_no_covers_and_build_no_pairs(monkeypatch):
+    diag21 = BooleanContext.from_rows(
+        [f"a{i}" for i in range(21)], [f"b{i}" for i in range(21)],
+        [[i == j for j in range(21)] for i in range(21)],
+    )
+    twins = [cn_enumerate(tables.WIDE), cn_enumerate(diag21)]
+    expected = [emit_json(twins[0]), emit_dot(twins[0]), emit_json(twins[1])]
+    fresh = [cn_enumerate(tables.WIDE), cn_enumerate(diag21)]
+
+    def refuse(*args):
+        raise AssertionError("the cn writers read only the atoms and the element bits")
+
+    monkeypatch.setattr(CnLattice, "covers", property(refuse))
+    monkeypatch.setattr(NecessityPair, "__init__", refuse)
+    assert [emit_json(fresh[0]), emit_dot(fresh[0]), emit_json(fresh[1])] == expected
+
+
 def test_fragment_path_on_empty_sides():
     # a full and an empty column: the top concept has an empty intent and
     # the bottom an extent of one; the cn bottom is empty on both sides,
@@ -242,10 +327,10 @@ CASES = [
 def test_cli_json_is_a_fixed_point_of_json_dumps(table, argv, tmp_path, capsys):
     if table == "R2":
         path = tmp_path / "r2.csv"
-        path.write_text(R2_GODEL_CSV)
+        path.write_text(R2_GODEL_CSV, encoding="utf-8")
     else:
         path = tmp_path / "t.cxt"
-        path.write_text(format_cxt(getattr(tables, table)))
+        path.write_text(format_cxt(getattr(tables, table)), encoding="utf-8")
     assert main([argv[0], str(path), *argv[1:]]) == 0
     text = capsys.readouterr().out
     assert text == dumps(json.loads(text))
