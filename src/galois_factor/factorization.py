@@ -118,7 +118,8 @@ class CnLattice(Lattice):
     atoms: ``elements`` is None, ``element_bits`` holds the object and
     attribute bits of every element, and an element is built as a
     ``NecessityPair`` only when it is asked for (indexing, iteration).  The
-    Hasse edges are the cube's (i, i | 1 << a), for each atom a not in i.
+    Hasse edges are the cube's (i, i | 1 << a), for each atom a not in i:
+    ``cover_lists`` makes them by doubling and ``covers`` flattens it.
     With more than ``MAX_MATERIALIZED_ATOMS`` atoms the lattice is not
     materialized: only the atoms and the pair count are available, and
     ``len`` raises ``BudgetExceededError``.
@@ -157,17 +158,31 @@ class CnLattice(Lattice):
     def __iter__(self) -> Iterator[NecessityPair]:
         return map(self._pair, *self.element_bits)
 
-    def __getitem__(self, i: int) -> NecessityPair:
+    def __getitem__(self, i: int | slice) -> NecessityPair | tuple[NecessityPair, ...]:
         xs, ys = self.element_bits
+        if isinstance(i, slice):
+            return tuple(map(self._pair, xs[i], ys[i]))
         return self._pair(xs[i], ys[i])
+
+    @cached_property
+    def cover_lists(self) -> list[list[int]]:
+        """The cube's upper covers i | 1 << a, for each atom a not in i, by
+        doubling: adding atom a appends i | 1 << a to the list of each i
+        without a, and gives i | 1 << a the list of i, each with a added."""
+        len(self)  # raises unless materialized
+        ups: list[list[int]] = [[]]
+        for a in range(len(self.atom_pairs)):
+            bit = 1 << a
+            added = [[j | bit for j in above] for above in ups]
+            for i, above in enumerate(ups):
+                above.append(i | bit)
+            ups += added
+        return ups
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Hasse edges (i, i | 1 << a) for each atom a not in i, in sorted order."""
-        k = len(self.atom_pairs)
-        return tuple(
-            (i, i | 1 << a) for i in range(len(self)) for a in range(k) if not i >> a & 1
-        )
+        return tuple((i, j) for i, above in enumerate(self.cover_lists) for j in above)
 
     @property
     def atoms(self) -> tuple[int, ...]:

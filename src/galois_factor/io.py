@@ -18,18 +18,20 @@ The writer takes only str, int, bool, None, list and dict with str keys
 and raises ``TypeError`` on anything else (a float, tuple, set, bytes or
 a non-str key); strings go through ``json.encoder.encode_basestring``.
 Concept and cn lattices build no tree: each object and attribute name is
-encoded once per document, with its newline and indent, into one table
-per byte of a subset's bits, whose entry b joins the names at the set
-bits of b; each element is one string, one table lookup per byte of each
-of its two subsets.  DOT labels join the escaped names through the same
-tables.  A cn lattice is written from its atoms alone: its element bits
-come from ``CnLattice.element_bits`` and its cube edges (i, i | 1 << a)
-from that formula, so no ``NecessityPair`` is built and ``covers`` is not
-read.  Hasse edges, in JSON and in DOT, are one join per element over
-pre-built index strings.  Fuzzy lattices and the other results go through
-the generic writer.  Keys come in a fixed order, so identical inputs
-produce byte-identical output; grades serialize as exact fraction
-strings, never as floats.  DOT digraphs draw the Hasse covers.
+encoded once per document, with its newline and indent, into a table per
+byte of a subset's bits, whose entry b joins the names at the set bits of
+b; an entry is made the first time it is looked up, so the tables hold
+only the entries the document uses.  Each element is one string, one table
+lookup per byte of each of its two subsets.  DOT labels join the escaped
+names through the same tables.  A cn lattice is written from its atoms
+alone: its element bits come from ``CnLattice.element_bits``, so no
+``NecessityPair`` is built.  Hasse edges, in JSON and in DOT, come from
+``Lattice.cover_lists`` (for a cn lattice the cube's, made by doubling,
+so the edge tuples of ``covers`` are not built) and are one join per
+element over pre-built index strings.  Fuzzy lattices and the other
+results go through the generic writer.  Keys come in a fixed order, so
+identical inputs produce byte-identical output; grades serialize as exact
+fraction strings, never as floats.  DOT digraphs draw the Hasse covers.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import io as _stdio
 import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -480,24 +482,40 @@ def _write(value, out: list[str], level: int = 0) -> None:
     out.append(close + brackets[1])
 
 
+# per byte b, its bits lowest first as 0/1 bytes: a selector for compress
+_BYTE_FLAGS = [bytes(b >> i & 1 for i in range(8)) for b in range(256)]
+
+
+class _ByteTable(dict):
+    """The joins of up to 8 fragments, keyed by a byte: entry b is the
+    fragments at the set bits of b, in index order.  An entry other than
+    the empty one is made the first time it is looked up, so a table holds
+    only the bytes in use and a zero byte costs nothing."""
+
+    __slots__ = ("fragments",)
+
+    def __init__(self, fragments: list[str]):
+        super().__init__({0: ""})
+        self.fragments = fragments
+
+    def __missing__(self, b: int) -> str:
+        entry = self[b] = "".join(compress(self.fragments, _BYTE_FLAGS[b]))
+        return entry
+
+
 def _joiner(names: Sequence[str], encode: Callable[[str], str]) -> Callable[[int], str]:
     """A function from a subset's bits to the ``encode``d names of its
     members, in index order, joined by commas.
 
-    Each name is encoded once, into one table per byte of the bits: entry b
-    of the table of byte p holds, each after a comma, the names at the set
-    bits of b among names 8p .. 8p + 7.  The tables are built by doubling,
-    and a subset costs one lookup per byte.
+    Each name is encoded once, into the ``_ByteTable`` of its byte of the
+    bits, with a comma before it; a subset costs one lookup per byte.
     """
-    tables = []
-    for start in range(0, len(names), 8):
-        table = [""]
-        for name in names[start:start + 8]:  # doubling: the second half adds this name
-            fragment = "," + encode(name)
-            table += [entry + fragment for entry in table]
-        tables.append(table)
+    tables = [
+        _ByteTable(["," + encode(name) for name in names[start:start + 8]])
+        for start in range(0, len(names), 8)
+    ]
     size = len(tables)
-    lookup = list.__getitem__
+    lookup = dict.__getitem__  # calls __missing__, as a subscript does
 
     def joined(bits: int) -> str:
         # the byte order is given: Python 3.10's to_bytes has no default
@@ -521,38 +539,16 @@ def _element_bits(elements, element_type: type) -> tuple[list[int], list[int]]:
     return list(map(first, elements)), list(map(second, elements))
 
 
-def _upper_covers(lattice: Lattice) -> list[list[int]]:
-    """Per element index, the indices of its upper covers, ascending.
-
-    A cn lattice's are the cube's, by doubling: adding atom a appends
-    i | 1 << a to the upper covers of each i without a, and gives i | 1 << a
-    the upper covers of i, each with a added.  Other lattices' are read off
-    ``covers``.
-    """
-    if isinstance(lattice, CnLattice):
-        ups: list[list[int]] = [[]]
-        for a in range(len(lattice.atom_pairs)):
-            bit = 1 << a
-            added = [[j | bit for j in above] for above in ups]
-            for i, above in enumerate(ups):
-                above.append(i | bit)
-            ups += added
-        return ups
-    ups = [[] for _ in range(len(lattice))]
-    for lower, upper in lattice.covers:
-        ups[lower].append(upper)
-    return ups
-
-
 def _edges(lattice: Lattice, edge: str, sep: str) -> str:
     """The Hasse edges in the order of ``covers``, each ``edge`` with its
     lower and upper index in place of its two ``%s``, joined by ``sep``.
 
-    Each index is printed once, and each element's edges are one join of
-    the pre-built texts of its upper covers.
+    The edges come from ``cover_lists``.  Each index is printed once, and
+    each element's edges are one join of the pre-built texts of its upper
+    covers.
     """
     head, mid, tail = edge.split("%s")
-    ups = _upper_covers(lattice)
+    ups = lattice.cover_lists
     numbers = list(map(str, range(len(ups))))
     upper = [number + tail for number in numbers].__getitem__
     leads = [sep + head + number + mid for number in numbers]

@@ -5,8 +5,9 @@ fn and fuzzy concept lattices are instances of it, and the cn lattice is
 its subclass ``factorization.CnLattice``.  It offers ``len(lattice)``,
 iteration, indexing, ``le(i, j)`` (reflexive order on element indices),
 ``covers`` (the Hasse edges as sorted ``(lower, upper)`` index pairs),
-``bottom_index``, ``top_index``, ``index_of``, ``find_extent``,
-``upper_covers`` and ``lower_covers``.  The helpers at the end of this
+``cover_lists`` (per element, its upper covers ascending; the writers'
+one source of Hasse edges), ``bottom_index``, ``top_index``,
+``index_of``, ``find_extent``, ``upper_covers`` and ``lower_covers``.  The helpers at the end of this
 module work against that surface.
 
 Every element type has an ``order_key``: the extent bits of a formal
@@ -69,6 +70,15 @@ class Lattice:
     def covers(self) -> tuple[tuple[int, int], ...]:
         return pointwise_covers([e.order_key for e in self])
 
+    @cached_property
+    def cover_lists(self) -> list[list[int]]:
+        """Per element index, the indices of its upper covers, ascending;
+        ``covers`` is these, flattened.  Shared: do not mutate."""
+        ups: list[list[int]] = [[] for _ in range(len(self))]
+        for lower, upper in self.covers:
+            ups[lower].append(upper)
+        return ups
+
     @property
     def bottom_index(self) -> int:
         return 0
@@ -91,7 +101,7 @@ class Lattice:
         return None
 
     def upper_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(u for (l, u) in self.covers if l == i)
+        return tuple(self.cover_lists[i])
 
     def lower_covers(self, i: int) -> tuple[int, ...]:
         return tuple(l for (l, u) in self.covers if u == i)

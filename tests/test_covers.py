@@ -108,6 +108,17 @@ class TestCnLattice:
             assert_covers_match(cn_enumerate(random_normalized_context(rng, max_side=8)))
 
 
+class TestCoverLists:
+    def test_cover_lists_flatten_to_covers(self):
+        rng = random.Random(4109)
+        for _ in range(40):
+            lattice = concepts(random_context(rng, max_side=8))
+            flat = tuple((i, j) for i, above in enumerate(lattice.cover_lists) for j in above)
+            assert flat == lattice.covers
+            for i in range(len(lattice)):
+                assert lattice.upper_covers(i) == tuple(u for l, u in lattice.covers if l == i)
+
+
 class TestBottomAndTop:
     def test_concept_lattices(self):
         rng = random.Random(4107)

@@ -89,6 +89,20 @@ class TestCnEnumerate:
                 assert (join[0].names, join[1].names) in members
                 assert (meet[0].names, meet[1].names) in members
 
+    def test_slices_and_lattice_surface(self):
+        # elements are built on demand, so slices and the Lattice methods
+        # must agree with iterating over them
+        lattice = cn_enumerate(TABLE2)
+        pairs = tuple(lattice)
+        assert lattice.elements is None
+        assert lattice[1:3] == pairs[1:3]
+        assert lattice[::-1] == pairs[::-1]
+        assert lattice[-1] == pairs[-1]
+        for i in range(len(lattice)):
+            assert lattice.upper_covers(i) == tuple(u for l, u in lattice.covers if l == i)
+            assert lattice.lower_covers(i) == tuple(l for l, u in lattice.covers if u == i)
+            assert lattice.index_of(pairs[i]) == i
+
     def test_lattice_by_description_beyond_max_atoms(self):
         n = MAX_MATERIALIZED_ATOMS + 1
         diagonal = BooleanContext.from_rows(

@@ -230,8 +230,11 @@ def test_cn_bit_path_matches_the_generic_twin_across_bytes():
 def test_cube_edges_are_the_pointwise_covers_of_the_object_bits():
     for lattice in cn_lattices_across_bytes(1112):
         expected = pointwise_covers(lattice.element_bits[0])
-        cube = [(i, j) for i, above in enumerate(fio._upper_covers(lattice)) for j in above]
-        assert tuple(cube) == lattice.covers == expected
+        ups = [[] for _ in range(len(lattice))]
+        for lower, upper in expected:
+            ups[lower].append(upper)
+        assert lattice.cover_lists == ups
+        assert lattice.covers == expected
 
 
 def test_cn_writers_read_no_covers_and_build_no_pairs(monkeypatch):
@@ -249,6 +252,26 @@ def test_cn_writers_read_no_covers_and_build_no_pairs(monkeypatch):
     monkeypatch.setattr(CnLattice, "covers", property(refuse))
     monkeypatch.setattr(NecessityPair, "__init__", refuse)
     assert [emit_json(fresh[0]), emit_dot(fresh[0]), emit_json(fresh[1])] == expected
+
+
+@given(st.lists(st.text(max_size=3), max_size=40), st.data())
+def test_joiner_joins_the_names_at_the_set_bits(names, data):
+    bits = data.draw(st.integers(0, (1 << len(names)) - 1))
+    joined = fio._joiner(names, str.upper)
+    expected = ",".join(name.upper() for i, name in enumerate(names) if bits >> i & 1)
+    assert joined(bits) == joined(bits) == expected
+
+
+def test_joiner_tables_hold_only_the_bytes_in_use(monkeypatch):
+    # 2,000 names make 250 tables; a subset within the first byte fills one
+    # entry, and the zero bytes of the other 249 tables fill none
+    misses = []
+    missing = fio._ByteTable.__missing__
+    monkeypatch.setattr(fio._ByteTable, "__missing__", lambda t, b: misses.append(b) or missing(t, b))
+    joined = fio._joiner([f"o{j}" for j in range(2000)], str)
+    assert joined(0b101) == joined(0b101) == "o0,o2"
+    assert joined(0) == ""
+    assert misses == [0b101]
 
 
 def test_fragment_path_on_empty_sides():
