@@ -17,11 +17,9 @@ from .contexts import (
     down,
     down_n,
     down_pi,
-    is_join_irreducible,
     is_normalized,
     join_irreducibles,
     normalize,
-    property_oriented_concepts,
     restrict,
     up,
     up_n,
@@ -70,7 +68,6 @@ from .fuzzy import (
     f_up_n,
     f_up_pi,
     fn_enumerate,
-    fn_meet,
     fuzzy_concepts,
     in_fn,
     interval_from_pair,
@@ -84,7 +81,6 @@ from .grades import (
     discretized_product_triple,
     godel_triple,
     lukasiewicz_triple,
-    residua_by_adjointness,
     triple_from_descriptor,
 )
 from .order import Lattice

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import order
 from .errors import CrossContextError
-from .order import atoms, is_join_irreducible, join_irreducibles  # re-exported ops
+from .order import atoms, join_irreducibles  # re-exported ops
 
 __all__ = [
     "BooleanContext",
@@ -36,11 +36,21 @@ __all__ = [
     "is_normalized",
     "restrict",
     "concepts",
-    "property_oriented_concepts",
-    "is_join_irreducible",
     "join_irreducibles",
     "atoms",
 ]
+
+
+def _check_names(kind: str, names: Sequence) -> None:
+    """``ValueError`` unless ``names`` are distinct, non-empty single lines
+    without surrounding whitespace: the names a ``.cxt`` file can carry and
+    a DOT label or JSON document shows as they are."""
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate {kind} names")
+    for name in names:
+        one_line = isinstance(name, str) and name.splitlines() == [name]
+        if not one_line or name.strip() != name:
+            raise ValueError(f"{kind} name {name!r} is not one unpadded non-empty line")
 
 
 @dataclass(frozen=True)
@@ -60,13 +70,8 @@ class BooleanContext:
         object.__setattr__(self, "attributes", tuple(self.attributes))
         object.__setattr__(self, "objects", tuple(self.objects))
         object.__setattr__(self, "rows", tuple(self.rows))
-        for kind, names in (("attribute", self.attributes), ("object", self.objects)):
-            if len(set(names)) != len(names):
-                raise ValueError(f"duplicate {kind} names")
-            for name in names:
-                one_line = isinstance(name, str) and name.splitlines() == [name]
-                if not one_line or name.strip() != name:
-                    raise ValueError(f"{kind} name {name!r} is not one unpadded non-empty line")
+        _check_names("attribute", self.attributes)
+        _check_names("object", self.objects)
         if len(self.rows) != len(self.attributes):
             raise ValueError(
                 f"incidence has {len(self.rows)} rows for {len(self.attributes)} attributes"
@@ -373,21 +378,6 @@ def concepts(
         )
     found.sort(key=lambda c: c.extent.bits)
     return order.Lattice(ctx, tuple(found))
-
-
-def property_oriented_concepts(
-    ctx: BooleanContext,
-) -> list[tuple[ObjectSubset, AttributeSubset]]:
-    """All pairs (X, X-up-pi) where X is a fixpoint of down-N o up-pi."""
-    n = len(ctx.objects)
-    close = lambda xbits: _down_n_bits(ctx, _up_pi_bits(ctx, xbits))
-    pairs = []
-    for xbits in order.closed_sets(n, close):
-        pairs.append(
-            (ObjectSubset(ctx, xbits), AttributeSubset(ctx, _up_pi_bits(ctx, xbits)))
-        )
-    pairs.sort(key=lambda p: p[0].bits)
-    return pairs
 
 
 @dataclass(frozen=True)

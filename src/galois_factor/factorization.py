@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .contexts import (
     AttributeSubset,
@@ -52,6 +52,7 @@ __all__ = [
     "complement",
     "in_cn",
     "factorize",
+    "reassemble",
     "rstar",
     "block_bounds",
 ]
@@ -119,7 +120,8 @@ class CnLattice(Lattice):
     attribute bits of every element, and an element is built as a
     ``NecessityPair`` only when it is asked for (indexing, iteration).  The
     Hasse edges are the cube's (i, i | 1 << a), for each atom a not in i:
-    ``cover_lists`` makes them by doubling and ``covers`` flattens it.
+    ``cover_lists`` makes them by doubling, and the base class's ``covers``
+    flattens it.
     With more than ``MAX_MATERIALIZED_ATOMS`` atoms the lattice is not
     materialized: only the atoms and the pair count are available, and
     ``len`` raises ``BudgetExceededError``.
@@ -178,26 +180,6 @@ class CnLattice(Lattice):
                 above.append(i | bit)
             ups += added
         return ups
-
-    @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges (i, i | 1 << a) for each atom a not in i, in sorted order."""
-        return tuple((i, j) for i, above in enumerate(self.cover_lists) for j in above)
-
-    @property
-    def atoms(self) -> tuple[int, ...]:
-        """Indices of the atoms: the masks with one bit set."""
-        len(self)  # raises unless materialized
-        return tuple(1 << a for a in range(len(self.atom_pairs)))
-
-    def pair_for_atoms(self, atom_positions: Iterable[int]) -> NecessityPair:
-        """Join of the given atoms, available even when not materialized."""
-        xbits = 0
-        ybits = 0
-        for a in atom_positions:
-            xbits |= self.atom_pairs[a].objects.bits
-            ybits |= self.atom_pairs[a].attrs.bits
-        return self._pair(xbits, ybits)
 
 
 def _require_normalized(ctx: BooleanContext) -> None:

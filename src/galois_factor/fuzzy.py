@@ -28,8 +28,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import order
+from .contexts import _check_names
 from .errors import FrameArrangementError
-from .grades import AdjointTriple, Grade, GradeChain
+from .grades import AdjointTriple, GradeChain
 
 __all__ = [
     "FrameKind",
@@ -48,7 +49,6 @@ __all__ = [
     "f_down_pi",
     "in_fn",
     "fn_enumerate",
-    "fn_meet",
     "fuzzy_concepts",
     "is_fuzzy_normalized",
     "is_top_normalized",
@@ -86,6 +86,7 @@ class FuzzyContext:
     attribute i to object j; ``sigma`` picks the triple per cell (None
     means the first triple everywhere).  The chains ``l1``, ``l2``, ``p``
     are the triples' shared domains, read in the ``kind`` arrangement.
+    Names follow the rule of ``BooleanContext``.
     """
 
     attributes: tuple[str, ...]
@@ -107,10 +108,8 @@ class FuzzyContext:
             object.__setattr__(self, "sigma", tuple(tuple(r) for r in self.sigma))
         if not self.attributes or not self.objects:
             raise ValueError("attribute and object sets must be non-empty")
-        if len(set(self.attributes)) != len(self.attributes):
-            raise ValueError("duplicate attribute names")
-        if len(set(self.objects)) != len(self.objects):
-            raise ValueError("duplicate object names")
+        _check_names("attribute", self.attributes)
+        _check_names("object", self.objects)
         if not self.triples:
             raise ValueError("a context needs at least one adjoint triple")
         first = self.triples[0]
@@ -159,11 +158,6 @@ class FuzzyContext:
 
     def sigma_at(self, i: int, j: int) -> int:
         return 0 if self.sigma is None else self.sigma[i][j]
-
-    def relation_grade(self, attribute: str, obj: str) -> Grade:
-        i = self.attributes.index(attribute)
-        j = self.objects.index(obj)
-        return Grade(self.relation[i][j], self.p)
 
     def graded_objects(self, values) -> "GradedObjectSet":
         return GradedObjectSet(self._parse_values(values, self.objects, self.l2), self.l2)
@@ -225,17 +219,6 @@ class _GradedSet:
     def __lt__(self, other) -> bool:
         self._mate(other)
         return self.values != other.values and self <= other
-
-    def meet(self, other):
-        self._mate(other)
-        return type(self)(tuple(map(min, self.values, other.values)), self.chain)
-
-    def join(self, other):
-        self._mate(other)
-        return type(self)(tuple(map(max, self.values, other.values)), self.chain)
-
-    def grade(self, index: int) -> Grade:
-        return Grade(self.values[index], self.chain)
 
     def as_fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.chain.m) for v in self.values)
@@ -456,18 +439,6 @@ def fn_enumerate(ctx: FuzzyContext, budget: int = order.DEFAULT_ENUM_BUDGET) -> 
                 )
             )
     return order.Lattice(ctx, tuple(pairs))
-
-
-def fn_meet(
-    ctx: FuzzyContext, p1: FuzzyNecessityPair, p2: FuzzyNecessityPair
-) -> FuzzyNecessityPair:
-    """Componentwise infimum of two pairs; stays in the closure system."""
-    _claim_member(ctx, p1)
-    _claim_member(ctx, p2)
-    met = FuzzyNecessityPair(p1.g.meet(p2.g), p1.f.meet(p2.f))
-    if not in_fn(ctx, met):
-        raise RuntimeError(f"meet {met!r} escaped the closure system")
-    return met
 
 
 def fuzzy_concepts(ctx: FuzzyContext, budget: int = order.DEFAULT_ENUM_BUDGET) -> order.Lattice:

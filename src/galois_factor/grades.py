@@ -10,7 +10,9 @@ chains; the residua are linked to the conjunctor by the adjoint property
 
 which ``AdjointTriple`` checks, in O(m^2), when it is built: no triple
 holds tables that fail it.  ``oracles.brute_adjointness_witness`` is the
-naive O(m^3) twin of that check.  Grade strings go through
+naive O(m^3) twin of that check, and ``oracles.residua_by_adjointness``
+derives residua from a conjunctor alone.  A ``Grade`` has no order of its
+own: code compares numerators.  Grade strings go through
 ``read_grade``, which refuses the ones ``Fraction`` would stall on;
 ``GradeChain.numerator_of_fraction`` places a grade already read, so the
 parsers read each cell once.
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable
 
 from .errors import AdjointnessError
 
@@ -129,7 +130,7 @@ class GradeChain:
 
 @dataclass(frozen=True, order=False)
 class Grade:
-    """A point i/m on its chain.  Comparable only within one chain."""
+    """A point i/m on its chain.  Grades are compared by their numerators."""
 
     num: int
     chain: GradeChain
@@ -137,28 +138,6 @@ class Grade:
     def __post_init__(self):
         if not self.chain.holds((self.num,)):
             raise ValueError(f"numerator {self.num!r} is not an int on {self.chain}")
-
-    def _check(self, other: "Grade") -> None:
-        if not isinstance(other, Grade):
-            raise TypeError(f"cannot compare Grade with {type(other).__name__}")
-        if other.chain != self.chain:
-            raise ValueError(f"grades on different chains: {self.chain} vs {other.chain}")
-
-    def __le__(self, other):
-        self._check(other)
-        return self.num <= other.num
-
-    def __lt__(self, other):
-        self._check(other)
-        return self.num < other.num
-
-    def __ge__(self, other):
-        self._check(other)
-        return self.num >= other.num
-
-    def __gt__(self, other):
-        self._check(other)
-        return self.num > other.num
 
     @property
     def value(self) -> Fraction:
@@ -297,56 +276,6 @@ def discretized_product_triple(m1: int, m2: int, m3: int) -> AdjointTriple:
         tuple(floored_residuum(m2, m1, k, i) for i in range(m1 + 1)) for k in range(m3 + 1)
     )
     return AdjointTriple(f"dprod:{m1},{m2},{m3}", p1, p2, p3, conj, res_left, res_right)
-
-
-def residua_by_adjointness(
-    conj: Callable[[Grade, Grade], Grade],
-    domains: tuple[GradeChain, GradeChain, GradeChain],
-) -> tuple[Table, Table]:
-    """Derive both residua of a conjunctor by exhaustive search.
-
-    res_left(z, y) = max{x | conj(x, y) <= z} and symmetrically for
-    res_right.  If a maximum does not exist, or the conjunctor is not
-    monotone so that the maxima fail the adjoint property, an
-    AdjointnessError names the offending grades.
-    """
-    p1, p2, p3 = domains
-    table = tuple(
-        tuple(conj(Grade(i, p1), Grade(j, p2)).num for j in range(p2.m + 1))
-        for i in range(p1.m + 1)
-    )
-
-    res_left = []
-    for k in range(p3.m + 1):
-        row = []
-        for j in range(p2.m + 1):
-            xs = [i for i in range(p1.m + 1) if table[i][j] <= k]
-            if not xs:
-                raise AdjointnessError(
-                    f"no x with conj(x, {Fraction(j, p2.m)}) <= {Fraction(k, p3.m)}: "
-                    "the conjunctor admits no left residuum",
-                    witness=(None, Grade(j, p2), Grade(k, p3)),
-                )
-            row.append(max(xs))
-        res_left.append(tuple(row))
-
-    res_right = []
-    for k in range(p3.m + 1):
-        row = []
-        for i in range(p1.m + 1):
-            ys = [j for j in range(p2.m + 1) if table[i][j] <= k]
-            if not ys:
-                raise AdjointnessError(
-                    f"no y with conj({Fraction(i, p1.m)}, y) <= {Fraction(k, p3.m)}: "
-                    "the conjunctor admits no right residuum",
-                    witness=(Grade(i, p1), None, Grade(k, p3)),
-                )
-            row.append(max(ys))
-        res_right.append(tuple(row))
-
-    # building the triple checks the adjoint property
-    AdjointTriple("derived", p1, p2, p3, table, tuple(res_left), tuple(res_right))
-    return tuple(res_left), tuple(res_right)
 
 
 def _adjointness_witness(conj: Table, res_left: Table, res_right: Table):

@@ -52,6 +52,7 @@ from .contexts import (
     FormalConcept,
     NormalizationReport,
     ObjectSubset,
+    _check_names,
     concepts,
 )
 from .errors import ContextFormatError
@@ -75,7 +76,7 @@ from .fuzzy import (
 )
 from .grades import read_grade, triple_from_descriptor
 from .oracles import OracleReport
-from .order import DEFAULT_ENUM_BUDGET, Budget, Lattice, set_bits
+from .order import DEFAULT_ENUM_BUDGET, Budget, Lattice, atoms, set_bits
 
 SCHEMA = "galois-factor/1"
 
@@ -198,6 +199,14 @@ def _grade(cell, where: str, line: int | None = None) -> Fraction:
         raise ContextFormatError(f"{where}: {exc}", line) from None
 
 
+def _csv_names(kind: str, names, line: int) -> None:
+    """The context name check, as a ``ContextFormatError`` at ``line``."""
+    try:
+        _check_names(kind, names)
+    except ValueError as exc:
+        raise ContextFormatError(str(exc), line) from None
+
+
 def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
     """Parse a fuzzy relation grid.
 
@@ -216,8 +225,7 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
     objects = header[1:]
     if not objects:
         raise ContextFormatError("empty object set", 1)
-    if len(set(objects)) != len(objects):
-        raise ContextFormatError("duplicate object name in header", 1)
+    _csv_names("object", objects, 1)
 
     attributes = []
     cells: list[list[Fraction]] = []
@@ -228,6 +236,7 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
                 f"row has {len(row) - 1} cells, expected {len(objects)}", k
             )
         name = row[0]
+        _csv_names("attribute", (name,), k)
         if name in attributes:
             raise ContextFormatError(f"duplicate attribute name {name!r}", k)
         attributes.append(name)
@@ -614,7 +623,7 @@ def _lattice_members(lattice: Lattice) -> Iterator[tuple[str, Callable[[list[str
     yield key, functools.partial(elements, lattice)
     yield "covers", functools.partial(_write_covers, lattice)
     if isinstance(lattice, CnLattice):
-        yield "atoms", _member(list(lattice.atoms))
+        yield "atoms", _member(atoms(lattice))
 
 
 def emit_json(result, oracle: OracleReport | None = None) -> str:

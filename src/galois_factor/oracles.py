@@ -2,8 +2,10 @@
 
 Everything here re-derives results straight from the definitions —
 quantifier loops over the incidence, full scans of the candidate space,
-residua recomputed from the conjunctor by exhaustive search — so the fast
-paths can be validated against an independent route.  Deliberately naive;
+residua recomputed from the conjunctor by ``residua_by_adjointness``, the
+library's one exhaustive residuum search, and checked by the O(m^3)
+``brute_adjointness_witness`` — so the fast paths can be validated
+against an independent route.  Deliberately naive;
 used by the test suite and behind the CLI ``--oracle`` flag, never on the
 default path.
 """
@@ -11,11 +13,12 @@ default path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Callable
 
 from .contexts import AttributeSubset, BooleanContext, FormalConcept, ObjectSubset
-from .errors import BudgetExceededError
+from .errors import AdjointnessError, BudgetExceededError
 from .factorization import NecessityPair
 from .fuzzy import (
     FuzzyContext,
@@ -24,6 +27,7 @@ from .fuzzy import (
     GradedObjectSet,
     MultiAdjointConcept,
 )
+from .grades import Grade, GradeChain, Table
 from .order import Lattice
 
 __all__ = [
@@ -35,6 +39,7 @@ __all__ = [
     "brute_fn",
     "brute_fuzzy_concepts",
     "brute_adjointness_witness",
+    "residua_by_adjointness",
     "bipartite_components",
     "compare_concepts",
     "compare_cn",
@@ -202,23 +207,65 @@ def brute_adjointness_witness(conj, res_left, res_right):
     return None
 
 
-class _SearchResiduum:
-    """Residua recomputed from the conjunctor table by maximum search.
+def residua_by_adjointness(
+    conj: Callable[[Grade, Grade], Grade],
+    domains: tuple[GradeChain, GradeChain, GradeChain],
+) -> tuple[Table, Table]:
+    """Derive both residua of a conjunctor by exhaustive search.
 
-    Trusts only the conjunctor (the maxima exist, as every triple is
-    adjoint); the stored residuum tables are deliberately not consulted.
+    res_left(z, y) = max{x | conj(x, y) <= z} and symmetrically for
+    res_right.  If a maximum does not exist, or the conjunctor is not
+    monotone so that the maxima fail the adjoint property (as
+    ``brute_adjointness_witness`` finds, not the check ``AdjointTriple``
+    runs), an AdjointnessError names the offending grades.
     """
+    p1, p2, p3 = domains
+    table = tuple(
+        tuple(conj(Grade(i, p1), Grade(j, p2)).num for j in range(p2.m + 1))
+        for i in range(p1.m + 1)
+    )
 
-    def __init__(self, triple):
-        self.table = triple.conj_table
-        self.m1 = triple.p1.m
-        self.m2 = triple.p2.m
+    res_left = []
+    for k in range(p3.m + 1):
+        row = []
+        for j in range(p2.m + 1):
+            xs = [i for i in range(p1.m + 1) if table[i][j] <= k]
+            if not xs:
+                raise AdjointnessError(
+                    f"no x with conj(x, {Fraction(j, p2.m)}) <= {Fraction(k, p3.m)}: "
+                    "the conjunctor admits no left residuum",
+                    witness=(None, Grade(j, p2), Grade(k, p3)),
+                )
+            row.append(max(xs))
+        res_left.append(tuple(row))
 
-    def left(self, z: int, y: int) -> int:
-        return max([x for x in range(self.m1 + 1) if self.table[x][y] <= z])
+    res_right = []
+    for k in range(p3.m + 1):
+        row = []
+        for i in range(p1.m + 1):
+            ys = [j for j in range(p2.m + 1) if table[i][j] <= k]
+            if not ys:
+                raise AdjointnessError(
+                    f"no y with conj({Fraction(i, p1.m)}, y) <= {Fraction(k, p3.m)}: "
+                    "the conjunctor admits no right residuum",
+                    witness=(Grade(i, p1), None, Grade(k, p3)),
+                )
+            row.append(max(ys))
+        res_right.append(tuple(row))
 
-    def right(self, z: int, x: int) -> int:
-        return max([y for y in range(self.m2 + 1) if self.table[x][y] <= z])
+    witness = brute_adjointness_witness(table, res_left, res_right)
+    if witness is not None:
+        x, y, z = (Grade(n, c) for n, c in zip(witness, domains))
+        raise AdjointnessError(
+            f"the adjoint property fails at x={x}, y={y}, z={z}", witness=(x, y, z)
+        )
+    return tuple(res_left), tuple(res_right)
+
+
+def _residua(ctx: FuzzyContext) -> list[tuple[Table, Table]]:
+    """Per triple, its residua recomputed from the conjunctor alone; the
+    stored residuum tables are deliberately not consulted."""
+    return [residua_by_adjointness(t.conj, t.domains) for t in ctx.triples]
 
 
 def _grid_fixpoints(ctx: FuzzyContext, up, down, make) -> list:
@@ -238,13 +285,13 @@ def _grid_fixpoints(ctx: FuzzyContext, up, down, make) -> list:
 
 def brute_fn(ctx: FuzzyContext) -> list[FuzzyNecessityPair]:
     """Scan the full grid of graded object sets for necessity-closed pairs."""
-    residua = [_SearchResiduum(t) for t in ctx.triples]
+    residua = _residua(ctx)
 
     def up_n(g):
         out = []
         for i in range(len(ctx.attributes)):
             vals = [
-                residua[ctx.sigma_at(i, j)].left(g[j], ctx.relation[i][j])
+                residua[ctx.sigma_at(i, j)][0][g[j]][ctx.relation[i][j]]
                 for j in range(len(ctx.objects))
             ]
             out.append(min(vals))
@@ -254,7 +301,7 @@ def brute_fn(ctx: FuzzyContext) -> list[FuzzyNecessityPair]:
         out = []
         for j in range(len(ctx.objects)):
             vals = [
-                residua[ctx.sigma_at(i, j)].right(f[i], ctx.relation[i][j])
+                residua[ctx.sigma_at(i, j)][1][f[i]][ctx.relation[i][j]]
                 for i in range(len(ctx.attributes))
             ]
             out.append(min(vals))
@@ -265,13 +312,13 @@ def brute_fn(ctx: FuzzyContext) -> list[FuzzyNecessityPair]:
 
 def brute_fuzzy_concepts(ctx: FuzzyContext) -> list[MultiAdjointConcept]:
     """Scan the full grid of graded object sets for the fixpoints of down o up."""
-    residua = [_SearchResiduum(t) for t in ctx.triples]
+    residua = _residua(ctx)
 
     def up(g):
         out = []
         for i in range(len(ctx.attributes)):
             vals = [
-                residua[ctx.sigma_at(i, j)].left(ctx.relation[i][j], g[j])
+                residua[ctx.sigma_at(i, j)][0][ctx.relation[i][j]][g[j]]
                 for j in range(len(ctx.objects))
             ]
             out.append(min(vals))
@@ -281,7 +328,7 @@ def brute_fuzzy_concepts(ctx: FuzzyContext) -> list[MultiAdjointConcept]:
         out = []
         for j in range(len(ctx.objects)):
             vals = [
-                residua[ctx.sigma_at(i, j)].right(ctx.relation[i][j], f[i])
+                residua[ctx.sigma_at(i, j)][1][ctx.relation[i][j]][f[i]]
                 for i in range(len(ctx.attributes))
             ]
             out.append(min(vals))

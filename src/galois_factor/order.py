@@ -4,11 +4,12 @@
 fn and fuzzy concept lattices are instances of it, and the cn lattice is
 its subclass ``factorization.CnLattice``.  It offers ``len(lattice)``,
 iteration, indexing, ``le(i, j)`` (reflexive order on element indices),
-``covers`` (the Hasse edges as sorted ``(lower, upper)`` index pairs),
-``cover_lists`` (per element, its upper covers ascending; the writers'
-one source of Hasse edges), ``bottom_index``, ``top_index``,
-``index_of``, ``find_extent``, ``upper_covers`` and ``lower_covers``.  The helpers at the end of this
-module work against that surface.
+``cover_lists`` (per element, its upper covers ascending: the one
+record of the Hasse edges, which the writers read), ``covers`` (those
+edges flattened into sorted ``(lower, upper)`` index pairs),
+``bottom_index``, ``top_index``, ``index_of`` and ``upper_covers``.  The
+helpers at the end of this module, ``join_irreducibles`` and ``atoms``,
+read ``cover_lists``.
 
 Every element type has an ``order_key``: the extent bits of a formal
 concept, the object bits of a necessity pair, the object grades g of a
@@ -20,7 +21,7 @@ its order, so ``le(i, j)`` with i != j implies i < j; hence the bottom is
 index 0 and the top is index n - 1.  The enumerations list their elements
 in increasing key order (subset implies a smaller int; pointwise <=
 implies lexicographically <=).  ``pointwise_covers`` relies on this and
-checks it; ``join_irreducibles`` reads only ``covers``.
+checks it.
 
 The concept, fn and fuzzy concept enumerations run through ``closed_sets``
 or ``graded_closed_sets``.  Their ``budget`` caps the closure evaluations,
@@ -67,17 +68,15 @@ class Lattice:
         return all(map(operator.le, a, b))
 
     @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
+    def cover_lists(self) -> list[list[int]]:
+        """Per element index, the indices of its upper covers, ascending.
+        Shared: do not mutate."""
         return pointwise_covers([e.order_key for e in self])
 
     @cached_property
-    def cover_lists(self) -> list[list[int]]:
-        """Per element index, the indices of its upper covers, ascending;
-        ``covers`` is these, flattened.  Shared: do not mutate."""
-        ups: list[list[int]] = [[] for _ in range(len(self))]
-        for lower, upper in self.covers:
-            ups[lower].append(upper)
-        return ups
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The Hasse edges, sorted: ``cover_lists`` flattened."""
+        return tuple((i, j) for i, above in enumerate(self.cover_lists) for j in above)
 
     @property
     def bottom_index(self) -> int:
@@ -93,18 +92,8 @@ class Lattice:
                 return i
         raise ValueError(f"{element!r} is not in the lattice")
 
-    def find_extent(self, extent):
-        """The element whose extent equals ``extent``, or None."""
-        for e in self:
-            if e.extent == extent:
-                return e
-        return None
-
     def upper_covers(self, i: int) -> tuple[int, ...]:
         return tuple(self.cover_lists[i])
-
-    def lower_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(l for (l, u) in self.covers if u == i)
 
 
 class Budget:
@@ -218,8 +207,9 @@ def set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> tuple[tuple[int, int], ...]:
-    """Hasse edges of distinct grade vectors under the pointwise order.
+def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> list[list[int]]:
+    """Per row, the indices of its upper covers among distinct grade vectors
+    under the pointwise order, ascending.
 
     ``rows`` are vectors of non-negative grades as tuples, or 0/1 vectors
     as ints whose bit x is the grade at position x (subsets under
@@ -232,9 +222,8 @@ def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> tuple[tuple[int, in
     AND of the thresholds its non-zero grades name, with bits 0..i masked
     off (no earlier row can lie above it).  Its upper covers are peeled off
     lowest index first: the lowest index j left is minimal, since every row
-    below j comes before it, so (i, j) is an edge, and j and the up-set of j
-    leave.  Cost: O(sum of grades + edges) big-int operations.  The edges
-    come out sorted.
+    below j comes before it, so j covers i, and j and the up-set of j
+    leave.  Cost: O(sum of grades + edges) big-int operations.
     """
     n = len(rows)
     for i in range(1, n):
@@ -254,14 +243,16 @@ def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> tuple[tuple[int, in
         for key in _support(row):
             up &= above[key]
         ups.append(up)
-    edges = []
-    for i, up in enumerate(ups):
+    covers = []
+    for up in ups:
+        above = []
         while up:
             low = up & -up
             j = low.bit_length() - 1
-            edges.append((i, j))
+            above.append(j)
             up &= ~(low | ups[j])
-    return tuple(edges)
+        covers.append(above)
+    return covers
 
 
 def _support(row: Sequence[int] | int) -> Iterator[tuple[int, int]]:
@@ -271,24 +262,19 @@ def _support(row: Sequence[int] | int) -> Iterator[tuple[int, int]]:
     return ((x, g) for x, g in enumerate(row) if g)
 
 
-def is_join_irreducible(lattice, element) -> bool:
-    """Whether an element (given by index or by value) is join-irreducible.
-
-    In a finite lattice that is exactly: it has one lower cover.  The
-    bottom has none; two distinct lower covers join to the element.
-    """
-    index = element if isinstance(element, int) else lattice.index_of(element)
-    return sum(1 for _, upper in lattice.covers if upper == index) == 1
-
-
 def join_irreducibles(lattice) -> list[int]:
-    """Indices of the elements with exactly one lower cover, ascending."""
-    lower_covers = [0] * len(lattice)
-    for _, upper in lattice.covers:
-        lower_covers[upper] += 1
-    return [i for i, count in enumerate(lower_covers) if count == 1]
+    """Indices of the elements with exactly one lower cover, ascending.
+
+    In a finite lattice those are the join-irreducible elements: the
+    bottom has no lower cover, and two distinct ones join to the element.
+    """
+    lower_counts = [0] * len(lattice)
+    for above in lattice.cover_lists:
+        for j in above:
+            lower_counts[j] += 1
+    return [i for i, count in enumerate(lower_counts) if count == 1]
 
 
 def atoms(lattice) -> list[int]:
-    """Indices of the elements covering the bottom element."""
-    return sorted(u for (l, u) in lattice.covers if l == lattice.bottom_index)
+    """Indices of the elements covering the bottom element, ascending."""
+    return list(lattice.cover_lists[0])

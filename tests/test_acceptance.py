@@ -13,6 +13,7 @@ from galois_factor import (
     FuzzyNecessityPair,
     GradeChain,
     NecessityPair,
+    atoms,
     block_bounds,
     check_fp1,
     check_fp2,
@@ -39,11 +40,14 @@ from galois_factor import (
     join_irreducibles,
     lukasiewicz_triple,
     reassemble,
-    residua_by_adjointness,
     rstar,
 )
 from galois_factor.oracles import (
-    bipartite_components, brute_adjointness_witness, brute_cn, brute_rstar
+    bipartite_components,
+    brute_adjointness_witness,
+    brute_cn,
+    brute_rstar,
+    residua_by_adjointness,
 )
 from tables import (
     DPROD_R2_FN_LISTED,
@@ -146,7 +150,7 @@ def test_criterion_3_factorization_soundness_on_random_contexts():
             members = pair_set(lattice)
 
             atom_objs, atom_attrs = [], []
-            for i in lattice.atoms:
+            for i in atoms(lattice):
                 atom_objs += lattice[i].objects.names
                 atom_attrs += lattice[i].attrs.names
             assert sorted(atom_objs) == sorted(ctx.objects)
@@ -247,14 +251,15 @@ def test_criterion_6_godel_top_normalized_context():
             (("0", "0", "0.5"), ("0", "0", "1"), ("0", "0", "1")),         # C2..C2
             (("0.75", "0.5", "0.5"), ("0", "0", "0"), ("1", "1", "1")),    # C0..C6
         ]
+        by_extent = {c.extent: c for c in lattice}
         for g_values, lower_extent, upper_extent in expected_intervals:
             pair = fn_pair(ctx, g_values, g_values)
             interval = interval_from_pair(ctx, pair)
             assert interval.ordered
             assert interval.lower.extent == ctx.graded_objects(lower_extent)
             assert interval.upper.extent == ctx.graded_objects(upper_extent)
-            assert lattice.find_extent(interval.lower.extent) == interval.lower
-            assert lattice.find_extent(interval.upper.extent) == interval.upper
+            assert by_extent[interval.lower.extent] == interval.lower
+            assert by_extent[interval.upper.extent] == interval.upper
 
         report = check_fp4(ctx, fn_pair(ctx, ("0", "0", "0.75"), ("0", "0", "0.75")))
         assert report.hypothesis_holds_per_attribute == (True, True, False)

@@ -4,17 +4,19 @@ from hypothesis import given, settings, strategies as st
 from galois_factor import (
     BooleanContext,
     CrossContextError,
+    FuzzyContext,
+    GradeChain,
+    ObjectSubset,
     atoms,
     cn_enumerate,
     concepts,
     down,
     down_n,
     down_pi,
-    is_join_irreducible,
+    godel_triple,
     is_normalized,
     join_irreducibles,
     normalize,
-    property_oriented_concepts,
     up,
     up_n,
     up_pi,
@@ -68,6 +70,12 @@ class TestConstruction:
             BooleanContext.from_rows([name], ["b"], [[1]])
         with pytest.raises(ValueError):
             BooleanContext.from_rows(["a"], [name], [[1]])
+        # a fuzzy context follows the same rule
+        frame = (godel_triple(GradeChain(1)),)
+        with pytest.raises(ValueError):
+            FuzzyContext([name], ["b"], frame, [[1]])
+        with pytest.raises(ValueError):
+            FuzzyContext(["a"], [name], frame, [[1]])
 
     def test_inner_spaces_and_unicode_names_accepted(self):
         ctx = BooleanContext.from_rows(["a b"], ["\u00e9t\u00e9"], [[1]])
@@ -223,25 +231,33 @@ class TestConcepts:
         assert len(lattice) == 8
 
 
+def property_oriented(ctx, xs):
+    """(X, X-up-pi) when X is a fixpoint of down-N o up-pi, else None."""
+    ys = up_pi(ctx, xs)
+    return (xs, ys) if down_n(ctx, ys) == xs else None
+
+
 class TestPropertyOriented:
     def test_fixpoint_pair_from_table1(self):
-        pairs = {(x.names, y.names) for x, y in property_oriented_concepts(TABLE1)}
-        assert (("b5", "b6"), ("a4", "a6")) in pairs
+        xs = TABLE1.object_set(["b5", "b6"])
+        assert property_oriented(TABLE1, xs) == (xs, TABLE1.attribute_set(["a4", "a6"]))
 
     def test_full_pair_always_present(self):
-        pairs = property_oriented_concepts(TABLE1)
-        assert (TABLE1.all_objects, TABLE1.all_attributes) in [
-            (x, y) for x, y in pairs
-        ]
+        for ctx in (TABLE1, TABLE2):
+            assert property_oriented(ctx, ctx.all_objects) == (
+                ctx.all_objects, ctx.all_attributes
+            )
 
     def test_table2_component_pair(self):
-        pairs = {(x.names, y.names) for x, y in property_oriented_concepts(TABLE2)}
-        assert (("b5", "b6", "b7"), ("a4", "a6", "a8")) in pairs
+        xs = TABLE2.object_set(["b5", "b6", "b7"])
+        assert property_oriented(TABLE2, xs) == (xs, TABLE2.attribute_set(["a4", "a6", "a8"]))
 
     def test_images_are_up_pi(self):
-        for x, y in property_oriented_concepts(TABLE2):
-            assert up_pi(TABLE2, x) == y
-            assert down_n(TABLE2, y) == x
+        # down-N o up-pi is a closure: the image of any X is a fixpoint
+        for bits in range(1 << len(TABLE2.objects)):
+            closed = down_n(TABLE2, up_pi(TABLE2, ObjectSubset(TABLE2, bits)))
+            assert closed.bits & bits == bits
+            assert property_oriented(TABLE2, closed) == (closed, up_pi(TABLE2, closed))
 
 
 class TestIrreduciblesAndAtoms:
@@ -259,16 +275,9 @@ class TestIrreduciblesAndAtoms:
 
     def test_bottom_never_irreducible(self):
         lattice = concepts(TABLE1)
-        assert not is_join_irreducible(lattice, lattice.bottom_index)
+        assert lattice.bottom_index not in join_irreducibles(lattice)
         cn = cn_enumerate(TABLE1)
-        assert not is_join_irreducible(cn, cn.bottom_index)
-
-    def test_accepts_element_in_place_of_index(self):
-        lattice = concepts(TABLE1)
-        concept = lattice[lattice.top_index]
-        assert is_join_irreducible(lattice, concept) == is_join_irreducible(
-            lattice, lattice.top_index
-        )
+        assert cn.bottom_index not in join_irreducibles(cn)
 
     def test_concept_atom(self):
         lattice = concepts(TABLE1)

@@ -20,7 +20,6 @@ from galois_factor import (
     fn_enumerate,
     fuzzy_concepts,
     godel_triple,
-    is_join_irreducible,
     join_irreducibles,
     lukasiewicz_triple,
 )
@@ -33,6 +32,11 @@ TRIPLES = {
     "lukasiewicz": lukasiewicz_triple,
     "dprod": lambda chain: discretized_product_triple(chain.m, chain.m, chain.m),
 }
+
+
+def edges(cover_lists):
+    """Per-element upper-cover lists as sorted (lower, upper) pairs."""
+    return tuple((i, j) for i, above in enumerate(cover_lists) for j in above)
 
 
 def assert_covers_match(lattice):
@@ -113,8 +117,7 @@ class TestCoverLists:
         rng = random.Random(4109)
         for _ in range(40):
             lattice = concepts(random_context(rng, max_side=8))
-            flat = tuple((i, j) for i, above in enumerate(lattice.cover_lists) for j in above)
-            assert flat == lattice.covers
+            assert edges(lattice.cover_lists) == lattice.covers
             for i in range(len(lattice)):
                 assert lattice.upper_covers(i) == tuple(u for l, u in lattice.covers if l == i)
 
@@ -161,9 +164,6 @@ class TestJoinIrreducibles:
                 if below and join != set(concept.extent.indices):
                     expected.append(i)
             assert join_irreducibles(lattice) == expected
-            for i, concept in enumerate(lattice):
-                assert is_join_irreducible(lattice, i) == (i in expected)
-                assert is_join_irreducible(lattice, concept) == (i in expected)
 
 
 class TestKernel:
@@ -178,7 +178,7 @@ class TestKernel:
             def le(i, j):
                 return all(a <= b for a, b in zip(rows[i], rows[j]))
 
-            assert pointwise_covers(rows) == brute_covers(len(rows), le)
+            assert edges(pointwise_covers(rows)) == brute_covers(len(rows), le)
 
     def test_arbitrary_families_of_bitmasks(self):
         rng = random.Random(4105)
@@ -188,7 +188,7 @@ class TestKernel:
             def le(i, j):
                 return masks[i] & ~masks[j] == 0
 
-            assert pointwise_covers(masks) == brute_covers(len(masks), le)
+            assert edges(pointwise_covers(masks)) == brute_covers(len(masks), le)
 
     @pytest.mark.parametrize(
         "rows",
@@ -205,6 +205,6 @@ class TestKernel:
             pointwise_covers(rows)
 
     def test_empty_and_single_row(self):
-        assert pointwise_covers([]) == ()
-        assert pointwise_covers([(2, 0, 1)]) == ()
-        assert pointwise_covers([0b101]) == ()
+        assert pointwise_covers([]) == []
+        assert pointwise_covers([(2, 0, 1)]) == [[]]
+        assert pointwise_covers([0b101]) == [[]]

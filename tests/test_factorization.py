@@ -7,6 +7,7 @@ from galois_factor import (
     BudgetExceededError,
     NecessityPair,
     NotNormalizedError,
+    atoms,
     block_bounds,
     cn_atoms,
     cn_enumerate,
@@ -100,7 +101,6 @@ class TestCnEnumerate:
         assert lattice[-1] == pairs[-1]
         for i in range(len(lattice)):
             assert lattice.upper_covers(i) == tuple(u for l, u in lattice.covers if l == i)
-            assert lattice.lower_covers(i) == tuple(l for l, u in lattice.covers if u == i)
             assert lattice.index_of(pairs[i]) == i
 
     def test_lattice_by_description_beyond_max_atoms(self):
@@ -114,7 +114,8 @@ class TestCnEnumerate:
         assert not lattice.materialized
         assert lattice.pair_count == 2**21
         assert lattice.elements is None
-        join = lattice.pair_for_atoms([0, 1])
+        first, second = lattice.atom_pairs[:2]
+        join = NecessityPair(first.objects | second.objects, first.attrs | second.attrs)
         assert in_cn(diagonal, join)
         with pytest.raises(BudgetExceededError):
             len(lattice)
@@ -139,13 +140,14 @@ class TestCnAtoms:
 
     def test_atoms_agree_with_lattice_atoms(self):
         lattice = cn_enumerate(TABLE2)
-        from_lattice = {(lattice[i].objects.names, lattice[i].attrs.names) for i in lattice.atoms}
+        from_lattice = {(lattice[i].objects.names, lattice[i].attrs.names) for i in atoms(lattice)}
         assert from_lattice == pair_set(cn_atoms(TABLE2))
 
     def test_irreducibles_are_exactly_atoms(self):
         for ctx in (TABLE1, TABLE2, DIAG2, CONNECTED):
             lattice = cn_enumerate(ctx)
-            assert join_irreducibles(lattice) == list(lattice.atoms)
+            assert join_irreducibles(lattice) == atoms(lattice)
+            assert atoms(lattice) == [1 << a for a in range(len(lattice.atom_pairs))]
 
 
 class TestComplement:
@@ -338,7 +340,7 @@ class TestRandomizedSoundness:
             members = pair_set(lattice)
 
             objs, attrs = [], []
-            for i in lattice.atoms:
+            for i in atoms(lattice):
                 objs += lattice[i].objects.names
                 attrs += lattice[i].attrs.names
             assert sorted(objs) == sorted(ctx.objects)

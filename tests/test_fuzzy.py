@@ -26,7 +26,6 @@ from galois_factor import (
     f_up_n,
     f_up_pi,
     fn_enumerate,
-    fn_meet,
     fuzzy_concepts,
     godel_triple,
     in_fn,
@@ -283,20 +282,30 @@ class TestFnEnumerate:
         assert gs == sorted(gs)
 
 
+def pair_meet(ctx, p, q):
+    """The componentwise meet of two pairs, checked to be necessity-closed."""
+    met = FuzzyNecessityPair(
+        GradedObjectSet(tuple(map(min, p.g.values, q.g.values)), ctx.l2),
+        GradedAttributeSet(tuple(map(min, p.f.values, q.f.values)), ctx.l1),
+    )
+    assert in_fn(ctx, met)
+    return met
+
+
 class TestFnMeet:
     def test_meet_with_top_is_identity(self):
         ctx = dprod_r2()
         lattice = fn_enumerate(ctx)
         top = lattice[lattice.top_index]
         for pair in lattice:
-            met = fn_meet(ctx, pair, top)
+            met = pair_meet(ctx, pair, top)
             assert met == pair
 
     def test_meet_of_reference_pairs(self):
         ctx = dprod_r2()
         p3 = fn_pair(ctx, ("0.25", "0", "0.5"), ("0.5", "0", "0.25"))
         p4 = fn_pair(ctx, ("0.5", "0", "0.25"), ("0.25", "0", "0.5"))
-        met = fn_meet(ctx, p3, p4)
+        met = pair_meet(ctx, p3, p4)
         assert values(met.g) == ("1/4", "0", "1/4")
         assert values(met.f) == ("1/4", "0", "1/4")
 
@@ -305,9 +314,8 @@ class TestFnMeet:
         lattice = fn_enumerate(ctx)
         acc = lattice[0]
         for pair in lattice:
-            acc = fn_meet(ctx, acc, pair)
+            acc = pair_meet(ctx, acc, pair)
         assert acc == lattice[lattice.bottom_index]
-        assert in_fn(ctx, acc)
 
 
 class TestFuzzyConcepts:
@@ -332,8 +340,8 @@ class TestFuzzyConcepts:
 
     def test_dprod_r2_has_concept_with_reference_extent(self):
         ctx = dprod_r2()
-        lattice = fuzzy_concepts(ctx)
-        assert lattice.find_extent(ctx.graded_objects(["1", "0", "1"])) is not None
+        extents = {c.extent for c in fuzzy_concepts(ctx)}
+        assert ctx.graded_objects(["1", "0", "1"]) in extents
 
     def test_budget_guard(self):
         # 11 closure evaluations find the 7 concepts; 10 find all but the top
@@ -479,11 +487,11 @@ class TestIntervals:
 
     def test_interval_endpoints_are_concepts(self):
         ctx = godel_r2()
-        lattice = fuzzy_concepts(ctx)
+        by_extent = {c.extent: c for c in fuzzy_concepts(ctx)}
         for pair in fn_enumerate(ctx):
             interval = interval_from_pair(ctx, pair)
-            assert lattice.find_extent(interval.lower.extent) == interval.lower
-            assert lattice.find_extent(interval.upper.extent) == interval.upper
+            assert by_extent[interval.lower.extent] == interval.lower
+            assert by_extent[interval.upper.extent] == interval.upper
 
     def test_hypotheses_force_ordering_on_top_normalized_frames(self):
         ctx = godel_r2()

@@ -210,6 +210,20 @@ class TestFuzzyCsvParsing:
         ctx = parse_fuzzy_csv("R,b1\na1,1/4\na2,1\n", "godel:4")
         assert ctx.relation == ((1,), (4,))
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("R,,b2\na1,1,0\na2,0,1\n", 1),  # an empty object name
+            ('R,"b\n1",b2\na1,1,0\na2,0,1\n', 1),  # a two-line object name
+            ("R,b1,b2\n,1,0\na2,0,1\n", 2),  # an empty attribute name
+            ("R,b1,b2\na1,1,0\n\"a\r2\",0,1\n", 3),  # a two-line attribute name
+        ],
+    )
+    def test_names_follow_the_context_rule(self, text, line):
+        with pytest.raises(ContextFormatError, match="not one unpadded non-empty line") as err:
+            parse_fuzzy_csv(text, "godel:1")
+        assert err.value.line == line
+
     @pytest.mark.parametrize("cell", HUGE_EXPONENTS)
     def test_huge_exponent_refused_before_fraction(self, cell, monkeypatch):
         monkeypatch.setattr(grades, "Fraction", fraction_refusing(cell))
@@ -337,6 +351,13 @@ class TestJson:
             ' "attributes": ["a"], "objects": ["b"], "incidence": ["X."]}',
             '{"schema": "galois-factor/1", "kind": "boolean",'
             ' "attributes": [" a"], "objects": ["b"], "incidence": ["X"]}',
+            # a fuzzy document's names follow the same rule
+            '{"schema": "galois-factor/1", "kind": "fuzzy", "frames": ["godel:1"],'
+            ' "attributes": [""], "objects": ["b"], "relation": [["1"]]}',
+            '{"schema": "galois-factor/1", "kind": "fuzzy", "frames": ["godel:1"],'
+            ' "attributes": [" a "], "objects": ["b"], "relation": [["1"]]}',
+            '{"schema": "galois-factor/1", "kind": "fuzzy", "frames": ["godel:1"],'
+            ' "attributes": ["a"], "objects": ["b\\n1"], "relation": [["1"]]}',
             # each row is a string of X, x or . cells, one per object
             '{"schema": "galois-factor/1", "kind": "boolean",'
             ' "attributes": ["a"], "objects": ["b", "c"], "incidence": ["X?"]}',

@@ -124,7 +124,7 @@ def twin_tree(lattice) -> dict:
     tree["pairs" if cn else "concepts"] = [fio._plain(e) for e in lattice]
     tree["covers"] = [list(e) for e in lattice.covers]
     if cn:
-        tree["atoms"] = list(lattice.atoms)
+        tree["atoms"] = [1 << a for a in range(len(lattice.atom_pairs))]
     return tree
 
 
@@ -230,11 +230,8 @@ def test_cn_bit_path_matches_the_generic_twin_across_bytes():
 def test_cube_edges_are_the_pointwise_covers_of_the_object_bits():
     for lattice in cn_lattices_across_bytes(1112):
         expected = pointwise_covers(lattice.element_bits[0])
-        ups = [[] for _ in range(len(lattice))]
-        for lower, upper in expected:
-            ups[lower].append(upper)
-        assert lattice.cover_lists == ups
-        assert lattice.covers == expected
+        assert lattice.cover_lists == expected
+        assert lattice.covers == tuple((i, j) for i, ups in enumerate(expected) for j in ups)
 
 
 def test_cn_writers_read_no_covers_and_build_no_pairs(monkeypatch):
