@@ -17,21 +17,25 @@ ensure_ascii=False)`` would give, with one small recursive writer instead.
 The writer takes only str, int, bool, None, list and dict with str keys
 and raises ``TypeError`` on anything else (a float, tuple, set, bytes or
 a non-str key); strings go through ``json.encoder.encode_basestring``.
-Concept and cn lattices build no tree: each object and attribute name is
-encoded once per document, with its newline and indent, into a table per
-byte of a subset's bits, whose entry b joins the names at the set bits of
-b; an entry is made the first time it is looked up, so the tables hold
-only the entries the document uses.  Each element is one string, one table
-lookup per byte of each of its two subsets.  DOT labels join the escaped
-names through the same tables.  A cn lattice is written from its atoms
+Lattices build no tree, and all four kinds share one element path: an
+element is one string, each of its two sides one join of pre-encoded
+fragments.  A Boolean side (concept and cn lattices) is a subset's bits:
+each name is encoded once per document, with its newline and indent, into
+a table per byte of the bits, whose entry b joins the names at the set
+bits of b; an entry is made the first time it is looked up, so the tables
+hold only the entries the document uses.  A graded side (fn and fuzzy
+concept lattices) is a row of grades on fixed names: each name has a table
+of its fragment, name and grade, at every grade of the side's chain, so a
+side is one lookup per name.  DOT labels join escaped fragments through
+tables of the same two kinds.  A cn lattice is written from its atoms
 alone: its element bits come from ``CnLattice.element_bits``, so no
 ``NecessityPair`` is built.  Hasse edges, in JSON and in DOT, come from
 ``Lattice.cover_lists`` (for a cn lattice the cube's, made by doubling,
 so the edge tuples of ``covers`` are not built) and are one join per
-element over pre-built index strings.  Fuzzy lattices and the other
-results go through the generic writer.  Keys come in a fixed order, so
-identical inputs produce byte-identical output; grades serialize as exact
-fraction strings, never as floats.  DOT digraphs draw the Hasse covers.
+element over pre-built index strings.  The other results go through the
+generic writer.  Keys come in a fixed order, so identical inputs produce
+byte-identical output; grades serialize as exact fraction strings, never
+as floats.  DOT digraphs draw the Hasse covers.
 """
 
 from __future__ import annotations
@@ -215,21 +219,26 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
     relation chain.
     """
     reader = csv.reader(_stdio.StringIO(text))
+    table = []  # the non-blank rows, each with the line it starts on
+    start = 1
     try:
-        table = [row for row in reader if any(cell.strip() for cell in row)]
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                table.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ContextFormatError(f"unreadable CSV: {exc}", reader.line_num) from None
     if not table:
         raise ContextFormatError("empty fuzzy context document", 1)
-    header = [cell.strip() for cell in table[0]]
-    objects = header[1:]
+    top, header = table[0]
+    objects = [cell.strip() for cell in header[1:]]
     if not objects:
-        raise ContextFormatError("empty object set", 1)
-    _csv_names("object", objects, 1)
+        raise ContextFormatError("empty object set", top)
+    _csv_names("object", objects, top)
 
     attributes = []
     cells: list[list[Fraction]] = []
-    for k, row in enumerate(table[1:], start=2):
+    for k, row in table[1:]:
         row = [cell.strip() for cell in row]
         if len(row) != len(objects) + 1:
             raise ContextFormatError(
@@ -244,7 +253,7 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
             [_grade(cell, f"cell ({name}, {obj})", k) for obj, cell in zip(objects, row[1:])]
         )
     if not attributes:
-        raise ContextFormatError("empty attribute set", 1)
+        raise ContextFormatError("empty attribute set", top)
 
     try:
         triple = triple_from_descriptor(frame, [v for row in cells for v in row])
@@ -252,7 +261,7 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
         raise ContextFormatError(str(exc)) from None
     p_chain = triple.p3  # concept-forming arrangement: relation lives on P
     relation = []
-    for k, (name, row) in enumerate(zip(attributes, cells), start=2):
+    for (k, _), name, row in zip(table[1:], attributes, cells):
         numerators = []
         for obj, value in zip(objects, row):
             try:
@@ -270,11 +279,6 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
 def _grade_strings(m: int) -> tuple[str, ...]:
     """Exact fraction strings of the grades 0/m, 1/m, .., m/m."""
     return tuple(str(Fraction(v, m)) for v in range(m + 1))
-
-
-def _graded_dict(names, values, m) -> dict:
-    strings = _grade_strings(m)
-    return {name: strings[v] for name, v in zip(names, values)}
 
 
 def _boolean_context_dict(ctx: BooleanContext) -> dict:
@@ -324,10 +328,10 @@ def _plain(value, ctx=None):
     a lattice element's keys are its field names: extent/intent,
     objects/attrs or g/f.
     """
-    if isinstance(value, GradedObjectSet):
-        return _graded_dict(ctx.objects, value.values, value.chain.m)
-    if isinstance(value, GradedAttributeSet):
-        return _graded_dict(ctx.attributes, value.values, value.chain.m)
+    if isinstance(value, (GradedObjectSet, GradedAttributeSet)):
+        names = ctx.objects if isinstance(value, GradedObjectSet) else ctx.attributes
+        strings = _grade_strings(value.chain.m)
+        return {name: strings[v] for name, v in zip(names, value.values)}
     if isinstance(value, (ObjectSubset, AttributeSubset)):
         return list(value.names)
     if is_dataclass(value):
@@ -345,8 +349,6 @@ _LATTICE_KINDS = {
     FuzzyNecessityPair: ("fn-lattice", "pairs"),
     MultiAdjointConcept: ("fuzzy-concept-lattice", "concepts"),
 }
-# element types that are an object subset then an attribute subset
-_SUBSET_PAIRS = (FormalConcept, NecessityPair)
 
 
 def _element_type(lattice: Lattice) -> type:
@@ -533,19 +535,41 @@ def _joiner(names: Sequence[str], encode: Callable[[str], str]) -> Callable[[int
     return joined
 
 
-def _side_joiners(lattice: Lattice, encode) -> tuple[Callable, Callable]:
-    """Name joiners for the objects and the attributes of a lattice's context."""
+def _sides(lattice: Lattice, elements, name, grade, sep: str):
+    """The object side and the attribute side of ``elements``, the
+    lattice's or its atom pairs: per side, each element's key and a function
+    from a key to the side's members joined; and the JSON brackets of a side.
+
+    This is the one place that tells Boolean from graded elements.  A
+    Boolean side's key is its bits (a cn lattice has them without building
+    its elements), joined by commas through ``_joiner`` from ``name`` of
+    each member.  A graded side's key is its numerators; position i looks
+    up table i, which holds ``sep + name(n_i) + grade(g)`` for every grade
+    g of the side's chain: ``l2`` for objects, ``l1`` for attributes.
+    """
     ctx = lattice.context
-    return _joiner(ctx.objects, encode), _joiner(ctx.attributes, encode)
-
-
-def _element_bits(elements, element_type: type) -> tuple[list[int], list[int]]:
-    """The object bits and the attribute bits of concepts or necessity
-    pairs; a cn lattice has them without building its elements."""
+    if isinstance(ctx, BooleanContext):
+        key, brackets = "bits", "[]"
+        joiners = [_joiner(ctx.objects, name), _joiner(ctx.attributes, name)]
+    else:
+        key, brackets = "values", "{}"
+        sides = (ctx.objects, ctx.l2.m), (ctx.attributes, ctx.l1.m)
+        joiners = [_graded_joiner(names, m, name, grade, sep) for names, m in sides]
     if isinstance(elements, CnLattice):
-        return elements.element_bits
-    first, second = (attrgetter(f.name + ".bits") for f in fields(element_type))
-    return list(map(first, elements)), list(map(second, elements))
+        keys = elements.element_bits
+    else:
+        keys = [
+            list(map(attrgetter(f"{f.name}.{key}"), elements))
+            for f in fields(_element_type(lattice))
+        ]
+    return keys, joiners, brackets
+
+
+def _graded_joiner(names, m: int, name, grade, sep: str) -> Callable[[tuple], str]:
+    grades = [grade(text) for text in _grade_strings(m)]
+    leads = [sep + name(n) for n in names]
+    tables = [[lead + g for g in grades] for lead in leads]
+    return lambda values: "".join(map(list.__getitem__, tables, values))[len(sep):]
 
 
 def _edges(lattice: Lattice, edge: str, sep: str) -> str:
@@ -569,33 +593,25 @@ def _edges(lattice: Lattice, edge: str, sep: str) -> str:
 _NAME_INDENT = "\n" + "  " * 4
 
 
-def _elements_json(lattice: Lattice) -> Callable[[Iterable, list[str]], None]:
-    """A writer of lattice elements to ``out`` as a JSON list one level deep.
-
-    Concept and cn lattice elements are one string each, joined from one
-    pre-encoded fragment per name; graded elements go through ``_plain``.
-    """
-    element_type = _element_type(lattice)
-    if element_type not in _SUBSET_PAIRS:
-        return lambda elements, out: _write([_plain(e, lattice.context) for e in elements], out, 1)
-    first, second = (_encode_str(f.name) for f in fields(element_type))
+def _elements_json(lattice: Lattice, elements: Iterable, out: list[str]) -> None:
+    """Append ``elements`` of ``lattice`` to ``out`` as a JSON list one level
+    deep: each element is one string, its sides joined from pre-encoded
+    fragments (a name, or a name and its grade)."""
+    first, second = (_encode_str(f.name) for f in fields(_element_type(lattice)))
     element = "%s{\n      " + first + ": %s,\n      " + second + ": %s\n    }"
-    objects, attributes = _side_joiners(lattice, lambda name: _NAME_INDENT + _encode_str(name))
-
-    def write(elements, out):
-        xs, ys = _element_bits(elements, element_type)
-        sep = "[\n    "
-        for xbits, ybits in zip(xs, ys):
-            names, attrs = objects(xbits), attributes(ybits)
-            out.append(element % (
-                sep,
-                "[%s\n      ]" % names if names else "[]",
-                "[%s\n      ]" % attrs if attrs else "[]",
-            ))
-            sep = ",\n    "
-        out.append("\n  ]" if xs else "[]")
-
-    return write
+    (xs, ys), (objects, attributes), brackets = _sides(
+        lattice, elements, lambda n: _NAME_INDENT + _encode_str(n),
+        lambda text: ": " + _encode_str(text), ",",
+    )
+    side = brackets[0] + "%s\n      " + brackets[1]
+    sep = "[\n    "
+    for x, y in zip(xs, ys):
+        names, attrs = objects(x), attributes(y)
+        out.append(element % (
+            sep, side % names if names else brackets, side % attrs if attrs else brackets
+        ))
+        sep = ",\n    "
+    out.append("\n  ]" if xs else "[]")
 
 
 def _write_covers(lattice: Lattice, out: list[str]) -> None:
@@ -611,7 +627,7 @@ def _member(value) -> Callable[[list[str]], None]:
 def _lattice_members(lattice: Lattice) -> Iterator[tuple[str, Callable[[list[str]], None]]]:
     """A lattice document's members, each a key and a writer of its value."""
     kind, key = _LATTICE_KINDS[_element_type(lattice)]
-    elements = _elements_json(lattice)
+    elements = functools.partial(_elements_json, lattice)
     yield "schema", _member(SCHEMA)
     yield "type", _member(kind)
     if isinstance(lattice, CnLattice):
@@ -712,27 +728,11 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _graded_label(element, ctx) -> str:
-    """A graded lattice element as a DOT label: its name:grade pairs per
-    side in braces, the sides joined by ' | '."""
-    return " | ".join(
-        "{%s}" % ", ".join(f"{n}:{v}" for n, v in side.items())
-        for side in _plain(element, ctx).values()
-    )
-
-
 def _lattice_dot_lines(lattice: Lattice, prefix="n", indent="  ") -> list[str]:
     """A node per element, labelled by its two sides, and an edge per cover."""
     len(lattice)  # raises for a cn lattice that is not materialized
-    element_type = _element_type(lattice)
-    if element_type in _SUBSET_PAIRS:
-        objects, attributes = _side_joiners(lattice, _escape)
-        labels = (
-            "{%s} | {%s}" % (objects(xbits), attributes(ybits))
-            for xbits, ybits in zip(*_element_bits(lattice, element_type))
-        )
-    else:
-        labels = (_escape(_graded_label(e, lattice.context)) for e in lattice)
+    (xs, ys), (objects, attributes), _ = _sides(lattice, lattice, _escape, ":".__add__, ", ")
+    labels = ("{%s} | {%s}" % (objects(x), attributes(y)) for x, y in zip(xs, ys))
     node = indent + prefix + '%d [label="%s"];'
     lines = [node % item for item in enumerate(labels)]
     edges = _edges(lattice, indent + prefix + "%s -> " + prefix + "%s;", "\n")

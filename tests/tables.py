@@ -213,6 +213,18 @@ def dprod_r2() -> FuzzyContext:
     )
 
 
+
+def dprod_escaped() -> FuzzyContext:
+    """dprod_r2's frame with names JSON and DOT must escape (quote,
+    backslash, tab, non-ASCII) that also hold a DOT label's own ``:``,
+    ``, ``, ``|`` and ``{``: 13 fn pairs and 17 concepts."""
+    return FuzzyContext.from_values(
+        ['a"1', "x:\ty, z", "é|{3"],
+        ["b\\1", "{o}, ö:2", "Ж|3 😀"],
+        discretized_product_triple(4, 4, 4),
+        [["0.5", "0", "1"], ["0", "0.25", "0.75"], ["1", "0.5", "0"]],
+    )
+
 # 6 attributes x 12 objects for godel:4, cells drawn in row-major order by
 # random.Random(1).choice(["0", "1/4", "1/2", "3/4", "1"]).  Its grid of
 # graded object sets has 5**12 = 244,140,625 points, but the graded scans

@@ -5,9 +5,12 @@ generic transitive reduction, so any refactor of the lattice code that
 changes a single byte of a result on these contexts fails here.  The WIDE
 digests were recorded before the writers joined names through per-byte
 tables: unlike the worked tables, WIDE has names that need escaping and
-subsets that cross byte boundaries.  The CLI digests of ``check`` and
-``reconstruct`` were recorded while their JSON was still assembled in
-``cli.py``.  Record again only for an intended change of output format.
+subsets that cross byte boundaries.  The ``dprod_escaped`` digests were
+recorded while fn and fuzzy concept elements still went through a dict per
+element: its names need escaping and hold the DOT label's own separators.
+The CLI digests of ``check`` and ``reconstruct`` were recorded while their
+JSON was still assembled in ``cli.py``.  Record again only for an intended
+change of output format.
 """
 
 import hashlib
@@ -35,7 +38,7 @@ BOOLEAN = {
 }
 FUZZY = {
     name: getattr(tables, name)
-    for name in ("godel_r1", "godel_r2", "luk_table3", "dprod_r1", "dprod_r2")
+    for name in ("godel_r1", "godel_r2", "luk_table3", "dprod_r1", "dprod_r2", "dprod_escaped")
 }
 BUILDERS = {
     "concepts": concepts,
@@ -91,6 +94,10 @@ DIGESTS = {
     ("dprod_r2", "fn", "dot"): "ed37435f2694b5265ed51764c115c403d8c85ced81d6db8cdbae23e014b3049f",
     ("dprod_r2", "fuzzy-concepts", "json"): "46980104a691d5d827eeacb807af12394580b3625c14079bb2f657dec6dd5f63",
     ("dprod_r2", "fuzzy-concepts", "dot"): "f569aeeaa1fddf5cc262dfb090cc3329efa148c23db829e8c9f9069df6bd4b11",
+    ("dprod_escaped", "fn", "json"): "7d4a1aa55581d310df3c944d103717c7c583f567f3bf17d1be1eacc6d684b658",
+    ("dprod_escaped", "fn", "dot"): "49c9ae2d1f7e9a2160ea53f9cd60cc1957f2a7bcfc71942b53d463661370dfdf",
+    ("dprod_escaped", "fuzzy-concepts", "json"): "0d4ce6b2ed26768e763d266f53bd096d0908a23ed0c138f22b41b5187e446dc4",
+    ("dprod_escaped", "fuzzy-concepts", "dot"): "f674a651a4513e233f1beb4032407c97e8c80332a0212ae5072aede6e4fccfc4",
 }
 
 

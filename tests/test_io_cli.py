@@ -224,6 +224,35 @@ class TestFuzzyCsvParsing:
             parse_fuzzy_csv(text, "godel:1")
         assert err.value.line == line
 
+    # an off-chain cell fails once the frame is built, an unreadable one
+    # while the grades are read
+    @pytest.mark.parametrize("cell", ["0.3", "x"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "R,b1,b2\n\n\na1,{},1\na2,0,1\n",  # blank lines above the row
+            'R,b1,b2\na0,"1\n",0\na1,{},1\n',  # a two-line cell in the row above
+            "\r\nR,b1,b2\r\n\r\na1,{},1\r\n",  # blank lines above the header
+        ],
+    )
+    def test_cell_errors_name_the_line_the_row_starts_on(self, text, cell):
+        with pytest.raises(ContextFormatError, match=r"^line 4: cell \(a1, b1\)") as err:
+            parse_fuzzy_csv(text.format(cell), "godel:4")
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("R,b1\n\na1,0,1\n", 3, "row has 2 cells"),
+            ("\n\nR,b1,b1\na1,0,1\n", 3, "duplicate object names"),
+            ("\n\nR\na1\n", 3, "empty object set"),
+        ],
+    )
+    def test_row_errors_name_the_line_the_row_starts_on(self, text, line, message):
+        with pytest.raises(ContextFormatError, match=message) as err:
+            parse_fuzzy_csv(text, "godel:4")
+        assert err.value.line == line
+
     @pytest.mark.parametrize("cell", HUGE_EXPONENTS)
     def test_huge_exponent_refused_before_fraction(self, cell, monkeypatch):
         monkeypatch.setattr(grades, "Fraction", fraction_refusing(cell))

@@ -2,12 +2,14 @@
 
 The generic writer must give the text of ``json.dumps(..., indent=2,
 ensure_ascii=False)`` on every JSON tree and refuse everything else.  The
-concept and cn lattice path, which joins pre-encoded name fragments, must
-give the text of the generic writer over ``_plain`` element dicts, and the
-DOT text of the per-element labels it replaced.  A cn lattice is written
-from its atoms' bits and the cube's edges, without building a pair or
-reading ``covers``.  Every JSON output of the CLI is a fixed point of
-``json.loads`` then ``json.dumps(indent=2)``.
+lattice path, which joins pre-encoded fragments for all four lattice kinds
+(names for concept and cn lattices, names with grades for fn and fuzzy
+concept lattices), must give the text of the generic writer over
+``_plain`` element dicts, and the DOT text of per-element labels built
+from the same dicts; it never calls ``_plain`` itself.  A cn lattice is
+written from its atoms' bits and the cube's edges, without building a
+pair or reading ``covers``.  Every JSON output of the CLI is a fixed point
+of ``json.loads`` then ``json.dumps(indent=2)``.
 """
 
 import json
@@ -20,6 +22,10 @@ import tables
 from galois_factor import (
     BooleanContext,
     CnLattice,
+    FormalConcept,
+    FuzzyContext,
+    FuzzyNecessityPair,
+    MultiAdjointConcept,
     NecessityPair,
     cn_enumerate,
     concepts,
@@ -30,6 +36,7 @@ from galois_factor import (
 )
 from galois_factor import io as fio
 from galois_factor.cli import main
+from galois_factor.grades import triple_from_descriptor
 from galois_factor.io import SCHEMA, emit_dot, emit_json, format_cxt
 from galois_factor.oracles import compare_concepts
 from galois_factor.order import pointwise_covers
@@ -111,17 +118,31 @@ def renamed(ctx: BooleanContext, rng: random.Random) -> BooleanContext:
     )
 
 
+TWIN_KINDS = {
+    FormalConcept: ("concept-lattice", "concepts"),
+    NecessityPair: ("cn-lattice", "pairs"),
+    FuzzyNecessityPair: ("fn-lattice", "pairs"),
+    MultiAdjointConcept: ("fuzzy-concept-lattice", "concepts"),
+}
+
+
+def twin_kind(lattice) -> tuple[str, str]:
+    """The lattice's JSON type and the key of its element list."""
+    return TWIN_KINDS[NecessityPair if isinstance(lattice, CnLattice) else type(lattice[0])]
+
+
 def twin_tree(lattice) -> dict:
     """The lattice document as the generic tree over ``_plain`` elements."""
     cn = isinstance(lattice, CnLattice)
-    tree = {"schema": SCHEMA, "type": "cn-lattice" if cn else "concept-lattice"}
+    kind, key = twin_kind(lattice)
+    tree = {"schema": SCHEMA, "type": kind}
     if cn:
         tree["pair_count"] = lattice.pair_count
         tree["materialized"] = lattice.materialized
         tree["atom_pairs"] = [fio._plain(p) for p in lattice.atom_pairs]
         if not lattice.materialized:
             return tree
-    tree["pairs" if cn else "concepts"] = [fio._plain(e) for e in lattice]
+    tree[key] = [fio._plain(e, lattice.context) for e in lattice]
     tree["covers"] = [list(e) for e in lattice.covers]
     if cn:
         tree["atoms"] = [1 << a for a in range(len(lattice.atom_pairs))]
@@ -132,17 +153,26 @@ def quote(text):
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def twin_side_label(side) -> str:
+    """A side of a ``_plain`` element as DOT shows it: its names joined by
+    commas, or its name:grade pairs joined by comma and space, in braces."""
+    if isinstance(side, dict):
+        return "{%s}" % ", ".join(f"{name}:{grade}" for name, grade in side.items())
+    return "{%s}" % ",".join(side)
+
+
 def twin_dot_lines(lattice, prefix="n", indent="  "):
     lines = []
     for i, e in enumerate(lattice):
-        label = " | ".join("{%s}" % ",".join(side) for side in fio._plain(e).values())
+        sides = fio._plain(e, lattice.context).values()
+        label = " | ".join(map(twin_side_label, sides))
         lines.append(f"{indent}{prefix}{i} [label={quote(label)}];")
     lines += [f"{indent}{prefix}{l} -> {prefix}{u};" for l, u in sorted(lattice.covers)]
     return lines
 
 
 def twin_dot(lattice) -> str:
-    name = "cn_lattice" if isinstance(lattice, CnLattice) else "concept_lattice"
+    name = twin_kind(lattice)[0].replace("-", "_")
     lines = [f"digraph {name} {{", "  rankdir=BT;", *twin_dot_lines(lattice), "}"]
     return "\n".join(lines) + "\n"
 
@@ -307,6 +337,56 @@ def test_oracle_report_is_the_last_member():
     report = compare_concepts(tables.TABLE1, lattice)
     tree = {**twin_tree(lattice), "oracle": fio.to_jsonable(report)}
     assert emit_json(lattice, report) == dumps(tree)
+
+
+# equal chains, where fn exists, and unequal ones (l1, l2, p) for the
+# fuzzy concepts alone
+FRAMES = [
+    "godel:1", "godel:3", "lukasiewicz:1", "lukasiewicz:4",
+    "dprod:1,1,1", "dprod:4,4,4", "dprod:2,4,8", "dprod:3,2,6",
+]
+
+
+def random_named_fuzzy_context(rng: random.Random, frame: str) -> FuzzyContext:
+    """A random 1-4 x 1-4 context on ``frame`` with names from ``NAME_POOL``."""
+    triple = triple_from_descriptor(frame)
+
+    def names(prefix):
+        return [f"{rng.choice(NAME_POOL)}{prefix}{i}" for i in range(rng.randint(1, 4))]
+
+    attributes, objects = names("a"), names("o")
+    relation = [[rng.randint(0, triple.p3.m) for _ in objects] for _ in attributes]
+    return FuzzyContext(attributes, objects, (triple,), relation)
+
+
+def test_graded_path_matches_the_generic_twin_on_random_contexts():
+    rng = random.Random(1616)
+    for frame in FRAMES:
+        for _ in range(8):
+            ctx = random_named_fuzzy_context(rng, frame)
+            equal = ctx.l1 == ctx.l2 == ctx.p
+            for build in (fuzzy_concepts, fn_enumerate)[: 1 + equal]:
+                lattice = build(ctx)
+                tree = twin_tree(lattice)
+                assert emit_json(lattice) == generic(tree) == dumps(tree)
+                assert emit_dot(lattice) == twin_dot(lattice)
+
+
+def test_lattice_writers_never_call_plain(monkeypatch):
+    lattices = [
+        concepts(tables.WIDE),
+        cn_enumerate(tables.WIDE),
+        fn_enumerate(tables.dprod_escaped()),
+        fuzzy_concepts(tables.dprod_escaped()),
+        fuzzy_concepts(random_named_fuzzy_context(random.Random(5), "dprod:2,4,8")),
+    ]
+    expected = [(emit_json(lattice), emit_dot(lattice)) for lattice in lattices]
+
+    def refuse(*args):
+        raise AssertionError("the lattice writers join pre-encoded fragments")
+
+    monkeypatch.setattr(fio, "_plain", refuse)
+    assert [(emit_json(lattice), emit_dot(lattice)) for lattice in lattices] == expected
 
 
 @pytest.mark.parametrize("build", [fn_enumerate, fuzzy_concepts])
