@@ -351,9 +351,9 @@ class FormalConcept:
     extent: ObjectSubset
     intent: AttributeSubset
 
-    @property
-    def order_key(self) -> int:
-        return self.extent.bits
+    @classmethod
+    def from_keys(cls, ctx: BooleanContext, xbits: int, ybits: int) -> "FormalConcept":
+        return cls(ObjectSubset(ctx, xbits), AttributeSubset(ctx, ybits))
 
     def __repr__(self) -> str:
         return f"<{{{', '.join(self.extent.names)}}}, {{{', '.join(self.intent.names)}}}>"
@@ -365,19 +365,14 @@ def concepts(
     """Enumerate the concept lattice.
 
     Intents are the closed sets of Y -> Y-down-up, found by the canonical
-    lectic scan within ``budget`` closures, then paired with their extents
-    and sorted by extent bit-pattern for a deterministic result.
+    lectic scan within ``budget`` closures, then keyed by their extents and
+    sorted by extent bit-pattern for a deterministic result.
     """
     n = len(ctx.attributes)
     close = lambda ybits: _up_bits(ctx, _down_bits(ctx, ybits))
-    found = []
-    for intent_bits in order.closed_sets(n, close, budget):
-        extent_bits = _down_bits(ctx, intent_bits)
-        found.append(
-            FormalConcept(ObjectSubset(ctx, extent_bits), AttributeSubset(ctx, intent_bits))
-        )
-    found.sort(key=lambda c: c.extent.bits)
-    return order.Lattice(ctx, tuple(found))
+    intents = {_down_bits(ctx, y): y for y in order.closed_sets(n, close, budget)}
+    extents = sorted(intents)
+    return order.Lattice(ctx, FormalConcept, (extents, [intents[x] for x in extents]))
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,17 @@ complete lattice under componentwise union/intersection/complement.  On a
 normalized context those pairs are exactly the unions of connected
 components of the bipartite incidence graph, so the lattice is the
 powerset of its atoms (the components), and ``CnLattice`` holds only
-them: the bits of its 2^k elements come from doubling two int lists, and
-an element is built as a ``NecessityPair`` only when it is asked for.  The
-exhaustive scan over all object subsets lives in
-:mod:`galois_factor.oracles` as the referee.  The
-block relation R*, the union of the atom rectangles, is a relation on the
-same attributes and objects, so ``rstar`` returns it as a context.
+them: the bits of its 2^k elements, its ``keys``, come from doubling two
+int lists.  The exhaustive scan over all object subsets lives in
+:mod:`galois_factor.oracles` as the referee.  The block relation R*, the
+union of the atom rectangles, is a relation on the same attributes and
+objects, so ``rstar`` returns it as a context.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 from .contexts import (
     AttributeSubset,
@@ -67,9 +65,9 @@ class NecessityPair:
     objects: ObjectSubset
     attrs: AttributeSubset
 
-    @property
-    def order_key(self) -> int:
-        return self.objects.bits
+    @classmethod
+    def from_keys(cls, ctx: BooleanContext, xbits: int, ybits: int) -> "NecessityPair":
+        return cls(ObjectSubset(ctx, xbits), AttributeSubset(ctx, ybits))
 
     def __repr__(self) -> str:
         return f"({{{', '.join(self.objects.names)}}}, {{{', '.join(self.attrs.names)}}})"
@@ -107,7 +105,6 @@ def cn_atoms(ctx: BooleanContext) -> list[NecessityPair]:
     return pairs
 
 
-@dataclass(frozen=True)
 class CnLattice(Lattice):
     """The complemented complete lattice of necessity-closed pairs.
 
@@ -116,19 +113,22 @@ class CnLattice(Lattice):
     object sets and are sorted by object bits, so comparing two joins as
     object-bit ints compares their atom masks: listing the pairs by object
     bits puts the join of mask i at index i.  So the lattice keeps only its
-    atoms: ``elements`` is None, ``element_bits`` holds the object and
-    attribute bits of every element, and an element is built as a
-    ``NecessityPair`` only when it is asked for (indexing, iteration).  The
-    Hasse edges are the cube's (i, i | 1 << a), for each atom a not in i:
-    ``cover_lists`` makes them by doubling, and the base class's ``covers``
-    flattens it.
-    With more than ``MAX_MATERIALIZED_ATOMS`` atoms the lattice is not
-    materialized: only the atoms and the pair count are available, and
-    ``len`` raises ``BudgetExceededError``.
+    atoms, and equal atoms make equal lattices.  It makes ``keys`` from the
+    atoms' bits by doubling, when they are first read, and ``cover_lists``
+    from the cube: the Hasse edges are (i, i | 1 << a), for each atom a
+    not in i.  With more than ``MAX_MATERIALIZED_ATOMS`` atoms the lattice
+    is not materialized: only the atoms and the pair count are available,
+    and reading ``keys`` (so ``len``, iteration, indexing) raises
+    ``BudgetExceededError``.
     """
 
-    elements: None = field(default=None, init=False, repr=False, compare=False)
-    atom_pairs: tuple[NecessityPair, ...] = ()
+    kind = NecessityPair
+
+    def __init__(self, context: BooleanContext, atom_pairs: tuple[NecessityPair, ...]):
+        self.context, self.atom_pairs = context, atom_pairs
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.atom_pairs == other.atom_pairs
 
     @property
     def materialized(self) -> bool:
@@ -138,33 +138,16 @@ class CnLattice(Lattice):
     def pair_count(self) -> int:
         return 1 << len(self.atom_pairs)
 
-    def __len__(self) -> int:
+    @cached_property
+    def keys(self) -> tuple[list[int], list[int]]:
+        """The object bits and the attribute bits of element i, at index i."""
         if not self.materialized:
             raise BudgetExceededError(self.pair_count, 1 << MAX_MATERIALIZED_ATOMS, "pairs")
-        return self.pair_count
-
-    @cached_property
-    def element_bits(self) -> tuple[list[int], list[int]]:
-        """The object bits and the attribute bits of element i, at index i."""
-        len(self)  # raises unless materialized
         xs, ys = [0], [0]
         for atom in self.atom_pairs:  # doubling: the second half adds this atom
             xs += [x | atom.objects.bits for x in xs]
             ys += [y | atom.attrs.bits for y in ys]
         return xs, ys
-
-    def _pair(self, xbits: int, ybits: int) -> NecessityPair:
-        ctx = self.context
-        return NecessityPair(ObjectSubset(ctx, xbits), AttributeSubset(ctx, ybits))
-
-    def __iter__(self) -> Iterator[NecessityPair]:
-        return map(self._pair, *self.element_bits)
-
-    def __getitem__(self, i: int | slice) -> NecessityPair | tuple[NecessityPair, ...]:
-        xs, ys = self.element_bits
-        if isinstance(i, slice):
-            return tuple(map(self._pair, xs[i], ys[i]))
-        return self._pair(xs[i], ys[i])
 
     @cached_property
     def cover_lists(self) -> list[list[int]]:

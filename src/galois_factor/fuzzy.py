@@ -357,9 +357,9 @@ class FuzzyNecessityPair:
     g: GradedObjectSet
     f: GradedAttributeSet
 
-    @property
-    def order_key(self) -> tuple[int, ...]:
-        return self.g.values
+    @classmethod
+    def from_keys(cls, ctx: FuzzyContext, g: tuple, f: tuple) -> "FuzzyNecessityPair":
+        return cls(GradedObjectSet(g, ctx.l2), GradedAttributeSet(f, ctx.l1))
 
     def __repr__(self) -> str:
         return f"({self.g!r}, {self.f!r})"
@@ -372,9 +372,9 @@ class MultiAdjointConcept:
     extent: GradedObjectSet
     intent: GradedAttributeSet
 
-    @property
-    def order_key(self) -> tuple[int, ...]:
-        return self.extent.values
+    @classmethod
+    def from_keys(cls, ctx: FuzzyContext, extent: tuple, intent: tuple) -> "MultiAdjointConcept":
+        return cls(GradedObjectSet(extent, ctx.l2), GradedAttributeSet(intent, ctx.l1))
 
     def __repr__(self) -> str:
         return f"<{self.extent!r}, {self.intent!r}>"
@@ -429,16 +429,13 @@ def fn_enumerate(ctx: FuzzyContext, budget: int = order.DEFAULT_ENUM_BUDGET) -> 
     def close(g: tuple[int, ...]) -> tuple[int, ...]:
         return _apply(ctx, "down_n", _apply(ctx, "up_pi", g))
 
-    pairs = []
+    gs, fs = [], []
     for g in order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close, budget):
         f = _apply(ctx, "up_n", g)
         if _apply(ctx, "down_n", f) == g:
-            pairs.append(
-                FuzzyNecessityPair(
-                    GradedObjectSet(g, ctx.l2), GradedAttributeSet(f, ctx.l1)
-                )
-            )
-    return order.Lattice(ctx, tuple(pairs))
+            gs.append(g)
+            fs.append(f)
+    return order.Lattice(ctx, FuzzyNecessityPair, (gs, fs))
 
 
 def fuzzy_concepts(ctx: FuzzyContext, budget: int = order.DEFAULT_ENUM_BUDGET) -> order.Lattice:
@@ -453,14 +450,9 @@ def fuzzy_concepts(ctx: FuzzyContext, budget: int = order.DEFAULT_ENUM_BUDGET) -
     def close(g: tuple[int, ...]) -> tuple[int, ...]:
         return _apply(ctx, "down", _apply(ctx, "up", g))
 
-    found = tuple(
-        MultiAdjointConcept(
-            GradedObjectSet(extent, ctx.l2),
-            GradedAttributeSet(_apply(ctx, "up", extent), ctx.l1),
-        )
-        for extent in order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close, budget)
-    )
-    return order.Lattice(ctx, found)
+    extents = list(order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close, budget))
+    intents = [_apply(ctx, "up", extent) for extent in extents]
+    return order.Lattice(ctx, MultiAdjointConcept, (extents, intents))
 
 
 def is_fuzzy_normalized(ctx: FuzzyContext) -> bool:

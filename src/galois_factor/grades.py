@@ -13,9 +13,9 @@ holds tables that fail it.  ``oracles.brute_adjointness_witness`` is the
 naive O(m^3) twin of that check, and ``oracles.residua_by_adjointness``
 derives residua from a conjunctor alone.  A ``Grade`` has no order of its
 own: code compares numerators.  Grade strings go through
-``read_grade``, which refuses the ones ``Fraction`` would stall on;
-``GradeChain.numerator_of_fraction`` places a grade already read, so the
-parsers read each cell once.
+``read_grade``, which refuses the ones ``Fraction`` would stall on or reads
+differently across Python versions; ``GradeChain.numerator_of_fraction``
+places a grade already read, so the parsers read each cell once.
 """
 
 from __future__ import annotations
@@ -46,12 +46,17 @@ def read_grade(value) -> Fraction:
 
     A string over ``MAX_GRADE_CHARS`` characters, or a string or ``Decimal``
     with a decimal exponent beyond ``MAX_GRADE_EXPONENT``, is refused before
-    ``Fraction`` sees it.  An infinite or NaN number is refused as well.
+    ``Fraction`` sees it.  An infinite or NaN number is refused as well.  A
+    string is stripped, and refused if it still holds an underscore or a
+    blank: ``Fraction`` reads those differently on different Pythons.
     """
     exponent = 0
     if isinstance(value, str):
         if len(value) > MAX_GRADE_CHARS:
             raise ValueError(f"grade of {len(value)} characters, over {MAX_GRADE_CHARS}")
+        value = value.strip()
+        if "_" in value or value.split() != [value]:
+            raise ValueError(f"cannot read grade {value!r}")
         try:
             exponent = int(value.lower().partition("e")[2])
         except ValueError:  # no exponent, or an unreadable one that Fraction refuses

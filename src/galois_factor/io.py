@@ -17,25 +17,27 @@ ensure_ascii=False)`` would give, with one small recursive writer instead.
 The writer takes only str, int, bool, None, list and dict with str keys
 and raises ``TypeError`` on anything else (a float, tuple, set, bytes or
 a non-str key); strings go through ``json.encoder.encode_basestring``.
-Lattices build no tree, and all four kinds share one element path: an
-element is one string, each of its two sides one join of pre-encoded
-fragments.  A Boolean side (concept and cn lattices) is a subset's bits:
-each name is encoded once per document, with its newline and indent, into
-a table per byte of the bits, whose entry b joins the names at the set
-bits of b; an entry is made the first time it is looked up, so the tables
-hold only the entries the document uses.  A graded side (fn and fuzzy
-concept lattices) is a row of grades on fixed names: each name has a table
-of its fragment, name and grade, at every grade of the side's chain, so a
-side is one lookup per name.  DOT labels join escaped fragments through
-tables of the same two kinds.  A cn lattice is written from its atoms
-alone: its element bits come from ``CnLattice.element_bits``, so no
-``NecessityPair`` is built.  Hasse edges, in JSON and in DOT, come from
-``Lattice.cover_lists`` (for a cn lattice the cube's, made by doubling,
-so the edge tuples of ``covers`` are not built) and are one join per
-element over pre-built index strings.  The other results go through the
-generic writer.  Keys come in a fixed order, so identical inputs produce
-byte-identical output; grades serialize as exact fraction strings, never
-as floats.  DOT digraphs draw the Hasse covers.
+Lattices build no tree, and all four kinds share one element path: the
+writers read ``Lattice.keys``, the two key lists of the elements, and
+build no element.  An element is one string, each of its two sides one
+join of pre-encoded fragments.  A Boolean side (concept and cn lattices)
+is a subset's bits: each name is encoded once per document, with its
+newline and indent, into a table per byte of the bits, whose entry b joins
+the names at the set bits of b; an entry is made the first time it is
+looked up, so the tables hold only the entries the document uses.  A
+graded side (fn and fuzzy concept lattices) is a row of grades on fixed
+names: each name has a table of its fragment, name and grade, at every
+grade of the side's chain, so a side is one lookup per name.  DOT labels
+join escaped fragments through tables of the same two kinds.  A cn
+lattice is written from its atoms alone: its keys are doubled from the
+atoms' bits, and its ``atom_pairs`` member is written from those bits.
+Hasse edges, in JSON and in DOT, come from ``Lattice.cover_lists`` (for a
+cn lattice the cube's, made by doubling, so the edge tuples of ``covers``
+are not built) and are one join per element over pre-built index strings.
+The other results go through the generic writer.  Keys come in a fixed
+order, so identical inputs produce byte-identical output; grades serialize
+as exact fraction strings, never as floats.  DOT digraphs draw the Hasse
+covers.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .contexts import (
     AttributeSubset,
@@ -351,11 +352,6 @@ _LATTICE_KINDS = {
 }
 
 
-def _element_type(lattice: Lattice) -> type:
-    # a cn lattice beyond its atom cutoff has no elements to look at
-    return NecessityPair if isinstance(lattice, CnLattice) else type(lattice[0])
-
-
 def removals_dict(report: NormalizationReport) -> dict:
     """The lines ``normalize`` stripped: a factorization's ``removed``."""
     return {
@@ -535,34 +531,21 @@ def _joiner(names: Sequence[str], encode: Callable[[str], str]) -> Callable[[int
     return joined
 
 
-def _sides(lattice: Lattice, elements, name, grade, sep: str):
-    """The object side and the attribute side of ``elements``, the
-    lattice's or its atom pairs: per side, each element's key and a function
-    from a key to the side's members joined; and the JSON brackets of a side.
+def _sides(ctx, name, grade, sep: str):
+    """Per side of an element of ``ctx``'s lattices, a function from the
+    side's key to its members joined; and the JSON brackets of a side.
 
     This is the one place that tells Boolean from graded elements.  A
-    Boolean side's key is its bits (a cn lattice has them without building
-    its elements), joined by commas through ``_joiner`` from ``name`` of
-    each member.  A graded side's key is its numerators; position i looks
-    up table i, which holds ``sep + name(n_i) + grade(g)`` for every grade
-    g of the side's chain: ``l2`` for objects, ``l1`` for attributes.
+    Boolean side's key is its bits, joined by commas through ``_joiner``
+    from ``name`` of each member.  A graded side's key is its numerators;
+    position i looks up table i, which holds ``sep + name(n_i) + grade(g)``
+    for every grade g of the side's chain: ``l2`` for objects, ``l1`` for
+    attributes.
     """
-    ctx = lattice.context
     if isinstance(ctx, BooleanContext):
-        key, brackets = "bits", "[]"
-        joiners = [_joiner(ctx.objects, name), _joiner(ctx.attributes, name)]
-    else:
-        key, brackets = "values", "{}"
-        sides = (ctx.objects, ctx.l2.m), (ctx.attributes, ctx.l1.m)
-        joiners = [_graded_joiner(names, m, name, grade, sep) for names, m in sides]
-    if isinstance(elements, CnLattice):
-        keys = elements.element_bits
-    else:
-        keys = [
-            list(map(attrgetter(f"{f.name}.{key}"), elements))
-            for f in fields(_element_type(lattice))
-        ]
-    return keys, joiners, brackets
+        return [_joiner(ctx.objects, name), _joiner(ctx.attributes, name)], "[]"
+    sides = (ctx.objects, ctx.l2.m), (ctx.attributes, ctx.l1.m)
+    return [_graded_joiner(names, m, name, grade, sep) for names, m in sides], "{}"
 
 
 def _graded_joiner(names, m: int, name, grade, sep: str) -> Callable[[tuple], str]:
@@ -593,18 +576,20 @@ def _edges(lattice: Lattice, edge: str, sep: str) -> str:
 _NAME_INDENT = "\n" + "  " * 4
 
 
-def _elements_json(lattice: Lattice, elements: Iterable, out: list[str]) -> None:
-    """Append ``elements`` of ``lattice`` to ``out`` as a JSON list one level
-    deep: each element is one string, its sides joined from pre-encoded
-    fragments (a name, or a name and its grade)."""
-    first, second = (_encode_str(f.name) for f in fields(_element_type(lattice)))
+def _elements_json(lattice: Lattice, keys: tuple[list, list], out: list[str]) -> None:
+    """Append the elements of ``lattice``'s kind with the two key lists
+    ``keys`` to ``out`` as a JSON list one level deep: each element is one
+    string, its sides joined from pre-encoded fragments (a name, or a name
+    and its grade)."""
+    first, second = (_encode_str(f.name) for f in fields(lattice.kind))
     element = "%s{\n      " + first + ": %s,\n      " + second + ": %s\n    }"
-    (xs, ys), (objects, attributes), brackets = _sides(
-        lattice, elements, lambda n: _NAME_INDENT + _encode_str(n),
+    (objects, attributes), brackets = _sides(
+        lattice.context, lambda n: _NAME_INDENT + _encode_str(n),
         lambda text: ": " + _encode_str(text), ",",
     )
     side = brackets[0] + "%s\n      " + brackets[1]
     sep = "[\n    "
+    xs, ys = keys
     for x, y in zip(xs, ys):
         names, attrs = objects(x), attributes(y)
         out.append(element % (
@@ -626,17 +611,18 @@ def _member(value) -> Callable[[list[str]], None]:
 
 def _lattice_members(lattice: Lattice) -> Iterator[tuple[str, Callable[[list[str]], None]]]:
     """A lattice document's members, each a key and a writer of its value."""
-    kind, key = _LATTICE_KINDS[_element_type(lattice)]
-    elements = functools.partial(_elements_json, lattice)
+    kind, key = _LATTICE_KINDS[lattice.kind]
     yield "schema", _member(SCHEMA)
     yield "type", _member(kind)
     if isinstance(lattice, CnLattice):
+        pairs = lattice.atom_pairs
+        atom_keys = [p.objects.bits for p in pairs], [p.attrs.bits for p in pairs]
         yield "pair_count", _member(lattice.pair_count)
         yield "materialized", _member(lattice.materialized)
-        yield "atom_pairs", functools.partial(elements, lattice.atom_pairs)
+        yield "atom_pairs", functools.partial(_elements_json, lattice, atom_keys)
         if not lattice.materialized:
             return
-    yield key, functools.partial(elements, lattice)
+    yield key, functools.partial(_elements_json, lattice, lattice.keys)
     yield "covers", functools.partial(_write_covers, lattice)
     if isinstance(lattice, CnLattice):
         yield "atoms", _member(atoms(lattice))
@@ -715,9 +701,12 @@ def document_from_json(text: str) -> BooleanContext | FuzzyContext:
         return FuzzyContext(attributes, objects, triples, relation, sigma, arrangement)
     except ContextFormatError:
         raise
-    except (ValueError, TypeError, LookupError, AttributeError, ArithmeticError) as exc:
-        # JSONDecodeError is a ValueError; the rest come from fields of the
-        # wrong shape or type
+    except (
+        ValueError, TypeError, LookupError, AttributeError, ArithmeticError, RecursionError
+    ) as exc:
+        # JSONDecodeError is a ValueError, and nesting too deep for the
+        # decoder a RecursionError; the rest come from fields of the wrong
+        # shape or type
         raise ContextFormatError(f"bad context document: {exc!r}") from None
 
 
@@ -730,8 +719,8 @@ def _escape(text: str) -> str:
 
 def _lattice_dot_lines(lattice: Lattice, prefix="n", indent="  ") -> list[str]:
     """A node per element, labelled by its two sides, and an edge per cover."""
-    len(lattice)  # raises for a cn lattice that is not materialized
-    (xs, ys), (objects, attributes), _ = _sides(lattice, lattice, _escape, ":".__add__, ", ")
+    xs, ys = lattice.keys
+    (objects, attributes), _ = _sides(lattice.context, _escape, ":".__add__, ", ")
     labels = ("{%s} | {%s}" % (objects(x), attributes(y)) for x, y in zip(xs, ys))
     node = indent + prefix + '%d [label="%s"];'
     lines = [node % item for item in enumerate(labels)]
@@ -751,7 +740,7 @@ def emit_dot(result, budget: int = DEFAULT_ENUM_BUDGET) -> str:
     """
     lines = []
     if isinstance(result, Lattice):
-        kind, _ = _LATTICE_KINDS[_element_type(result)]
+        kind, _ = _LATTICE_KINDS[result.kind]
         lines.append(f"digraph {kind.replace('-', '_')} {{")
         lines.append("  rankdir=BT;")
         lines += _lattice_dot_lines(result)

@@ -117,13 +117,10 @@ def brute_concepts(ctx: BooleanContext) -> Lattice:
     for xs in _subsets(len(ctx.objects)):
         ys = _naive_up(ctx, xs)
         if _naive_down(ctx, ys) == xs:
-            found.append(
-                FormalConcept(
-                    ObjectSubset(ctx, _to_bits(xs)), AttributeSubset(ctx, _to_bits(ys))
-                )
-            )
-    found.sort(key=lambda c: c.extent.bits)
-    return Lattice(ctx, tuple(found))
+            found.append((_to_bits(xs), _to_bits(ys)))
+    found.sort()
+    extents, intents = map(list, zip(*found))
+    return Lattice(ctx, FormalConcept, (extents, intents))
 
 
 def brute_covers(n: int, le: Callable[[int, int], bool]) -> tuple[tuple[int, int], ...]:

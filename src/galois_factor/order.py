@@ -1,20 +1,22 @@
 """Finite lattices and the order-theoretic kernels behind them.
 
-``Lattice(context, elements)`` is the one finite-lattice type: the concept,
-fn and fuzzy concept lattices are instances of it, and the cn lattice is
-its subclass ``factorization.CnLattice``.  It offers ``len(lattice)``,
-iteration, indexing, ``le(i, j)`` (reflexive order on element indices),
-``cover_lists`` (per element, its upper covers ascending: the one
-record of the Hasse edges, which the writers read), ``covers`` (those
-edges flattened into sorted ``(lower, upper)`` index pairs),
-``bottom_index``, ``top_index``, ``index_of`` and ``upper_covers``.  The
-helpers at the end of this module, ``join_irreducibles`` and ``atoms``,
-read ``cover_lists``.
+``Lattice(context, kind, keys)`` is the one finite-lattice type: the
+concept, fn and fuzzy concept lattices are instances of it, and the cn
+lattice is its subclass ``factorization.CnLattice``.  It offers
+``len(lattice)``, iteration, indexing, ``le(i, j)`` (reflexive order on
+element indices), ``cover_lists`` (per element, its upper covers
+ascending: the one record of the Hasse edges, which the writers read),
+``covers`` (those edges flattened into sorted ``(lower, upper)`` index
+pairs), ``bottom_index``, ``top_index``, ``index_of`` and
+``upper_covers``.  The helpers at the end of this module,
+``join_irreducibles`` and ``atoms``, read ``cover_lists``.
 
-Every element type has an ``order_key``: the extent bits of a formal
-concept, the object bits of a necessity pair, the object grades g of a
-fuzzy necessity pair and the extent grades of a multi-adjoint concept.  The
-lattice order is the pointwise order on those keys (inclusion, on bits).
+A lattice holds its elements as two key lists, ``keys``: index i holds
+the two sides' keys of element i, subset bits in concept and cn lattices
+and grade numerators in fn and fuzzy concept lattices.  ``kind``, the
+element type, builds an element from its keys with ``from_keys(context,
+x, y)`` only when it is iterated or indexed.  The lattice order is the
+pointwise order on the first keys (inclusion, on bits).
 
 Precondition: every lattice lists its elements in a linear extension of
 its order, so ``le(i, j)`` with i != j implies i < j; hence the bottom is
@@ -35,7 +37,6 @@ dot`` share one ``Budget``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterator, Sequence
 
@@ -44,25 +45,34 @@ from .errors import BudgetExceededError
 DEFAULT_ENUM_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
 class Lattice:
     """The elements of a finite lattice, listed in a linear extension of its
-    order, and the context they were enumerated from."""
+    order, as their ``kind``'s two key lists, and the context they were
+    enumerated from."""
 
-    context: Any = field(compare=False, repr=False)
-    elements: tuple | None
+    def __init__(self, context: Any, kind: type, keys: tuple[list, list]):
+        self.context, self.kind, self.keys = context, kind, keys
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and (self.kind, self.keys) == (other.kind, other.keys)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.keys[0])
+
+    def _element(self, x, y):
+        return self.kind.from_keys(self.context, x, y)
 
     def __iter__(self) -> Iterator:
-        return iter(self.elements)
+        return map(self._element, *self.keys)
 
-    def __getitem__(self, i: int):
-        return self.elements[i]
+    def __getitem__(self, i: int | slice):
+        xs, ys = self.keys
+        if isinstance(i, slice):
+            return tuple(map(self._element, xs[i], ys[i]))
+        return self._element(xs[i], ys[i])
 
     def le(self, i: int, j: int) -> bool:
-        a, b = self[i].order_key, self[j].order_key
+        a, b = self.keys[0][i], self.keys[0][j]
         if isinstance(a, int):
             return a & ~b == 0
         return all(map(operator.le, a, b))
@@ -71,7 +81,7 @@ class Lattice:
     def cover_lists(self) -> list[list[int]]:
         """Per element index, the indices of its upper covers, ascending.
         Shared: do not mutate."""
-        return pointwise_covers([e.order_key for e in self])
+        return pointwise_covers(self.keys[0])
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:

@@ -314,4 +314,4 @@ def test_isotone_connections_preserve_union_and_intersection(drawn):
 def test_concepts_match_brute_force_up_to_twelve_objects(ctx):
     from galois_factor.oracles import brute_concepts
 
-    assert set(concepts(ctx).elements) == set(brute_concepts(ctx).elements)
+    assert set(concepts(ctx)) == set(brute_concepts(ctx))

@@ -95,7 +95,7 @@ class TestCnEnumerate:
         # must agree with iterating over them
         lattice = cn_enumerate(TABLE2)
         pairs = tuple(lattice)
-        assert lattice.elements is None
+        assert lattice.keys == ([p.objects.bits for p in pairs], [p.attrs.bits for p in pairs])
         assert lattice[1:3] == pairs[1:3]
         assert lattice[::-1] == pairs[::-1]
         assert lattice[-1] == pairs[-1]
@@ -113,12 +113,21 @@ class TestCnEnumerate:
         lattice = cn_enumerate(diagonal)
         assert not lattice.materialized
         assert lattice.pair_count == 2**21
-        assert lattice.elements is None
+        pytest.raises(BudgetExceededError, getattr, lattice, "keys")
         first, second = lattice.atom_pairs[:2]
         join = NecessityPair(first.objects | second.objects, first.attrs | second.attrs)
         assert in_cn(diagonal, join)
         with pytest.raises(BudgetExceededError):
             len(lattice)
+
+    def test_equality_compares_the_atoms_beyond_max_atoms(self):
+        def diagonal(n):
+            names = [f"x{i}" for i in range(n)]
+            return BooleanContext.from_rows(names, names, [[i == j for j in names] for i in names])
+
+        big = cn_enumerate(diagonal(MAX_MATERIALIZED_ATOMS + 1))
+        assert big == cn_enumerate(diagonal(MAX_MATERIALIZED_ATOMS + 1))
+        assert big != cn_enumerate(diagonal(MAX_MATERIALIZED_ATOMS + 2))
 
 
 class TestCnAtoms:

@@ -18,6 +18,7 @@ from galois_factor import (
     check_fp2,
     check_fp3,
     check_fp4,
+    concepts,
     discretized_product_triple,
     f_down,
     f_down_n,
@@ -33,7 +34,9 @@ from galois_factor import (
     is_fuzzy_normalized,
     is_top_normalized,
     lukasiewicz_triple,
+    triple_from_descriptor,
 )
+from galois_factor.oracles import brute_cn
 from tables import (
     DPROD_R2_FN_LISTED,
     GODEL_R2_CONCEPTS,
@@ -44,7 +47,9 @@ from tables import (
     godel_r1,
     godel_r2,
     luk_table3,
+    random_context,
     random_fuzzy_context,
+    random_normalized_context,
 )
 
 
@@ -368,6 +373,29 @@ class TestChainEmbedding:
             g8 = fine.graded_objects([Fraction(v, 4) for v in g_num])
             for op4, op8 in ((f_up, f_up), (f_up_n, f_up_n), (f_up_pi, f_up_pi)):
                 assert op4(coarse, g4).as_fractions() == op8(fine, g8).as_fractions()
+
+
+def bit_pair(x, y):
+    """Two 0/1 grade rows as the bits of their 1 grades."""
+    return tuple(sum(1 << i for i, v in enumerate(row) if v) for row in (x, y))
+
+
+class TestClassicalCase:
+    # at m = 1 every frame is two-valued logic, so the graded lattices of a
+    # Boolean context are its Boolean ones
+    @pytest.mark.parametrize("frame", ["godel:1", "lukasiewicz:1", "dprod:1,1,1"])
+    def test_m1_lattices_are_the_boolean_ones(self, frame):
+        rng = random.Random(f"classical {frame}")
+        triple = triple_from_descriptor(frame)
+        for k in range(150):
+            ctx = (random_normalized_context if k % 2 else random_context)(rng, max_side=6)
+            grid = [[int(cell) for cell in row] for row in ctx.incidence]
+            fctx = FuzzyContext.from_values(ctx.attributes, ctx.objects, triple, grid)
+            assert sorted(map(bit_pair, *fn_enumerate(fctx).keys)) == [
+                (p.objects.bits, p.attrs.bits) for p in brute_cn(ctx)
+            ]
+            # the graded scan lists extents in another order than extent bits
+            assert set(map(bit_pair, *fuzzy_concepts(fctx).keys)) == set(zip(*concepts(ctx).keys))
 
 
 class TestTopNormalization:

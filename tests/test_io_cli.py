@@ -226,7 +226,7 @@ class TestFuzzyCsvParsing:
 
     # an off-chain cell fails once the frame is built, an unreadable one
     # while the grades are read
-    @pytest.mark.parametrize("cell", ["0.3", "x"])
+    @pytest.mark.parametrize("cell", ["0.3", "x", "0.2_5", "1_0", "1_0/2_0", "1/ 2", "1 /2"])
     @pytest.mark.parametrize(
         "text",
         [
@@ -400,7 +400,13 @@ class TestJson:
             ' "attributes": ["a"], "objects": ["b", "c"], "incidence": ["X.x"]}',
             '{"schema": "galois-factor/1", "kind": "boolean",'
             ' "attributes": ["a"], "objects": ["b", "c"], "incidence": ["1."]}',
+            # nesting too deep for the JSON decoder
+            "[" * 100_000,
+            '{"a":' * 100_000,
+            '{"schema": "galois-factor/1", "kind": "boolean", "attributes": '
+            + "[" * 50_000 + "]" * 50_000 + ', "objects": ["b"], "incidence": ["X"]}',
         ],
+        ids=lambda text: text if len(text) < 200 else f"{text[:20]}...({len(text)} chars)",
     )
     def test_malformed_documents_raise_context_format_error(self, text):
         with pytest.raises(ContextFormatError):

@@ -8,7 +8,8 @@ concept lattices), must give the text of the generic writer over
 ``_plain`` element dicts, and the DOT text of per-element labels built
 from the same dicts; it never calls ``_plain`` itself.  A cn lattice is
 written from its atoms' bits and the cube's edges, without building a
-pair or reading ``covers``.  Every JSON output of the CLI is a fixed point
+pair or reading ``covers``, and no enumeration or writer of the other
+three kinds builds an element.  Every JSON output of the CLI is a fixed point
 of ``json.loads`` then ``json.dumps(indent=2)``.
 """
 
@@ -20,13 +21,17 @@ from hypothesis import given, strategies as st
 
 import tables
 from galois_factor import (
+    AttributeSubset,
     BooleanContext,
     CnLattice,
     FormalConcept,
     FuzzyContext,
     FuzzyNecessityPair,
+    GradedAttributeSet,
+    GradedObjectSet,
     MultiAdjointConcept,
     NecessityPair,
+    ObjectSubset,
     cn_enumerate,
     concepts,
     factorize,
@@ -259,7 +264,7 @@ def test_cn_bit_path_matches_the_generic_twin_across_bytes():
 
 def test_cube_edges_are_the_pointwise_covers_of_the_object_bits():
     for lattice in cn_lattices_across_bytes(1112):
-        expected = pointwise_covers(lattice.element_bits[0])
+        expected = pointwise_covers(lattice.keys[0])
         assert lattice.cover_lists == expected
         assert lattice.covers == tuple((i, j) for i, ups in enumerate(expected) for j in ups)
 
@@ -279,6 +284,26 @@ def test_cn_writers_read_no_covers_and_build_no_pairs(monkeypatch):
     monkeypatch.setattr(CnLattice, "covers", property(refuse))
     monkeypatch.setattr(NecessityPair, "__init__", refuse)
     assert [emit_json(fresh[0]), emit_dot(fresh[0]), emit_json(fresh[1])] == expected
+
+
+def test_enumerations_and_writers_build_no_elements(monkeypatch):
+    boolean, fuzzy = tables.TABLE2, tables.dprod_r2()
+    runs = [lambda: concepts(boolean), lambda: fn_enumerate(fuzzy), lambda: fuzzy_concepts(fuzzy)]
+
+    def written():
+        return [(emit_json(lattice), emit_dot(lattice)) for lattice in (run() for run in runs)]
+
+    expected = written()
+
+    def refuse(*args):
+        raise AssertionError("the enumerations and the writers read only the keys")
+
+    for kind in (
+        FormalConcept, FuzzyNecessityPair, MultiAdjointConcept, ObjectSubset, AttributeSubset,
+        GradedObjectSet, GradedAttributeSet,
+    ):
+        monkeypatch.setattr(kind, "__init__", refuse)
+    assert written() == expected
 
 
 @given(st.lists(st.text(max_size=3), max_size=40), st.data())
