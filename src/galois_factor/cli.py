@@ -182,14 +182,16 @@ def _cmd_check(args) -> int:
     if bad:
         raise CliError(f"unknown props {bad}; expected a subset of {sorted(known)}")
 
+    fields = [s.strip() for s in args.pairs.split(",") if s.strip()]
+    # int() also reads "1_0" and non-ASCII digits such as ARABIC-INDIC ONE
+    if args.pairs != "all" and not all(s.isascii() and s.isdigit() for s in fields):
+        raise CliError(f"bad --pairs value {args.pairs!r}")
+
     lattice = fy.fn_enumerate(ctx, budget=args.budget)
     if args.pairs == "all":
         selected = list(range(len(lattice)))
     else:
-        try:
-            selected = [int(s) for s in args.pairs.split(",") if s.strip()]
-        except ValueError:
-            raise CliError(f"bad --pairs value {args.pairs!r}") from None
+        selected = list(map(int, fields))
         out_of_range = [i for i in selected if not 0 <= i < len(lattice)]
         if out_of_range:
             raise CliError(f"pair indices out of range: {out_of_range}")

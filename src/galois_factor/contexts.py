@@ -275,27 +275,17 @@ def _claim_attrs(ctx: BooleanContext, ys: AttributeSubset) -> int:
     return ys.bits
 
 
-# raw-bits operator cores, shared with the enumeration routines
-
-
-def _and_over(masks: tuple[int, ...], bits: int, out: int) -> int:
-    """``out`` ANDed with ``masks[i]`` for every set bit i of ``bits``."""
-    # inlined bit walk: a generator here makes concepts() about 20% slower
-    while bits:
-        low = bits & -bits
-        out &= masks[low.bit_length() - 1]
-        bits ^= low
-    return out
+# raw-bits operator cores, shared with factorization
 
 
 def _up_bits(ctx: BooleanContext, xbits: int) -> int:
     # the columns of the objects in X: O(|X|) ANDs, not an O(|A|) scan
-    return _and_over(ctx.cols, xbits, ctx._full_attrs)
+    return order._and_over(ctx.cols, xbits, ctx._full_attrs)
 
 
 def _down_bits(ctx: BooleanContext, ybits: int) -> int:
     # the rows of the attributes in Y: O(|Y|) ANDs, not an O(|B|) scan
-    return _and_over(ctx.rows, ybits, ctx._full_objects)
+    return order._and_over(ctx.rows, ybits, ctx._full_objects)
 
 
 def _up_n_bits(ctx: BooleanContext, xbits: int) -> int:
@@ -364,13 +354,10 @@ def concepts(
 ) -> order.Lattice:
     """Enumerate the concept lattice.
 
-    Intents are the closed sets of Y -> Y-down-up, found by the canonical
-    lectic scan within ``budget`` closures, then keyed by their extents and
-    sorted by extent bit-pattern for a deterministic result.
+    ``order.closed_sets`` finds the concepts by FCbO within ``budget``
+    closures; they are sorted by extent bits for a deterministic result.
     """
-    n = len(ctx.attributes)
-    close = lambda ybits: _up_bits(ctx, _down_bits(ctx, ybits))
-    intents = {_down_bits(ctx, y): y for y in order.closed_sets(n, close, budget)}
+    intents = dict(order.closed_sets(ctx.rows, ctx.cols, budget))
     extents = sorted(intents)
     return order.Lattice(ctx, FormalConcept, (extents, [intents[x] for x in extents]))
 

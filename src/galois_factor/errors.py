@@ -42,13 +42,13 @@ class AdjointnessError(ValueError):
 class BudgetExceededError(RuntimeError):
     """Work beyond a budget; ``unit`` names what was counted.
 
-    The NextClosure scans in ``order`` count closure evaluations and stop
-    before evaluation budget + 1: ``count`` is the evaluations done and
-    ``found`` the closed sets yielded.  The ``lattice``, ``fn`` and ``check``
-    commands set that budget with ``--budget``, and ``factor --emit dot``
-    one budget for all its block scans.  A cn lattice beyond its
-    atom cutoff counts pairs, the brute-force oracles subsets or grid
-    points; there ``count`` is what would be needed and ``found`` is None.
+    The Boolean (FCbO) and graded (NextClosure) scans in ``order`` count
+    closure evaluations and stop before evaluation budget + 1: ``count`` is the
+    evaluations done and ``found`` the closed sets yielded.  The ``lattice``,
+    ``fn`` and ``check`` commands set that budget with ``--budget``, and
+    ``factor --emit dot`` one budget for all its block scans.  A cn lattice
+    beyond its atom cutoff counts pairs, the brute-force oracles subsets or
+    grid points; there ``count`` is what would be needed and ``found`` is None.
     """
 
     def __init__(self, count: int, budget: int, unit="closure evaluations", found=None):

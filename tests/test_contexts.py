@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +23,8 @@ from galois_factor import (
     up_n,
     up_pi,
 )
+from galois_factor.order import Budget, closed_sets
+from galois_factor.oracles import BRUTE_SUBSET_LIMIT, brute_concepts
 from tables import DIAG2, TABLE1, TABLE1_COVER_EXTENTS, TABLE1_CONCEPTS, TABLE2, concept_set
 
 
@@ -309,9 +313,72 @@ def test_isotone_connections_preserve_union_and_intersection(drawn):
     assert down_n(ctx, y1 & y2) == down_n(ctx, y1) & down_n(ctx, y2)
 
 
+def brute_keys(ctx: BooleanContext):
+    """``brute_concepts``' two key lists; past its subset limit on objects,
+    those of the transposed context, swapped and sorted by extent."""
+    if len(ctx.objects) <= BRUTE_SUBSET_LIMIT:
+        return brute_concepts(ctx).keys
+    intents, extents = brute_concepts(BooleanContext(ctx.objects, ctx.attributes, ctx.cols)).keys
+    extents, intents = zip(*sorted(zip(extents, intents)))
+    return list(extents), list(intents)
+
+
+def check_against_brute_force(ctx: BooleanContext):
+    """The FCbO kernel yields each concept once, within CbO's bound of one
+    closure per attribute per concept after the top's, and ``concepts``
+    lists what the brute-force scan finds."""
+    shared = Budget(10**9)
+    extents = [x for x, _ in closed_sets(ctx.rows, ctx.cols, shared)]
+    assert len(set(extents)) == len(extents) == shared.found, ctx
+    assert shared.spent <= 1 + len(ctx.attributes) * len(extents), ctx
+    assert concepts(ctx).keys == brute_keys(ctx), ctx
+
+
 @settings(max_examples=40, deadline=None)
 @given(contexts(max_attrs=5, max_objs=12))
 def test_concepts_match_brute_force_up_to_twelve_objects(ctx):
-    from galois_factor.oracles import brute_concepts
-
     assert set(concepts(ctx)) == set(brute_concepts(ctx))
+    check_against_brute_force(ctx)
+
+
+def named(rows: list[int], n_objs: int) -> BooleanContext:
+    attributes = [f"a{i}" for i in range(len(rows))]
+    return BooleanContext(attributes, [f"b{j}" for j in range(n_objs)], rows)
+
+
+def with_lines(rng: random.Random, rows: list[int], width: int) -> list[int]:
+    """``rows`` plus an empty, a full and a duplicate row, shuffled."""
+    rows = rows + [0, (1 << width) - 1, rng.choice(rows)]
+    rng.shuffle(rows)
+    return rows
+
+
+def lined_context(rng: random.Random) -> BooleanContext:
+    """Empty, full and duplicate object columns, then attribute rows."""
+    n_attrs, n_objs = rng.randint(1, 5), rng.randint(1, 9)
+    cols = with_lines(rng, [rng.getrandbits(n_attrs) for _ in range(n_objs)], n_attrs)
+    rows = with_lines(rng, list(named(cols, n_attrs).cols), len(cols))
+    return named(rows, len(cols))
+
+
+def wide_context(rng: random.Random) -> BooleanContext:
+    """More than 64 objects, at most 8 attributes."""
+    n_objs, density = rng.randint(65, 100), rng.uniform(0.2, 0.8)
+    rows = [sum(1 << j for j in range(n_objs) if rng.random() < density)
+            for _ in range(rng.randint(1, 8))]
+    return named(rows, n_objs)
+
+
+@pytest.mark.parametrize("draw", [lined_context, wide_context])
+def test_concepts_match_brute_force_on_edge_contexts(draw):
+    rng = random.Random(draw.__name__)
+    for _ in range(40):
+        check_against_brute_force(draw(rng))
+
+
+@pytest.mark.parametrize("n_attrs, n_objs", [(0, 3), (3, 0), (0, 0)])
+def test_concepts_match_brute_force_on_an_empty_side(n_attrs, n_objs):
+    # the constructor accepts these; the parsers refuse them
+    ctx = named([0] * n_attrs, n_objs)
+    check_against_brute_force(ctx)
+    assert len(concepts(ctx)) == 1

@@ -1,4 +1,5 @@
-"""Closure-based enumeration: the lectic scans, their budget and the enumerators.
+"""Closure-based enumeration: the FCbO and graded lectic scans, their budget
+and the enumerators.
 
 The fuzzy contexts here are the ones ``random_fuzzy_context`` never draws:
 several triples mixed cell by cell through ``sigma``, concept-forming frames
@@ -8,11 +9,13 @@ repeat exactly.
 """
 
 import random
-from itertools import islice, product
+import sys
+from itertools import product
 
 import pytest
 
 from galois_factor import (
+    BooleanContext,
     BudgetExceededError,
     FuzzyContext,
     GradeChain,
@@ -23,7 +26,8 @@ from galois_factor import (
     godel_triple,
     lukasiewicz_triple,
 )
-from galois_factor.io import parse_fuzzy_csv
+from galois_factor.cli import main
+from galois_factor.io import format_cxt, parse_fuzzy_csv
 from galois_factor.order import DEFAULT_ENUM_BUDGET, Budget, closed_sets, graded_closed_sets
 from galois_factor.oracles import brute_fn, brute_fuzzy_concepts
 from tables import TABLE1, TABLE2, WIDE_GODEL_CSV, godel_r2
@@ -61,8 +65,8 @@ def exhausted(scan):
 WORKED = [
     pytest.param(fn_enumerate, godel_r2(), 71, 70, 55, id="fn-godel-r2"),
     pytest.param(fuzzy_concepts, godel_r2(), 11, 7, 7, id="fuzzy-concepts-godel-r2"),
-    pytest.param(concepts, TABLE1, 22, 8, 8, id="concepts-table1"),
-    pytest.param(concepts, TABLE2, 36, 11, 11, id="concepts-table2"),
+    pytest.param(concepts, TABLE1, 15, 8, 8, id="concepts-table1"),
+    pytest.param(concepts, TABLE2, 22, 11, 11, id="concepts-table2"),
 ]
 WORKED_ARGS = "enumerate_, ctx, closures, closed, elements"
 
@@ -89,7 +93,9 @@ class TestGradedClosedSets:
             found = list(graded_closed_sets(n, m, close))
             assert len(calls) <= 1 + n * len(found)
 
-    def test_two_grade_chain_agrees_with_closed_sets(self):
+    def test_two_grade_chain_lists_fixpoints_in_lectic_order(self):
+        # lectic order on subsets of {0, .., n-1}: the least element where two
+        # sets differ belongs to the larger one
         rng = random.Random(1337)
         for _ in range(40):
             n = rng.randint(1, 6)
@@ -98,15 +104,9 @@ class TestGradedClosedSets:
                 for _ in range(rng.randint(0, 5))
             ]
             close = meet_closure(family, n, 1)
-
-            def close_bits(bits):
-                x = tuple(bits >> i & 1 for i in range(n))
-                return sum(v << i for i, v in enumerate(close(x)))
-
-            lectic = [
-                tuple(bits >> i & 1 for i in range(n))
-                for bits in closed_sets(n, close_bits)
-            ]
+            vectors = [tuple(bits >> i & 1 for i in range(n)) for bits in range(1 << n)]
+            fixed = [x for x in vectors if close(x) == x]
+            lectic = sorted(fixed, key=lambda x: [i for i in range(n) if x[i]] + [n], reverse=True)
             assert list(graded_closed_sets(n, 1, close)) == lectic
 
     def test_operator_that_is_not_extensive_cannot_loop(self):
@@ -118,27 +118,6 @@ class TestGradedClosedSets:
     def test_identity_closure_visits_the_whole_grid_in_order(self):
         grid = list(product(range(3), repeat=3))
         assert list(graded_closed_sets(3, 2, lambda x: x)) == grid
-
-
-class TestClosedSets:
-    def test_operator_that_is_not_extensive_raises(self):
-        with pytest.raises(RuntimeError):
-            list(islice(closed_sets(3, lambda b: 0), 100))
-
-    def test_any_operator_gives_a_finite_scan_without_repeats(self):
-        # each accepted set keeps the bits below the raised position and adds
-        # it, so the scan is strictly increasing in lectic order
-        rng = random.Random(5150)
-        for _ in range(300):
-            n = rng.randint(1, 4)
-            table = [rng.randrange(1 << n) for _ in range(1 << n)]
-            found = []
-            try:
-                for bits in islice(closed_sets(n, table.__getitem__), (1 << n) + 1):
-                    found.append(bits)
-            except RuntimeError:
-                pass
-            assert len(found) == len(set(found)) <= 1 << n
 
 
 def mixed_triple_context(rng):
@@ -234,18 +213,29 @@ class TestFnMeetClosure:
                     assert members.get(met) == tuple(map(min, f1, f2))
 
 
+def contranominal(n):
+    """The n x n context where object j has every attribute but j: every
+    attribute set is an intent, so FCbO closes each concept once and never
+    rejects a candidate."""
+    full = (1 << n) - 1
+    names = [f"x{i}" for i in range(n)]
+    return BooleanContext(names, names, [full & ~(1 << i) for i in range(n)])
+
+
+def scan(ctx, budget):
+    return closed_sets(ctx.rows, ctx.cols, budget)
+
+
 class TestScanBudget:
-    # the budget caps the calls of close, the first one included.  The
-    # identity is a closure whose every set is closed; both scans accept the
-    # first candidate of each step, so they spend one closure per set
+    # the budget caps the closure evaluations, the top's included.  FCbO on a
+    # contranominal scale and the graded scan under the identity accept every
+    # candidate, so both spend exactly one closure per closed set
 
     def test_closed_sets_stops_before_call_budget_plus_one(self):
-        close, calls = counted(lambda bits: bits)
-        assert sorted(closed_sets(3, close, budget=8)) == list(range(8))
-        assert len(calls) == 8
-        close, calls = counted(lambda bits: bits)
-        err = exhausted(closed_sets(3, close, budget=7))
-        assert len(calls) == 7
+        shared = Budget(8)
+        assert sorted(x for x, _ in scan(contranominal(3), shared)) == list(range(8))
+        assert (shared.spent, shared.found) == (8, 8)
+        err = exhausted(scan(contranominal(3), budget=7))
         assert (err.count, err.budget, err.found) == (7, 7, 7)
         assert err.unit == "closure evaluations"
 
@@ -259,46 +249,76 @@ class TestScanBudget:
         assert (err.count, err.budget, err.found) == (8, 8, 8)
 
     def test_rejected_candidates_are_counted(self):
-        # {0, 1} closes to itself only as a whole: 1 and 2 close to 3
-        close, calls = counted(lambda bits: 3 if bits else 0)
-        assert list(closed_sets(2, close, budget=3)) == [0, 3]
-        assert calls == [0, 2, 1]
-        err = exhausted(closed_sets(2, lambda bits: 3 if bits else 0, budget=2))
-        assert (err.count, err.found) == (2, 1)
+        # two equal attributes on one of two objects: the top's second
+        # candidate closes to both attributes, which the first one found
+        ctx = BooleanContext(["a0", "a1"], ["b0", "b1"], [1, 1])
+        shared = Budget(3)
+        assert list(scan(ctx, shared)) == [(3, 0), (1, 3)]
+        assert (shared.spent, shared.found) == (3, 2)
+        err = exhausted(scan(ctx, budget=2))
+        assert (err.count, err.found) == (2, 2)
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_evaluates_nothing(self, budget):
-        close, calls = counted(lambda bits: bits)
-        err = exhausted(closed_sets(3, close, budget=budget))
-        assert (err.count, err.found, calls) == (0, 0, [])
+        shared = Budget(budget)
+        err = exhausted(scan(contranominal(3), shared))
+        assert (err.count, err.found, shared.spent, shared.found) == (0, 0, 0, 0)
         close, calls = counted(lambda x: x)
         err = exhausted(graded_closed_sets(2, 2, close, budget=budget))
         assert (err.count, err.found, calls) == (0, 0, [])
 
     def test_scans_sharing_a_budget_stop_together(self):
-        # each identity scan over 2 bits spends 4 closures and finds 4 sets
+        # each scan of the 2 x 2 scale spends 4 closures and finds 4 concepts
         shared = Budget(10)
         for _ in range(2):
-            assert len(list(closed_sets(2, lambda bits: bits, shared))) == 4
+            assert len(list(scan(contranominal(2), shared))) == 4
         assert (shared.spent, shared.found) == (8, 8)
-        close, calls = counted(lambda bits: bits)
-        err = exhausted(closed_sets(2, close, shared))
-        assert len(calls) == 2
+        err = exhausted(scan(contranominal(2), shared))
         assert (err.count, err.budget, err.found) == (10, 10, 10)
+        assert (shared.spent, shared.found) == (10, 10)
 
     def test_an_abandoned_scan_charges_what_it_spent(self):
         shared = Budget(10)
-        scan = closed_sets(3, lambda bits: bits, shared)
-        assert [next(scan), next(scan)] == [0, 4]
-        scan.close()
+        pairs = scan(contranominal(3), shared)
+        assert [next(pairs), next(pairs)] == [(7, 0), (6, 1)]
+        pairs.close()
         assert (shared.spent, shared.found) == (2, 2)
 
     def test_message_names_what_was_counted(self):
-        err = exhausted(closed_sets(3, lambda bits: bits, budget=5))
+        err = exhausted(scan(contranominal(3), budget=5))
         assert str(err) == "the budget of 5 closure evaluations ran out, 5 closed sets found"
 
     def test_default_budget(self):
         assert DEFAULT_ENUM_BUDGET == 10_000_000
+
+
+STAIRS = 1_100  # more than Python's default recursion limit of 1,000
+
+
+def staircase(deep):
+    """The STAIRS x STAIRS staircase: attribute i holds objects 0..i, or
+    objects i..STAIRS-1 when ``deep``.  Its concepts form a chain either way;
+    in the deep form each one is the FCbO child of the one above it, so the
+    scan's tree is a path of STAIRS nodes, which a recursive scan could not
+    walk."""
+    full = (1 << STAIRS) - 1
+    rows = [full >> i << i if deep else full >> (STAIRS - 1 - i) for i in range(STAIRS)]
+    names = [f"s{i}" for i in range(STAIRS)]
+    return BooleanContext(names, names, rows)
+
+
+class TestStaircase:
+    @pytest.mark.parametrize("deep", [False, True], ids=["staircase", "deep"])
+    def test_concepts_form_a_chain(self, deep):
+        assert sys.getrecursionlimit() < STAIRS
+        extents = concepts(staircase(deep)).keys[0]
+        assert len(extents) == STAIRS
+        assert all(x & ~y == 0 and x != y for x, y in zip(extents, extents[1:]))
+
+    def test_cli_lattice_exits_0(self, tmp_path):
+        path = tmp_path / "deep.cxt"
+        path.write_text(format_cxt(staircase(deep=True)), encoding="utf-8")
+        assert main(["lattice", str(path), "--out", str(tmp_path / "deep.json")]) == 0
 
 
 class TestEnumeratorBudget:
@@ -309,7 +329,7 @@ class TestEnumeratorBudget:
         assert len(enumerate_(ctx, budget=closures)) == elements
         with pytest.raises(BudgetExceededError) as err:
             enumerate_(ctx, budget=closures - 1)
-        # the last closure the scan needs yields the top
+        # on these contexts the last closure each scan needs finds a closed set
         assert (err.value.count, err.value.found) == (closures - 1, closed - 1)
 
     @pytest.mark.parametrize(WORKED_ARGS, WORKED)

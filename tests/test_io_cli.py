@@ -602,11 +602,11 @@ class TestCli:
 
     def test_boolean_lattice_honours_the_budget(self, tmp_path, capsys):
         path = write(tmp_path, "table1.cxt", format_cxt(TABLE1))
-        assert main(["lattice", path, "--budget", "21"]) == 2
+        assert main(["lattice", path, "--budget", "14"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: the budget of 21 closure evaluations ran out, 7 closed sets found\n"
-        assert main(["lattice", path, "--budget", "22"]) == 0
+        assert err == "error: the budget of 14 closure evaluations ran out, 7 closed sets found\n"
+        assert main(["lattice", path, "--budget", "15"]) == 0
         assert len(json.loads(capsys.readouterr().out)["concepts"]) == 8
 
     def test_factor_dot_blocks_share_the_budget(self, tmp_path, capsys):
@@ -712,6 +712,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert [r["pair"] for r in payload["rows"]] == [0, 1]
         assert main(["check", path, "--frame", "godel:4", "--props", "fp9"]) == 1
+
+    @pytest.mark.parametrize("pairs", ["1_0", "\u0661", "-1", "+1", "1,x"])
+    def test_check_reads_only_ascii_decimal_pair_indices(self, tmp_path, capsys, pairs):
+        # int() reads "1_0" as 10 and ARABIC-INDIC DIGIT ONE as 1
+        path = write(tmp_path, "wide.csv", WIDE_GODEL_CSV)
+        argv = ["check", path, "--frame", "godel:4", "--props", "fp1"]
+        for budget in ("2602", "1"):  # refused before the enumeration runs
+            assert main([*argv, "--pairs", pairs, "--budget", budget]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: bad --pairs value {pairs!r}\n"
+        assert main([*argv, "--pairs", " 1 , 4 "]) == 0
+        assert [r["pair"] for r in json.loads(capsys.readouterr().out)["rows"]] == [1, 4]
 
     def test_check_report_claims_each_pair_once(self, monkeypatch):
         from galois_factor import fuzzy
