@@ -98,12 +98,18 @@ class BooleanContext:
 
     @cached_property
     def cols(self) -> tuple[int, ...]:
-        """Per object j, the attribute bits of its column: bit i when i relates to j."""
-        cols = [0] * len(self.objects)
-        for i, row in enumerate(self.rows):
-            for j in order.set_bits(row):
-                cols[j] |= 1 << i
-        return tuple(cols)
+        """Per object j, the attribute bits of its column: bit i when i relates to j.
+
+        Transposed as text: each row becomes its binary numeral, padded to
+        the object count and reversed so that character j is object j.  With
+        the last attribute's row first, column j read top down is the
+        numeral of its bits.  The cost is that of the ``.cxt`` grid.
+        """
+        width = len(self.objects)
+        if not (width and self.rows):  # format(0, "00b") is "0"; zip() is empty
+            return (0,) * width
+        numerals = [format(row, f"0{width}b")[::-1] for row in reversed(self.rows)]
+        return tuple(int("".join(col), 2) for col in zip(*numerals))
 
     @cached_property
     def incidence(self) -> tuple[tuple[bool, ...], ...]:

@@ -23,7 +23,9 @@ its order, so ``le(i, j)`` with i != j implies i < j; hence the bottom is
 index 0 and the top is index n - 1.  The enumerations list their elements
 in increasing key order (subset implies a smaller int; pointwise <=
 implies lexicographically <=).  ``pointwise_covers`` relies on this and
-checks it.
+checks it: it finds the Hasse edges of every lattice but the cn cube's in
+one reverse pass over the first keys' bits, grade vectors read as
+threshold bitmasks, peeling each element's upper covers off its up-set.
 
 The concept lattice is enumerated by ``closed_sets``, FCbO over a Boolean
 context's row and column bitmasks; the fn and fuzzy concept lattices by
@@ -80,8 +82,9 @@ class Lattice:
 
     @cached_property
     def cover_lists(self) -> list[list[int]]:
-        """Per element index, the indices of its upper covers, ascending.
-        Shared: do not mutate."""
+        """Per element index, the indices of its upper covers, ascending:
+        ``pointwise_covers`` of the first keys, one reverse pass over their
+        bits.  Shared: do not mutate."""
         return pointwise_covers(self.keys[0])
 
     @cached_property
@@ -248,49 +251,46 @@ def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> list[list[int]]:
     which makes the listing a linear extension of the pointwise order;
     ``ValueError`` is raised otherwise, never a wrong edge.
 
-    For each position x and grade a >= 1, ``above[x, a]`` is the bitmask of
-    rows whose grade at x is at least a.  The strict up-set of row i is the
-    AND of the thresholds its non-zero grades name, with bits 0..i masked
-    off (no earlier row can lie above it).  Its upper covers are peeled off
-    lowest index first: the lowest index j left is minimal, since every row
-    below j comes before it, so j covers i, and j and the up-set of j
-    leave.  Cost: O(sum of grades + edges) big-int operations.
+    Graded rows become threshold bitmasks first: with m the largest grade
+    of any row, grade g at position x sets bits x*m .. x*m + g - 1, so
+    pointwise <= on vectors is inclusion on the ints, and the listing is
+    still a linear extension.  From there one reverse pass serves both
+    kinds.  ``above[x]`` holds the rows after i with bit x set, so the
+    strict up-set of row i is the AND of ``above[x]`` over its set bits x,
+    starting from all the rows after i (no earlier row can lie above it).
+    Its upper covers are peeled off lowest index first: the lowest index j
+    left is minimal, since every row below j comes before it, so j covers
+    i; then j and its own up-set, known since j > i, leave.  Cost: O(sum of
+    grades + edges) big-int operations, one walk over each row's bits.
     """
     n = len(rows)
     for i in range(1, n):
         if not rows[i - 1] < rows[i]:
             raise ValueError(f"rows {i - 1} and {i} are not strictly increasing")
-    above: dict[tuple[int, int], int] = {}
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        for x, g in _support(row):
-            for a in range(1, g + 1):
-                above[x, a] = above.get((x, a), 0) | bit
-
-    full = (1 << n) - 1
-    ups = []
-    for i, row in enumerate(rows):
-        up = full >> (i + 1) << (i + 1)
-        for key in _support(row):
-            up &= above[key]
-        ups.append(up)
-    covers = []
-    for up in ups:
-        above = []
+    if n and not isinstance(rows[0], int):
+        m = max(max(row, default=0) for row in rows)
+        rows = [sum(((1 << g) - 1) << x * m for x, g in enumerate(row)) for row in rows]
+    above = [0] * max(rows, default=0).bit_length()
+    blocked = [0] * n
+    covers: list[list[int]] = [[]] * n
+    later = 0
+    for i in reversed(range(n)):
+        bit, up, row = 1 << i, later, rows[i]
+        # inlined bit walk, as in _and_over: no generator per row
+        while row:
+            low = row & -row
+            x = low.bit_length() - 1
+            up &= above[x]
+            above[x] |= bit
+            row ^= low
+        blocked[i] = ~(up | bit)
+        cover = covers[i] = []
         while up:
-            low = up & -up
-            j = low.bit_length() - 1
-            above.append(j)
-            up &= ~(low | ups[j])
-        covers.append(above)
+            j = (up & -up).bit_length() - 1
+            cover.append(j)
+            up &= blocked[j]
+        later |= bit
     return covers
-
-
-def _support(row: Sequence[int] | int) -> Iterator[tuple[int, int]]:
-    """(position, grade) for each non-zero grade of a row."""
-    if isinstance(row, int):
-        return ((x, 1) for x in set_bits(row))
-    return ((x, g) for x, g in enumerate(row) if g)
 
 
 def join_irreducibles(lattice) -> list[int]:

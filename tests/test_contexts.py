@@ -91,6 +91,25 @@ class TestConstruction:
             with pytest.raises(ValueError):
                 BooleanContext(("a",), ("b1", "b2"), (bad,))
 
+    @pytest.mark.parametrize(
+        "n_attrs, n_objs",
+        [(0, 0), (0, 5), (5, 0), (1, 1), (3, 7), (7, 3), (70, 9), (9, 70), (130, 100)],
+    )
+    def test_cols_transpose_the_rows(self, n_attrs, n_objs):
+        rng = random.Random(f"cols-{n_attrs}-{n_objs}")
+        for density in (0.0, 0.3, 0.7, 1.0):
+            rows = [
+                sum(1 << j for j in range(n_objs) if rng.random() < density)
+                for _ in range(n_attrs)
+            ]
+            ctx = BooleanContext(
+                [f"a{i}" for i in range(n_attrs)], [f"b{j}" for j in range(n_objs)], rows
+            )
+            naive = tuple(
+                sum(1 << i for i in range(n_attrs) if rows[i] >> j & 1) for j in range(n_objs)
+            )
+            assert ctx.cols == naive
+
     def test_incidence_count(self):
         assert TABLE1.incidence_count() == 9
         assert TABLE2.incidence_count() == 15

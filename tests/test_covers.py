@@ -1,12 +1,15 @@
 """Hasse covers from the bitmask kernel against the naive transitive reduction.
 
-``order.pointwise_covers`` peels upper covers off up-set bitmasks and
-trusts the lattices to list their elements in a linear extension; the
+``order.pointwise_covers`` peels upper covers off up-set bitmasks in one
+reverse pass, graded rows encoded as threshold bitmasks, and trusts the
+lattices to list their elements in a linear extension; the
 oracle ``brute_covers`` assumes nothing and tests every triple with ``le``.
 """
 
 import random
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 
@@ -190,6 +193,38 @@ class TestKernel:
 
             assert edges(pointwise_covers(masks)) == brute_covers(len(masks), le)
 
+    def test_bitmasks_wider_than_64_bits(self):
+        # unions of sparse 80-bit chunks over shared high bits: many inclusions
+        rng = random.Random(4110)
+        for _ in range(100):
+            chunks = [rng.getrandbits(80) & rng.getrandbits(80) for _ in range(rng.randint(1, 6))]
+            shared = rng.getrandbits(16) << 64
+            masks = sorted(
+                {
+                    reduce(or_, (c for c in chunks if rng.random() < 0.5), shared)
+                    for _ in range(rng.randint(1, 30))
+                }
+            )
+
+            def le(i, j):
+                return masks[i] & ~masks[j] == 0
+
+            assert edges(pointwise_covers(masks)) == brute_covers(len(masks), le)
+
+    def test_positions_with_different_top_grades(self):
+        # the all-zero vector first; position x ranges over 0..tops[x]
+        rng = random.Random(4111)
+        for _ in range(200):
+            tops = [rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
+            grid = list(product(*(range(t + 1) for t in tops)))
+            rows = sorted({grid[0], *rng.sample(grid, rng.randint(0, min(len(grid), 30)))})
+            assert rows[0] == (0,) * len(tops)
+
+            def le(i, j):
+                return all(a <= b for a, b in zip(rows[i], rows[j]))
+
+            assert edges(pointwise_covers(rows)) == brute_covers(len(rows), le)
+
     @pytest.mark.parametrize(
         "rows",
         [
@@ -208,3 +243,4 @@ class TestKernel:
         assert pointwise_covers([]) == []
         assert pointwise_covers([(2, 0, 1)]) == [[]]
         assert pointwise_covers([0b101]) == [[]]
+        assert pointwise_covers([()]) == [[]]  # zero-length vectors

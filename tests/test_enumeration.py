@@ -311,9 +311,12 @@ class TestStaircase:
     @pytest.mark.parametrize("deep", [False, True], ids=["staircase", "deep"])
     def test_concepts_form_a_chain(self, deep):
         assert sys.getrecursionlimit() < STAIRS
-        extents = concepts(staircase(deep)).keys[0]
+        lattice = concepts(staircase(deep))
+        extents = lattice.keys[0]
         assert len(extents) == STAIRS
         assert all(x & ~y == 0 and x != y for x, y in zip(extents, extents[1:]))
+        # a chain: each element is covered by the next one only
+        assert lattice.cover_lists == [[i + 1] for i in range(STAIRS - 1)] + [[]]
 
     def test_cli_lattice_exits_0(self, tmp_path):
         path = tmp_path / "deep.cxt"
