@@ -98,18 +98,8 @@ class BooleanContext:
 
     @cached_property
     def cols(self) -> tuple[int, ...]:
-        """Per object j, the attribute bits of its column: bit i when i relates to j.
-
-        Transposed as text: each row becomes its binary numeral, padded to
-        the object count and reversed so that character j is object j.  With
-        the last attribute's row first, column j read top down is the
-        numeral of its bits.  The cost is that of the ``.cxt`` grid.
-        """
-        width = len(self.objects)
-        if not (width and self.rows):  # format(0, "00b") is "0"; zip() is empty
-            return (0,) * width
-        numerals = [format(row, f"0{width}b")[::-1] for row in reversed(self.rows)]
-        return tuple(int("".join(col), 2) for col in zip(*numerals))
+        """Per object j, the attribute bits of its column: bit i when i relates to j."""
+        return order.transpose(self.rows, len(self.objects))
 
     @cached_property
     def incidence(self) -> tuple[tuple[bool, ...], ...]:

@@ -42,8 +42,9 @@ class AdjointnessError(ValueError):
 class BudgetExceededError(RuntimeError):
     """Work beyond a budget; ``unit`` names what was counted.
 
-    The Boolean (FCbO) and graded (NextClosure) scans in ``order`` count
-    closure evaluations and stop before evaluation budget + 1: ``count`` is the
+    The one FCbO scan, ``order.closed_sets``, counts closure evaluations for
+    Boolean and fuzzy lattices alike (on a threshold-scaled context for the
+    fuzzy ones) and stops before evaluation budget + 1: ``count`` is the
     evaluations done and ``found`` the closed sets yielded.  The ``lattice``,
     ``fn`` and ``check`` commands set that budget with ``--budget``, and
     ``factor --emit dot`` one budget for all its block scans.  A cn lattice

@@ -288,7 +288,11 @@ _at = tuple.__getitem__
 
 
 def _lookup_rows(ctx: FuzzyContext, op: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per output position, the lookup row of every input cell, by input order."""
+    """Per output position, the lookup row of every input cell, by input
+    order; built on first use and kept on the context."""
+    rows = ctx._lookup.get(op)
+    if rows is not None:
+        return rows
     table_name, relation_first, axis, _ = _OPERATORS[op]
     by_triple = []
     for t in ctx.triples:
@@ -299,19 +303,18 @@ def _lookup_rows(ctx: FuzzyContext, op: str) -> tuple[tuple[tuple[int, ...], ...
     def cell(i: int, j: int) -> tuple[int, ...]:
         return by_triple[ctx.sigma_at(i, j)][ctx.relation[i][j]]
 
-    attrs, objs = range(len(ctx.attributes)), range(len(ctx.objects))
-    if axis == "attributes":
-        return tuple(tuple(cell(i, j) for j in objs) for i in attrs)
-    return tuple(tuple(cell(i, j) for i in attrs) for j in objs)
+    objs = range(len(ctx.objects))
+    rows = tuple(tuple(cell(i, j) for j in objs) for i in range(len(ctx.attributes)))
+    if axis == "objects":
+        rows = tuple(zip(*rows))
+    ctx._lookup[op] = rows
+    return rows
 
 
 def _apply(ctx: FuzzyContext, op: str, x: tuple[int, ...]) -> tuple[int, ...]:
     """Evaluate operator ``op`` on the numerators ``x``."""
-    rows = ctx._lookup.get(op)
-    if rows is None:
-        rows = ctx._lookup[op] = _lookup_rows(ctx, op)
     aggregate = _OPERATORS[op][3]
-    return tuple([aggregate(map(_at, row, x)) for row in rows])
+    return tuple([aggregate(map(_at, row, x)) for row in _lookup_rows(ctx, op)])
 
 
 def f_up(ctx: FuzzyContext, g: GradedObjectSet) -> GradedAttributeSet:
@@ -409,28 +412,55 @@ def _claiming(body):
     return checker
 
 
-def fn_enumerate(ctx: FuzzyContext, budget: int = order.DEFAULT_ENUM_BUDGET) -> order.Lattice:
+def _closed_extents(
+    ctx: FuzzyContext, op: str, shift: int, budget: int | order.Budget
+) -> list[tuple[int, ...]]:
+    """The extents, decoded and sorted, of the threshold-scaled context whose
+    attribute (i, c), c = 1..m1, bit i*m1 + c - 1, holds object (j, a),
+    a = 1..m2, bit j*m2 + a - 1, iff a <= lookup ``op`` of (i, j) at c - ``shift``."""
+    lookup, m2 = _lookup_rows(ctx, op), ctx.l2.m
+    objs = range(len(ctx.objects))
+    scaled = [
+        order.thresholds([lookup[j][i][c] for j in objs], m2)
+        for i in range(len(ctx.attributes))
+        for c in range(1 - shift, ctx.l1.m + 1 - shift)
+    ]
+    block = (1 << m2) - 1
+    return sorted(
+        tuple((x >> j * m2 & block).bit_count() for j in objs)
+        for x, _ in order.closed_sets(scaled, order.transpose(scaled, len(objs) * m2), budget)
+    )
+
+
+def fn_enumerate(
+    ctx: FuzzyContext, budget: int | order.Budget = order.DEFAULT_ENUM_BUDGET
+) -> order.Lattice:
     """All necessity-closed pairs, sorted lexicographically on the object grades.
 
     The composite down-N o up-N is meet-preserving but not a closure
     operator, so its fixpoints are searched among those of the closure
-    down-N o up-pi, enumerated by ``order.graded_closed_sets``; a fixpoint g
-    is kept when g-up-N-down-N = g, with f = g-up-N.
+    down-N o up-pi; a fixpoint g is kept when g-up-N-down-N = g, with
+    f = g-up-N.
 
     Nothing is missed.  up-pi and down-N form an isotone Galois connection
     (up-pi g <= f iff g <= down-N f, cell by cell from the adjoint property),
     so down-N o up-pi is extensive: g <= g-up-pi-down-N.  For a member g,
     fp1 gives g-up-pi <= g-up-N, and down-N is monotone, so
     g-up-pi-down-N <= g-up-N-down-N = g.  Hence every member is a fixpoint
-    of down-N o up-pi.  ``budget`` caps the closures the scan evaluates.
+    of down-N o up-pi.
+
+    The fixpoints come from the FCbO scan of ``fuzzy_concepts`` on the
+    complement of the threshold scaling of up-pi: attribute (i, c) holds
+    (j, a) iff conj(R(i, j), a) < c, iff a <= res_right(c - 1, R(i, j)),
+    the ``down_n`` lookup at c - 1.  For X the threshold set of g, (i, c)
+    holds all of X iff g-up-pi(i) < c; for any attribute set Y, with f(i)
+    one below the least c of Y at i (m1 if none), Y-down is the threshold
+    set of f-down-N.  So the scaled extents decode one to one to the
+    fixpoints.  ``budget`` is as in ``fuzzy_concepts``.
     """
     _require_fn_operators(ctx)
-
-    def close(g: tuple[int, ...]) -> tuple[int, ...]:
-        return _apply(ctx, "down_n", _apply(ctx, "up_pi", g))
-
     gs, fs = [], []
-    for g in order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close, budget):
+    for g in _closed_extents(ctx, "down_n", 1, budget):
         f = _apply(ctx, "up_n", g)
         if _apply(ctx, "down_n", f) == g:
             gs.append(g)
@@ -438,19 +468,27 @@ def fn_enumerate(ctx: FuzzyContext, budget: int = order.DEFAULT_ENUM_BUDGET) -> 
     return order.Lattice(ctx, FuzzyNecessityPair, (gs, fs))
 
 
-def fuzzy_concepts(ctx: FuzzyContext, budget: int = order.DEFAULT_ENUM_BUDGET) -> order.Lattice:
+def fuzzy_concepts(
+    ctx: FuzzyContext, budget: int | order.Budget = order.DEFAULT_ENUM_BUDGET
+) -> order.Lattice:
     """All concepts <g, g-up>, sorted lexicographically on the extents.
 
-    The extents are exactly the fixpoints of the closure operator down o up
-    (up and down form an antitone Galois connection), enumerated by
-    ``order.graded_closed_sets``; ``budget`` caps the closures it evaluates.
+    The extents are the fixpoints of the closure down o up.  Scaled by
+    grade thresholds (Belohlavek, Fund. Inform. 2001), they are the extents
+    of a Boolean context, which the one FCbO scan ``order.closed_sets``
+    lists.  Object (j, a), a = 1..m2, reads g(j) >= a; attribute (i, c),
+    c = 1..m1, holds it iff conj(c, a) <= R(i, j), iff
+    a <= res_right(R(i, j), c), the ``down`` lookup at c.  conj is monotone
+    and conj(c, 0) = 0, so for X the threshold set of g, (i, c) holds all of
+    X iff c <= g-up(i); for any attribute set Y, with f(i) the largest c of
+    Y at i (0 if none), Y-down is the threshold set of f-down.  So every
+    scaled extent is down-closed in the grade and decodes, g(j) being the
+    bit count of block j, to an extent f-down; X-up-down encodes g-up-down.
+    ``budget`` caps the scan's closure evaluations; an ``order.Budget`` is
+    shared with other scans.
     """
     _require_arrangement(ctx, FrameKind.CONCEPT_FORMING, "up")
-
-    def close(g: tuple[int, ...]) -> tuple[int, ...]:
-        return _apply(ctx, "down", _apply(ctx, "up", g))
-
-    extents = list(order.graded_closed_sets(len(ctx.objects), ctx.l2.m, close, budget))
+    extents = _closed_extents(ctx, "down", 0, budget)
     intents = [_apply(ctx, "up", extent) for extent in extents]
     return order.Lattice(ctx, MultiAdjointConcept, (extents, intents))
 

@@ -81,7 +81,7 @@ from .fuzzy import (
 )
 from .grades import read_grade, triple_from_descriptor
 from .oracles import OracleReport
-from .order import DEFAULT_ENUM_BUDGET, Budget, Lattice, atoms, set_bits
+from .order import DEFAULT_ENUM_BUDGET, Budget, Lattice, atoms, transpose
 
 SCHEMA = "galois-factor/1"
 
@@ -141,16 +141,14 @@ def parse_cxt(text: str) -> BooleanContext:
                 raise ContextFormatError(f"duplicate {kind} name {name!r}", line_no)
             names.append(name)
 
-    rows = [0] * n_attributes  # per attribute, the bits of its objects
-    for j, obj in enumerate(objects):  # the file lists one object per row
+    cols = []  # the file lists one object per row, its attribute bits
+    for obj in objects:
         row_text, line_no = next_content(f"incidence row for {obj!r}")
         try:
-            col = _row_bits(row_text, n_attributes)
+            cols.append(_row_bits(row_text, n_attributes))
         except ValueError as exc:
             raise ContextFormatError(str(exc), line_no) from None
-        for i in set_bits(col):
-            rows[i] |= 1 << j
-    return BooleanContext(tuple(attributes), tuple(objects), tuple(rows))
+    return BooleanContext(tuple(attributes), tuple(objects), transpose(cols, n_attributes))
 
 
 _CELL_BITS = str.maketrans("Xx.", "110")

@@ -27,12 +27,13 @@ checks it: it finds the Hasse edges of every lattice but the cn cube's in
 one reverse pass over the first keys' bits, grade vectors read as
 threshold bitmasks, peeling each element's upper covers off its up-set.
 
-The concept lattice is enumerated by ``closed_sets``, FCbO over a Boolean
-context's row and column bitmasks; the fn and fuzzy concept lattices by
-``graded_closed_sets``, a graded NextClosure scan.  Their ``budget`` caps
-the closure evaluations, the unit of Kuznetsov & Obiedkov (JETAI 2002):
-before evaluation budget + 1 a scan raises ``BudgetExceededError`` with
-the closed sets yielded so far.  The ``lattice`` (both kinds), ``fn`` and
+Every lattice but the cn cube is enumerated by the one scan
+``closed_sets``, FCbO over a Boolean context's row and column bitmasks;
+the fn and fuzzy concept lattices run it on a context scaled by grade
+thresholds (see ``fuzzy``).  Its ``budget`` caps the closure evaluations,
+the unit of Kuznetsov & Obiedkov (JETAI 2002), fuzzy ones included: before
+evaluation budget + 1 it raises ``BudgetExceededError`` with the closed
+sets yielded so far.  The ``lattice`` (both kinds), ``fn`` and
 ``check`` commands set it with ``--budget``; the block scans of ``factor
 --emit dot`` share one ``Budget``.
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import BudgetExceededError
 
@@ -185,60 +186,32 @@ def closed_sets(
         pool.spent, pool.found = spent, found
 
 
-def graded_closed_sets(
-    n: int,
-    m: int,
-    close: Callable[[tuple[int, ...]], tuple[int, ...]],
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> Iterator[tuple[int, ...]]:
-    """Enumerate all fixpoints of a closure operator on the grid {0..m}^n.
-
-    ``close`` must be extensive, monotone and idempotent on grade vectors
-    ordered pointwise.  Graded lectic ("NextClosure") scan after Belohlavek,
-    *Algorithms for fuzzy concept lattices* (2002), and Belohlavek, De Baets,
-    Outrata & Vychodil, *Computing the lattice of all fixpoints of a fuzzy
-    closure operator* (2010): each closed vector is produced exactly once, in
-    increasing tuple order, which for m = 1 is the lectic order of sets.
-
-    The successor of ``current`` raises one position i, from the last to the
-    first, by one grade with everything after i reset to 0, and takes the
-    closure C of that vector if C agrees with ``current`` before i.  When C
-    keeps the prefix, raising position i to any a <= C[i] closes to the same
-    C; when C changes it, every larger raise changes it too (the closure is
-    monotone).  So one closure per position decides, as in Boolean NextClosure.
-    """
-    if budget < 1:
-        raise BudgetExceededError(0, budget, found=0)
-    top = (m,) * n
-    current = close((0,) * n)
-    spent = found = 1
-    yield current
-    while current != top:
-        for i in reversed(range(n)):
-            if current[i] == m:
-                continue
-            if spent >= budget:
-                raise BudgetExceededError(spent, budget, found=found)
-            spent += 1
-            prefix = current[:i]
-            candidate = close(prefix + (current[i] + 1,) + (0,) * (n - i - 1))
-            # the second test holds for any extensive close; it keeps the
-            # scan strictly increasing, hence finite, on any operator
-            if candidate[:i] == prefix and candidate[i] > current[i]:
-                current = candidate
-                found += 1
-                yield current
-                break
-        else:  # pragma: no cover - cannot happen for a closure operator
-            raise RuntimeError("graded closure enumeration failed to advance")
-
-
 def set_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of a non-negative int, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def thresholds(grades: Sequence[int], m: int) -> int:
+    """Grade g at position x sets bits x*m .. x*m + g - 1: pointwise <= on
+    vectors over {0..m} is inclusion, and a grade is its block's bit count."""
+    return sum(((1 << g) - 1) << x * m for x, g in enumerate(grades))
+
+
+def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """Per position j < ``width``, the bits i of the ``rows`` with bit j set.
+
+    Transposed as text: each row becomes its binary numeral, padded to
+    ``width`` and reversed so that character j is position j.  With the last
+    row first, column j read top down is the numeral of its bits.  The cost
+    is that of the grid written out.
+    """
+    if not (width and rows):  # format(0, "00b") is "0"; zip() is empty
+        return (0,) * width
+    numerals = [format(row, f"0{width}b")[::-1] for row in reversed(rows)]
+    return tuple(int("".join(col), 2) for col in zip(*numerals))
 
 
 def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> list[list[int]]:
@@ -251,10 +224,9 @@ def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> list[list[int]]:
     which makes the listing a linear extension of the pointwise order;
     ``ValueError`` is raised otherwise, never a wrong edge.
 
-    Graded rows become threshold bitmasks first: with m the largest grade
-    of any row, grade g at position x sets bits x*m .. x*m + g - 1, so
-    pointwise <= on vectors is inclusion on the ints, and the listing is
-    still a linear extension.  From there one reverse pass serves both
+    Graded rows become their ``thresholds`` first, with m the largest grade
+    of any row, so pointwise <= on vectors is inclusion on the ints, and the
+    listing is still a linear extension.  From there one reverse pass serves both
     kinds.  ``above[x]`` holds the rows after i with bit x set, so the
     strict up-set of row i is the AND of ``above[x]`` over its set bits x,
     starting from all the rows after i (no earlier row can lie above it).
@@ -269,7 +241,7 @@ def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> list[list[int]]:
             raise ValueError(f"rows {i - 1} and {i} are not strictly increasing")
     if n and not isinstance(rows[0], int):
         m = max(max(row, default=0) for row in rows)
-        rows = [sum(((1 << g) - 1) << x * m for x, g in enumerate(row)) for row in rows]
+        rows = [thresholds(row, m) for row in rows]
     above = [0] * max(rows, default=0).bit_length()
     blocked = [0] * n
     covers: list[list[int]] = [[]] * n

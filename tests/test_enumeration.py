@@ -1,17 +1,14 @@
-"""Closure-based enumeration: the FCbO and graded lectic scans, their budget
-and the enumerators.
+"""Closure-based enumeration: the FCbO scan, its budget and the enumerators.
 
 The fuzzy contexts here are the ones ``random_fuzzy_context`` never draws:
 several triples mixed cell by cell through ``sigma``, concept-forming frames
-over three unequal chains, and up to six objects.  The budget caps the
-closure evaluations of a scan; the counts below were measured and must
-repeat exactly.
+over three unequal chains, chains up to m = 8, and up to six objects.  The
+budget caps the closure evaluations of a scan; the counts below were
+measured and must repeat exactly.
 """
 
 import random
 import sys
-from itertools import product
-
 import pytest
 
 from galois_factor import (
@@ -28,30 +25,9 @@ from galois_factor import (
 )
 from galois_factor.cli import main
 from galois_factor.io import format_cxt, parse_fuzzy_csv
-from galois_factor.order import DEFAULT_ENUM_BUDGET, Budget, closed_sets, graded_closed_sets
+from galois_factor.order import DEFAULT_ENUM_BUDGET, Budget, closed_sets
 from galois_factor.oracles import brute_fn, brute_fuzzy_concepts
 from tables import TABLE1, TABLE2, WIDE_GODEL_CSV, godel_r2
-
-
-def meet_closure(family, n, m):
-    """Closure onto a meet-closed family: the meet of all members above x."""
-    members = set(family) | {(m,) * n}
-
-    def close(x):
-        above = [v for v in members if all(a <= b for a, b in zip(x, v))]
-        return tuple(map(min, *above)) if len(above) > 1 else above[0]
-
-    return close
-
-
-def counted(close):
-    calls = []
-
-    def wrapped(x):
-        calls.append(x)
-        return close(x)
-
-    return wrapped, calls
 
 
 def exhausted(scan):
@@ -63,66 +39,18 @@ def exhausted(scan):
 # (enumerator, context, closures it evaluates, closed sets its scan yields,
 # elements it lists); fn keeps 55 of the 70 fixpoints of down-N o up-pi
 WORKED = [
-    pytest.param(fn_enumerate, godel_r2(), 71, 70, 55, id="fn-godel-r2"),
-    pytest.param(fuzzy_concepts, godel_r2(), 11, 7, 7, id="fuzzy-concepts-godel-r2"),
+    pytest.param(fn_enumerate, godel_r2(), 72, 70, 55, id="fn-godel-r2"),
+    pytest.param(fuzzy_concepts, godel_r2(), 18, 7, 7, id="fuzzy-concepts-godel-r2"),
     pytest.param(concepts, TABLE1, 15, 8, 8, id="concepts-table1"),
     pytest.param(concepts, TABLE2, 22, 11, 11, id="concepts-table2"),
 ]
 WORKED_ARGS = "enumerate_, ctx, closures, closed, elements"
 
 
-class TestGradedClosedSets:
-    def test_matches_brute_filtering(self):
-        rng = random.Random(90210)
-        for _ in range(60):
-            n, m = rng.randint(1, 4), rng.randint(1, 4)
-            family = [
-                tuple(rng.randint(0, m) for _ in range(n))
-                for _ in range(rng.randint(0, 6))
-            ]
-            close = meet_closure(family, n, m)
-            brute = [x for x in product(range(m + 1), repeat=n) if close(x) == x]
-            assert list(graded_closed_sets(n, m, close)) == brute
-
-    def test_at_most_one_closure_per_position_and_output(self):
-        rng = random.Random(4711)
-        for _ in range(30):
-            n, m = rng.randint(1, 5), rng.randint(1, 4)
-            family = [tuple(rng.randint(0, m) for _ in range(n)) for _ in range(5)]
-            close, calls = counted(meet_closure(family, n, m))
-            found = list(graded_closed_sets(n, m, close))
-            assert len(calls) <= 1 + n * len(found)
-
-    def test_two_grade_chain_lists_fixpoints_in_lectic_order(self):
-        # lectic order on subsets of {0, .., n-1}: the least element where two
-        # sets differ belongs to the larger one
-        rng = random.Random(1337)
-        for _ in range(40):
-            n = rng.randint(1, 6)
-            family = [
-                tuple(rng.randint(0, 1) for _ in range(n))
-                for _ in range(rng.randint(0, 5))
-            ]
-            close = meet_closure(family, n, 1)
-            vectors = [tuple(bits >> i & 1 for i in range(n)) for bits in range(1 << n)]
-            fixed = [x for x in vectors if close(x) == x]
-            lectic = sorted(fixed, key=lambda x: [i for i in range(n) if x[i]] + [n], reverse=True)
-            assert list(graded_closed_sets(n, 1, close)) == lectic
-
-    def test_operator_that_is_not_extensive_cannot_loop(self):
-        scan = graded_closed_sets(3, 2, lambda x: (0, 0, 0))
-        assert next(scan) == (0, 0, 0)
-        with pytest.raises(RuntimeError):
-            next(scan)
-
-    def test_identity_closure_visits_the_whole_grid_in_order(self):
-        grid = list(product(range(3), repeat=3))
-        assert list(graded_closed_sets(3, 2, lambda x: x)) == grid
-
-
-def mixed_triple_context(rng):
-    """Two or three triples on one chain, chosen per cell by sigma."""
-    m = rng.randint(1, 4)
+def mixed_triple_context(rng, fine=False):
+    """Triples on one chain chosen per cell by sigma: two or three of them on
+    m = 1..4, or any one to three of them on a fine chain of m = 5..8."""
+    m = rng.randint(5, 8) if fine else rng.randint(1, 4)
     chain = GradeChain(m)
     triples = [
         godel_triple(chain),
@@ -130,9 +58,9 @@ def mixed_triple_context(rng):
         discretized_product_triple(m, m, m),
     ]
     rng.shuffle(triples)
-    triples = triples[: rng.randint(2, 3)]
-    n_attrs = rng.randint(1, 4)
-    n_objs = rng.randint(1, 6 if m <= 2 else 4)
+    triples = triples[: rng.randint(1 if fine else 2, 3)]
+    n_attrs = rng.randint(1, 3 if fine else 4)
+    n_objs = rng.randint(1, 3 if fine else 6 if m <= 2 else 4)
     return FuzzyContext(
         [f"a{i}" for i in range(n_attrs)],
         [f"b{j}" for j in range(n_objs)],
@@ -142,11 +70,13 @@ def mixed_triple_context(rng):
     )
 
 
-def unequal_chain_context(rng):
-    """Discretized product on three independent chains, concept-forming."""
-    m1, m2, m3 = (rng.randint(1, 4) for _ in range(3))
-    n_attrs = rng.randint(1, 4)
-    n_objs = rng.randint(1, 6 if m2 <= 2 else 4)
+def unequal_chain_context(rng, fine=False):
+    """Discretized product on three independent chains, concept-forming:
+    m = 1..4 each, or 5..8 each on a fine context of at most 3 x 3."""
+    low, high = (5, 8) if fine else (1, 4)
+    m1, m2, m3 = (rng.randint(low, high) for _ in range(3))
+    n_attrs = rng.randint(1, 3 if fine else 4)
+    n_objs = rng.randint(1, 3 if fine else 6 if m2 <= 2 else 4)
     return FuzzyContext(
         [f"a{i}" for i in range(n_attrs)],
         [f"b{j}" for j in range(n_objs)],
@@ -160,26 +90,29 @@ def is_sorted(vectors):
 
 
 class TestEnumeratorsAgainstGridOracles:
+    # 40 contexts on chains of m <= 4, then 30 on fine chains of m = 5..8
+    COARSE, FINE = 40, 30
+
     def test_fn_enumerate_on_mixed_triples(self):
         rng = random.Random(8128)
-        for _ in range(40):
-            ctx = mixed_triple_context(rng)
+        for k in range(self.COARSE + self.FINE):
+            ctx = mixed_triple_context(rng, fine=k >= self.COARSE)
             fast = fn_enumerate(ctx)
             assert list(fast) == brute_fn(ctx), ctx
             assert is_sorted([p.g.values for p in fast])
 
     def test_fuzzy_concepts_on_mixed_triples(self):
         rng = random.Random(496)
-        for _ in range(40):
-            ctx = mixed_triple_context(rng)
+        for k in range(self.COARSE + self.FINE):
+            ctx = mixed_triple_context(rng, fine=k >= self.COARSE)
             fast = fuzzy_concepts(ctx)
             assert list(fast) == brute_fuzzy_concepts(ctx), ctx
             assert is_sorted([c.extent.values for c in fast])
 
     def test_fuzzy_concepts_on_unequal_chains(self):
         rng = random.Random(33550336)
-        for _ in range(40):
-            ctx = unequal_chain_context(rng)
+        for k in range(self.COARSE + self.FINE):
+            ctx = unequal_chain_context(rng, fine=k >= self.COARSE)
             fast = fuzzy_concepts(ctx)
             assert list(fast) == brute_fuzzy_concepts(ctx), ctx
             assert is_sorted([c.extent.values for c in fast])
@@ -228,8 +161,8 @@ def scan(ctx, budget):
 
 class TestScanBudget:
     # the budget caps the closure evaluations, the top's included.  FCbO on a
-    # contranominal scale and the graded scan under the identity accept every
-    # candidate, so both spend exactly one closure per closed set
+    # contranominal scale accepts every candidate, so it spends exactly one
+    # closure per closed set
 
     def test_closed_sets_stops_before_call_budget_plus_one(self):
         shared = Budget(8)
@@ -238,15 +171,6 @@ class TestScanBudget:
         err = exhausted(scan(contranominal(3), budget=7))
         assert (err.count, err.budget, err.found) == (7, 7, 7)
         assert err.unit == "closure evaluations"
-
-    def test_graded_closed_sets_stops_before_call_budget_plus_one(self):
-        close, calls = counted(lambda x: x)
-        assert len(list(graded_closed_sets(2, 2, close, budget=9))) == 9
-        assert len(calls) == 9
-        close, calls = counted(lambda x: x)
-        err = exhausted(graded_closed_sets(2, 2, close, budget=8))
-        assert len(calls) == 8
-        assert (err.count, err.budget, err.found) == (8, 8, 8)
 
     def test_rejected_candidates_are_counted(self):
         # two equal attributes on one of two objects: the top's second
@@ -263,9 +187,10 @@ class TestScanBudget:
         shared = Budget(budget)
         err = exhausted(scan(contranominal(3), shared))
         assert (err.count, err.found, shared.spent, shared.found) == (0, 0, 0, 0)
-        close, calls = counted(lambda x: x)
-        err = exhausted(graded_closed_sets(2, 2, close, budget=budget))
-        assert (err.count, err.found, calls) == (0, 0, [])
+        for enumerate_ in (fn_enumerate, fuzzy_concepts):
+            with pytest.raises(BudgetExceededError) as err:
+                enumerate_(godel_r2(), shared)
+            assert (err.value.count, err.value.found, shared.spent) == (0, 0, 0)
 
     def test_scans_sharing_a_budget_stop_together(self):
         # each scan of the 2 x 2 scale spends 4 closures and finds 4 concepts
@@ -276,6 +201,18 @@ class TestScanBudget:
         err = exhausted(scan(contranominal(2), shared))
         assert (err.count, err.budget, err.found) == (10, 10, 10)
         assert (shared.spent, shared.found) == (10, 10)
+
+    def test_fuzzy_scans_share_a_budget(self):
+        # fn spends 72 closures for 70 fixpoints, the fuzzy concepts 18 for 7;
+        # the first 5 closures of a second concept scan find 2 concepts
+        shared = Budget(95)
+        assert len(fn_enumerate(godel_r2(), shared)) == 55
+        assert len(fuzzy_concepts(godel_r2(), shared)) == 7
+        assert (shared.spent, shared.found) == (90, 77)
+        with pytest.raises(BudgetExceededError) as err:
+            fuzzy_concepts(godel_r2(), shared)
+        assert (err.value.count, err.value.budget, err.value.found) == (95, 95, 79)
+        assert (shared.spent, shared.found) == (95, 79)
 
     def test_an_abandoned_scan_charges_what_it_spent(self):
         shared = Budget(10)
@@ -332,7 +269,8 @@ class TestEnumeratorBudget:
         assert len(enumerate_(ctx, budget=closures)) == elements
         with pytest.raises(BudgetExceededError) as err:
             enumerate_(ctx, budget=closures - 1)
-        # on these contexts the last closure each scan needs finds a closed set
+        # FCbO may spend its last closures on rejected candidates; on these
+        # contexts the last closure each scan needs finds a closed set
         assert (err.value.count, err.value.found) == (closures - 1, closed - 1)
 
     @pytest.mark.parametrize(WORKED_ARGS, WORKED)
@@ -348,10 +286,10 @@ class TestEnumeratorBudget:
     def test_wide_godel_context_runs_under_the_default_budget(self):
         ctx = parse_fuzzy_csv(WIDE_GODEL_CSV, "godel:4")
         assert len(fn_enumerate(ctx)) == 5
-        assert len(fn_enumerate(ctx, budget=2602)) == 5
+        assert len(fn_enumerate(ctx, budget=925)) == 5
         with pytest.raises(BudgetExceededError):
-            fn_enumerate(ctx, budget=2601)
+            fn_enumerate(ctx, budget=924)
         assert len(fuzzy_concepts(ctx)) == 727
-        assert len(fuzzy_concepts(ctx, budget=2535)) == 727
+        assert len(fuzzy_concepts(ctx, budget=981)) == 727
         with pytest.raises(BudgetExceededError):
-            fuzzy_concepts(ctx, budget=2534)
+            fuzzy_concepts(ctx, budget=980)

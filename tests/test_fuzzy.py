@@ -273,13 +273,13 @@ class TestFnEnumerate:
         assert in_fn(ctx, pair)
 
     def test_budget_exceeded_reports_required(self):
-        # the scan needs 71 closure evaluations and stops before the 71st
+        # the scan needs 72 closure evaluations and stops before the 72nd
         ctx = godel_r2()
         with pytest.raises(BudgetExceededError) as err:
-            fn_enumerate(ctx, budget=70)
-        assert (err.value.count, err.value.budget) == (70, 70)
+            fn_enumerate(ctx, budget=71)
+        assert (err.value.count, err.value.budget) == (71, 71)
         assert err.value.unit == "closure evaluations"
-        assert len(fn_enumerate(ctx, budget=71)) == len(fn_enumerate(ctx))
+        assert len(fn_enumerate(ctx, budget=72)) == len(fn_enumerate(ctx))
 
     def test_canonical_order(self):
         lattice = fn_enumerate(godel_r2())
@@ -349,11 +349,11 @@ class TestFuzzyConcepts:
         assert ctx.graded_objects(["1", "0", "1"]) in extents
 
     def test_budget_guard(self):
-        # 11 closure evaluations find the 7 concepts; 10 find all but the top
+        # 18 closure evaluations find the 7 concepts; 17 find all but one
         with pytest.raises(BudgetExceededError) as err:
-            fuzzy_concepts(godel_r2(), budget=10)
-        assert (err.value.count, err.value.found) == (10, 6)
-        assert len(fuzzy_concepts(godel_r2(), budget=11)) == 7
+            fuzzy_concepts(godel_r2(), budget=17)
+        assert (err.value.count, err.value.found) == (17, 6)
+        assert len(fuzzy_concepts(godel_r2(), budget=18)) == 7
 
 
 class TestChainEmbedding:
@@ -394,7 +394,7 @@ class TestClassicalCase:
             assert sorted(map(bit_pair, *fn_enumerate(fctx).keys)) == [
                 (p.objects.bits, p.attrs.bits) for p in brute_cn(ctx)
             ]
-            # the graded scan lists extents in another order than extent bits
+            # the graded lattices list extents by grade tuples, not by bits
             assert set(map(bit_pair, *fuzzy_concepts(fctx).keys)) == set(zip(*concepts(ctx).keys))
 
 

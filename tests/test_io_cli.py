@@ -580,7 +580,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, key, closures, elements",
-        [("fn", "pairs", 2602, 5), ("lattice", "concepts", 2535, 727)],
+        [("fn", "pairs", 925, 5), ("lattice", "concepts", 981, 727)],
     )
     def test_wide_godel_context(self, tmp_path, capsys, command, key, closures, elements):
         path = write(tmp_path, "wide.csv", WIDE_GODEL_CSV)
@@ -595,9 +595,9 @@ class TestCli:
     def test_check_honours_the_budget(self, tmp_path, capsys):
         path = write(tmp_path, "wide.csv", WIDE_GODEL_CSV)
         argv = ["check", path, "--frame", "godel:4", "--props", "fp1"]
-        assert main([*argv, "--budget", "2602"]) == 0
+        assert main([*argv, "--budget", "925"]) == 0
         assert json.loads(capsys.readouterr().out)["pair_count"] == 5
-        assert main([*argv, "--budget", "2601"]) == 2
+        assert main([*argv, "--budget", "924"]) == 2
         assert capsys.readouterr().out == ""
 
     def test_boolean_lattice_honours_the_budget(self, tmp_path, capsys):
@@ -718,7 +718,7 @@ class TestCli:
         # int() reads "1_0" as 10 and ARABIC-INDIC DIGIT ONE as 1
         path = write(tmp_path, "wide.csv", WIDE_GODEL_CSV)
         argv = ["check", path, "--frame", "godel:4", "--props", "fp1"]
-        for budget in ("2602", "1"):  # refused before the enumeration runs
+        for budget in ("925", "1"):  # refused before the enumeration runs
             assert main([*argv, "--pairs", pairs, "--budget", budget]) == 1
             out, err = capsys.readouterr()
             assert out == ""
