@@ -9,6 +9,8 @@ measured and must repeat exactly.
 
 import random
 import sys
+from itertools import product
+
 import pytest
 
 from galois_factor import (
@@ -16,8 +18,13 @@ from galois_factor import (
     BudgetExceededError,
     FuzzyContext,
     GradeChain,
+    GradedObjectSet,
     concepts,
     discretized_product_triple,
+    f_down,
+    f_down_n,
+    f_up,
+    f_up_pi,
     fn_enumerate,
     fuzzy_concepts,
     godel_triple,
@@ -25,7 +32,7 @@ from galois_factor import (
 )
 from galois_factor.cli import main
 from galois_factor.io import format_cxt, parse_fuzzy_csv
-from galois_factor.order import DEFAULT_ENUM_BUDGET, Budget, closed_sets
+from galois_factor.order import DEFAULT_ENUM_BUDGET, Budget, closed_sets, thresholds, transpose
 from galois_factor.oracles import brute_fn, brute_fuzzy_concepts
 from tables import TABLE1, TABLE2, WIDE_GODEL_CSV, godel_r2
 
@@ -116,6 +123,132 @@ class TestEnumeratorsAgainstGridOracles:
             fast = fuzzy_concepts(ctx)
             assert list(fast) == brute_fuzzy_concepts(ctx), ctx
             assert is_sorted([c.extent.values for c in fast])
+
+
+def every_grade_context(n, m):
+    """Goedel on {0..m}: for each object j and grade a < m, an attribute
+    holding j at a and every other object at m.  Its extents are the meets
+    of those columns, so every vector of the grid {0..m}^n is one."""
+    attrs = [(j, a) for j in range(n) for a in range(m)]
+    return FuzzyContext(
+        [f"a{j}_{a}" for j, a in attrs],
+        [f"b{j}" for j in range(n)],
+        (godel_triple(GradeChain(m)),),
+        [[a if k == j else m for k in range(n)] for j, a in attrs],
+    )
+
+
+# (enumerator, context generator, seed, closure whose fixpoints the scan lists)
+SCALED = [
+    pytest.param(
+        fn_enumerate, mixed_triple_context, 28,
+        lambda ctx, g: f_down_n(ctx, f_up_pi(ctx, g)), id="fn-mixed-triples",
+    ),
+    pytest.param(
+        fuzzy_concepts, mixed_triple_context, 8128,
+        lambda ctx, g: f_down(ctx, f_up(ctx, g)), id="concepts-mixed-triples",
+    ),
+    pytest.param(
+        fuzzy_concepts, unequal_chain_context, 496,
+        lambda ctx, g: f_down(ctx, f_up(ctx, g)), id="concepts-unequal-chains",
+    ),
+]
+SCALED_ARGS = "enumerate_, context, seed, close"
+
+
+class TestThresholdScaling:
+    """The fuzzy enumerators' Boolean scaling: object (j, a) reads g(j) >= a."""
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        """The raw extent bitmasks of every ``closed_sets`` scan run."""
+        seen = []
+
+        def recording(rows, cols, budget=DEFAULT_ENUM_BUDGET):
+            for extent, intent in closed_sets(rows, cols, budget):
+                seen.append(extent)
+                yield extent, intent
+
+        monkeypatch.setattr("galois_factor.order.closed_sets", recording)
+        return seen
+
+    def test_thresholds_decode_by_block_bit_count(self):
+        rng = random.Random(6174)
+        for _ in range(200):
+            m, n = rng.randint(1, 8), rng.randint(0, 5)
+            grades = [rng.randint(0, m) for _ in range(n)]
+            mask = thresholds(grades, m)
+            assert [(mask >> j * m & (1 << m) - 1).bit_count() for j in range(n)] == grades
+            assert mask == sum(1 << j * m + a for j, g in enumerate(grades) for a in range(g))
+
+    def test_thresholds_turn_the_pointwise_order_into_inclusion(self):
+        rng = random.Random(1729)
+        for _ in range(300):
+            m, n = rng.randint(1, 5), rng.randint(1, 4)
+            x, y = ([rng.randint(0, m) for _ in range(n)] for _ in range(2))
+            below = all(a <= b for a, b in zip(x, y))
+            assert (thresholds(x, m) & ~thresholds(y, m) == 0) == below
+
+    def test_transpose_swaps_rows_and_columns(self):
+        assert transpose([], 3) == (0, 0, 0)
+        assert transpose([0, 0], 2) == (0, 0)
+        assert transpose([5], 0) == ()
+        rng = random.Random(142857)
+        for _ in range(100):
+            width, n = rng.randint(1, 9), rng.randint(1, 9)
+            rows = [rng.getrandbits(width) for _ in range(n)]
+            cols = transpose(rows, width)
+            assert cols == tuple(
+                sum((rows[i] >> j & 1) << i for i in range(n)) for j in range(width)
+            )
+            assert transpose(cols, n) == tuple(rows)
+
+    @pytest.mark.parametrize(SCALED_ARGS, SCALED)
+    def test_every_scaled_extent_is_a_threshold_set(
+        self, scanned, enumerate_, context, seed, close
+    ):
+        # down-closed in each object's block, so its bit counts lose nothing
+        rng = random.Random(seed)
+        for k in range(30):
+            ctx = context(rng, fine=k >= 20)
+            del scanned[:]
+            enumerate_(ctx)
+            m2, n = ctx.l2.m, len(ctx.objects)
+            for mask in scanned:
+                grades = [(mask >> j * m2 & (1 << m2) - 1).bit_count() for j in range(n)]
+                assert mask == thresholds(grades, m2), ctx
+
+    @pytest.mark.parametrize(SCALED_ARGS, SCALED)
+    def test_scaled_extents_are_the_fixpoints_on_the_grid(
+        self, scanned, enumerate_, context, seed, close
+    ):
+        rng = random.Random(seed + 1)
+        for k in range(30):
+            ctx = context(rng, fine=k >= 20)
+            del scanned[:]
+            enumerate_(ctx)
+            m2, n = ctx.l2.m, len(ctx.objects)
+            fixpoints = [
+                thresholds(g, m2)
+                for g in product(range(m2 + 1), repeat=n)
+                if close(ctx, GradedObjectSet(g, ctx.l2)).values == g
+            ]
+            assert sorted(scanned) == sorted(fixpoints), ctx
+
+    def test_a_context_closed_at_every_grade_lists_the_whole_grid(self):
+        for n, m in [(1, 1), (2, 1), (2, 3), (3, 2)]:
+            extents = [c.extent.values for c in fuzzy_concepts(every_grade_context(n, m))]
+            assert extents == list(product(range(m + 1), repeat=n))
+
+    def test_a_scan_of_the_whole_grid_counts_its_rejected_closures(self):
+        # the 3 x 3 grid on 2 objects: 9 extents for 11 closures, the last of
+        # which finds the top grade vector
+        shared = Budget(11)
+        assert len(fuzzy_concepts(every_grade_context(2, 2), shared)) == 9
+        assert (shared.spent, shared.found) == (11, 9)
+        with pytest.raises(BudgetExceededError) as err:
+            fuzzy_concepts(every_grade_context(2, 2), budget=10)
+        assert (err.value.count, err.value.budget, err.value.found) == (10, 10, 8)
 
 
 class TestFnMeetClosure:
