@@ -43,8 +43,8 @@ _OPTIONS = {
     "budget": dict(type=int, default=order.DEFAULT_ENUM_BUDGET,
                    help="cap on closure evaluations (default %(default)s)"),
     "frame": dict(metavar="NAME:M", help="fuzzy frame, e.g. godel:4"),
-    "props": dict(default="fp1,fp2,fp3,fp4,fp5",
-                  help="comma-separated subset of fp1,fp2,fp3,fp4,fp5"),
+    "props": dict(default=",".join(fy.CHECKS),
+                  help="comma-separated subset of " + ",".join(fy.CHECKS)),
     "pairs": dict(default="all", help="'all' or comma-separated pair indices"),
 }
 _SUBCOMMANDS = {
@@ -177,10 +177,9 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_check(args) -> int:
     ctx = _load_fuzzy(Path(args.path), args.frame)
     props = [p.strip() for p in args.props.split(",") if p.strip()]
-    known = set(fio.CHECKERS)
-    bad = sorted(set(props) - known)
+    bad = sorted(set(props) - set(fy.CHECKS))
     if bad:
-        raise CliError(f"unknown props {bad}; expected a subset of {sorted(known)}")
+        raise CliError(f"unknown props {bad}; expected a subset of {list(fy.CHECKS)}")
 
     fields = [s.strip() for s in args.pairs.split(",") if s.strip()]
     # int() also reads "1_0" and non-ASCII digits such as ARABIC-INDIC ONE

@@ -17,12 +17,15 @@ swaps at most two chains, so ``_arrangement`` maps the domains back to
 satisfy raises FrameArrangementError.  When all three chains coincide
 (the usual case in examples) one triple satisfies every arrangement and
 all six operators are available.
+
+The checkers ``check_fp1``-``check_fp4`` and ``interval_from_pair`` claim
+their pair with ``in_fn`` and make one ``_checks`` evaluation; the ``check``
+report makes it per pair unclaimed, as ``fn_enumerate``'s pairs are members.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -57,6 +60,7 @@ __all__ = [
     "check_fp3",
     "check_fp4",
     "interval_from_pair",
+    "CHECKS",
 ]
 
 
@@ -396,22 +400,6 @@ def in_fn(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
     return _apply(ctx, "up_n", g) == f and _apply(ctx, "down_n", f) == g
 
 
-def _claim_member(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> None:
-    if not in_fn(ctx, pair):
-        raise ValueError(f"{pair!r} is not a necessity-closed pair of this context")
-
-
-def _claiming(body):
-    """A checker that claims its pair, then runs ``body`` (its ``__wrapped__``)."""
-
-    @functools.wraps(body)
-    def checker(ctx: FuzzyContext, pair: FuzzyNecessityPair):
-        _claim_member(ctx, pair)
-        return body(ctx, pair)
-
-    return checker
-
-
 def _closed_extents(
     ctx: FuzzyContext, op: str, shift: int, budget: int | order.Budget
 ) -> list[tuple[int, ...]]:
@@ -524,31 +512,6 @@ def is_top_normalized(ctx: FuzzyContext, axis: str = "rows") -> bool:
     )
 
 
-@_claiming
-def check_fp1(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
-    """Possibility below necessity: g-up-pi <= g-up-N pointwise."""
-    g = pair.g.values
-    return all(a <= b for a, b in zip(_apply(ctx, "up_pi", g), _apply(ctx, "up_n", g)))
-
-
-@_claiming
-def check_fp2(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
-    """<g, g-up-pi> is a property-oriented concept: g-up-pi-down-N = g."""
-    g = pair.g.values
-    return _apply(ctx, "down_n", _apply(ctx, "up_pi", g)) == g
-
-
-@_claiming
-def check_fp3(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
-    """Necessity below possibility: g-up-N <= g-up-pi pointwise.
-
-    Guaranteed on top-normalized contexts over the Goedel frame; runnable
-    as a probe on any frame where both operators exist.
-    """
-    g = pair.g.values
-    return all(a <= b for a, b in zip(_apply(ctx, "up_n", g), _apply(ctx, "up_pi", g)))
-
-
 @dataclass(frozen=True)
 class Fp4Report:
     """Per-attribute hypothesis status for the derivation/possibility bound.
@@ -567,39 +530,6 @@ class Fp4Report:
     g_up_pi: GradedAttributeSet
 
 
-@_claiming
-def check_fp4(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> Fp4Report:
-    """Check the hypotheses relating g-up to g-up-pi, attribute by attribute."""
-    if ctx.l2 != ctx.p:
-        raise FrameArrangementError(
-            "the hypotheses compare object grades with relation grades; "
-            f"they need L2 = P, got {ctx.l2} and {ctx.p}"
-        )
-    g = pair.g.values
-    strict = []
-    top = []
-    for i in range(len(ctx.attributes)):
-        strict.append(any(g[j] > ctx.relation[i][j] for j in range(len(ctx.objects))))
-        top.append(
-            any(
-                g[j] == ctx.l2.m and ctx.relation[i][j] == ctx.p.m
-                for j in range(len(ctx.objects))
-            )
-        )
-    either = tuple(s or t for s, t in zip(strict, top))
-    g_up = _apply(ctx, "up", g)
-    g_up_pi = _apply(ctx, "up_pi", g)
-    return Fp4Report(
-        strict_hypothesis=tuple(strict),
-        top_hypothesis=tuple(top),
-        hypothesis_holds_per_attribute=either,
-        all_hypotheses_hold=all(either),
-        inequality_holds=all(a <= b for a, b in zip(g_up, g_up_pi)),
-        g_up=GradedAttributeSet(g_up, ctx.l1),
-        g_up_pi=GradedAttributeSet(g_up_pi, ctx.l1),
-    )
-
-
 @dataclass(frozen=True)
 class ConceptInterval:
     """The concept block a necessity-closed pair delimits.
@@ -614,17 +544,93 @@ class ConceptInterval:
     ordered: bool
 
 
-@_claiming
+# the propositions of the ``check`` report, in row order
+CHECKS = ("fp1", "fp2", "fp3", "fp4", "fp5")
+
+
+def _below(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    return all(a <= b for a, b in zip(x, y))
+
+
+def _checks(ctx: FuzzyContext, g: tuple[int, ...], f: tuple[int, ...], props) -> dict:
+    """The propositions named in ``props`` of the member with numerators
+    (g, f), by name in ``CHECKS`` order.  A member has f = g-up-N, so fp1
+    and fp3 compare g-up-pi with f.  Each operator image is evaluated at
+    most once, and only when a requested proposition reads it: g-up-pi
+    (fp1-fp4), its down-N (fp2), g-up (fp4, fp5), g-up-down, f-down and
+    f-down-up (fp5).  fp4 needs L2 = P, as ``check_fp4`` shows members have.
+    """
+    props = set(props)
+    g_up_pi = _apply(ctx, "up_pi", g) if props & {"fp1", "fp2", "fp3", "fp4"} else None
+    g_up = _apply(ctx, "up", g) if props & {"fp4", "fp5"} else None
+    out = {}
+    if "fp1" in props:
+        out["fp1"] = _below(g_up_pi, f)
+    if "fp2" in props:
+        out["fp2"] = _apply(ctx, "down_n", g_up_pi) == g
+    if "fp3" in props:
+        out["fp3"] = _below(f, g_up_pi)
+    if "fp4" in props:
+        top = ctx.p.m
+        strict = tuple(any(a > r for a, r in zip(g, row)) for row in ctx.relation)
+        tops = tuple(any(a == r == top for a, r in zip(g, row)) for row in ctx.relation)
+        either = tuple(s or t for s, t in zip(strict, tops))
+        out["fp4"] = Fp4Report(
+            strict_hypothesis=strict,
+            top_hypothesis=tops,
+            hypothesis_holds_per_attribute=either,
+            all_hypotheses_hold=all(either),
+            inequality_holds=_below(g_up, g_up_pi),
+            g_up=GradedAttributeSet(g_up, ctx.l1),
+            g_up_pi=GradedAttributeSet(g_up_pi, ctx.l1),
+        )
+    if "fp5" in props:
+        f_down = _apply(ctx, "down", f)
+        upper_extent = _apply(ctx, "down", g_up)
+        out["fp5"] = ConceptInterval(
+            lower=MultiAdjointConcept.from_keys(ctx, f_down, _apply(ctx, "up", f_down)),
+            upper=MultiAdjointConcept.from_keys(ctx, upper_extent, g_up),
+            ordered=_below(f_down, upper_extent),
+        )
+    return out
+
+
+def _claimed(ctx: FuzzyContext, pair: FuzzyNecessityPair, name: str):
+    """Proposition ``name`` of ``pair``, once ``in_fn`` claims it (else ``ValueError``)."""
+    if not in_fn(ctx, pair):
+        raise ValueError(f"{pair!r} is not a necessity-closed pair of this context")
+    return _checks(ctx, pair.g.values, pair.f.values, (name,))[name]
+
+
+def check_fp1(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
+    """Possibility below necessity: g-up-pi <= g-up-N pointwise."""
+    return _claimed(ctx, pair, "fp1")
+
+
+def check_fp2(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
+    """<g, g-up-pi> is a property-oriented concept: g-up-pi-down-N = g."""
+    return _claimed(ctx, pair, "fp2")
+
+
+def check_fp3(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
+    """Necessity below possibility: g-up-N <= g-up-pi pointwise.
+
+    Guaranteed on top-normalized contexts over the Goedel frame; runnable
+    as a probe on any frame where both operators exist.
+    """
+    return _claimed(ctx, pair, "fp3")
+
+
+def check_fp4(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> Fp4Report:
+    """Check the hypotheses relating g-up to g-up-pi, attribute by attribute.
+
+    They compare object grades with relation grades, so they need L2 = P,
+    which the claim ensures: up-N and down-N need the triples' domains to be
+    both (L1, P, L2) and (P, L2, L1), so L1 = L2 = P.
+    """
+    return _claimed(ctx, pair, "fp4")
+
+
 def interval_from_pair(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> ConceptInterval:
-    f_down_vals = _apply(ctx, "down", pair.f.values)
-    lower = MultiAdjointConcept(
-        GradedObjectSet(f_down_vals, ctx.l2),
-        GradedAttributeSet(_apply(ctx, "up", f_down_vals), ctx.l1),
-    )
-    g_up = _apply(ctx, "up", pair.g.values)
-    upper_extent = _apply(ctx, "down", g_up)
-    upper = MultiAdjointConcept(
-        GradedObjectSet(upper_extent, ctx.l2), GradedAttributeSet(g_up, ctx.l1)
-    )
-    ordered = all(a <= b for a, b in zip(f_down_vals, upper_extent))
-    return ConceptInterval(lower=lower, upper=upper, ordered=ordered)
+    """The concept interval of the pair: <f-down, f-down-up> to <g-up-down, g-up>."""
+    return _claimed(ctx, pair, "fp5")

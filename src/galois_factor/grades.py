@@ -100,9 +100,6 @@ class GradeChain:
     def top(self) -> "Grade":
         return Grade(self.m, self)
 
-    def grade(self, num: int) -> "Grade":
-        return Grade(num, self)
-
     def numerator_of(self, value) -> int:
         """Numerator of a value on this chain, or ValueError if unreadable or off-grid."""
         return self.numerator_of_fraction(read_grade(value))

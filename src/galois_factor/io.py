@@ -34,10 +34,12 @@ atoms' bits, and its ``atom_pairs`` member is written from those bits.
 Hasse edges, in JSON and in DOT, come from ``Lattice.cover_lists`` (for a
 cn lattice the cube's, made by doubling, so the edge tuples of ``covers``
 are not built) and are one join per element over pre-built index strings.
-The other results go through the generic writer.  Keys come in a fixed
-order, so identical inputs produce byte-identical output; grades serialize
-as exact fraction strings, never as floats.  DOT digraphs draw the Hasse
-covers.
+The other results go through the generic writer.  A ``check`` report
+row is its pair's keys and one ``fuzzy._checks`` evaluation, which takes
+each operator image once and trusts ``fn_enumerate``'s pairs to be
+members.  Keys come in a fixed order, so identical inputs produce
+byte-identical output; grades serialize as exact fraction strings, never
+as floats.  DOT digraphs draw the Hasse covers.
 """
 
 from __future__ import annotations
@@ -70,12 +72,7 @@ from .fuzzy import (
     GradedObjectSet,
     MultiAdjointConcept,
     _arrangement,
-    _claim_member,
-    check_fp1,
-    check_fp2,
-    check_fp3,
-    check_fp4,
-    interval_from_pair,
+    _checks,
     is_fuzzy_normalized,
     is_top_normalized,
 )
@@ -94,7 +91,6 @@ __all__ = [
     "emit_dot",
     "document_from_json",
     "removals_dict",
-    "CHECKERS",
     "check_report",
 ]
 
@@ -280,6 +276,12 @@ def _grade_strings(m: int) -> tuple[str, ...]:
     return tuple(str(Fraction(v, m)) for v in range(m + 1))
 
 
+def _grade_dict(names, m: int, values) -> dict:
+    """Grade strings by name, for the numerators ``values`` over ``m``."""
+    strings = _grade_strings(m)
+    return {name: strings[v] for name, v in zip(names, values)}
+
+
 def _boolean_context_dict(ctx: BooleanContext) -> dict:
     return {
         "attributes": list(ctx.attributes),
@@ -329,8 +331,7 @@ def _plain(value, ctx=None):
     """
     if isinstance(value, (GradedObjectSet, GradedAttributeSet)):
         names = ctx.objects if isinstance(value, GradedObjectSet) else ctx.attributes
-        strings = _grade_strings(value.chain.m)
-        return {name: strings[v] for name, v in zip(names, value.values)}
+        return _grade_dict(names, value.chain.m, value.values)
     if isinstance(value, (ObjectSubset, AttributeSubset)):
         return list(value.names)
     if is_dataclass(value):
@@ -360,28 +361,23 @@ def removals_dict(report: NormalizationReport) -> dict:
     }
 
 
-# the proposition checkers of the ``check`` report, in row order; their
-# unchecked bodies, as ``check_report`` claims each pair once
-CHECKERS = {
-    "fp1": check_fp1.__wrapped__,
-    "fp2": check_fp2.__wrapped__,
-    "fp3": check_fp3.__wrapped__,
-    "fp4": check_fp4.__wrapped__,
-    "fp5": interval_from_pair.__wrapped__,
-}
-
-
 def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
     """The ``check`` report: the context's preconditions, then per selected
-    pair index a row with the pair and the checkers named in ``props``."""
+    pair index a row with the pair and the propositions named in ``props``,
+    in ``fuzzy.CHECKS`` order, from one ``fuzzy._checks`` evaluation.  The
+    pairs are ``fn_enumerate``'s, members by its proof, so a row claims
+    nothing and builds no pair; only the public checkers claim."""
+    gs, fs = lattice.keys
     rows = []
     for i in selected:
-        pair = lattice[i]
-        _claim_member(ctx, pair)
-        row = {"pair": i, **_plain(pair, ctx)}
-        for name, checker in CHECKERS.items():
-            if name in props:
-                row[name] = _plain(checker(ctx, pair), ctx)
+        g, f = gs[i], fs[i]
+        row = {
+            "pair": i,
+            "g": _grade_dict(ctx.objects, ctx.l2.m, g),
+            "f": _grade_dict(ctx.attributes, ctx.l1.m, f),
+        }
+        for name, value in _checks(ctx, g, f, props).items():
+            row[name] = _plain(value, ctx)
         rows.append(row)
     return {
         "type": "check",

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from galois_factor import (
     BudgetExceededError,
+    ConceptInterval,
+    Fp4Report,
     FrameArrangementError,
     FrameKind,
     FuzzyContext,
@@ -14,6 +16,7 @@ from galois_factor import (
     GradeChain,
     GradedAttributeSet,
     GradedObjectSet,
+    MultiAdjointConcept,
     check_fp1,
     check_fp2,
     check_fp3,
@@ -36,6 +39,8 @@ from galois_factor import (
     lukasiewicz_triple,
     triple_from_descriptor,
 )
+from galois_factor import io as fio
+from galois_factor.fuzzy import CHECKS
 from galois_factor.oracles import brute_cn
 from tables import (
     DPROD_R2_FN_LISTED,
@@ -529,6 +534,82 @@ class TestIntervals:
                 hypothesis_seen = True
                 assert interval_from_pair(ctx, pair).ordered
         assert hypothesis_seen
+
+
+def twin_context(rng, kind: int) -> FuzzyContext:
+    """Goedel (kind 0), Lukasiewicz (1), dprod (2) or two or three of them
+    mixed cell by cell through sigma (3), on m = 2..5, 1-3 x 1-4."""
+    m = rng.randint(2, 5)
+    chain = GradeChain(m)
+    frames = [godel_triple(chain), lukasiewicz_triple(chain), discretized_product_triple(m, m, m)]
+    triples = frames[kind:kind + 1] if kind < 3 else rng.sample(frames, rng.randint(2, 3))
+    n_attrs, n_objs = rng.randint(1, 3), rng.randint(1, 4)
+    sigma = None
+    if kind == 3:
+        sigma = [[rng.randrange(len(triples)) for _ in range(n_objs)] for _ in range(n_attrs)]
+    return FuzzyContext(
+        [f"a{i}" for i in range(n_attrs)],
+        [f"b{j}" for j in range(n_objs)],
+        triples,
+        [[rng.randint(0, m) for _ in range(n_objs)] for _ in range(n_attrs)],
+        sigma,
+    )
+
+
+def twin_checks(ctx, pair) -> dict:
+    """fp1-fp5 of ``pair`` from the public operators alone, each image
+    evaluated where the proposition reads it; fp1 and fp3 compare g-up-pi
+    with g-up-N, not with f."""
+    g, f = pair.g, pair.f
+    up_pi, up_n, up = f_up_pi(ctx, g), f_up_n(ctx, g), f_up(ctx, g)
+    strict = tuple(any(b > r for b, r in zip(g.values, row)) for row in ctx.relation)
+    top = tuple(
+        any(b == ctx.l2.m and r == ctx.p.m for b, r in zip(g.values, row))
+        for row in ctx.relation
+    )
+    either = tuple(s or t for s, t in zip(strict, top))
+    lower, upper = f_down(ctx, f), f_down(ctx, up)
+    return {
+        "fp1": up_pi <= up_n,
+        "fp2": f_down_n(ctx, up_pi) == g,
+        "fp3": up_n <= up_pi,
+        "fp4": Fp4Report(strict, top, either, all(either), up <= up_pi, up, up_pi),
+        "fp5": ConceptInterval(
+            MultiAdjointConcept(lower, f_up(ctx, lower)),
+            MultiAdjointConcept(upper, up),
+            lower <= upper,
+        ),
+    }
+
+
+class TestChecksAgainstOperatorTwin:
+    CHECKERS = dict(zip(CHECKS, (check_fp1, check_fp2, check_fp3, check_fp4, interval_from_pair)))
+
+    def test_report_rows_and_checkers_equal_the_twin(self):
+        # 80 contexts, 20 per frame kind; the report runs with every
+        # proposition and with a shuffled subset of them
+        rng = random.Random(21)
+        seen = set()
+        for k in range(80):
+            ctx = twin_context(rng, k % 4)
+            lattice = fn_enumerate(ctx)
+            twins = [twin_checks(ctx, pair) for pair in lattice]
+            for props in (CHECKS, rng.sample(CHECKS, rng.randint(1, 4))):
+                report = fio.check_report(ctx, lattice, range(len(lattice)), props)
+                assert report["rows"] == [
+                    {
+                        "pair": i,
+                        **fio._plain(pair, ctx),
+                        **{p: fio._plain(twin[p], ctx) for p in CHECKS if p in props},
+                    }
+                    for i, (pair, twin) in enumerate(zip(lattice, twins))
+                ]
+            for pair, twin in zip(lattice, twins):
+                assert {p: check(ctx, pair) for p, check in self.CHECKERS.items()} == twin
+                seen.add((twin["fp3"], twin["fp4"].inequality_holds, twin["fp5"].ordered))
+        # the propositions that are no theorems come out both ways
+        for position in range(3):
+            assert {s[position] for s in seen} == {True, False}
 
 
 @st.composite

@@ -726,18 +726,35 @@ class TestCli:
         assert main([*argv, "--pairs", " 1 , 4 "]) == 0
         assert [r["pair"] for r in json.loads(capsys.readouterr().out)["rows"]] == [1, 4]
 
-    def test_check_report_claims_each_pair_once(self, monkeypatch):
+    def test_check_report_claims_nothing_and_builds_no_pair(self, monkeypatch):
+        # fn_enumerate's pairs are members by its proof: the report trusts them
         from galois_factor import fuzzy
-        from galois_factor.io import CHECKERS, check_report
+        from galois_factor.io import check_report
 
         ctx = godel_r2()
         lattice = fn_enumerate(ctx)
-        claimed = []
-        in_fn = fuzzy.in_fn
-        monkeypatch.setattr(fuzzy, "in_fn", lambda c, p: claimed.append(p) or in_fn(c, p))
-        report = check_report(ctx, lattice, range(len(lattice)), list(CHECKERS))
+        expected = check_report(ctx, lattice, range(len(lattice)), fuzzy.CHECKS)
+
+        def refused(*args):
+            raise AssertionError("check_report claimed or built a pair")
+
+        monkeypatch.setattr(fuzzy, "in_fn", refused)
+        monkeypatch.setattr(fuzzy.FuzzyNecessityPair, "from_keys", classmethod(refused))
+        with pytest.raises(AssertionError):
+            fuzzy.check_fp1(ctx, fuzzy.FuzzyNecessityPair(ctx.g_top, ctx.f_top))
+        with pytest.raises(AssertionError):
+            lattice[0]
+        report = check_report(ctx, lattice, range(len(lattice)), fuzzy.CHECKS)
         assert len(report["rows"]) == len(lattice) > 1
-        assert claimed == list(lattice)
+        assert report == expected
+
+    def test_check_writes_propositions_in_fixed_order(self, tmp_path, capsys):
+        path = write(tmp_path, "r2_godel.csv", R2_GODEL_CSV)
+        assert main(["check", path, "--frame", "godel:4", "--props", "fp5,fp1"]) == 0
+        out = capsys.readouterr().out
+        rows = json.loads(out)["rows"]
+        assert rows and all(list(row) == ["pair", "g", "f", "fp1", "fp5"] for row in rows)
+        assert out.index('"fp1"') < out.index('"fp5"')
 
     @pytest.mark.parametrize(
         "frame, name, godel",
