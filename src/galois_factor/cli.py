@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Subcommands: lattice, cn, factor, fn, check, reconstruct.  Each takes only
-the options it reads; any other flag exits 1.  ``--budget`` caps the
-closure evaluations of each enumeration behind ``lattice`` (on ``.cxt``
-and ``.csv`` input), ``fn`` and ``check``, and of all the block scans of
-``factor --emit dot`` together.  Exit status 0 on success, 1 on any validation failure, 2 when
-a budget is exceeded.
+the options it reads; any other flag exits 1.  The path's suffix names the
+input format: ``.cxt`` (Burmeister) or ``.csv`` (a fuzzy grid, read under
+``--frame``).  ``lattice`` reads both; ``cn``, ``factor`` and ``reconstruct``
+only ``.cxt``; ``fn`` and ``check`` only ``.csv``.  Any other suffix, and
+``--frame`` on ``.cxt`` input, exits 1.  ``--budget`` caps the closure
+evaluations of each enumeration behind ``lattice``, ``fn`` and ``check``,
+and of all the block scans of ``factor --emit dot`` together.  Exit status
+0 on success, 1 on any validation failure, 2 when a budget is exceeded.
 """
 
 from __future__ import annotations
@@ -70,11 +73,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_boolean(path: Path):
-    return fio.parse_cxt(path.read_text(encoding="utf-8"))
+def _is_fuzzy_input(path: Path) -> bool:
+    if path.suffix == ".cxt":
+        return False
+    if path.suffix == ".csv":
+        return True
+    raise CliError(f"cannot tell the input format from {path.suffix!r} (use .cxt or .csv)")
 
 
-def _load_fuzzy(path: Path, frame: str | None):
+def _load(args, fuzzy: bool | None = None):
+    """The context at ``args.path``, parsed as its suffix says; a command
+    that reads one kind of input names it in ``fuzzy``."""
+    path = Path(args.path)
+    is_fuzzy = _is_fuzzy_input(path)
+    if fuzzy is not None and is_fuzzy != fuzzy:
+        wanted = ".csv" if fuzzy else ".cxt"
+        raise CliError(f"{args.command} reads {wanted} input, not {path.suffix}")
+    frame = getattr(args, "frame", None)
+    if not is_fuzzy:
+        if frame is not None:
+            raise CliError("--frame applies only to fuzzy (.csv) input")
+        return fio.parse_cxt(path.read_text(encoding="utf-8"))
     if not frame:
         raise CliError("fuzzy input needs --frame (godel:M, lukasiewicz:M or dprod:M1,M2,M3)")
     return fio.parse_fuzzy_csv(path.read_text(encoding="utf-8"), frame)
@@ -93,34 +112,28 @@ def _emit(args, result, oracle_report=None) -> int:
     else:
         text = fio.emit_json(result, oracle_report)
     _write(args, text)
+    return _verdict(oracle_report)
+
+
+def _verdict(oracle_report) -> int:
     if oracle_report is not None and not oracle_report.ok:
         print("oracle mismatch detected", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 
 
-def _is_fuzzy_input(path: Path) -> bool:
-    if path.suffix == ".cxt":
-        return False
-    if path.suffix == ".csv":
-        return True
-    raise CliError(f"cannot tell the input format from {path.suffix!r} (use .cxt or .csv)")
-
-
 def _cmd_lattice(args) -> int:
-    path = Path(args.path)
-    if _is_fuzzy_input(path):
-        ctx = _load_fuzzy(path, args.frame)
+    ctx = _load(args)
+    if isinstance(ctx, fy.FuzzyContext):
         enumerate_, compare = fy.fuzzy_concepts, oracles.compare_fuzzy_concepts
     else:
-        ctx = _load_boolean(path)
         enumerate_, compare = concepts, oracles.compare_concepts
     lattice = enumerate_(ctx, budget=args.budget)
     return _emit(args, lattice, compare(ctx, lattice) if args.oracle else None)
 
 
 def _cmd_cn(args) -> int:
-    ctx = _load_boolean(Path(args.path))
+    ctx = _load(args, fuzzy=False)
     lattice = fz.cn_enumerate(ctx)
     report = None
     if args.oracle and lattice.materialized:
@@ -131,7 +144,7 @@ def _cmd_cn(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    ctx = _load_boolean(Path(args.path))
+    ctx = _load(args, fuzzy=False)
     result = fz.factorize(ctx)
     exact = fz.reassemble(result) == result.core
     mask = fz.rstar(result.core) if result.core.attributes else None
@@ -148,20 +161,19 @@ def _cmd_factor(args) -> int:
         _write(args, fio.emit_dot(result, args.budget))
     else:
         _write(args, fio.emit_json(payload, report))
-    if not exact or (report is not None and not report.ok):
-        return EXIT_VALIDATION
-    return EXIT_OK
+    status = _verdict(report)  # says so on stderr when the oracle disagrees
+    return status if exact else EXIT_VALIDATION
 
 
 def _cmd_fn(args) -> int:
-    ctx = _load_fuzzy(Path(args.path), args.frame)
+    ctx = _load(args, fuzzy=True)
     lattice = fy.fn_enumerate(ctx, budget=args.budget)
     report = oracles.compare_fn(ctx, list(lattice)) if args.oracle else None
     return _emit(args, lattice, report)
 
 
 def _cmd_reconstruct(args) -> int:
-    ctx = _load_boolean(Path(args.path))
+    ctx = _load(args, fuzzy=False)
     result = fz.factorize(ctx)
     exact = fz.reassemble(result) == result.core
     payload = {
@@ -175,7 +187,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    ctx = _load_fuzzy(Path(args.path), args.frame)
+    ctx = _load(args, fuzzy=True)
     props = [p.strip() for p in args.props.split(",") if p.strip()]
     bad = sorted(set(props) - set(fy.CHECKS))
     if bad:

@@ -4,10 +4,11 @@ A context holds attribute names, object names and its relation as one
 bitmask per attribute: bit j of ``rows[i]`` is set when attribute i relates
 to object j.  The column masks ``cols`` and the bool grid ``incidence`` are
 views derived from those rows.  Subsets of either side are bitmasks tied to
-their owning context; using a subset against a different context raises,
-even when the two contexts happen to be equal as values.  Everything is
-immutable and every operation is a pure function, so values can be shared
-freely.
+their owning context.  Each operator claims its input with ``_claim``: a
+subset of the other side raises ``TypeError``, and one built against a
+different context ``CrossContextError``, even when the two contexts happen
+to be equal as values.  Everything is immutable and every operation is a
+pure function, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -127,22 +128,10 @@ class BooleanContext:
         return bool(self.rows[self._attr_index[attribute]] >> self._obj_index[obj] & 1)
 
     def object_set(self, members: Iterable[str | int] = ()) -> "ObjectSubset":
-        bits = 0
-        for m in members:
-            i = m if isinstance(m, int) else self._obj_index.get(m, -1)
-            if not 0 <= i < len(self.objects):
-                raise ValueError(f"unknown object {m!r}")
-            bits |= 1 << i
-        return ObjectSubset(self, bits)
+        return ObjectSubset(self, _member_bits(members, self._obj_index, "object"))
 
     def attribute_set(self, members: Iterable[str | int] = ()) -> "AttributeSubset":
-        bits = 0
-        for m in members:
-            i = m if isinstance(m, int) else self._attr_index.get(m, -1)
-            if not 0 <= i < len(self.attributes):
-                raise ValueError(f"unknown attribute {m!r}")
-            bits |= 1 << i
-        return AttributeSubset(self, bits)
+        return AttributeSubset(self, _member_bits(members, self._attr_index, "attribute"))
 
     @property
     def all_objects(self) -> "ObjectSubset":
@@ -156,6 +145,17 @@ class BooleanContext:
         return sum(row.bit_count() for row in self.rows)
 
 
+def _member_bits(members: Iterable[str | int], index: dict[str, int], kind: str) -> int:
+    """The bits of ``members``, each a name in ``index`` or a position below its size."""
+    bits = 0
+    for m in members:
+        i = m if isinstance(m, int) else index.get(m, -1)
+        if not 0 <= i < len(index):
+            raise ValueError(f"unknown {kind} {m!r}")
+        bits |= 1 << i
+    return bits
+
+
 class _Subset:
     """Shared behaviour of the two bit-indexed subset types."""
 
@@ -167,17 +167,12 @@ class _Subset:
     def _universe(self) -> tuple[str, ...]:
         return getattr(self.context, self._names_attr)
 
-    def _check_bits(self) -> None:
+    def __post_init__(self):
         if self.bits < 0 or self.bits >> len(self._universe()):
             raise ValueError(f"subset bits {self.bits:#x} out of range")
 
-    def _mate(self, other) -> None:
-        if type(other) is not type(self):
-            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
-        if other.context is not self.context:
-            raise CrossContextError(
-                f"{type(self).__name__} built against a different context"
-            )
+    def _bits_of(self, other) -> int:
+        return _claim(self.context, other, type(self))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -206,24 +201,20 @@ class _Subset:
         return iter(self.names)
 
     def __or__(self, other):
-        self._mate(other)
-        return type(self)(self.context, self.bits | other.bits)
+        return type(self)(self.context, self.bits | self._bits_of(other))
 
     def __and__(self, other):
-        self._mate(other)
-        return type(self)(self.context, self.bits & other.bits)
+        return type(self)(self.context, self.bits & self._bits_of(other))
 
     def __sub__(self, other):
-        self._mate(other)
-        return type(self)(self.context, self.bits & ~other.bits)
+        return type(self)(self.context, self.bits & ~self._bits_of(other))
 
     def __le__(self, other) -> bool:
-        self._mate(other)
-        return self.bits & ~other.bits == 0
+        return self.bits & ~self._bits_of(other) == 0
 
     def __lt__(self, other) -> bool:
-        self._mate(other)
-        return self.bits != other.bits and self.bits & ~other.bits == 0
+        bits = self._bits_of(other)
+        return self.bits != bits and self.bits & ~bits == 0
 
     def complement(self):
         full = (1 << len(self._universe())) - 1
@@ -242,9 +233,6 @@ class ObjectSubset(_Subset):
 
     _names_attr = "objects"
 
-    def __post_init__(self):
-        self._check_bits()
-
 
 @dataclass(frozen=True, repr=False)
 class AttributeSubset(_Subset):
@@ -255,20 +243,15 @@ class AttributeSubset(_Subset):
 
     _names_attr = "attributes"
 
-    def __post_init__(self):
-        self._check_bits()
 
-
-def _claim_objects(ctx: BooleanContext, xs: ObjectSubset) -> int:
-    if xs.context is not ctx:
-        raise CrossContextError("object subset belongs to a different context")
-    return xs.bits
-
-
-def _claim_attrs(ctx: BooleanContext, ys: AttributeSubset) -> int:
-    if ys.context is not ctx:
-        raise CrossContextError("attribute subset belongs to a different context")
-    return ys.bits
+def _claim(ctx: BooleanContext, subset: _Subset, kind: type) -> int:
+    """The bits of ``subset`` once it is a ``kind`` of ``ctx``: a set of the
+    other side raises ``TypeError``, one of another context ``CrossContextError``."""
+    if type(subset) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(subset).__name__}")
+    if subset.context is not ctx:
+        raise CrossContextError(f"{kind.__name__} built against a different context")
+    return subset.bits
 
 
 # raw-bits operator cores, shared with factorization
@@ -302,32 +285,32 @@ def _down_pi_bits(ctx: BooleanContext, ybits: int) -> int:
 
 def up(ctx: BooleanContext, xs: ObjectSubset) -> AttributeSubset:
     """Attributes shared by every object of X (derivation operator)."""
-    return AttributeSubset(ctx, _up_bits(ctx, _claim_objects(ctx, xs)))
+    return AttributeSubset(ctx, _up_bits(ctx, _claim(ctx, xs, ObjectSubset)))
 
 
 def down(ctx: BooleanContext, ys: AttributeSubset) -> ObjectSubset:
     """Objects possessing every attribute of Y (derivation operator)."""
-    return ObjectSubset(ctx, _down_bits(ctx, _claim_attrs(ctx, ys)))
+    return ObjectSubset(ctx, _down_bits(ctx, _claim(ctx, ys, AttributeSubset)))
 
 
 def up_n(ctx: BooleanContext, xs: ObjectSubset) -> AttributeSubset:
     """Necessity: attributes whose whole support lies inside X."""
-    return AttributeSubset(ctx, _up_n_bits(ctx, _claim_objects(ctx, xs)))
+    return AttributeSubset(ctx, _up_n_bits(ctx, _claim(ctx, xs, ObjectSubset)))
 
 
 def down_n(ctx: BooleanContext, ys: AttributeSubset) -> ObjectSubset:
     """Necessity: objects whose whole support lies inside Y."""
-    return ObjectSubset(ctx, _down_n_bits(ctx, _claim_attrs(ctx, ys)))
+    return ObjectSubset(ctx, _down_n_bits(ctx, _claim(ctx, ys, AttributeSubset)))
 
 
 def up_pi(ctx: BooleanContext, xs: ObjectSubset) -> AttributeSubset:
     """Possibility: attributes held by at least one object of X."""
-    return AttributeSubset(ctx, _up_pi_bits(ctx, _claim_objects(ctx, xs)))
+    return AttributeSubset(ctx, _up_pi_bits(ctx, _claim(ctx, xs, ObjectSubset)))
 
 
 def down_pi(ctx: BooleanContext, ys: AttributeSubset) -> ObjectSubset:
     """Possibility: objects holding at least one attribute of Y."""
-    return ObjectSubset(ctx, _down_pi_bits(ctx, _claim_attrs(ctx, ys)))
+    return ObjectSubset(ctx, _down_pi_bits(ctx, _claim(ctx, ys, AttributeSubset)))
 
 
 @dataclass(frozen=True)
@@ -416,7 +399,7 @@ def _subcontext(ctx: BooleanContext, xbits: int, ybits: int) -> BooleanContext:
 
 def restrict(ctx: BooleanContext, xs: ObjectSubset, ys: AttributeSubset) -> BooleanContext:
     """The subcontext on the given objects and attributes, in input order."""
-    return _subcontext(ctx, _claim_objects(ctx, xs), _claim_attrs(ctx, ys))
+    return _subcontext(ctx, _claim(ctx, xs, ObjectSubset), _claim(ctx, ys, AttributeSubset))
 
 
 def _strip(lines, live: int, across: int, names, full: list, empty: list) -> int:

@@ -23,8 +23,7 @@ from .contexts import (
     FormalConcept,
     NormalizationReport,
     ObjectSubset,
-    _claim_attrs,
-    _claim_objects,
+    _claim,
     _down_bits,
     _down_n_bits,
     _down_pi_bits,
@@ -75,8 +74,8 @@ class NecessityPair:
 
 def in_cn(ctx: BooleanContext, pair: NecessityPair) -> bool:
     """Membership test: X-up-N = Y and Y-down-N = X."""
-    xbits = _claim_objects(ctx, pair.objects)
-    ybits = _claim_attrs(ctx, pair.attrs)
+    xbits = _claim(ctx, pair.objects, ObjectSubset)
+    ybits = _claim(ctx, pair.attrs, AttributeSubset)
     return _up_n_bits(ctx, xbits) == ybits and _down_n_bits(ctx, ybits) == xbits
 
 

@@ -16,7 +16,9 @@ swaps at most two chains, so ``_arrangement`` maps the domains back to
 (L1, L2, P) as well.  An operator whose arrangement the triple does not
 satisfy raises FrameArrangementError.  When all three chains coincide
 (the usual case in examples) one triple satisfies every arrangement and
-all six operators are available.
+all six operators are available.  An operator claims its input with
+``_claim``: a graded set of the other side raises ``TypeError``, and one on
+another chain or of another length ``ValueError``.
 
 The checkers ``check_fp1``-``check_fp4`` and ``interval_from_pair`` claim
 their pair with ``in_fn`` and make one ``_checks`` evaluation; the ``check``
@@ -248,16 +250,17 @@ class GradedAttributeSet(_GradedSet):
     chain: GradeChain
 
 
-def _claim_g(ctx: FuzzyContext, g: GradedObjectSet) -> tuple[int, ...]:
-    if g.chain != ctx.l2 or len(g.values) != len(ctx.objects):
-        raise ValueError("graded object set does not fit this context")
-    return g.values
-
-
-def _claim_f(ctx: FuzzyContext, f: GradedAttributeSet) -> tuple[int, ...]:
-    if f.chain != ctx.l1 or len(f.values) != len(ctx.attributes):
-        raise ValueError("graded attribute set does not fit this context")
-    return f.values
+def _claim(ctx: FuzzyContext, x: _GradedSet, kind: type) -> tuple[int, ...]:
+    """The numerators of ``x`` once it is a ``kind`` on this context's chain
+    and side: a set of the other side raises ``TypeError``, one on another
+    chain or of another size ``ValueError``."""
+    if type(x) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {type(x).__name__}")
+    objects = kind is GradedObjectSet
+    chain, names = (ctx.l2, ctx.objects) if objects else (ctx.l1, ctx.attributes)
+    if x.chain != chain or len(x.values) != len(names):
+        raise ValueError(f"{kind.__name__} does not fit this context")
+    return x.values
 
 
 def _require_arrangement(ctx: FuzzyContext, kind: FrameKind, op: str) -> None:
@@ -324,37 +327,37 @@ def _apply(ctx: FuzzyContext, op: str, x: tuple[int, ...]) -> tuple[int, ...]:
 def f_up(ctx: FuzzyContext, g: GradedObjectSet) -> GradedAttributeSet:
     """Derivation: a -> inf over b of res_left(R(a,b), g(b))."""
     _require_arrangement(ctx, FrameKind.CONCEPT_FORMING, "up")
-    return GradedAttributeSet(_apply(ctx, "up", _claim_g(ctx, g)), ctx.l1)
+    return GradedAttributeSet(_apply(ctx, "up", _claim(ctx, g, GradedObjectSet)), ctx.l1)
 
 
 def f_down(ctx: FuzzyContext, f: GradedAttributeSet) -> GradedObjectSet:
     """Derivation: b -> inf over a of res_right(R(a,b), f(a))."""
     _require_arrangement(ctx, FrameKind.CONCEPT_FORMING, "down")
-    return GradedObjectSet(_apply(ctx, "down", _claim_f(ctx, f)), ctx.l2)
+    return GradedObjectSet(_apply(ctx, "down", _claim(ctx, f, GradedAttributeSet)), ctx.l2)
 
 
 def f_up_pi(ctx: FuzzyContext, g: GradedObjectSet) -> GradedAttributeSet:
     """Possibility: a -> sup over b of conj(R(a,b), g(b))."""
     _require_arrangement(ctx, FrameKind.PROPERTY_ORIENTED, "up_pi")
-    return GradedAttributeSet(_apply(ctx, "up_pi", _claim_g(ctx, g)), ctx.l1)
+    return GradedAttributeSet(_apply(ctx, "up_pi", _claim(ctx, g, GradedObjectSet)), ctx.l1)
 
 
 def f_down_n(ctx: FuzzyContext, f: GradedAttributeSet) -> GradedObjectSet:
     """Necessity: b -> inf over a of res_right(f(a), R(a,b))."""
     _require_arrangement(ctx, FrameKind.PROPERTY_ORIENTED, "down_n")
-    return GradedObjectSet(_apply(ctx, "down_n", _claim_f(ctx, f)), ctx.l2)
+    return GradedObjectSet(_apply(ctx, "down_n", _claim(ctx, f, GradedAttributeSet)), ctx.l2)
 
 
 def f_up_n(ctx: FuzzyContext, g: GradedObjectSet) -> GradedAttributeSet:
     """Necessity: a -> inf over b of res_left(g(b), R(a,b))."""
     _require_arrangement(ctx, FrameKind.OBJECT_ORIENTED, "up_n")
-    return GradedAttributeSet(_apply(ctx, "up_n", _claim_g(ctx, g)), ctx.l1)
+    return GradedAttributeSet(_apply(ctx, "up_n", _claim(ctx, g, GradedObjectSet)), ctx.l1)
 
 
 def f_down_pi(ctx: FuzzyContext, f: GradedAttributeSet) -> GradedObjectSet:
     """Possibility: b -> sup over a of conj(f(a), R(a,b))."""
     _require_arrangement(ctx, FrameKind.OBJECT_ORIENTED, "down_pi")
-    return GradedObjectSet(_apply(ctx, "down_pi", _claim_f(ctx, f)), ctx.l2)
+    return GradedObjectSet(_apply(ctx, "down_pi", _claim(ctx, f, GradedAttributeSet)), ctx.l2)
 
 
 @dataclass(frozen=True)
@@ -395,8 +398,8 @@ def _require_fn_operators(ctx: FuzzyContext) -> None:
 def in_fn(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
     """Membership test for the graded necessity closure system."""
     _require_fn_operators(ctx)
-    g = _claim_g(ctx, pair.g)
-    f = _claim_f(ctx, pair.f)
+    g = _claim(ctx, pair.g, GradedObjectSet)
+    f = _claim(ctx, pair.f, GradedAttributeSet)
     return _apply(ctx, "up_n", g) == f and _apply(ctx, "down_n", f) == g
 
 
@@ -483,14 +486,9 @@ def fuzzy_concepts(
 
 def is_fuzzy_normalized(ctx: FuzzyContext) -> bool:
     """No relation row or column all-bottom or all non-bottom."""
-    for row in ctx.relation:
-        if all(v == 0 for v in row) or all(v != 0 for v in row):
-            return False
-    for j in range(len(ctx.objects)):
-        col = [ctx.relation[i][j] for i in range(len(ctx.attributes))]
-        if all(v == 0 for v in col) or all(v != 0 for v in col):
-            return False
-    return True
+    # a numerator is 0 exactly at the bottom grade
+    lines = (*ctx.relation, *zip(*ctx.relation))
+    return all(any(line) and not all(line) for line in lines)
 
 
 def is_top_normalized(ctx: FuzzyContext, axis: str = "rows") -> bool:
@@ -501,15 +499,8 @@ def is_top_normalized(ctx: FuzzyContext, axis: str = "rows") -> bool:
     """
     if axis not in ("rows", "columns"):
         raise ValueError(f"axis must be 'rows' or 'columns', got {axis!r}")
-    if not is_fuzzy_normalized(ctx):
-        return False
-    top = ctx.p.m
-    if axis == "rows":
-        return all(any(v == top for v in row) for row in ctx.relation)
-    return all(
-        any(ctx.relation[i][j] == top for i in range(len(ctx.attributes)))
-        for j in range(len(ctx.objects))
-    )
+    lines = ctx.relation if axis == "rows" else zip(*ctx.relation)
+    return is_fuzzy_normalized(ctx) and all(ctx.p.m in line for line in lines)
 
 
 @dataclass(frozen=True)

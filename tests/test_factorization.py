@@ -15,12 +15,14 @@ from galois_factor import (
     concepts,
     factorize,
     in_cn,
+    is_normalized,
     join_irreducibles,
     reassemble,
     rstar,
+    up,
 )
 from galois_factor.factorization import MAX_MATERIALIZED_ATOMS
-from galois_factor.oracles import brute_rstar
+from galois_factor.oracles import brute_cn, brute_rstar
 from tables import (
     DIAG2,
     TABLE1,
@@ -181,6 +183,14 @@ class TestComplement:
         with pytest.raises(ValueError):
             complement(TABLE1, make_pair(TABLE1, ["b1", "b2"], ["a3"]))
 
+    def test_refuses_a_context_with_an_empty_attribute_row(self):
+        # every closed pair holds the empty row a3, so no complement does
+        ctx = BooleanContext.from_rows(["a1", "a2", "a3"], ["b1", "b2"], [[1, 0], [0, 1], [0, 0]])
+        pair = make_pair(ctx, ["b1"], ["a1", "a3"])
+        assert in_cn(ctx, pair)
+        with pytest.raises(NotNormalizedError, match="the context is not normalized"):
+            complement(ctx, pair)
+
 
 class TestFactorize:
     def test_table1_blocks(self):
@@ -312,6 +322,47 @@ class TestBlockBounds:
         assert bounds.lower is None and bounds.lower_identified_with_bottom
         assert bounds.upper_is_coatom is None
         assert bounds.lower_within_upper  # empty extent is inside X
+
+
+class TestCoatomTheorem:
+    def test_upper_is_coatom_exactly_when_x_up_is_non_empty(self):
+        """``upper_is_coatom`` is True when X-up is non-empty and None
+        otherwise, for every necessity-closed (X, Y) with X not empty and not
+        B, on any context.
+
+        Proof.  X = Y-down-N and Y = X-up-N.
+        - An attribute outside Y has no object in X: such an object's column
+          would hold an attribute outside Y, so it would not be in Y-down-N.
+        - An attribute in Y has all its objects in X, since Y = X-up-N.
+        - So X-up is in Y, as X is non-empty, and every a in X-up has
+          a-down = X.  If X-up is non-empty, X-up-down = X, and <X, X-up>
+          is a concept.
+        - A set E strictly above X is held in full by no attribute: such an
+          attribute holds all of X, so it has a-down = X, not a superset of
+          E.  So E-up-down = B, and no extent lies strictly between X and B.
+          Hence <X, X-up> is a coatom.
+        If X-up is empty, the upper bound is the top and the field is None.
+        The proof needs no normalization, so the contexts here are raw.
+        """
+        rng = random.Random(2012)
+        outcomes, raw = [], 0
+        for _ in range(300):
+            n_attrs, n_objs = rng.randint(1, 6), rng.randint(1, 7)
+            density = rng.choice((0.2, 0.4, 0.6))
+            ctx = BooleanContext.from_rows(
+                [f"a{i}" for i in range(n_attrs)],
+                [f"b{j}" for j in range(n_objs)],
+                [[rng.random() < density for _ in range(n_objs)] for _ in range(n_attrs)],
+            )
+            for pair in brute_cn(ctx):
+                if not pair.objects or pair.objects == ctx.all_objects:
+                    continue
+                expected = True if up(ctx, pair.objects) else None
+                assert block_bounds(ctx, pair).upper_is_coatom is expected, (ctx, pair)
+                outcomes.append(expected)
+                raw += not is_normalized(ctx)
+        # 299 pairs, 261 of them in contexts that are not normalized
+        assert len(outcomes) >= 250 and raw >= 200 and set(outcomes) == {True, None}
 
 
 class TestBlockBoundPropositions:

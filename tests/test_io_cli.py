@@ -11,6 +11,8 @@ import pytest
 from galois_factor import (
     BooleanContext,
     ContextFormatError,
+    FormalConcept,
+    NecessityPair,
     concepts,
     factorize,
     fn_enumerate,
@@ -100,6 +102,20 @@ FLAG_ARGV = {
     "props": ["--props", "fp1"],
     "pairs": ["--pairs", "0"],
 }
+
+
+# not normalized: every necessity-closed pair holds the empty row a3
+EMPTY_ROW = BooleanContext.from_rows(
+    ["a1", "a2", "a3"], ["b1", "b2"], [[1, 0], [0, 1], [0, 0]]
+)
+
+
+def one_error(capsys) -> str:
+    """The one ``error:`` line a refusal writes, with nothing on stdout."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 def write(tmp_path, name, text):
@@ -781,9 +797,76 @@ class TestCli:
         assert main(["fn", path, "--frame", "godel:4"]) == 1
         assert capsys.readouterr().err.startswith("error: line ")
 
-    def test_unknown_extension(self, tmp_path):
-        path = write(tmp_path, "data.txt", "hello")
-        assert main(["lattice", path]) == 1
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_FLAGS))
+    def test_unknown_extension(self, tmp_path, capsys, command):
+        # a Burmeister text under another suffix is refused, not read as .cxt
+        path = write(tmp_path, "data.txt", TABLE1_CXT)
+        assert main([command, path]) == 1
+        assert one_error(capsys) == (
+            "error: cannot tell the input format from '.txt' (use .cxt or .csv)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["cn", "factor", "reconstruct"])
+    def test_boolean_commands_refuse_fuzzy_input(self, tmp_path, capsys, command):
+        path = write(tmp_path, "r2_godel.csv", R2_GODEL_CSV)
+        assert main([command, path]) == 1
+        assert one_error(capsys) == f"error: {command} reads .cxt input, not .csv\n"
+
+    @pytest.mark.parametrize("command", ["fn", "check"])
+    def test_fuzzy_commands_refuse_boolean_input(self, tmp_path, capsys, command):
+        path = write(tmp_path, "table1.cxt", TABLE1_CXT)
+        assert main([command, path, "--frame", "godel:4"]) == 1
+        assert one_error(capsys) == f"error: {command} reads .csv input, not .cxt\n"
+
+    def test_frame_on_boolean_input_is_refused(self, tmp_path, capsys):
+        path = write(tmp_path, "table1.cxt", TABLE1_CXT)
+        assert main(["lattice", path, "--frame", "godel:4"]) == 1
+        assert one_error(capsys) == "error: --frame applies only to fuzzy (.csv) input\n"
+
+    def test_check_refuses_pair_indices_out_of_range(self, tmp_path, capsys):
+        path = write(tmp_path, "r2_godel.csv", R2_GODEL_CSV)
+        assert main(["check", path, "--frame", "godel:4", "--pairs", "0,99"]) == 1
+        assert one_error(capsys) == "error: pair indices out of range: [99]\n"
+
+    def test_cn_names_the_empty_attribute_row(self, tmp_path, capsys):
+        path = write(tmp_path, "empty_row.cxt", format_cxt(EMPTY_ROW))
+        assert main(["cn", path]) == 1
+        assert "attribute row 'a3' is empty" in one_error(capsys)
+
+    def test_lattice_oracle_reports_a_dropped_concept(self, tmp_path, capsys, monkeypatch):
+        from galois_factor import cli
+        from galois_factor.order import Lattice
+
+        def dropping(ctx, budget):  # the fast path loses concept 1
+            xs, ys = concepts(ctx, budget).keys
+            return Lattice(ctx, FormalConcept, (xs[:1] + xs[2:], ys[:1] + ys[2:]))
+
+        monkeypatch.setattr(cli, "concepts", dropping)
+        path = write(tmp_path, "table1.cxt", TABLE1_CXT)
+        assert main(["lattice", path, "--oracle"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "oracle mismatch detected\n"
+        missing = ["concept", "absent from fast enumeration", repr(concepts(TABLE1)[1])]
+        assert json.loads(out)["oracle"]["mismatches"] == [missing]
+
+    def test_factor_oracle_reports_a_dropped_block(self, tmp_path, capsys, monkeypatch):
+        from galois_factor import factorization
+
+        def dropping(ctx):  # the fast path loses the last block
+            result = factorize(ctx)
+            return dataclasses.replace(result, blocks=result.blocks[:-1])
+
+        monkeypatch.setattr(factorization, "factorize", dropping)
+        path = write(tmp_path, "table1.cxt", TABLE1_CXT)
+        assert main(["factor", path, "--oracle"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "oracle mismatch detected\n"
+        block = factorize(TABLE1).blocks[-1]
+        atom = NecessityPair(block.objects, block.attrs)
+        missing = ["atom", "absent from fast enumeration", repr(atom)]
+        payload = json.loads(out)
+        assert payload["oracle"]["mismatches"] == [missing]
+        assert payload["reconstruction"] == "mismatch"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
