@@ -23,6 +23,7 @@ from . import io as fio
 from . import oracles, order
 from .contexts import concepts
 from .errors import BudgetExceededError, ContextFormatError
+from .grades import read_natural
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -193,19 +194,19 @@ def _cmd_check(args) -> int:
     if bad:
         raise CliError(f"unknown props {bad}; expected a subset of {list(fy.CHECKS)}")
 
-    fields = [s.strip() for s in args.pairs.split(",") if s.strip()]
-    # int() also reads "1_0" and non-ASCII digits such as ARABIC-INDIC ONE
-    if args.pairs != "all" and not all(s.isascii() and s.isdigit() for s in fields):
-        raise CliError(f"bad --pairs value {args.pairs!r}")
+    selected = None  # all of them; indices are read before the enumeration runs
+    if args.pairs != "all":
+        try:
+            selected = [read_natural(s) for s in args.pairs.split(",") if s.strip()]
+        except ValueError:
+            raise CliError(f"bad --pairs value {args.pairs!r}") from None
 
     lattice = fy.fn_enumerate(ctx, budget=args.budget)
-    if args.pairs == "all":
+    if selected is None:
         selected = list(range(len(lattice)))
-    else:
-        selected = list(map(int, fields))
-        out_of_range = [i for i in selected if not 0 <= i < len(lattice)]
-        if out_of_range:
-            raise CliError(f"pair indices out of range: {out_of_range}")
+    out_of_range = [i for i in selected if not 0 <= i < len(lattice)]
+    if out_of_range:
+        raise CliError(f"pair indices out of range: {out_of_range}")
 
     _write(args, fio.emit_json(fio.check_report(ctx, lattice, selected, props)))
     return EXIT_OK

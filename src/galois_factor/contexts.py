@@ -103,6 +103,22 @@ class BooleanContext:
         return order.transpose(self.rows, len(self.objects))
 
     @cached_property
+    def components(self) -> tuple[tuple[int, int], ...]:
+        """The (object bits, attribute bits) of each connected component of
+        the incidence graph, sorted by object bits: each grows from the
+        lowest object not yet placed until it takes in nothing more."""
+        found, free = [], self._full_objects
+        while free:
+            xbits, grown = 0, free & -free
+            while grown != xbits:
+                xbits = grown
+                ybits = _up_pi_bits(self, xbits)
+                grown = xbits | _down_pi_bits(self, ybits)
+            free &= ~xbits
+            found.append((xbits, ybits))
+        return tuple(sorted(found))
+
+    @cached_property
     def incidence(self) -> tuple[tuple[bool, ...], ...]:
         """The relation as a bool grid: row i for attribute i, cell j for object j."""
         width = len(self.objects)

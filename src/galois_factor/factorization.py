@@ -26,14 +26,12 @@ from .contexts import (
     _claim,
     _down_bits,
     _down_n_bits,
-    _down_pi_bits,
     _offending_lines,
+    _subcontext,
     _up_bits,
     _up_n_bits,
-    _up_pi_bits,
     concepts,
     normalize,
-    restrict,
 )
 from .errors import BudgetExceededError, NotNormalizedError
 from .order import Lattice, set_bits
@@ -80,28 +78,12 @@ def in_cn(ctx: BooleanContext, pair: NecessityPair) -> bool:
 
 
 def cn_atoms(ctx: BooleanContext) -> list[NecessityPair]:
-    """Atoms of the closure lattice: connected components of the incidence graph.
-
-    Each component grows from the lowest object not yet placed, taking in
-    the attributes of its objects and the objects of its attributes until
-    it stops growing.  Requires a normalized context (otherwise components
-    need not be closed).
+    """Atoms of the closure lattice: the connected components of the
+    incidence graph, ``ctx.components``, sorted by object bits.  Requires a
+    normalized context (otherwise components need not be closed).
     """
     _require_normalized(ctx)
-    pairs = []
-    free = ctx._full_objects
-    while free:
-        xbits = free & -free
-        while True:
-            ybits = _up_pi_bits(ctx, xbits)
-            grown = _down_pi_bits(ctx, ybits)
-            if grown == xbits:
-                break
-            xbits = grown
-        free &= ~xbits
-        pairs.append(NecessityPair(ObjectSubset(ctx, xbits), AttributeSubset(ctx, ybits)))
-    pairs.sort(key=lambda p: p.objects.bits)  # found by lowest object, not by bits
-    return pairs
+    return [NecessityPair.from_keys(ctx, xbits, ybits) for xbits, ybits in ctx.components]
 
 
 class CnLattice(Lattice):
@@ -216,19 +198,18 @@ def factorize(ctx: BooleanContext) -> Factorization:
     """Split a context into its independent subcontexts.
 
     The input is normalized internally (removals reported in
-    ``reattached``); each bipartite component of the core becomes a block.
+    ``reattached``); each component of the core, normalized by construction,
+    becomes a block, read from ``core.components`` with no second check.
     Blocks have pairwise disjoint objects and attributes and their
     relations reassemble the core exactly.
     """
     report = normalize(ctx)
     core = report.core
-    blocks = []
-    if core.objects or core.attributes:
-        for pair in cn_atoms(core):
-            blocks.append(
-                Block(pair.objects, pair.attrs, restrict(core, pair.objects, pair.attrs))
-            )
-    return Factorization(report, tuple(blocks))
+    blocks = tuple(
+        Block(ObjectSubset(core, x), AttributeSubset(core, y), _subcontext(core, x, y))
+        for x, y in core.components
+    )
+    return Factorization(report, blocks)
 
 
 def reassemble(factorization: Factorization) -> BooleanContext:
@@ -250,10 +231,11 @@ def rstar(ctx: BooleanContext) -> BooleanContext:
     intersection over every necessity-closed pair (X, Y) of
     (X x Y) union (X^c x Y^c), is ``oracles.brute_rstar``.
     """
+    _require_normalized(ctx)
     rows = [0] * len(ctx.attributes)  # per attribute, the object bits of R*
-    for atom in cn_atoms(ctx):
-        for i in set_bits(atom.attrs.bits):
-            rows[i] |= atom.objects.bits
+    for xbits, ybits in ctx.components:
+        for i in set_bits(ybits):
+            rows[i] |= xbits
     return BooleanContext(ctx.attributes, ctx.objects, tuple(rows))
 
 
@@ -279,7 +261,8 @@ class BlockBounds:
 def block_bounds(
     ctx: BooleanContext, pair: NecessityPair, lattice: Lattice | None = None
 ) -> BlockBounds:
-    """Bounds of the concept block generated by a nontrivial pair."""
+    """Bounds of the concept block generated by a nontrivial pair; the
+    upper bound is found in ``lattice`` by its extent bits."""
     if not in_cn(ctx, pair):
         raise ValueError(f"{pair!r} is not a necessity-closed pair of this context")
     xbits = pair.objects.bits
@@ -289,12 +272,10 @@ def block_bounds(
         lattice = concepts(ctx)
 
     x_up = _up_bits(ctx, xbits)
-    upper = None
-    coatom = None
+    upper = coatom = None
     if x_up:
         upper = FormalConcept(ObjectSubset(ctx, xbits), AttributeSubset(ctx, x_up))
-        idx = lattice.index_of(upper)
-        coatom = lattice.upper_covers(idx) == (lattice.top_index,)
+        coatom = lattice.cover_lists[lattice.keys[0].index(xbits)] == [lattice.top_index]
 
     y_down = _down_bits(ctx, pair.attrs.bits)
     lower = None

@@ -41,6 +41,15 @@ MAX_GRADE_EXPONENT = 64
 _LARGEST_SHOWN = 10**MAX_GRADE_CHARS
 
 
+def read_natural(text: str) -> int:
+    """``text`` read as ASCII digits alone, blanks around them aside: ``int``
+    would also read a sign, an underscore and other scripts' digits."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a number in ASCII digits: {text!r}")
+    return int(digits)
+
+
 def read_grade(value) -> Fraction:
     """A grade value (number or string) as a ``Fraction``, or ``ValueError``.
 
@@ -349,7 +358,7 @@ def triple_from_descriptor(descriptor: str, values=None) -> AdjointTriple:
                 break  # GradeChain refuses it; stop before the lcm grows
         return godel_triple(GradeChain(m))
     try:
-        sizes = [int(p) for p in params.split(",")]
+        sizes = [read_natural(p) for p in params.split(",")]
     except ValueError:
         raise ValueError(f"bad granularity in frame descriptor {descriptor!r}") from None
     if name in ("godel", "lukasiewicz"):

@@ -76,7 +76,7 @@ from .fuzzy import (
     is_fuzzy_normalized,
     is_top_normalized,
 )
-from .grades import read_grade, triple_from_descriptor
+from .grades import read_grade, read_natural, triple_from_descriptor
 from .oracles import OracleReport
 from .order import DEFAULT_ENUM_BUDGET, Budget, Lattice, atoms, transpose
 
@@ -99,7 +99,7 @@ __all__ = [
 
 
 def parse_cxt(text: str) -> BooleanContext:
-    """Parse a Burmeister .cxt file: header B, counts, names, X/. rows."""
+    """Parse a Burmeister .cxt file: header B, name line, counts, names, X/. rows."""
     lines = text.splitlines()
     pos = 0
 
@@ -116,18 +116,17 @@ def parse_cxt(text: str) -> BooleanContext:
     header, line_no = next_content("header 'B'")
     if header != "B":
         raise ContextFormatError(f"malformed header {header!r}, expected 'B'", line_no)
+    pos += 1  # the line after B names the context; the name is not kept
     counts = []
     for kind in ("object", "attribute"):
         count_text, line_no = next_content(f"{kind} count")
         try:
-            counts.append(int(count_text))
+            counts.append(read_natural(count_text))
         except ValueError:
             raise ContextFormatError(f"bad {kind} count {count_text!r}", line_no) from None
-    n_objects, n_attributes = counts
-    if n_objects <= 0:
-        raise ContextFormatError("empty object set", line_no)
-    if n_attributes <= 0:
-        raise ContextFormatError("empty attribute set", line_no)
+        if not counts[-1]:
+            raise ContextFormatError(f"empty {kind} set", line_no)
+    n_attributes = counts[1]
 
     objects, attributes = [], []
     for kind, names, count in zip(("object", "attribute"), (objects, attributes), counts):

@@ -7,9 +7,10 @@ lattice is its subclass ``factorization.CnLattice``.  It offers
 element indices), ``cover_lists`` (per element, its upper covers
 ascending: the one record of the Hasse edges, which the writers read),
 ``covers`` (those edges flattened into sorted ``(lower, upper)`` index
-pairs), ``bottom_index``, ``top_index``, ``index_of`` and
-``upper_covers``.  The helpers at the end of this module,
-``join_irreducibles`` and ``atoms``, read ``cover_lists``.
+pairs), ``bottom_index`` and ``top_index``; an element's index is the
+index of its first key, ``lattice.keys[0].index(key)``.  The helpers at
+the end of this module, ``join_irreducibles`` and ``atoms``, read
+``cover_lists``.
 
 A lattice holds its elements as two key lists, ``keys``: index i holds
 the two sides' keys of element i, subset bits in concept and cn lattices
@@ -101,14 +102,6 @@ class Lattice:
     def top_index(self) -> int:
         return len(self) - 1
 
-    def index_of(self, element) -> int:
-        for i, e in enumerate(self):
-            if e == element:
-                return i
-        raise ValueError(f"{element!r} is not in the lattice")
-
-    def upper_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(self.cover_lists[i])
 
 
 class Budget:

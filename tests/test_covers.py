@@ -121,8 +121,6 @@ class TestCoverLists:
         for _ in range(40):
             lattice = concepts(random_context(rng, max_side=8))
             assert edges(lattice.cover_lists) == lattice.covers
-            for i in range(len(lattice)):
-                assert lattice.upper_covers(i) == tuple(u for l, u in lattice.covers if l == i)
 
 
 class TestBottomAndTop:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from galois_factor import contexts, factorization
 from galois_factor import (
     BooleanContext,
     BudgetExceededError,
@@ -17,12 +18,16 @@ from galois_factor import (
     in_cn,
     is_normalized,
     join_irreducibles,
+    normalize,
     reassemble,
     rstar,
     up,
 )
+from galois_factor.cli import main
 from galois_factor.factorization import MAX_MATERIALIZED_ATOMS
-from galois_factor.oracles import brute_cn, brute_rstar
+from galois_factor.io import format_cxt
+from galois_factor.oracles import bipartite_components, brute_cn, brute_rstar
+from galois_factor.order import Lattice
 from tables import (
     DIAG2,
     TABLE1,
@@ -31,6 +36,7 @@ from tables import (
     TABLE2,
     TABLE2_CN_NONTRIVIAL,
     pair_set,
+    random_context,
     random_normalized_context,
 )
 
@@ -101,9 +107,6 @@ class TestCnEnumerate:
         assert lattice[1:3] == pairs[1:3]
         assert lattice[::-1] == pairs[::-1]
         assert lattice[-1] == pairs[-1]
-        for i in range(len(lattice)):
-            assert lattice.upper_covers(i) == tuple(u for l, u in lattice.covers if l == i)
-            assert lattice.index_of(pairs[i]) == i
 
     def test_lattice_by_description_beyond_max_atoms(self):
         n = MAX_MATERIALIZED_ATOMS + 1
@@ -413,3 +416,94 @@ class TestRandomizedSoundness:
             result = factorize(ctx)
             assert reassemble(result) == result.core
             assert all(r & ~m == 0 for r, m in zip(ctx.rows, rstar(ctx).rows))  # R ⊆ R*
+
+
+class TestOneComponentSplit:
+    def test_factor_grows_the_core_components_once(self, monkeypatch, tmp_path):
+        """The ``factor`` command reads its core's components in
+        ``factorize`` and again in ``rstar``; both read the core's one
+        record, so the growth steps are those of a single split."""
+        steps = []
+
+        def counted(ctx, xbits, grow=contexts._up_pi_bits):
+            steps.append(xbits)
+            return grow(ctx, xbits)
+
+        for module in (contexts, factorization):
+            monkeypatch.setattr(module, "_up_pi_bits", counted, raising=False)
+        rng = random.Random(2023)
+        for ctx in [TABLE1, TABLE2] + [random_normalized_context(rng, 8) for _ in range(20)]:
+            path = tmp_path / "in.cxt"
+            path.write_text(format_cxt(ctx), encoding="utf-8")
+            steps.clear()
+            assert main(["factor", str(path), "--out", str(tmp_path / "out.json")]) == 0
+            factor_steps = len(steps)
+            steps.clear()
+            normalize(ctx).core.components  # one split of a fresh core
+            assert factor_steps == len(steps) > 0
+
+    def test_factorize_judges_and_claims_nothing_on_its_core(self, monkeypatch):
+        rng = random.Random(2024)
+        cases = [TABLE1, TABLE2, DIAG2, CONNECTED]
+        cases += [random_context(rng, max_side=8) for _ in range(40)]
+        expected = [factorize(ctx) for ctx in cases]
+
+        def refuse(*args):
+            raise AssertionError("factorize rechecked its own core")
+
+        for module in (contexts, factorization):
+            for helper in ("_claim", "_offending_lines", "_require_normalized", "restrict"):
+                monkeypatch.setattr(module, helper, refuse, raising=False)
+        monkeypatch.setattr(contexts, "is_normalized", refuse)
+        assert [factorize(ctx) for ctx in cases] == expected
+
+    def test_components_of_raw_contexts_match_the_oracle(self):
+        # an empty column is a component alone; an empty row lies in none,
+        # where the oracle makes it a component without objects
+        ctx = BooleanContext.from_rows(["a1", "a2"], ["b1", "b2"], [[1, 0], [0, 0]])
+        assert ctx.components == ((0b01, 0b01), (0b10, 0))
+        rng = random.Random(2025)
+        for ctx in [random_context(rng, max_side=8) for _ in range(200)]:
+            twin = [(x.bits, y.bits) for x, y in bipartite_components(ctx) if x]
+            assert list(ctx.components) == twin
+
+    def test_atoms_and_rstar_refuse_a_raw_context_alike(self):
+        ctx = BooleanContext.from_rows(["a1", "a2"], ["b1", "b2"], [[1, 1], [1, 0]])
+        message = (
+            "context is not normalized: attribute row 'a1' is full; object column 'b1'"
+            " is full (normalize first and reattach the removals afterwards)"
+        )
+        for refused in (cn_atoms, rstar):
+            with pytest.raises(NotNormalizedError) as err:
+                refused(ctx)
+            assert str(err.value) == message
+
+
+def raw_contexts(rng: random.Random, count: int):
+    """``count`` raw contexts drawn as ``TestCoatomTheorem`` draws them."""
+    for _ in range(count):
+        n_attrs, n_objs = rng.randint(1, 6), rng.randint(1, 7)
+        density = rng.choice((0.2, 0.4, 0.6))
+        yield BooleanContext.from_rows(
+            [f"a{i}" for i in range(n_attrs)],
+            [f"b{j}" for j in range(n_objs)],
+            [[rng.random() < density for _ in range(n_objs)] for _ in range(n_attrs)],
+        )
+
+
+class TestBlockBoundsReadKeys:
+    def test_bounds_build_no_lattice_element(self, monkeypatch):
+        cases = []
+        for ctx in [TABLE2, *raw_contexts(random.Random(2012), 300)]:
+            lattice = concepts(ctx)
+            for pair in brute_cn(ctx):
+                if pair.objects and pair.objects != ctx.all_objects:
+                    cases.append((ctx, pair, lattice, block_bounds(ctx, pair, lattice)))
+        assert len(cases) >= 250 and any(case[3].upper_is_coatom for case in cases)
+
+        def refuse(*args):
+            raise AssertionError("a lattice element was built")
+
+        monkeypatch.setattr(Lattice, "_element", refuse)
+        for ctx, pair, lattice, bounds in cases:
+            assert block_bounds(ctx, pair, lattice) == bounds

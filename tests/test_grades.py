@@ -394,6 +394,15 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             triple_from_descriptor(bad)
 
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["godel:\u0661", "godel:+2", "godel:1_0", "godel:-1", "dprod:4,8,\u0661\u0660"],
+    )
+    def test_granularity_in_ascii_digits_only(self, descriptor):
+        # int() reads ARABIC-INDIC DIGIT ONE as 1, "+2" as 2 and "1_0" as 10
+        with pytest.raises(ValueError, match="^bad granularity in frame descriptor"):
+            triple_from_descriptor(descriptor)
+
     @pytest.mark.parametrize("descriptor", ["godel:257", "godel:99999999", "lukasiewicz:99999999"])
     def test_granularity_cap_comes_before_the_tables(self, descriptor, monkeypatch):
         for factory in ("godel_triple", "lukasiewicz_triple"):

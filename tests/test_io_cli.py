@@ -124,6 +124,10 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+# a Burmeister file whose second line names the context
+NAMED_CXT = "B\nmyctx\n2\n2\n\nb1\nb2\na1\na2\nX.\n.X\n"
+
+
 class TestCxtParsing:
     def test_table1_round_trip(self):
         ctx = parse_cxt(TABLE1_CXT)
@@ -162,6 +166,23 @@ class TestCxtParsing:
         bad = "B\n\n1\n1\n\nb1\na1\n?\n"
         with pytest.raises(ContextFormatError):
             parse_cxt(bad)
+
+    def test_named_context(self):
+        # the line after B is the context's name, read and ignored
+        ctx = parse_cxt(NAMED_CXT)
+        assert ctx == BooleanContext.from_rows(["a1", "a2"], ["b1", "b2"], [[1, 0], [0, 1]])
+        assert parse_cxt(NAMED_CXT.replace("myctx", "")) == ctx
+
+    @pytest.mark.parametrize("count", ["+2", "1_0", "\u0662", "-1", " 2x"])
+    def test_counts_in_ascii_digits_only(self, count):
+        # int() reads "+2" and ARABIC-INDIC DIGIT TWO as 2, and "1_0" as 10
+        for kind, text in (
+            ("object", f"B\n\n{count}\n1\n"),
+            ("attribute", f"B\n\n1\n{count}\n"),
+        ):
+            with pytest.raises(ContextFormatError) as err:
+                parse_cxt(text)
+            assert f"bad {kind} count {count.strip()!r}" in str(err.value)
 
     def test_empty_core_is_not_written(self):
         # the core of a full 1x1 context has neither objects nor attributes
@@ -540,6 +561,11 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["concepts"]) == 8
 
+    def test_lattice_on_a_named_cxt_file(self, tmp_path, capsys):
+        path = write(tmp_path, "named.cxt", NAMED_CXT)
+        assert main(["lattice", path]) == 0
+        assert len(json.loads(capsys.readouterr().out)["concepts"]) == 4
+
     def test_factor_reports_exact_reconstruction(self, tmp_path, capsys):
         path = write(tmp_path, "table1.cxt", TABLE1_CXT)
         assert main(["factor", path, "--emit", "json"]) == 0
@@ -589,6 +615,12 @@ class TestCli:
         ctx = BooleanContext.from_rows(["a1", "a2"], ["b1", "b2"], [[1, 1], [1, 0]])
         path = write(tmp_path, "bad.cxt", format_cxt(ctx))
         assert main(["cn", path]) == 1
+
+    def test_frame_granularity_in_ascii_digits_only(self, tmp_path, capsys):
+        # int() reads ARABIC-INDIC DIGIT FOUR as 4
+        path = write(tmp_path, "r2.csv", R2_GODEL_CSV)
+        assert main(["fn", path, "--frame", "godel:\u0664"]) == 1
+        assert "bad granularity in frame descriptor" in capsys.readouterr().err
 
     def test_budget_exit_code(self, tmp_path):
         path = write(tmp_path, "r2.csv", R2_GODEL_CSV)
