@@ -44,7 +44,7 @@ _OPTIONS = {
     "emit": dict(choices=["json", "dot"], default="json"),
     "out": dict(metavar="PATH", help="write output here instead of stdout"),
     "oracle": dict(action="store_true", help="cross-check with brute force"),
-    "budget": dict(type=int, default=order.DEFAULT_ENUM_BUDGET,
+    "budget": dict(type=read_natural, default=order.DEFAULT_ENUM_BUDGET,
                    help="cap on closure evaluations (default %(default)s)"),
     "frame": dict(metavar="NAME:M", help="fuzzy frame, e.g. godel:4"),
     "props": dict(default=",".join(fy.CHECKS),

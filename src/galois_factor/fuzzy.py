@@ -23,6 +23,12 @@ another chain or of another length ``ValueError``.
 The checkers ``check_fp1``-``check_fp4`` and ``interval_from_pair`` claim
 their pair with ``in_fn`` and make one ``_checks`` evaluation; the ``check``
 report makes it per pair unclaimed, as ``fn_enumerate``'s pairs are members.
+
+The enumerators ``fn_enumerate`` and ``fuzzy_concepts`` evaluate no graded
+operator.  Each runs the one FCbO scan on a Boolean context scaled by grade
+thresholds and reads its keys off the scan's bits: fn's membership filter
+tests nested threshold masks against the extent bits, a concept's intent is
+the bit counts of the closed intent, and only the kept extents are decoded.
 """
 
 from __future__ import annotations
@@ -403,24 +409,52 @@ def in_fn(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
     return _apply(ctx, "up_n", g) == f and _apply(ctx, "down_n", f) == g
 
 
-def _closed_extents(
-    ctx: FuzzyContext, op: str, shift: int, budget: int | order.Budget
-) -> list[tuple[int, ...]]:
-    """The extents, decoded and sorted, of the threshold-scaled context whose
-    attribute (i, c), c = 1..m1, bit i*m1 + c - 1, holds object (j, a),
-    a = 1..m2, bit j*m2 + a - 1, iff a <= lookup ``op`` of (i, j) at c - ``shift``."""
+def _scaled_scan(ctx: FuzzyContext, op: str, shift: int, budget: int | order.Budget):
+    """The rows of the threshold-scaled context whose attribute (i, c),
+    c = 1..m1, row i*m1 + c - 1, holds object (j, a), a = 1..m2, bit
+    j*m2 + a - 1, iff a <= lookup ``op`` of (i, j) at c - ``shift``; and its
+    FCbO scan of (extent bits, intent bits)."""
     lookup, m2 = _lookup_rows(ctx, op), ctx.l2.m
     objs = range(len(ctx.objects))
-    scaled = [
+    rows = [
         order.thresholds([lookup[j][i][c] for j in objs], m2)
         for i in range(len(ctx.attributes))
         for c in range(1 - shift, ctx.l1.m + 1 - shift)
     ]
-    block = (1 << m2) - 1
-    return sorted(
-        tuple((x >> j * m2 & block).bit_count() for j in objs)
-        for x, _ in order.closed_sets(scaled, order.transpose(scaled, len(objs) * m2), budget)
-    )
+    return rows, order.closed_sets(rows, order.transpose(rows, len(objs) * m2), budget)
+
+
+def _grades(bits: int, m: int, n: int) -> tuple[int, ...]:
+    """The grade vector of the threshold set ``bits``: block bit counts."""
+    block = (1 << m) - 1
+    return tuple([(bits >> x * m & block).bit_count() for x in range(n)])
+
+
+def _sorted_lattice(ctx: FuzzyContext, kind: type, pairs: list) -> order.Lattice:
+    """The lattice of the (object key, attribute key) ``pairs``, sorted on
+    the object keys, which are distinct."""
+    pairs.sort()
+    return order.Lattice(ctx, kind, ([x for x, _ in pairs], [y for _, y in pairs]))
+
+
+def _up_n_masks(ctx: FuzzyContext) -> list[list[int]]:
+    """Per attribute i, the object threshold sets M(i, c), c = 1..m1: object
+    j's block holds the least grade a at which the ``up_n`` lookup of (i, j)
+    reaches c.  One sweep per lookup row, which is non-decreasing: a grade
+    first reached at input a puts a's threshold bits in the masks it reaches."""
+    m1, m2 = ctx.l1.m, ctx.l2.m
+    out = []
+    for row in _lookup_rows(ctx, "up_n"):
+        masks = [0] * m1
+        for j, cells in enumerate(row):
+            c = 0
+            for a, v in enumerate(cells):
+                bits = ((1 << a) - 1) << j * m2
+                while c < v:
+                    masks[c] |= bits
+                    c += 1
+        out.append(masks)
+    return out
 
 
 def fn_enumerate(
@@ -448,15 +482,46 @@ def fn_enumerate(
     one below the least c of Y at i (m1 if none), Y-down is the threshold
     set of f-down-N.  So the scaled extents decode one to one to the
     fixpoints.  ``budget`` is as in ``fuzzy_concepts``.
+
+    The filter reads the extent bits X alone.  A residuum is monotone in
+    its numerator, so each ``up_n`` lookup row, u(a) = res_left(a, R(i, j)),
+    is non-decreasing in the object grade a.  Hence u(g(j)) >= c iff
+    g(j) >= t(i, j, c), the least a with u(a) >= c, which exists as
+    u(m2) = m1 by the boundary law.  So g-up-N(i) >= c iff X holds the
+    threshold set M(i, c) of t(i, ., c); t is non-decreasing in c, so the
+    M(i, c) are nested, and f(i) = g-up-N(i) is the number of leading masks
+    M(i, 1), M(i, 2), ... that X holds: the walk stops at the first it does
+    not.  f-down-N is a meet over i, so its threshold set is the meet of
+    those of the ``down_n`` lookups at f(i): the scan's rows (i, f(i) + 1),
+    or every object bit when f(i) = m1, as res_right(m1, r) = m2.  g is a
+    member iff that meet is X; the meet only shrinks, so the walk over i
+    stops once it misses a bit of X.  Decoding X to g by block bit counts is
+    one to one, so decoding only the members, then sorting, lists the same
+    pairs.
     """
     _require_fn_operators(ctx)
-    gs, fs = [], []
-    for g in _closed_extents(ctx, "down_n", 1, budget):
-        f = _apply(ctx, "up_n", g)
-        if _apply(ctx, "down_n", f) == g:
-            gs.append(g)
-            fs.append(f)
-    return order.Lattice(ctx, FuzzyNecessityPair, (gs, fs))
+    m1, m2, n = ctx.l1.m, ctx.l2.m, len(ctx.objects)
+    rows, scan = _scaled_scan(ctx, "down_n", 1, budget)
+    masks = _up_n_masks(ctx)
+    every = (1 << n * m2) - 1
+    members = []
+    for x, _ in scan:
+        outside, meet, f = ~x, every, []
+        for i, chain in enumerate(masks):
+            c = 0
+            for mask in chain:
+                if mask & outside:
+                    break
+                c += 1
+            f.append(c)
+            if c < m1:
+                meet &= rows[i * m1 + c]
+                if meet & x != x:  # the meet only shrinks
+                    break
+        else:
+            if meet == x:
+                members.append((_grades(x, m2, n), tuple(f)))
+    return _sorted_lattice(ctx, FuzzyNecessityPair, members)
 
 
 def fuzzy_concepts(
@@ -475,13 +540,17 @@ def fuzzy_concepts(
     Y at i (0 if none), Y-down is the threshold set of f-down.  So every
     scaled extent is down-closed in the grade and decodes, g(j) being the
     bit count of block j, to an extent f-down; X-up-down encodes g-up-down.
+    The scan's intent of X is X-up, the (i, c) with c <= g-up(i), so g-up(i)
+    is the bit count of block i of the intent bits.
     ``budget`` caps the scan's closure evaluations; an ``order.Budget`` is
     shared with other scans.
     """
     _require_arrangement(ctx, FrameKind.CONCEPT_FORMING, "up")
-    extents = _closed_extents(ctx, "down", 0, budget)
-    intents = [_apply(ctx, "up", extent) for extent in extents]
-    return order.Lattice(ctx, MultiAdjointConcept, (extents, intents))
+    m1, m2 = ctx.l1.m, ctx.l2.m
+    n, k = len(ctx.objects), len(ctx.attributes)
+    _, scan = _scaled_scan(ctx, "down", 0, budget)
+    pairs = [(_grades(x, m2, n), _grades(y, m1, k)) for x, y in scan]
+    return _sorted_lattice(ctx, MultiAdjointConcept, pairs)
 
 
 def is_fuzzy_normalized(ctx: FuzzyContext) -> bool:

@@ -58,6 +58,14 @@ def mixed_triple_context(rng, fine=False):
     """Triples on one chain chosen per cell by sigma: two or three of them on
     m = 1..4, or any one to three of them on a fine chain of m = 5..8."""
     m = rng.randint(5, 8) if fine else rng.randint(1, 4)
+    return triples_by_sigma(
+        rng, m, 1 if fine else 2, 3 if fine else 4, 3 if fine else 6 if m <= 2 else 4
+    )
+
+
+def triples_by_sigma(rng, m, fewest, most_attrs, most_objs):
+    """At least ``fewest`` of the Goedel, Lukasiewicz and dprod triples on
+    {0..m}, chosen per cell by sigma, on at most ``most_attrs`` x ``most_objs``."""
     chain = GradeChain(m)
     triples = [
         godel_triple(chain),
@@ -65,9 +73,9 @@ def mixed_triple_context(rng, fine=False):
         discretized_product_triple(m, m, m),
     ]
     rng.shuffle(triples)
-    triples = triples[: rng.randint(1 if fine else 2, 3)]
-    n_attrs = rng.randint(1, 3 if fine else 4)
-    n_objs = rng.randint(1, 3 if fine else 6 if m <= 2 else 4)
+    triples = triples[: rng.randint(fewest, 3)]
+    n_attrs = rng.randint(1, most_attrs)
+    n_objs = rng.randint(1, most_objs)
     return FuzzyContext(
         [f"a{i}" for i in range(n_attrs)],
         [f"b{j}" for j in range(n_objs)],
@@ -104,6 +112,15 @@ class TestEnumeratorsAgainstGridOracles:
         rng = random.Random(8128)
         for k in range(self.COARSE + self.FINE):
             ctx = mixed_triple_context(rng, fine=k >= self.COARSE)
+            fast = fn_enumerate(ctx)
+            assert list(fast) == brute_fn(ctx), ctx
+            assert is_sorted([p.g.values for p in fast])
+
+    def test_fn_enumerate_on_finer_chains(self):
+        # the nested threshold masks of fn's filter on m = 9..16, 3 x 2 at most
+        rng = random.Random(65536)
+        for _ in range(30):
+            ctx = triples_by_sigma(rng, rng.randint(9, 16), 2, 3, 2)
             fast = fn_enumerate(ctx)
             assert list(fast) == brute_fn(ctx), ctx
             assert is_sorted([p.g.values for p in fast])

@@ -292,6 +292,68 @@ class TestFnEnumerate:
         assert gs == sorted(gs)
 
 
+def every_cell_context(m: int, rng) -> FuzzyContext:
+    """The Goedel, Lukasiewicz and dprod triples on {0..m}, mixed through
+    sigma: object j holds a shuffled grade r(j) in every row, with triple
+    (i + j) mod 3 in row i, so every (triple, relation grade) pair owns a
+    lookup row of each operator."""
+    chain = GradeChain(m)
+    triples = (godel_triple(chain), lukasiewicz_triple(chain), discretized_product_triple(m, m, m))
+    grades = rng.sample(range(m + 1), m + 1)
+    objs = range(m + 1)
+    return FuzzyContext(
+        ["a0", "a1", "a2"],
+        [f"b{j}" for j in objs],
+        triples,
+        [grades] * 3,
+        [[(i + j) % 3 for j in objs] for i in range(3)],
+    )
+
+
+class TestThresholdBitFilter:
+    """``fn_enumerate`` and ``fuzzy_concepts`` read their keys off the scan's
+    bits; the graded operator kernel ``fuzzy._apply`` never runs."""
+
+    WORKED = (godel_r1, godel_r2, luk_table3, dprod_r1, dprod_r2)
+
+    def test_necessity_lookup_rows_are_non_decreasing_in_the_input_grade(self):
+        from galois_factor.fuzzy import _lookup_rows
+
+        rng = random.Random(65537)
+        for m in range(1, 17):
+            ctx = every_cell_context(m, rng)
+            cells = {(t, r) for ts, rs in zip(ctx.sigma, ctx.relation) for t, r in zip(ts, rs)}
+            assert len(cells) == 3 * (m + 1)
+            for op in ("up_n", "down_n"):
+                for row in _lookup_rows(ctx, op):
+                    for lookups in row:
+                        assert list(lookups) == sorted(lookups), (m, op)
+
+    def keys(self, ctx):
+        return fn_enumerate(ctx).keys, fuzzy_concepts(ctx).keys
+
+    def test_keys_are_the_operator_images_with_no_operator_run(self, monkeypatch):
+        from galois_factor import fuzzy
+
+        rng = random.Random(1024)
+        contexts = [make() for make in self.WORKED]
+        contexts += [twin_context(rng, k % 4) for k in range(100)]
+        expected = [self.keys(ctx) for ctx in contexts]
+        for ctx, ((gs, fs), (extents, intents)) in zip(contexts, expected):
+            for g, f in zip(gs, fs):
+                assert fuzzy._apply(ctx, "up_n", g) == f
+                assert fuzzy._apply(ctx, "down_n", f) == g
+            assert intents == [fuzzy._apply(ctx, "up", x) for x in extents]
+
+        def refused(*args):
+            raise AssertionError("an enumerator evaluated a graded operator")
+
+        monkeypatch.setattr(fuzzy, "_apply", refused)
+        for ctx in contexts:
+            ctx._lookup.clear()  # the lookup rows are built afresh too
+        assert [self.keys(ctx) for ctx in contexts] == expected
+
+
 def pair_meet(ctx, p, q):
     """The componentwise meet of two pairs, checked to be necessity-closed."""
     met = FuzzyNecessityPair(

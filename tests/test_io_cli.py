@@ -626,6 +626,25 @@ class TestCli:
         path = write(tmp_path, "r2.csv", R2_GODEL_CSV)
         assert main(["fn", path, "--frame", "godel:4", "--budget", "10"]) == 2
 
+    @pytest.mark.parametrize("budget", ["١_0", " -1", "+5"])
+    def test_budget_in_ascii_digits_only(self, tmp_path, capsys, budget):
+        # int() reads "١_0" as 10 and " -1" as a budget that runs out at once
+        path = write(tmp_path, "table1.cxt", TABLE1_CXT)
+        assert main(["lattice", path, "--budget", budget]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: argument --budget: invalid read_natural value: {budget!r}\n"
+
+    def test_budget_blanks_around_digits_and_zero(self, tmp_path, capsys):
+        path = write(tmp_path, "table1.cxt", TABLE1_CXT)
+        # read as 12, which TABLE1's 15 closure evaluations overrun
+        assert main(["lattice", path, "--budget", " 12 "]) == 2
+        assert capsys.readouterr().err.startswith("error: the budget of 12 closure")
+        assert main(["lattice", path, "--budget", " 15 "]) == 0
+        assert len(json.loads(capsys.readouterr().out)["concepts"]) == 8
+        assert main(["lattice", path, "--budget", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: the budget of 0 closure")
+
     @pytest.mark.parametrize(
         "command, key, closures, elements",
         [("fn", "pairs", 925, 5), ("lattice", "concepts", 981, 727)],
