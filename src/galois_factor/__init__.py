@@ -12,13 +12,11 @@ from .contexts import (
     FormalConcept,
     NormalizationReport,
     ObjectSubset,
-    atoms,
     concepts,
     down,
     down_n,
     down_pi,
     is_normalized,
-    join_irreducibles,
     normalize,
     restrict,
     up,
@@ -83,6 +81,6 @@ from .grades import (
     lukasiewicz_triple,
     triple_from_descriptor,
 )
-from .order import Lattice
+from .order import Lattice, atoms, join_irreducibles
 
 __version__ = "0.1.0"

@@ -39,7 +39,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-# each subcommand takes the path and only the options it reads
 _OPTIONS = {
     "emit": dict(choices=["json", "dot"], default="json"),
     "out": dict(metavar="PATH", help="write output here instead of stdout"),
@@ -51,47 +50,19 @@ _OPTIONS = {
                   help="comma-separated subset of " + ",".join(fy.CHECKS)),
     "pairs": dict(default="all", help="'all' or comma-separated pair indices"),
 }
-_SUBCOMMANDS = {
-    "lattice": ("concept lattice", "emit out oracle budget frame"),
-    "cn": ("necessity-closed pairs and atoms", "emit out oracle"),
-    "factor": ("independent subcontexts and R*", "emit out oracle budget"),
-    "fn": ("graded necessity-closed pairs", "emit out oracle budget frame"),
-    "check": ("run proposition checkers", "out budget frame props pairs"),
-    "reconstruct": ("rebuild the relation from blocks", "out"),
-}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="galois-factor", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, options) in _SUBCOMMANDS.items():
-        command_parser = sub.add_parser(command, help=help_text)
-        command_parser.add_argument(
-            "path", help="input context (.cxt for Boolean, .csv for fuzzy)"
-        )
-        for option in options.split():
-            command_parser.add_argument(f"--{option}", **_OPTIONS[option])
-    return parser
-
-
-def _is_fuzzy_input(path: Path) -> bool:
-    if path.suffix == ".cxt":
-        return False
-    if path.suffix == ".csv":
-        return True
-    raise CliError(f"cannot tell the input format from {path.suffix!r} (use .cxt or .csv)")
-
-
-def _load(args, fuzzy: bool | None = None):
-    """The context at ``args.path``, parsed as its suffix says; a command
-    that reads one kind of input names it in ``fuzzy``."""
+def _load(args):
+    """The context at ``args.path``, parsed as its suffix says, when the
+    command reads that suffix."""
     path = Path(args.path)
-    is_fuzzy = _is_fuzzy_input(path)
-    if fuzzy is not None and is_fuzzy != fuzzy:
-        wanted = ".csv" if fuzzy else ".cxt"
+    if path.suffix not in (".cxt", ".csv"):
+        raise CliError(f"cannot tell the input format from {path.suffix!r} (use .cxt or .csv)")
+    if path.suffix not in args.suffixes:
+        wanted = " or ".join(args.suffixes)
         raise CliError(f"{args.command} reads {wanted} input, not {path.suffix}")
     frame = getattr(args, "frame", None)
-    if not is_fuzzy:
+    if path.suffix == ".cxt":
         if frame is not None:
             raise CliError("--frame applies only to fuzzy (.csv) input")
         return fio.parse_cxt(path.read_text(encoding="utf-8"))
@@ -123,6 +94,12 @@ def _verdict(oracle_report) -> int:
     return EXIT_OK
 
 
+def _factorized(args):
+    """The factorization of the input and whether its blocks reassemble the core."""
+    result = fz.factorize(_load(args))
+    return result, fz.reassemble(result) == result.core
+
+
 def _cmd_lattice(args) -> int:
     ctx = _load(args)
     if isinstance(ctx, fy.FuzzyContext):
@@ -134,7 +111,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_cn(args) -> int:
-    ctx = _load(args, fuzzy=False)
+    ctx = _load(args)
     lattice = fz.cn_enumerate(ctx)
     report = None
     if args.oracle and lattice.materialized:
@@ -145,9 +122,7 @@ def _cmd_cn(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    ctx = _load(args, fuzzy=False)
-    result = fz.factorize(ctx)
-    exact = fz.reassemble(result) == result.core
+    result, exact = _factorized(args)
     mask = fz.rstar(result.core) if result.core.attributes else None
     payload = {
         **fio.to_jsonable(result),
@@ -167,16 +142,14 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_fn(args) -> int:
-    ctx = _load(args, fuzzy=True)
+    ctx = _load(args)
     lattice = fy.fn_enumerate(ctx, budget=args.budget)
     report = oracles.compare_fn(ctx, list(lattice)) if args.oracle else None
     return _emit(args, lattice, report)
 
 
 def _cmd_reconstruct(args) -> int:
-    ctx = _load(args, fuzzy=False)
-    result = fz.factorize(ctx)
-    exact = fz.reassemble(result) == result.core
+    result, exact = _factorized(args)
     payload = {
         "type": "reconstruction",
         "blocks": len(result.blocks),
@@ -188,7 +161,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    ctx = _load(args, fuzzy=True)
+    ctx = _load(args)
     props = [p.strip() for p in args.props.split(",") if p.strip()]
     bad = sorted(set(props) - set(fy.CHECKS))
     if bad:
@@ -212,21 +185,38 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "lattice": _cmd_lattice,
-    "cn": _cmd_cn,
-    "factor": _cmd_factor,
-    "fn": _cmd_fn,
-    "check": _cmd_check,
-    "reconstruct": _cmd_reconstruct,
+# one row per subcommand: its handler, help text, the input suffixes it
+# reads and the options it takes besides the path; any other flag exits 1
+_SUBCOMMANDS = {
+    "lattice": (_cmd_lattice, "concept lattice", ".cxt .csv", "emit out oracle budget frame"),
+    "cn": (_cmd_cn, "necessity-closed pairs and atoms", ".cxt", "emit out oracle"),
+    "factor": (_cmd_factor, "independent subcontexts and R*", ".cxt", "emit out oracle budget"),
+    "fn": (_cmd_fn, "graded necessity-closed pairs", ".csv", "emit out oracle budget frame"),
+    "check": (_cmd_check, "run proposition checkers", ".csv", "out budget frame props pairs"),
+    "reconstruct": (_cmd_reconstruct, "rebuild the relation from blocks", ".cxt", "out"),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per row of ``_SUBCOMMANDS``, holding its handler and suffixes."""
+    parser = _Parser(prog="galois-factor", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, help_text, suffixes, options) in _SUBCOMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        command_parser.set_defaults(handler=handler, suffixes=suffixes.split())
+        command_parser.add_argument(
+            "path", help="input context (.cxt for Boolean, .csv for fuzzy)"
+        )
+        for option in options.split():
+            command_parser.add_argument(f"--{option}", **_OPTIONS[option])
+    return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

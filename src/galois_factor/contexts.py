@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Sequence
 
 from . import order
 from .errors import CrossContextError
-from .order import atoms, join_irreducibles  # re-exported ops
 
 __all__ = [
     "BooleanContext",
@@ -37,8 +36,6 @@ __all__ = [
     "is_normalized",
     "restrict",
     "concepts",
-    "join_irreducibles",
-    "atoms",
 ]
 
 
@@ -211,7 +208,7 @@ class _Subset:
                 member = self._universe().index(member)
             except ValueError:
                 return False
-        return bool(self.bits >> member & 1)
+        return member >= 0 and bool(self.bits >> member & 1)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
@@ -350,11 +347,11 @@ def concepts(
     """Enumerate the concept lattice.
 
     ``order.closed_sets`` finds the concepts by FCbO within ``budget``
-    closures; they are sorted by extent bits for a deterministic result.
+    closures; ``order.sorted_lattice`` lists them by extent bits, a linear
+    extension of the order and a deterministic result.
     """
-    intents = dict(order.closed_sets(ctx.rows, ctx.cols, budget))
-    extents = sorted(intents)
-    return order.Lattice(ctx, FormalConcept, (extents, [intents[x] for x in extents]))
+    scan = order.closed_sets(ctx.rows, ctx.cols, budget)
+    return order.sorted_lattice(ctx, FormalConcept, scan)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .contexts import (
     concepts,
     normalize,
 )
-from .errors import BudgetExceededError, NotNormalizedError
+from .errors import BudgetExceededError, CrossContextError, NotNormalizedError
 from .order import Lattice, set_bits
 
 __all__ = [
@@ -262,7 +262,10 @@ def block_bounds(
     ctx: BooleanContext, pair: NecessityPair, lattice: Lattice | None = None
 ) -> BlockBounds:
     """Bounds of the concept block generated by a nontrivial pair; the
-    upper bound is found in ``lattice`` by its extent bits."""
+    upper bound is found in ``lattice``, the concept lattice of ``ctx``
+    (else ``CrossContextError``), by its extent bits."""
+    if lattice is not None and lattice.context is not ctx:
+        raise CrossContextError("concept lattice enumerated from a different context")
     if not in_cn(ctx, pair):
         raise ValueError(f"{pair!r} is not a necessity-closed pair of this context")
     xbits = pair.objects.bits

@@ -164,6 +164,8 @@ class FuzzyContext:
     ) -> "FuzzyContext":
         """Build a context from grade values on the relation chain P."""
         triples = (triple,) if isinstance(triple, AdjointTriple) else tuple(triple)
+        if not triples:  # the constructor's own refusal, before triples[0] is read
+            return cls(attributes, objects, triples, (), sigma, kind)
         p = _arrangement(kind, *triples[0].domains)[2]
         relation = tuple(tuple(p.numerator_of(v) for v in row) for row in values)
         return cls(attributes, objects, triples, relation, sigma, kind)
@@ -226,7 +228,7 @@ class _GradedSet:
 
     def __le__(self, other) -> bool:
         self._mate(other)
-        return all(a <= b for a, b in zip(self.values, other.values))
+        return order.key_le(self.values, other.values)
 
     def __lt__(self, other) -> bool:
         self._mate(other)
@@ -430,13 +432,6 @@ def _grades(bits: int, m: int, n: int) -> tuple[int, ...]:
     return tuple([(bits >> x * m & block).bit_count() for x in range(n)])
 
 
-def _sorted_lattice(ctx: FuzzyContext, kind: type, pairs: list) -> order.Lattice:
-    """The lattice of the (object key, attribute key) ``pairs``, sorted on
-    the object keys, which are distinct."""
-    pairs.sort()
-    return order.Lattice(ctx, kind, ([x for x, _ in pairs], [y for _, y in pairs]))
-
-
 def _up_n_masks(ctx: FuzzyContext) -> list[list[int]]:
     """Per attribute i, the object threshold sets M(i, c), c = 1..m1: object
     j's block holds the least grade a at which the ``up_n`` lookup of (i, j)
@@ -521,7 +516,7 @@ def fn_enumerate(
         else:
             if meet == x:
                 members.append((_grades(x, m2, n), tuple(f)))
-    return _sorted_lattice(ctx, FuzzyNecessityPair, members)
+    return order.sorted_lattice(ctx, FuzzyNecessityPair, members)
 
 
 def fuzzy_concepts(
@@ -550,7 +545,7 @@ def fuzzy_concepts(
     n, k = len(ctx.objects), len(ctx.attributes)
     _, scan = _scaled_scan(ctx, "down", 0, budget)
     pairs = [(_grades(x, m2, n), _grades(y, m1, k)) for x, y in scan]
-    return _sorted_lattice(ctx, MultiAdjointConcept, pairs)
+    return order.sorted_lattice(ctx, MultiAdjointConcept, pairs)
 
 
 def is_fuzzy_normalized(ctx: FuzzyContext) -> bool:
@@ -608,10 +603,6 @@ class ConceptInterval:
 CHECKS = ("fp1", "fp2", "fp3", "fp4", "fp5")
 
 
-def _below(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(x, y))
-
-
 def _checks(ctx: FuzzyContext, g: tuple[int, ...], f: tuple[int, ...], props) -> dict:
     """The propositions named in ``props`` of the member with numerators
     (g, f), by name in ``CHECKS`` order.  A member has f = g-up-N, so fp1
@@ -625,11 +616,11 @@ def _checks(ctx: FuzzyContext, g: tuple[int, ...], f: tuple[int, ...], props) ->
     g_up = _apply(ctx, "up", g) if props & {"fp4", "fp5"} else None
     out = {}
     if "fp1" in props:
-        out["fp1"] = _below(g_up_pi, f)
+        out["fp1"] = order.key_le(g_up_pi, f)
     if "fp2" in props:
         out["fp2"] = _apply(ctx, "down_n", g_up_pi) == g
     if "fp3" in props:
-        out["fp3"] = _below(f, g_up_pi)
+        out["fp3"] = order.key_le(f, g_up_pi)
     if "fp4" in props:
         top = ctx.p.m
         strict = tuple(any(a > r for a, r in zip(g, row)) for row in ctx.relation)
@@ -640,7 +631,7 @@ def _checks(ctx: FuzzyContext, g: tuple[int, ...], f: tuple[int, ...], props) ->
             top_hypothesis=tops,
             hypothesis_holds_per_attribute=either,
             all_hypotheses_hold=all(either),
-            inequality_holds=_below(g_up, g_up_pi),
+            inequality_holds=order.key_le(g_up, g_up_pi),
             g_up=GradedAttributeSet(g_up, ctx.l1),
             g_up_pi=GradedAttributeSet(g_up_pi, ctx.l1),
         )
@@ -650,7 +641,7 @@ def _checks(ctx: FuzzyContext, g: tuple[int, ...], f: tuple[int, ...], props) ->
         out["fp5"] = ConceptInterval(
             lower=MultiAdjointConcept.from_keys(ctx, f_down, _apply(ctx, "up", f_down)),
             upper=MultiAdjointConcept.from_keys(ctx, upper_extent, g_up),
-            ordered=_below(f_down, upper_extent),
+            ordered=order.key_le(f_down, upper_extent),
         )
     return out
 

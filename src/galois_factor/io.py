@@ -189,10 +189,10 @@ def _cell_rows(rows, width: int) -> list[str]:
 # ----------------------------------------------------------------- fuzzy CSV
 
 
-def _grade(cell, where: str, line: int | None = None) -> Fraction:
-    """A grade cell as a ``Fraction``, or ``ContextFormatError`` naming ``where``."""
+def _read(read: Callable, value, where: str, line: int | None = None):
+    """``read(value)``, or ``ContextFormatError`` naming ``where``, the cell or field."""
     try:
-        return read_grade(cell)
+        return read(value)
     except ValueError as exc:
         raise ContextFormatError(f"{where}: {exc}", line) from None
 
@@ -244,7 +244,7 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
             raise ContextFormatError(f"duplicate attribute name {name!r}", k)
         attributes.append(name)
         cells.append(
-            [_grade(cell, f"cell ({name}, {obj})", k) for obj, cell in zip(objects, row[1:])]
+            [_read(read_grade, v, f"cell ({name}, {obj})", k) for obj, v in zip(objects, row[1:])]
         )
     if not attributes:
         raise ContextFormatError("empty attribute set", top)
@@ -253,16 +253,11 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
         triple = triple_from_descriptor(frame, [v for row in cells for v in row])
     except ValueError as exc:  # an unknown frame, or too fine a chain for the grades
         raise ContextFormatError(str(exc)) from None
-    p_chain = triple.p3  # concept-forming arrangement: relation lives on P
-    relation = []
-    for (k, _), name, row in zip(table[1:], attributes, cells):
-        numerators = []
-        for obj, value in zip(objects, row):
-            try:
-                numerators.append(p_chain.numerator_of_fraction(value))
-            except ValueError as exc:
-                raise ContextFormatError(f"cell ({name}, {obj}): {exc}", k) from None
-        relation.append(numerators)
+    numerator = triple.p3.numerator_of_fraction  # concept-forming: relation lives on P
+    relation = [
+        [_read(numerator, v, f"cell ({name}, {obj})", k) for obj, v in zip(objects, row)]
+        for (k, _), name, row in zip(table[1:], attributes, cells)
+    ]
     return FuzzyContext(attributes, objects, (triple,), relation)
 
 
@@ -650,6 +645,13 @@ def _array(value, field: str) -> list:
     return value
 
 
+def _field(data: dict, field: str) -> list:
+    """The document's array ``field``, which it must have."""
+    if field not in data:
+        raise ContextFormatError(f"bad context document: {field} is missing")
+    return _array(data[field], field)
+
+
 def document_from_json(text: str) -> BooleanContext | FuzzyContext:
     """The context a document holds: the inverse of ``emit_json`` on contexts."""
     try:
@@ -661,11 +663,11 @@ def document_from_json(text: str) -> BooleanContext | FuzzyContext:
         kind = data.get("kind")
         if kind not in ("boolean", "fuzzy"):
             raise ContextFormatError(f"unknown document kind {kind!r}")
-        attributes = _array(data["attributes"], "attributes")
-        objects = _array(data["objects"], "objects")
+        attributes = _field(data, "attributes")
+        objects = _field(data, "objects")
         if kind == "boolean":
             rows = []
-            for i, row in enumerate(_array(data["incidence"], "incidence")):
+            for i, row in enumerate(_field(data, "incidence")):
                 if not isinstance(row, str):
                     raise ContextFormatError(
                         f"bad context document: incidence[{i}] is not a string"
@@ -677,16 +679,18 @@ def document_from_json(text: str) -> BooleanContext | FuzzyContext:
                         f"bad context document: incidence[{i}]: {exc}"
                     ) from None
             return BooleanContext(attributes, objects, rows)
-        triples = tuple(triple_from_descriptor(d) for d in _array(data["frames"], "frames"))
-        kind_map = {k.value: k for k in FrameKind}
-        arrangement = kind_map[data.get("arrangement", FrameKind.CONCEPT_FORMING.value)]
+        triples = tuple(triple_from_descriptor(d) for d in _field(data, "frames"))
+        if not triples:
+            raise ContextFormatError("bad context document: frames is empty")
+        arrangement = data.get("arrangement", FrameKind.CONCEPT_FORMING.value)
+        arrangement = _read(FrameKind, arrangement, "bad context document: arrangement")
         p_chain = _arrangement(arrangement, *triples[0].domains)[2]
         relation = [
             [
-                p_chain.numerator_of_fraction(_grade(v, f"relation[{i}][{j}]"))
+                _read(p_chain.numerator_of, v, f"relation[{i}][{j}]")
                 for j, v in enumerate(_array(row, f"relation[{i}]"))
             ]
-            for i, row in enumerate(_array(data["relation"], "relation"))
+            for i, row in enumerate(_field(data, "relation"))
         ]
         sigma = data.get("sigma")
         if sigma is not None:

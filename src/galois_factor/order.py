@@ -16,17 +16,21 @@ A lattice holds its elements as two key lists, ``keys``: index i holds
 the two sides' keys of element i, subset bits in concept and cn lattices
 and grade numerators in fn and fuzzy concept lattices.  ``kind``, the
 element type, builds an element from its keys with ``from_keys(context,
-x, y)`` only when it is iterated or indexed.  The lattice order is the
-pointwise order on the first keys (inclusion, on bits).
+x, y)`` only when it is iterated or indexed.  The lattice order is
+``key_le`` on the first keys: inclusion on bits, pointwise on grade
+vectors; it is the one <= test on keys, which ``le``, the graded sets'
+``<=`` and the ``check`` propositions read.
 
 Precondition: every lattice lists its elements in a linear extension of
 its order, so ``le(i, j)`` with i != j implies i < j; hence the bottom is
-index 0 and the top is index n - 1.  The enumerations list their elements
-in increasing key order (subset implies a smaller int; pointwise <=
-implies lexicographically <=).  ``pointwise_covers`` relies on this and
-checks it: it finds the Hasse edges of every lattice but the cn cube's in
-one reverse pass over the first keys' bits, grade vectors read as
-threshold bitmasks, peeling each element's upper covers off its up-set.
+index 0 and the top is index n - 1.  The concept, fn and fuzzy concept
+enumerations hand their (first key, second key) pairs to
+``sorted_lattice``, the one sort that lists them so (a subset is a smaller
+int; a pointwise smaller vector is a lexicographically smaller tuple); the
+cn lattice lists its cube by atom bits.  ``pointwise_covers`` relies on
+this and checks it: it finds the Hasse edges of every lattice but the cn
+cube's in one reverse pass over the first keys' bits, grade vectors read
+as threshold bitmasks, peeling each element's upper covers off its up-set.
 
 Every lattice but the cn cube is enumerated by the one scan
 ``closed_sets``, FCbO over a Boolean context's row and column bitmasks;
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError
 
@@ -77,10 +81,7 @@ class Lattice:
         return self._element(xs[i], ys[i])
 
     def le(self, i: int, j: int) -> bool:
-        a, b = self.keys[0][i], self.keys[0][j]
-        if isinstance(a, int):
-            return a & ~b == 0
-        return all(map(operator.le, a, b))
+        return key_le(self.keys[0][i], self.keys[0][j])
 
     @cached_property
     def cover_lists(self) -> list[list[int]]:
@@ -102,6 +103,20 @@ class Lattice:
     def top_index(self) -> int:
         return len(self) - 1
 
+
+def sorted_lattice(context: Any, kind: type, pairs: Iterable[tuple]) -> Lattice:
+    """The ``Lattice`` of the (first key, second key) ``pairs``, listed by
+    increasing distinct first keys: a linear extension of ``key_le``."""
+    second = dict(pairs)
+    first = sorted(second)
+    return Lattice(context, kind, (first, [second[x] for x in first]))
+
+
+def key_le(a: int | Sequence[int], b: int | Sequence[int]) -> bool:
+    """The order on keys: inclusion on subset bits, pointwise <= on grade vectors."""
+    if isinstance(a, int):
+        return a & ~b == 0
+    return all(map(operator.le, a, b))
 
 
 class Budget:

@@ -118,6 +118,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TABLE1.object_set(["nope"])
 
+    def test_membership_outside_the_positions_is_false(self):
+        for subset in (DIAG2.object_set(["b1"]), DIAG2.all_attributes):
+            assert 0 in subset
+            for outside in (-1, -2, 2, 5, "nope"):
+                assert outside not in subset
+
 
 class TestDerivationOperators:
     def test_up_single_object(self):

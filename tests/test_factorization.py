@@ -6,6 +6,7 @@ from galois_factor import contexts, factorization
 from galois_factor import (
     BooleanContext,
     BudgetExceededError,
+    CrossContextError,
     NecessityPair,
     NotNormalizedError,
     atoms,
@@ -314,6 +315,20 @@ class TestBlockBounds:
             block_bounds(TABLE1, NecessityPair(TABLE1.all_objects, TABLE1.all_attributes))
         with pytest.raises(ValueError):
             block_bounds(TABLE1, make_pair(TABLE1, ["b1", "b2"], ["a3"]))
+
+    def test_rejects_a_lattice_of_another_context(self):
+        # the atom ({b1}, {a1}) is a coatom of the diagonal's own lattice
+        pair = make_pair(DIAG2, ["b1"], ["a1"])
+        assert block_bounds(DIAG2, pair, concepts(DIAG2)).upper_is_coatom is True
+        chain3 = BooleanContext.from_rows(
+            ["a1", "a2", "a3"], ["b1", "b2", "b3"], [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
+        )
+        one_by_two = BooleanContext.from_rows(["a1"], ["b1", "b2"], [[1, 0]])
+        # an equal copy is refused too, as every operator refuses its subsets
+        equal_copy = BooleanContext(DIAG2.attributes, DIAG2.objects, DIAG2.rows)
+        for other in (chain3, one_by_two, equal_copy):
+            with pytest.raises(CrossContextError):
+                block_bounds(DIAG2, pair, concepts(other))
 
     def test_both_bounds_identified_on_diagonal_pair(self):
         # two diagonal cells share no attribute and no object

@@ -155,6 +155,11 @@ class TestFrameArrangements:
             with pytest.raises(FrameArrangementError, match="has domains"):
                 FuzzyContext(["a1"], ["b1"], triples, [[2]])
 
+    def test_no_triple_rejected_at_construction(self):
+        for build in (FuzzyContext, FuzzyContext.from_values):
+            with pytest.raises(ValueError, match="at least one adjoint triple"):
+                build(["a"], ["b"], [], [["1"]])
+
     @pytest.mark.parametrize(
         "kind, names",
         [

@@ -335,7 +335,7 @@ class TestFuzzyCsvParsing:
         doc["relation"][0][0] = "1/3"
         with pytest.raises(ContextFormatError) as json_error:
             document_from_json(json.dumps(doc))
-        assert str(json_error.value) == f"bad context document: ValueError({expected!r})"
+        assert str(json_error.value) == f"relation[0][0]: {expected}"
 
     def test_frame_granularity_is_capped(self, monkeypatch):
         monkeypatch.setattr(grades, "godel_triple", refuse_tables)
@@ -485,6 +485,40 @@ class TestJson:
         doc["relation"][1][2] = cell
         with pytest.raises(ContextFormatError, match=r"relation\[1\]\[2\]: .*exponent"):
             document_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("fuzzy", "frames", [], "bad context document: frames is empty"),
+            (
+                "fuzzy", "arrangement", "sideways",
+                "bad context document: arrangement: 'sideways' is not a valid FrameKind",
+            ),
+            ("boolean", "incidence", None, "bad context document: incidence is missing"),
+            ("boolean", "attributes", None, "bad context document: attributes is missing"),
+            ("boolean", "objects", None, "bad context document: objects is missing"),
+            ("fuzzy", "frames", None, "bad context document: frames is missing"),
+            ("fuzzy", "relation", None, "bad context document: relation is missing"),
+            ("fuzzy", "objects", None, "bad context document: objects is missing"),
+            (
+                "fuzzy", "relation", [["1/3", "1"]],
+                "relation[0][0]: value 1/3 is not on chain [0,1]_4;"
+                " nearest grid points are 0.25 (1/4) and 0.5 (1/2)",
+            ),
+        ],
+    )
+    def test_refusals_name_their_field_or_cell(self, kind, field, value, message):
+        if kind == "boolean":
+            doc = json.loads(emit_json(DIAG2))
+        else:
+            doc = json.loads(emit_json(parse_fuzzy_csv("R,b1,b2\na1,1/4,1\n", "godel:4")))
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(ContextFormatError) as refusal:
+            document_from_json(json.dumps(doc))
+        assert str(refusal.value) == message
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ContextFormatError):
