@@ -123,12 +123,6 @@ def _cmd_cn(args) -> int:
 
 def _cmd_factor(args) -> int:
     result, exact = _factorized(args)
-    mask = fz.rstar(result.core) if result.core.attributes else None
-    payload = {
-        **fio.to_jsonable(result),
-        "reconstruction": "exact" if exact else "mismatch",
-        "rstar": None if mask is None else fio.to_jsonable(mask)["incidence"],
-    }
     report = None
     if args.oracle:
         atom_pairs = [fz.NecessityPair(b.objects, b.attrs) for b in result.blocks]
@@ -136,6 +130,12 @@ def _cmd_factor(args) -> int:
     if args.emit == "dot":
         _write(args, fio.emit_dot(result, args.budget))
     else:
+        mask = fz.rstar(result.core) if result.core.attributes else None
+        payload = {
+            **fio.to_jsonable(result),
+            "reconstruction": "exact" if exact else "mismatch",
+            "rstar": None if mask is None else fio.to_jsonable(mask)["incidence"],
+        }
         _write(args, fio.emit_json(payload, report))
     status = _verdict(report)  # says so on stderr when the oracle disagrees
     return status if exact else EXIT_VALIDATION

@@ -26,9 +26,12 @@ report makes it per pair unclaimed, as ``fn_enumerate``'s pairs are members.
 
 The enumerators ``fn_enumerate`` and ``fuzzy_concepts`` evaluate no graded
 operator.  Each runs the one FCbO scan on a Boolean context scaled by grade
-thresholds and reads its keys off the scan's bits: fn's membership filter
-tests nested threshold masks against the extent bits, a concept's intent is
-the bit counts of the closed intent, and only the kept extents are decoded.
+thresholds and reads its keys off the scan's bits; ``_threshold_rows``
+builds every threshold mask they read.  fn's membership filter tests
+down-pi's threshold rows against the extent bits (by adjointness, the
+leading rows of an attribute that they hold count its up-N grade), a
+concept's intent is the bit counts of the closed intent, and only the kept
+extents are decoded.
 """
 
 from __future__ import annotations
@@ -141,14 +144,17 @@ class FuzzyContext:
             if not self.p.holds(row):
                 raise ValueError(f"relation row {row} is not int numerators on {self.p}")
         if self.sigma is not None:
-            if len(self.sigma) != len(self.attributes) or any(
-                len(r) != len(self.objects) for r in self.sigma
-            ):
-                raise ValueError("sigma must match the relation shape")
-            for row in self.sigma:
-                for s in row:
+            if len(self.sigma) != len(self.attributes):
+                raise ValueError("sigma must have one row per attribute")
+            for i, row in enumerate(self.sigma):
+                if len(row) != len(self.objects):
+                    raise ValueError(f"sigma[{i}] must have one entry per object")
+                for j, s in enumerate(row):
                     if type(s) is not int or not 0 <= s < len(self.triples):
-                        raise ValueError(f"sigma index {s!r} is not an int in range")
+                        raise ValueError(
+                            f"sigma[{i}][{j}]: index {s!r} is not an int in range "
+                            f"0..{len(self.triples) - 1}"
+                        )
         # per-operator lookup rows of the kernel, filled on first use
         object.__setattr__(self, "_lookup", {})
 
@@ -187,6 +193,9 @@ class FuzzyContext:
             missing = [n for n in names if n not in values]
             if missing:
                 raise ValueError(f"missing grades for {missing}")
+            unknown = [n for n in values if n not in names]
+            if unknown:
+                raise ValueError(f"grades for unknown names {unknown}")
             seq = [values[n] for n in names]
         else:
             seq = list(values)
@@ -411,45 +420,22 @@ def in_fn(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
     return _apply(ctx, "up_n", g) == f and _apply(ctx, "down_n", f) == g
 
 
-def _scaled_scan(ctx: FuzzyContext, op: str, shift: int, budget: int | order.Budget):
+def _threshold_rows(ctx: FuzzyContext, op: str, shift: int) -> list[int]:
     """The rows of the threshold-scaled context whose attribute (i, c),
     c = 1..m1, row i*m1 + c - 1, holds object (j, a), a = 1..m2, bit
-    j*m2 + a - 1, iff a <= lookup ``op`` of (i, j) at c - ``shift``; and its
-    FCbO scan of (extent bits, intent bits)."""
-    lookup, m2 = _lookup_rows(ctx, op), ctx.l2.m
-    objs = range(len(ctx.objects))
-    rows = [
-        order.thresholds([lookup[j][i][c] for j in objs], m2)
+    j*m2 + a - 1, iff a <= lookup ``op`` of (i, j) at c - ``shift``."""
+    lookup, objs = _lookup_rows(ctx, op), range(len(ctx.objects))
+    return [
+        order.thresholds([lookup[j][i][c] for j in objs], ctx.l2.m)
         for i in range(len(ctx.attributes))
         for c in range(1 - shift, ctx.l1.m + 1 - shift)
     ]
-    return rows, order.closed_sets(rows, order.transpose(rows, len(objs) * m2), budget)
 
 
 def _grades(bits: int, m: int, n: int) -> tuple[int, ...]:
     """The grade vector of the threshold set ``bits``: block bit counts."""
     block = (1 << m) - 1
     return tuple([(bits >> x * m & block).bit_count() for x in range(n)])
-
-
-def _up_n_masks(ctx: FuzzyContext) -> list[list[int]]:
-    """Per attribute i, the object threshold sets M(i, c), c = 1..m1: object
-    j's block holds the least grade a at which the ``up_n`` lookup of (i, j)
-    reaches c.  One sweep per lookup row, which is non-decreasing: a grade
-    first reached at input a puts a's threshold bits in the masks it reaches."""
-    m1, m2 = ctx.l1.m, ctx.l2.m
-    out = []
-    for row in _lookup_rows(ctx, "up_n"):
-        masks = [0] * m1
-        for j, cells in enumerate(row):
-            c = 0
-            for a, v in enumerate(cells):
-                bits = ((1 << a) - 1) << j * m2
-                while c < v:
-                    masks[c] |= bits
-                    c += 1
-        out.append(masks)
-    return out
 
 
 def fn_enumerate(
@@ -478,26 +464,27 @@ def fn_enumerate(
     set of f-down-N.  So the scaled extents decode one to one to the
     fixpoints.  ``budget`` is as in ``fuzzy_concepts``.
 
-    The filter reads the extent bits X alone.  A residuum is monotone in
-    its numerator, so each ``up_n`` lookup row, u(a) = res_left(a, R(i, j)),
-    is non-decreasing in the object grade a.  Hence u(g(j)) >= c iff
-    g(j) >= t(i, j, c), the least a with u(a) >= c, which exists as
-    u(m2) = m1 by the boundary law.  So g-up-N(i) >= c iff X holds the
-    threshold set M(i, c) of t(i, ., c); t is non-decreasing in c, so the
-    M(i, c) are nested, and f(i) = g-up-N(i) is the number of leading masks
-    M(i, 1), M(i, 2), ... that X holds: the walk stops at the first it does
-    not.  f-down-N is a meet over i, so its threshold set is the meet of
-    those of the ``down_n`` lookups at f(i): the scan's rows (i, f(i) + 1),
-    or every object bit when f(i) = m1, as res_right(m1, r) = m2.  g is a
-    member iff that meet is X; the meet only shrinks, so the walk over i
-    stops once it misses a bit of X.  Decoding X to g by block bit counts is
-    one to one, so decoding only the members, then sorting, lists the same
-    pairs.
+    The filter reads the extent bits X alone, against the threshold rows
+    of down-pi: row (i, c) of ``_threshold_rows(ctx, "down_pi", 0)`` is the
+    threshold set M(i, c) of j -> conj(c, R(i, j)).  The triple is adjoint,
+    so c <= res_left(a, R) iff conj(c, R) <= a; hence g-up-N(i) >= c iff
+    g(j) >= conj(c, R(i, j)) for every j, iff X holds M(i, c).  conj is
+    monotone in c, so the M(i, c) are nested, and f(i) = g-up-N(i) is the
+    number of leading masks M(i, 1), M(i, 2), ... that X holds: the walk
+    stops at the first it does not.  f-down-N is a meet over i, so its
+    threshold set is the meet of those of the ``down_n`` lookups at f(i):
+    the scan's rows (i, f(i) + 1), or every object bit when f(i) = m1, as
+    res_right(m1, r) = m2.  g is a member iff that meet is X; the meet only
+    shrinks, so the walk over i stops once it misses a bit of X.  Decoding
+    X to g by block bit counts is one to one, so decoding only the members,
+    then sorting, lists the same pairs.
     """
     _require_fn_operators(ctx)
     m1, m2, n = ctx.l1.m, ctx.l2.m, len(ctx.objects)
-    rows, scan = _scaled_scan(ctx, "down_n", 1, budget)
-    masks = _up_n_masks(ctx)
+    rows = _threshold_rows(ctx, "down_n", 1)
+    scan = order.closed_sets(rows, order.transpose(rows, n * m2), budget)
+    down_pi = _threshold_rows(ctx, "down_pi", 0)
+    masks = [down_pi[i : i + m1] for i in range(0, len(down_pi), m1)]
     every = (1 << n * m2) - 1
     members = []
     for x, _ in scan:
@@ -543,7 +530,8 @@ def fuzzy_concepts(
     _require_arrangement(ctx, FrameKind.CONCEPT_FORMING, "up")
     m1, m2 = ctx.l1.m, ctx.l2.m
     n, k = len(ctx.objects), len(ctx.attributes)
-    _, scan = _scaled_scan(ctx, "down", 0, budget)
+    rows = _threshold_rows(ctx, "down", 0)
+    scan = order.closed_sets(rows, order.transpose(rows, n * m2), budget)
     pairs = [(_grades(x, m2, n), _grades(y, m1, k)) for x, y in scan]
     return order.sorted_lattice(ctx, MultiAdjointConcept, pairs)
 

@@ -679,7 +679,13 @@ def document_from_json(text: str) -> BooleanContext | FuzzyContext:
                         f"bad context document: incidence[{i}]: {exc}"
                     ) from None
             return BooleanContext(attributes, objects, rows)
-        triples = tuple(triple_from_descriptor(d) for d in _field(data, "frames"))
+        triples = []
+        for k, descriptor in enumerate(_field(data, "frames")):
+            if not isinstance(descriptor, str):
+                raise ContextFormatError(f"bad context document: frames[{k}] is not a string")
+            triples.append(
+                _read(triple_from_descriptor, descriptor, f"bad context document: frames[{k}]")
+            )
         if not triples:
             raise ContextFormatError("bad context document: frames is empty")
         arrangement = data.get("arrangement", FrameKind.CONCEPT_FORMING.value)
@@ -695,7 +701,10 @@ def document_from_json(text: str) -> BooleanContext | FuzzyContext:
         sigma = data.get("sigma")
         if sigma is not None:
             sigma = [_array(row, f"sigma[{i}]") for i, row in enumerate(_array(sigma, "sigma"))]
-        return FuzzyContext(attributes, objects, triples, relation, sigma, arrangement)
+        try:  # the constructor checks sigma and names its rows and cells
+            return FuzzyContext(attributes, objects, triples, relation, sigma, arrangement)
+        except ValueError as exc:
+            raise ContextFormatError(f"bad context document: {exc}") from None
     except ContextFormatError:
         raise
     except (

@@ -117,10 +117,12 @@ class TestEnumeratorsAgainstGridOracles:
             assert is_sorted([p.g.values for p in fast])
 
     def test_fn_enumerate_on_finer_chains(self):
-        # the nested threshold masks of fn's filter on m = 9..16, 3 x 2 at most
+        # the nested threshold masks of fn's filter on m = 9..16, then on
+        # m = 24..32, 3 x 2 at most: a grid of at most 33**2 points
         rng = random.Random(65536)
-        for _ in range(30):
-            ctx = triples_by_sigma(rng, rng.randint(9, 16), 2, 3, 2)
+        coarse = (triples_by_sigma(rng, rng.randint(9, 16), 2, 3, 2) for _ in range(30))
+        fine = (triples_by_sigma(rng, rng.randint(24, 32), 2, 3, 2) for _ in range(12))
+        for ctx in (*coarse, *fine):
             fast = fn_enumerate(ctx)
             assert list(fast) == brute_fn(ctx), ctx
             assert is_sorted([p.g.values for p in fast])

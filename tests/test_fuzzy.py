@@ -213,6 +213,16 @@ class TestGradedSets:
         with pytest.raises(ValueError):
             f_up(ctx, GradedObjectSet((-1, 0, 0), GradeChain(4)))
 
+    def test_a_mapping_with_unknown_names_is_refused(self):
+        ctx = FuzzyContext.from_values(
+            ["a1", "a2"], ["b1", "b2"], godel_triple(GradeChain(4)), [["1", "0"], ["0", "1"]]
+        )
+        assert ctx.graded_objects({"b1": 1, "b2": 0}).values == (4, 0)
+        with pytest.raises(ValueError, match=r"unknown names \['zzz'\]"):
+            ctx.graded_objects({"b1": 1, "b2": 0, "zzz": 1})
+        with pytest.raises(ValueError, match=r"unknown names \['b1'\]"):
+            ctx.graded_attributes({"a1": 1, "a2": 0, "b1": 1})
+
 
 class TestSigma:
     def test_per_cell_triple_selection(self):
@@ -329,7 +339,8 @@ class TestThresholdBitFilter:
             ctx = every_cell_context(m, rng)
             cells = {(t, r) for ts, rs in zip(ctx.sigma, ctx.relation) for t, r in zip(ts, rs)}
             assert len(cells) == 3 * (m + 1)
-            for op in ("up_n", "down_n"):
+            # monotone down_pi rows, conj(c, R) in c, make fn's masks nested
+            for op in ("up_n", "down_n", "down_pi"):
                 for row in _lookup_rows(ctx, op):
                     for lookups in row:
                         assert list(lookups) == sorted(lookups), (m, op)

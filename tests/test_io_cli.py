@@ -505,6 +505,29 @@ class TestJson:
                 "relation[0][0]: value 1/3 is not on chain [0,1]_4;"
                 " nearest grid points are 0.25 (1/4) and 0.5 (1/2)",
             ),
+            ("fuzzy", "frames", [4], "bad context document: frames[0] is not a string"),
+            (
+                "fuzzy", "frames", ["godel:4", "nope:4"],
+                "bad context document: frames[1]: unknown frame name 'nope'"
+                " (expected godel, lukasiewicz or dprod)",
+            ),
+            (
+                "fuzzy", "frames", ["godel"],
+                "bad context document: frames[0]: frame descriptor 'godel' needs a"
+                " granularity, e.g. 'godel:4'",
+            ),
+            (
+                "fuzzy", "sigma", [[0, 3]],
+                "bad context document: sigma[0][1]: index 3 is not an int in range 0..0",
+            ),
+            (
+                "fuzzy", "sigma", [[0]],
+                "bad context document: sigma[0] must have one entry per object",
+            ),
+            (
+                "fuzzy", "sigma", [[0, 0], [0, 0]],
+                "bad context document: sigma must have one row per attribute",
+            ),
         ],
     )
     def test_refusals_name_their_field_or_cell(self, kind, field, value, message):
@@ -720,6 +743,17 @@ class TestCli:
             assert f"the budget of {budget} closure evaluations ran out" in err
         assert main(["factor", path, "--emit", "dot", "--budget", "7"]) == 0
         assert capsys.readouterr().out == emit_dot(factorize(TABLE1))
+        assert main(["factor", path, "--emit", "dot"]) == 0
+        assert capsys.readouterr().out == emit_dot(factorize(TABLE1))
+
+    def test_factor_dot_builds_no_json_payload(self, tmp_path, capsys, monkeypatch):
+        from galois_factor import factorization
+
+        def refused(core):
+            raise AssertionError("factor --emit dot computed R*")
+
+        monkeypatch.setattr(factorization, "rstar", refused)
+        path = write(tmp_path, "table1.cxt", format_cxt(TABLE1))
         assert main(["factor", path, "--emit", "dot"]) == 0
         assert capsys.readouterr().out == emit_dot(factorize(TABLE1))
 
