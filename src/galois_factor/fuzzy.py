@@ -24,19 +24,19 @@ The checkers ``check_fp1``-``check_fp4`` and ``interval_from_pair`` claim
 their pair with ``in_fn`` and make one ``_checks`` evaluation; the ``check``
 report makes it per pair unclaimed, as ``fn_enumerate``'s pairs are members.
 
-The enumerators ``fn_enumerate`` and ``fuzzy_concepts`` evaluate no graded
-operator.  Each runs the one FCbO scan on a Boolean context scaled by grade
-thresholds and reads its keys off the scan's bits; ``_threshold_rows``
-builds every threshold mask they read.  fn's membership filter tests
-down-pi's threshold rows against the extent bits (by adjointness, the
-leading rows of an attribute that they hold count its up-N grade), a
-concept's intent is the bit counts of the closed intent, and only the kept
-extents are decoded.
+Each graded operator is kept in one form (see the kernel comment): the up
+operators as per-cell lookup rows, the down operators as threshold
+families, the bitmask rows that ``fn_enumerate`` and ``fuzzy_concepts``
+scan with FCbO.  The two evaluate no graded operator and read their keys
+off the scan's bits: fn's filter counts the leading down-pi rows that the
+extent bits hold, a concept's intent is the bit counts of the closed
+intent, and only the kept extents are decoded.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -155,7 +155,7 @@ class FuzzyContext:
                             f"sigma[{i}][{j}]: index {s!r} is not an int in range "
                             f"0..{len(self.triples) - 1}"
                         )
-        # per-operator lookup rows of the kernel, filled on first use
+        # per-operator lookup rows and threshold families, filled on first use
         object.__setattr__(self, "_lookup", {})
 
     @classmethod
@@ -225,7 +225,7 @@ class _GradedSet:
     chain: GradeChain
 
     def __post_init__(self):
-        # a negative numerator would index the lookup rows from the end
+        # a negative numerator would index the kernel's rows from the end
         if not self.chain.holds(self.values):
             raise ValueError(f"grades {self.values} are not int numerators on {self.chain}")
 
@@ -292,52 +292,75 @@ def _require_arrangement(ctx: FuzzyContext, kind: FrameKind, op: str) -> None:
 
 # numerator-level operator kernel
 #
-# Each graded operator is an inf or a sup, over one axis of the relation, of
-# a per-cell lookup: the cell's triple table read at the relation grade and
-# the input grade, in the order the operator's formula names them.  The rows
-# of lookups are built once per context and operator, so evaluating an
-# operator is only indexing and min/max.
+# Each graded operator is an inf or a sup of the per-cell lookups T(i, j)(c):
+# cell (i, j)'s triple table read at the relation grade and the input grade
+# c, in the order its formula names them.  Each is kept in one form, built on
+# first use.  The up operators keep the lookups, so evaluating one is only
+# indexing and min/max: counting nested family rows instead made ``_checks``
+# 1.2-1.7x slower on a 5x4 godel:32 context.  The down operators keep
+# threshold families: F[i][c], c = 0..m1, holds object bit j*m2 + a - 1 iff
+# a <= T(i, j)(c).  Thresholds turn min into meet and max into join, so the
+# image of f is the meet (down, down_n) or join (down_pi) of the rows
+# (i, f(i)).  For X the threshold set of g, with D, N and P the families of
+# down, down_n and down_pi, adjointness gives
+#
+#     X <= D[i][c]  iff  c <= g-up(i)      (conj(c, a) <= R iff a <= res_right(R, c))
+#     X <= N[i][c]  iff  g-up-pi(i) <= c   (conj(R, a) <= c iff a <= res_right(c, R))
+#     P[i][c] <= X  iff  c <= g-up-N(i)    (conj(c, R) <= a iff c <= res_left(a, R))
+#
+# so D shrinks and N and P grow in c, D[i][0] and N[i][m1] hold every object
+# bit, and P[i][0] none.
 
 _OPERATORS = {
-    # name: (triple table, relation grade first, output axis, aggregate)
-    "up": ("res_left_table", True, "attributes", min),
-    "down": ("res_right_table", True, "objects", min),
-    "up_pi": ("conj_table", True, "attributes", max),
-    "down_n": ("res_right_table", False, "objects", min),
-    "up_n": ("res_left_table", False, "attributes", min),
-    "down_pi": ("conj_table", False, "objects", max),
+    # name: (triple table, relation grade first, aggregate)
+    "up": ("res_left_table", True, min),
+    "down": ("res_right_table", True, int.__and__),
+    "up_pi": ("conj_table", True, max),
+    "down_n": ("res_right_table", False, int.__and__),
+    "up_n": ("res_left_table", False, min),
+    "down_pi": ("conj_table", False, int.__or__),
 }
 
 _at = tuple.__getitem__
 
 
+def _cells(ctx: FuzzyContext, op: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per attribute i, per object j, the lookup row T(i, j) of ``op`` over
+    the input grades, read off the cell's triple table at R(i, j)."""
+    table_name, relation_first, _ = _OPERATORS[op]
+    tables = [getattr(t, table_name) for t in ctx.triples]
+    if not relation_first:  # index by relation grade
+        tables = [tuple(zip(*table)) for table in tables]
+    return tuple(
+        tuple(tables[ctx.sigma_at(i, j)][r] for j, r in enumerate(row))
+        for i, row in enumerate(ctx.relation)
+    )
+
+
 def _lookup_rows(ctx: FuzzyContext, op: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per output position, the lookup row of every input cell, by input
-    order; built on first use and kept on the context."""
-    rows = ctx._lookup.get(op)
-    if rows is not None:
-        return rows
-    table_name, relation_first, axis, _ = _OPERATORS[op]
-    by_triple = []
-    for t in ctx.triples:
-        table = getattr(t, table_name)
-        # indexed by relation grade, each entry a row over the input grades
-        by_triple.append(table if relation_first else tuple(zip(*table)))
+    """The cells of up operator ``op``, kept on the context."""
+    if op not in ctx._lookup:
+        ctx._lookup[op] = _cells(ctx, op)
+    return ctx._lookup[op]
 
-    def cell(i: int, j: int) -> tuple[int, ...]:
-        return by_triple[ctx.sigma_at(i, j)][ctx.relation[i][j]]
 
-    objs = range(len(ctx.objects))
-    rows = tuple(tuple(cell(i, j) for j in objs) for i in range(len(ctx.attributes)))
-    if axis == "objects":
-        rows = tuple(zip(*rows))
-    ctx._lookup[op] = rows
-    return rows
+def _family(ctx: FuzzyContext, op: str) -> tuple[tuple[int, ...], ...]:
+    """The threshold family of down operator ``op``, kept on the context:
+    row c of attribute i is the threshold set of j -> T(i, j)(c)."""
+    if op not in ctx._lookup:
+        ctx._lookup[op] = tuple(
+            tuple(order.thresholds(grades, ctx.l2.m) for grades in zip(*cells))
+            for cells in _cells(ctx, op)
+        )
+    return ctx._lookup[op]
 
 
 def _apply(ctx: FuzzyContext, op: str, x: tuple[int, ...]) -> tuple[int, ...]:
     """Evaluate operator ``op`` on the numerators ``x``."""
-    aggregate = _OPERATORS[op][3]
+    aggregate = _OPERATORS[op][2]
+    if op.startswith("down"):
+        bits = functools.reduce(aggregate, map(_at, _family(ctx, op), x))
+        return _grades(bits, ctx.l2.m, len(ctx.objects))
     return tuple([aggregate(map(_at, row, x)) for row in _lookup_rows(ctx, op)])
 
 
@@ -420,18 +443,6 @@ def in_fn(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> bool:
     return _apply(ctx, "up_n", g) == f and _apply(ctx, "down_n", f) == g
 
 
-def _threshold_rows(ctx: FuzzyContext, op: str, shift: int) -> list[int]:
-    """The rows of the threshold-scaled context whose attribute (i, c),
-    c = 1..m1, row i*m1 + c - 1, holds object (j, a), a = 1..m2, bit
-    j*m2 + a - 1, iff a <= lookup ``op`` of (i, j) at c - ``shift``."""
-    lookup, objs = _lookup_rows(ctx, op), range(len(ctx.objects))
-    return [
-        order.thresholds([lookup[j][i][c] for j in objs], ctx.l2.m)
-        for i in range(len(ctx.attributes))
-        for c in range(1 - shift, ctx.l1.m + 1 - shift)
-    ]
-
-
 def _grades(bits: int, m: int, n: int) -> tuple[int, ...]:
     """The grade vector of the threshold set ``bits``: block bit counts."""
     block = (1 << m) - 1
@@ -455,51 +466,41 @@ def fn_enumerate(
     g-up-pi-down-N <= g-up-N-down-N = g.  Hence every member is a fixpoint
     of down-N o up-pi.
 
-    The fixpoints come from the FCbO scan of ``fuzzy_concepts`` on the
-    complement of the threshold scaling of up-pi: attribute (i, c) holds
-    (j, a) iff conj(R(i, j), a) < c, iff a <= res_right(c - 1, R(i, j)),
-    the ``down_n`` lookup at c - 1.  For X the threshold set of g, (i, c)
-    holds all of X iff g-up-pi(i) < c; for any attribute set Y, with f(i)
-    one below the least c of Y at i (m1 if none), Y-down is the threshold
-    set of f-down-N.  So the scaled extents decode one to one to the
-    fixpoints.  ``budget`` is as in ``fuzzy_concepts``.
+    The fixpoints come from the FCbO scan of ``fuzzy_concepts`` on the rows
+    N[i][c], c = 0..m1 - 1, of the down_n family.  By the kernel comment, for
+    X the threshold set of g, (i, c) holds all of X iff g-up-pi(i) <= c, and
+    for any attribute set Y, with f(i) the least c of Y at i (m1 if none),
+    Y-down is the meet of the rows N[i][f(i)], the threshold set of f-down-N.
+    So the scaled extents decode one to one to the fixpoints.  ``budget`` is
+    as in ``fuzzy_concepts``.
 
-    The filter reads the extent bits X alone, against the threshold rows
-    of down-pi: row (i, c) of ``_threshold_rows(ctx, "down_pi", 0)`` is the
-    threshold set M(i, c) of j -> conj(c, R(i, j)).  The triple is adjoint,
-    so c <= res_left(a, R) iff conj(c, R) <= a; hence g-up-N(i) >= c iff
-    g(j) >= conj(c, R(i, j)) for every j, iff X holds M(i, c).  conj is
-    monotone in c, so the M(i, c) are nested, and f(i) = g-up-N(i) is the
-    number of leading masks M(i, 1), M(i, 2), ... that X holds: the walk
-    stops at the first it does not.  f-down-N is a meet over i, so its
-    threshold set is the meet of those of the ``down_n`` lookups at f(i):
-    the scan's rows (i, f(i) + 1), or every object bit when f(i) = m1, as
-    res_right(m1, r) = m2.  g is a member iff that meet is X; the meet only
-    shrinks, so the walk over i stops once it misses a bit of X.  Decoding
-    X to g by block bit counts is one to one, so decoding only the members,
-    then sorting, lists the same pairs.
+    The filter reads the extent bits X alone.  The down_pi family grows in c
+    and P[i][c] <= X iff c <= g-up-N(i), so f(i) = g-up-N(i) counts the
+    leading rows P[i][1], P[i][2], ... that X holds.  g is a member iff the
+    meet of the rows N[i][f(i)] is X; the meet only shrinks, so the walk over
+    i stops once it misses a bit of X.  Decoding X to g by block bit counts is
+    one to one, so decoding only the members, then sorting, lists the same
+    pairs.
     """
     _require_fn_operators(ctx)
     m1, m2, n = ctx.l1.m, ctx.l2.m, len(ctx.objects)
-    rows = _threshold_rows(ctx, "down_n", 1)
+    necessity = _family(ctx, "down_n")
+    rows = [row for family in necessity for row in family[:m1]]
     scan = order.closed_sets(rows, order.transpose(rows, n * m2), budget)
-    down_pi = _threshold_rows(ctx, "down_pi", 0)
-    masks = [down_pi[i : i + m1] for i in range(0, len(down_pi), m1)]
-    every = (1 << n * m2) - 1
+    masks = [family[1:] for family in _family(ctx, "down_pi")]
     members = []
     for x, _ in scan:
-        outside, meet, f = ~x, every, []
-        for i, chain in enumerate(masks):
+        outside, meet, f = ~x, -1, []  # -1 holds every bit
+        for chain, family in zip(masks, necessity):
             c = 0
             for mask in chain:
                 if mask & outside:
                     break
                 c += 1
             f.append(c)
-            if c < m1:
-                meet &= rows[i * m1 + c]
-                if meet & x != x:  # the meet only shrinks
-                    break
+            meet &= family[c]
+            if meet & x != x:  # the meet only shrinks
+                break
         else:
             if meet == x:
                 members.append((_grades(x, m2, n), tuple(f)))
@@ -511,26 +512,24 @@ def fuzzy_concepts(
 ) -> order.Lattice:
     """All concepts <g, g-up>, sorted lexicographically on the extents.
 
-    The extents are the fixpoints of the closure down o up.  Scaled by
-    grade thresholds (Belohlavek, Fund. Inform. 2001), they are the extents
-    of a Boolean context, which the one FCbO scan ``order.closed_sets``
-    lists.  Object (j, a), a = 1..m2, reads g(j) >= a; attribute (i, c),
-    c = 1..m1, holds it iff conj(c, a) <= R(i, j), iff
-    a <= res_right(R(i, j), c), the ``down`` lookup at c.  conj is monotone
-    and conj(c, 0) = 0, so for X the threshold set of g, (i, c) holds all of
-    X iff c <= g-up(i); for any attribute set Y, with f(i) the largest c of
-    Y at i (0 if none), Y-down is the threshold set of f-down.  So every
-    scaled extent is down-closed in the grade and decodes, g(j) being the
-    bit count of block j, to an extent f-down; X-up-down encodes g-up-down.
-    The scan's intent of X is X-up, the (i, c) with c <= g-up(i), so g-up(i)
-    is the bit count of block i of the intent bits.
+    The extents are the fixpoints of the closure down o up.  Scaled by grade
+    thresholds (Belohlavek, Fund. Inform. 2001), they are the extents of a
+    Boolean context, which the one FCbO scan ``order.closed_sets`` lists:
+    object (j, a), a = 1..m2, reads g(j) >= a, and attribute (i, c),
+    c = 1..m1, is the row D[i][c] of the down family.  By the kernel comment,
+    for X the threshold set of g, (i, c) holds all of X iff c <= g-up(i), and
+    for any attribute set Y, with f(i) the largest c of Y at i (0 if none),
+    Y-down is the meet of the rows D[i][f(i)], the threshold set of f-down.
+    So every scaled extent decodes, g(j) being the bit count of block j, to
+    an extent f-down, and the scan's intent of X is X-up, the (i, c) with
+    c <= g-up(i): g-up(i) is the bit count of block i of the intent bits.
     ``budget`` caps the scan's closure evaluations; an ``order.Budget`` is
     shared with other scans.
     """
     _require_arrangement(ctx, FrameKind.CONCEPT_FORMING, "up")
     m1, m2 = ctx.l1.m, ctx.l2.m
     n, k = len(ctx.objects), len(ctx.attributes)
-    rows = _threshold_rows(ctx, "down", 0)
+    rows = [row for family in _family(ctx, "down") for row in family[1:]]
     scan = order.closed_sets(rows, order.transpose(rows, n * m2), budget)
     pairs = [(_grades(x, m2, n), _grades(y, m1, k)) for x, y in scan]
     return order.sorted_lattice(ctx, MultiAdjointConcept, pairs)

@@ -265,15 +265,59 @@ def _residua(ctx: FuzzyContext) -> list[tuple[Table, Table]]:
     return [residua_by_adjointness(t.conj, t.domains) for t in ctx.triples]
 
 
+# naive twins of the six graded operators of ``fuzzy``, on numerators: each
+# is the formula of its ``f_*`` docstring, reading the residua recomputed by
+# ``_residua`` or the conjunctor through ``t.conj``
+
+
+def _graded_up(ctx: FuzzyContext, g, residua) -> tuple[int, ...]:
+    """a -> inf over b of res_left(R(a,b), g(b))."""
+    return tuple(min(residua[ctx.sigma_at(a, b)][0][r][g[b]] for b, r in enumerate(row))
+                 for a, row in enumerate(ctx.relation))
+
+
+def _graded_down(ctx: FuzzyContext, f, residua) -> tuple[int, ...]:
+    """b -> inf over a of res_right(R(a,b), f(a))."""
+    return tuple(min(residua[ctx.sigma_at(a, b)][1][r][f[a]] for a, r in enumerate(col))
+                 for b, col in enumerate(zip(*ctx.relation)))
+
+
+def _graded_up_pi(ctx: FuzzyContext, g) -> tuple[int, ...]:
+    """a -> sup over b of conj(R(a,b), g(b))."""
+    conj = [t.conj for t in ctx.triples]
+    return tuple(max(conj[ctx.sigma_at(a, b)](Grade(r, ctx.p), Grade(g[b], ctx.l2)).num
+                     for b, r in enumerate(row)) for a, row in enumerate(ctx.relation))
+
+
+def _graded_down_n(ctx: FuzzyContext, f, residua) -> tuple[int, ...]:
+    """b -> inf over a of res_right(f(a), R(a,b))."""
+    return tuple(min(residua[ctx.sigma_at(a, b)][1][f[a]][r] for a, r in enumerate(col))
+                 for b, col in enumerate(zip(*ctx.relation)))
+
+
+def _graded_up_n(ctx: FuzzyContext, g, residua) -> tuple[int, ...]:
+    """a -> inf over b of res_left(g(b), R(a,b))."""
+    return tuple(min(residua[ctx.sigma_at(a, b)][0][g[b]][r] for b, r in enumerate(row))
+                 for a, row in enumerate(ctx.relation))
+
+
+def _graded_down_pi(ctx: FuzzyContext, f) -> tuple[int, ...]:
+    """b -> sup over a of conj(f(a), R(a,b))."""
+    conj = [t.conj for t in ctx.triples]
+    return tuple(max(conj[ctx.sigma_at(a, b)](Grade(f[a], ctx.l1), Grade(r, ctx.p)).num
+                     for a, r in enumerate(col)) for b, col in enumerate(zip(*ctx.relation)))
+
+
 def _grid_fixpoints(ctx: FuzzyContext, up, down, make) -> list:
-    """Scan the full grid of graded object sets: make(g, g-up) for g-up-down = g."""
+    """Scan the full grid of graded object sets: make(g, g-up) for g-up-down = g,
+    with the twins ``up`` and ``down`` on the context's recomputed residua."""
     required = len(ctx.l2) ** len(ctx.objects)
     if required > BRUTE_GRID_LIMIT:
         raise BudgetExceededError(required, BRUTE_GRID_LIMIT, "grid points")
-    found = []
+    residua, found = _residua(ctx), []
     for g in product(range(ctx.l2.m + 1), repeat=len(ctx.objects)):
-        f = up(g)
-        if down(f) == g:
+        f = up(ctx, g, residua)
+        if down(ctx, f, residua) == g:
             found.append(
                 make(GradedObjectSet(g, ctx.l2), GradedAttributeSet(f, ctx.l1))
             )
@@ -282,56 +326,12 @@ def _grid_fixpoints(ctx: FuzzyContext, up, down, make) -> list:
 
 def brute_fn(ctx: FuzzyContext) -> list[FuzzyNecessityPair]:
     """Scan the full grid of graded object sets for necessity-closed pairs."""
-    residua = _residua(ctx)
-
-    def up_n(g):
-        out = []
-        for i in range(len(ctx.attributes)):
-            vals = [
-                residua[ctx.sigma_at(i, j)][0][g[j]][ctx.relation[i][j]]
-                for j in range(len(ctx.objects))
-            ]
-            out.append(min(vals))
-        return tuple(out)
-
-    def down_n(f):
-        out = []
-        for j in range(len(ctx.objects)):
-            vals = [
-                residua[ctx.sigma_at(i, j)][1][f[i]][ctx.relation[i][j]]
-                for i in range(len(ctx.attributes))
-            ]
-            out.append(min(vals))
-        return tuple(out)
-
-    return _grid_fixpoints(ctx, up_n, down_n, FuzzyNecessityPair)
+    return _grid_fixpoints(ctx, _graded_up_n, _graded_down_n, FuzzyNecessityPair)
 
 
 def brute_fuzzy_concepts(ctx: FuzzyContext) -> list[MultiAdjointConcept]:
     """Scan the full grid of graded object sets for the fixpoints of down o up."""
-    residua = _residua(ctx)
-
-    def up(g):
-        out = []
-        for i in range(len(ctx.attributes)):
-            vals = [
-                residua[ctx.sigma_at(i, j)][0][ctx.relation[i][j]][g[j]]
-                for j in range(len(ctx.objects))
-            ]
-            out.append(min(vals))
-        return tuple(out)
-
-    def down(f):
-        out = []
-        for j in range(len(ctx.objects)):
-            vals = [
-                residua[ctx.sigma_at(i, j)][1][ctx.relation[i][j]][f[i]]
-                for i in range(len(ctx.attributes))
-            ]
-            out.append(min(vals))
-        return tuple(out)
-
-    return _grid_fixpoints(ctx, up, down, MultiAdjointConcept)
+    return _grid_fixpoints(ctx, _graded_up, _graded_down, MultiAdjointConcept)
 
 
 def _set_compare(kind: str, fast, slow) -> OracleReport:

@@ -331,19 +331,28 @@ class TestThresholdBitFilter:
 
     WORKED = (godel_r1, godel_r2, luk_table3, dprod_r1, dprod_r2)
 
-    def test_necessity_lookup_rows_are_non_decreasing_in_the_input_grade(self):
-        from galois_factor.fuzzy import _lookup_rows
+    def test_threshold_families_are_nested_in_the_input_grade(self):
+        from galois_factor.fuzzy import _family, _lookup_rows
+
+        def grows(rows):  # each row within the next, one row per grade
+            return len(rows) == m + 1 and all(a & ~b == 0 for a, b in zip(rows, rows[1:]))
 
         rng = random.Random(65537)
         for m in range(1, 17):
             ctx = every_cell_context(m, rng)
             cells = {(t, r) for ts, rs in zip(ctx.sigma, ctx.relation) for t, r in zip(ts, rs)}
             assert len(cells) == 3 * (m + 1)
-            # monotone down_pi rows, conj(c, R) in c, make fn's masks nested
-            for op in ("up_n", "down_n", "down_pi"):
-                for row in _lookup_rows(ctx, op):
-                    for lookups in row:
-                        assert list(lookups) == sorted(lookups), (m, op)
+            every = (1 << len(ctx.objects) * m) - 1
+            # down shrinks in c; down_n and down_pi grow, so fn's masks are nested
+            for rows in _family(ctx, "down"):
+                assert grows(rows[::-1]) and rows[0] == every, m
+            for rows in _family(ctx, "down_n"):
+                assert grows(rows) and rows[m] == every, m
+            for rows in _family(ctx, "down_pi"):
+                assert grows(rows) and rows[0] == 0, m
+            for row in _lookup_rows(ctx, "up_n"):
+                for lookups in row:
+                    assert list(lookups) == sorted(lookups), m
 
     def keys(self, ctx):
         return fn_enumerate(ctx).keys, fuzzy_concepts(ctx).keys

@@ -5,11 +5,19 @@ import pytest
 from galois_factor import (
     BooleanContext,
     BudgetExceededError,
+    FrameKind,
+    FuzzyContext,
+    GradeChain,
     cn_atoms,
     cn_enumerate,
     concepts,
+    discretized_product_triple,
     fn_enumerate,
+    fuzzy,
     fuzzy_concepts,
+    godel_triple,
+    lukasiewicz_triple,
+    oracles,
 )
 from galois_factor.oracles import (
     bipartite_components,
@@ -153,6 +161,84 @@ class TestBruteFuzzyConcepts:
         )
         with pytest.raises(BudgetExceededError):
             brute_fuzzy_concepts(ctx)
+
+
+def graded_twins(ctx) -> dict:
+    """The naive twin of each graded operator, on the context's residua."""
+    residua = oracles._residua(ctx)
+    return {
+        "up": lambda g: oracles._graded_up(ctx, g, residua),
+        "down": lambda f: oracles._graded_down(ctx, f, residua),
+        "up_pi": lambda g: oracles._graded_up_pi(ctx, g),
+        "down_n": lambda f: oracles._graded_down_n(ctx, f, residua),
+        "up_n": lambda g: oracles._graded_up_n(ctx, g, residua),
+        "down_pi": lambda f: oracles._graded_down_pi(ctx, f),
+    }
+
+
+# the two operators of each arrangement, attribute side first
+ARRANGED = {
+    FrameKind.CONCEPT_FORMING: ("up", "down"),
+    FrameKind.PROPERTY_ORIENTED: ("up_pi", "down_n"),
+    FrameKind.OBJECT_ORIENTED: ("up_n", "down_pi"),
+}
+
+
+def sigma_context(rng, triples, kind, n_attrs, n_objs) -> FuzzyContext:
+    """Random relation grades under ``kind`` on the triples, picked per cell
+    by a random sigma."""
+    p = fuzzy._arrangement(kind, *triples[0].domains)[2]
+    return FuzzyContext(
+        [f"a{i}" for i in range(n_attrs)],
+        [f"b{j}" for j in range(n_objs)],
+        triples,
+        [[rng.randint(0, p.m) for _ in range(n_objs)] for _ in range(n_attrs)],
+        [[rng.randrange(len(triples)) for _ in range(n_objs)] for _ in range(n_attrs)],
+        kind,
+    )
+
+
+class TestGradedOperatorTwins:
+    """``fuzzy._apply`` against the naive twin of every operator a context
+    allows: lookup rows on the attribute side, threshold families on the
+    object side."""
+
+    def contexts(self, rng):
+        kinds = list(ARRANGED)
+        for m in range(1, 17):  # Goedel, Lukasiewicz and dprod mixed by sigma
+            chain = GradeChain(m)
+            triples = (godel_triple(chain), lukasiewicz_triple(chain),
+                       discretized_product_triple(m, m, m))
+            for kind in kinds * 2:
+                yield sigma_context(rng, triples, kind, rng.randint(1, 3), rng.randint(1, 3))
+        for m in (24, 32):  # fine chains, few objects
+            chain = GradeChain(m)
+            triples = (godel_triple(chain), lukasiewicz_triple(chain),
+                       discretized_product_triple(m, m, m))
+            yield sigma_context(rng, triples, rng.choice(kinds), rng.randint(1, 3), 2)
+        for kind in kinds:  # three granularities: one arrangement only
+            for m1, m2, m3 in ((2, 3, 4), (4, 2, 3), (3, 5, 2)):
+                triples = (discretized_product_triple(m1, m2, m3),)
+                yield sigma_context(rng, triples, kind, rng.randint(1, 3), rng.randint(1, 3))
+
+    def test_apply_equals_the_naive_twins(self):
+        rng, runs = random.Random(28), set()
+        for ctx in self.contexts(rng):
+            twins = graded_twins(ctx)
+            sides = {"objects": (ctx.l2.m, len(ctx.objects)),
+                     "attributes": (ctx.l1.m, len(ctx.attributes))}
+            for kind, ops in ARRANGED.items():
+                if fuzzy._arrangement(kind, ctx.l1, ctx.l2, ctx.p) != ctx.triples[0].domains:
+                    continue
+                for op, side in zip(ops, sides):
+                    m, n = sides[side]
+                    vectors = [(0,) * n, (m,) * n]
+                    vectors += [tuple(rng.randint(0, m) for _ in range(n)) for _ in range(6)]
+                    for x in vectors:
+                        assert fuzzy._apply(ctx, op, x) == twins[op](x), (ctx, op, x)
+                    runs.add((op, ctx.triples[0].domains == (ctx.l1,) * 3))
+        # every operator ran on one chain and on three distinct ones
+        assert len(runs) == 12
 
 
 class TestBipartiteComponents:
