@@ -14,13 +14,14 @@ and of all the block scans of ``factor --emit dot`` together.  Exit status
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from . import factorization as fz
 from . import fuzzy as fy
 from . import io as fio
-from . import oracles, order
+from . import order
 from .contexts import concepts
 from .errors import BudgetExceededError, ContextFormatError
 from .grades import read_natural
@@ -87,6 +88,15 @@ def _emit(args, result, oracle_report=None) -> int:
     return _verdict(oracle_report)
 
 
+def _oracle(args, compare: str, ctx, fast):
+    """Under ``--oracle``, the report of ``oracles.<compare>(ctx, fast)``,
+    else None: the brute-force module is imported here and only here."""
+    if not args.oracle:
+        return None
+    from . import oracles
+    return getattr(oracles, compare)(ctx, fast)
+
+
 def _verdict(oracle_report) -> int:
     if oracle_report is not None and not oracle_report.ok:
         print("oracle mismatch detected", file=sys.stderr)
@@ -103,30 +113,27 @@ def _factorized(args):
 def _cmd_lattice(args) -> int:
     ctx = _load(args)
     if isinstance(ctx, fy.FuzzyContext):
-        enumerate_, compare = fy.fuzzy_concepts, oracles.compare_fuzzy_concepts
+        enumerate_, compare = fy.fuzzy_concepts, "compare_fuzzy_concepts"
     else:
-        enumerate_, compare = concepts, oracles.compare_concepts
+        enumerate_, compare = concepts, "compare_concepts"
     lattice = enumerate_(ctx, budget=args.budget)
-    return _emit(args, lattice, compare(ctx, lattice) if args.oracle else None)
+    return _emit(args, lattice, _oracle(args, compare, ctx, lattice))
 
 
 def _cmd_cn(args) -> int:
     ctx = _load(args)
     lattice = fz.cn_enumerate(ctx)
-    report = None
-    if args.oracle and lattice.materialized:
-        report = oracles.compare_cn(ctx, list(lattice))
-    elif args.oracle:  # past the atom cutoff only the atoms are there to check
-        report = oracles.compare_atoms(ctx, list(lattice.atom_pairs))
+    if lattice.materialized:
+        report = _oracle(args, "compare_cn", ctx, lattice)
+    else:  # past the atom cutoff only the atoms are there to check
+        report = _oracle(args, "compare_atoms", ctx, lattice.atom_pairs)
     return _emit(args, lattice, report)
 
 
 def _cmd_factor(args) -> int:
     result, exact = _factorized(args)
-    report = None
-    if args.oracle:
-        atom_pairs = [fz.NecessityPair(b.objects, b.attrs) for b in result.blocks]
-        report = oracles.compare_atoms(result.core, atom_pairs)
+    atom_pairs = (fz.NecessityPair(b.objects, b.attrs) for b in result.blocks)
+    report = _oracle(args, "compare_atoms", result.core, atom_pairs)
     if args.emit == "dot":
         _write(args, fio.emit_dot(result, args.budget))
     else:
@@ -144,8 +151,7 @@ def _cmd_factor(args) -> int:
 def _cmd_fn(args) -> int:
     ctx = _load(args)
     lattice = fy.fn_enumerate(ctx, budget=args.budget)
-    report = oracles.compare_fn(ctx, list(lattice)) if args.oracle else None
-    return _emit(args, lattice, report)
+    return _emit(args, lattice, _oracle(args, "compare_fn", ctx, lattice))
 
 
 def _cmd_reconstruct(args) -> int:
@@ -197,6 +203,7 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per row of ``_SUBCOMMANDS``, holding its handler and suffixes."""
     parser = _Parser(prog="galois-factor", description=__doc__)
@@ -213,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

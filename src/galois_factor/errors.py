@@ -48,8 +48,9 @@ class BudgetExceededError(RuntimeError):
     evaluations done and ``found`` the closed sets yielded.  The ``lattice``,
     ``fn`` and ``check`` commands set that budget with ``--budget``, and
     ``factor --emit dot`` one budget for all its block scans.  A cn lattice
-    beyond its atom cutoff counts pairs, the brute-force oracles subsets or
-    grid points; there ``count`` is what would be needed and ``found`` is None.
+    beyond its atom cutoff counts pairs, the Hasse covers lattice elements,
+    the brute-force oracles subsets or grid points; there ``count`` is what
+    would be needed and ``found`` is None.
     """
 
     def __init__(self, count: int, budget: int, unit="closure evaluations", found=None):

@@ -12,14 +12,16 @@ strictly as the rows of a ``.cxt`` file.  A fuzzy document names its frame
 by its triples' names, so writing a triple whose name is not a descriptor
 that rebuilds it raises ``ValueError``.  Each grade cell is read once.
 
-``emit_json`` writes the text ``json.dumps(data, indent=2,
-ensure_ascii=False)`` would give, with one small recursive writer instead.
-The writer takes only str, int, bool, None, list and dict with str keys
-and raises ``TypeError`` on anything else (a float, tuple, set, bytes or
-a non-str key); strings go through ``json.encoder.encode_basestring``.
-Lattices build no tree, and all four kinds share one element path: the
-writers read ``Lattice.keys``, the two key lists of the elements, and
-build no element.  An element is one string, each of its two sides one
+``emit_json`` writes every document, a lattice's too, as one dict through
+one small recursive writer, with the text ``json.dumps(data, indent=2,
+ensure_ascii=False)`` would give.  The writer takes only str, int, bool,
+None, list and dict with str keys and raises ``TypeError`` on anything
+else (a float, tuple, set, bytes or a non-str key); strings go through
+``json.encoder.encode_basestring``.  A ``_Text``, a list of pre-rendered
+fragments, is copied in as it stands: a lattice's element lists and covers
+are ``_Text``, so no element is built.  All four lattice kinds share one
+element path, which reads ``Lattice.keys``, the elements' two key lists.
+An element is one string, each of its two sides one
 join of pre-encoded fragments.  A Boolean side (concept and cn lattices)
 is a subset's bits: each name is encoded once per document, with its
 newline and indent, into a table per byte of the bits, whose entry b joins
@@ -34,9 +36,9 @@ atoms' bits, and its ``atom_pairs`` member is written from those bits.
 Hasse edges, in JSON and in DOT, come from ``Lattice.cover_lists`` (for a
 cn lattice the cube's, made by doubling, so the edge tuples of ``covers``
 are not built) and are one join per element over pre-built index strings.
-The other results go through the generic writer.  A ``check`` report
-row is its pair's keys and one ``fuzzy._checks`` evaluation, which takes
-each operator image once and trusts ``fn_enumerate``'s pairs to be
+An oracle report is the last member, read off its two fields.  A ``check``
+report row is its pair's keys and one ``fuzzy._checks`` evaluation, which
+takes each operator image once and trusts ``fn_enumerate``'s pairs to be
 members.  Keys come in a fixed order, so identical inputs produce
 byte-identical output; grades serialize as exact fraction strings, never
 as floats.  DOT digraphs draw the Hasse covers.
@@ -50,8 +52,8 @@ import io as _stdio
 import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from typing import Callable, Iterator, Sequence
+from itertools import compress, repeat
+from typing import Callable, Sequence
 
 from .contexts import (
     AttributeSubset,
@@ -77,7 +79,6 @@ from .fuzzy import (
     is_top_normalized,
 )
 from .grades import read_grade, read_natural, triple_from_descriptor
-from .oracles import OracleReport
 from .order import DEFAULT_ENUM_BUDGET, Budget, Lattice, atoms, transpose
 
 SCHEMA = "galois-factor/1"
@@ -412,11 +413,6 @@ def to_jsonable(obj) -> dict:
         }
     if isinstance(obj, BlockBounds):
         return {"schema": SCHEMA, "type": "block-bounds", **_plain(obj)}
-    if isinstance(obj, OracleReport):
-        return {
-            "checked": obj.checked,
-            "mismatches": [list(w) for w in obj.mismatches],
-        }
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
@@ -450,11 +446,19 @@ def _key(key) -> str:
     return _encode_str(key) + ": "
 
 
+class _Text(list):
+    """Pre-rendered JSON text as fragments, which ``_write`` copies as they stand."""
+
+
 def _write(value, out: list[str], level: int = 0) -> None:
     """Append ``json.dumps(value, indent=2, ensure_ascii=False)`` to ``out``,
     ``level`` levels deep; only str, int, bool, None, list and dict with
     str keys have a JSON form, anything else raises ``TypeError``.  A
+    ``_Text`` is appended as it stands, already rendered at its level.  A
     scalar in a container shares one string with its separator and key."""
+    if isinstance(value, _Text):
+        out += value
+        return
     if isinstance(value, list):
         keys, items, brackets = repeat(""), value, "[]"
     elif isinstance(value, dict):
@@ -564,11 +568,10 @@ def _edges(lattice: Lattice, edge: str, sep: str) -> str:
 _NAME_INDENT = "\n" + "  " * 4
 
 
-def _elements_json(lattice: Lattice, keys: tuple[list, list], out: list[str]) -> None:
-    """Append the elements of ``lattice``'s kind with the two key lists
-    ``keys`` to ``out`` as a JSON list one level deep: each element is one
-    string, its sides joined from pre-encoded fragments (a name, or a name
-    and its grade)."""
+def _elements_json(lattice: Lattice, keys: tuple[list, list]) -> _Text:
+    """The elements of ``lattice``'s kind with the two key lists ``keys``
+    as a JSON list one level deep: each element is one string, its sides
+    joined from pre-encoded fragments (a name, or a name and its grade)."""
     first, second = (_encode_str(f.name) for f in fields(lattice.kind))
     element = "%s{\n      " + first + ": %s,\n      " + second + ": %s\n    }"
     (objects, attributes), brackets = _sides(
@@ -577,6 +580,7 @@ def _elements_json(lattice: Lattice, keys: tuple[list, list], out: list[str]) ->
     )
     side = brackets[0] + "%s\n      " + brackets[1]
     sep = "[\n    "
+    out = _Text()
     xs, ys = keys
     for x, y in zip(xs, ys):
         names, attrs = objects(x), attributes(y)
@@ -585,56 +589,39 @@ def _elements_json(lattice: Lattice, keys: tuple[list, list], out: list[str]) ->
         ))
         sep = ",\n    "
     out.append("\n  ]" if xs else "[]")
+    return out
 
 
-def _write_covers(lattice: Lattice, out: list[str]) -> None:
-    edges = _edges(lattice, "\n    [\n      %s,\n      %s\n    ]", ",")
-    out.append("[" + edges + "\n  ]" if edges else "[]")
-
-
-def _member(value) -> Callable[[list[str]], None]:
-    """A writer of the JSON value ``value`` one level deep."""
-    return functools.partial(_write, value, level=1)
-
-
-def _lattice_members(lattice: Lattice) -> Iterator[tuple[str, Callable[[list[str]], None]]]:
-    """A lattice document's members, each a key and a writer of its value."""
+def _lattice_dict(lattice: Lattice) -> dict:
+    """A lattice document, its element lists and covers rendered as ``_Text``."""
     kind, key = _LATTICE_KINDS[lattice.kind]
-    yield "schema", _member(SCHEMA)
-    yield "type", _member(kind)
+    doc = {"schema": SCHEMA, "type": kind}
     if isinstance(lattice, CnLattice):
         pairs = lattice.atom_pairs
-        atom_keys = [p.objects.bits for p in pairs], [p.attrs.bits for p in pairs]
-        yield "pair_count", _member(lattice.pair_count)
-        yield "materialized", _member(lattice.materialized)
-        yield "atom_pairs", functools.partial(_elements_json, lattice, atom_keys)
+        doc.update(pair_count=lattice.pair_count, materialized=lattice.materialized)
+        bits = [p.objects.bits for p in pairs], [p.attrs.bits for p in pairs]
+        doc["atom_pairs"] = _elements_json(lattice, bits)
         if not lattice.materialized:
-            return
-    yield key, functools.partial(_elements_json, lattice, lattice.keys)
-    yield "covers", functools.partial(_write_covers, lattice)
+            return doc
+    doc[key] = _elements_json(lattice, lattice.keys)
+    edges = _edges(lattice, "\n    [\n      %s,\n      %s\n    ]", ",")
+    doc["covers"] = _Text(["[" + edges + "\n  ]" if edges else "[]"])
     if isinstance(lattice, CnLattice):
-        yield "atoms", _member(atoms(lattice))
+        doc["atoms"] = atoms(lattice)
+    return doc
 
 
-def emit_json(result, oracle: OracleReport | None = None) -> str:
-    """``result`` as an indented JSON document; ``oracle`` is its last member.
-
-    The text is that of ``json.dumps(..., indent=2, ensure_ascii=False)``
-    on the result's JSON data, but no tree is built for a lattice.
-    """
-    if isinstance(result, Lattice):
-        members = _lattice_members(result)
-    else:
-        members = ((key, _member(value)) for key, value in to_jsonable(result).items())
-    if oracle is not None:
-        members = chain(members, [("oracle", _member(to_jsonable(oracle)))])
+def emit_json(result, oracle=None) -> str:
+    """``result`` as an indented JSON document, the text ``json.dumps(...,
+    indent=2, ensure_ascii=False)`` gives on its JSON data; ``oracle``, an
+    ``oracles.OracleReport``, is its last member."""
+    data = _lattice_dict(result) if isinstance(result, Lattice) else to_jsonable(result)
+    if oracle is not None:  # a new dict: to_jsonable returns a caller's own
+        mismatches = [list(w) for w in oracle.mismatches]
+        data = {**data, "oracle": {"checked": oracle.checked, "mismatches": mismatches}}
     out: list[str] = []
-    sep = "{\n  "
-    for key, write in members:
-        out.append(sep + _key(key))
-        write(out)
-        sep = ",\n  "
-    out.append("\n}\n")
+    _write(data, out)
+    out.append("\n")
     return "".join(out)
 
 

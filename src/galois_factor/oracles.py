@@ -5,9 +5,8 @@ quantifier loops over the incidence, full scans of the candidate space,
 residua recomputed from the conjunctor by ``residua_by_adjointness``, the
 library's one exhaustive residuum search, and checked by the O(m^3)
 ``brute_adjointness_witness`` — so the fast paths can be validated
-against an independent route.  Deliberately naive;
-used by the test suite and behind the CLI ``--oracle`` flag, never on the
-default path.
+against an independent route.  Deliberately naive; imported only by the
+tests and by ``cli`` under its ``--oracle`` flag, never on the default path.
 """
 
 from __future__ import annotations

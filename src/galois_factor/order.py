@@ -52,6 +52,8 @@ from typing import Any, Iterable, Iterator, Sequence
 from .errors import BudgetExceededError
 
 DEFAULT_ENUM_BUDGET = 10_000_000
+# pointwise_covers keeps an N-bit mask per element, N**2 / 8 bytes: 2 GiB here
+MAX_COVER_ELEMENTS = 1 << 17
 
 
 class Lattice:
@@ -230,7 +232,8 @@ def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> list[list[int]]:
     as ints whose bit x is the grade at position x (subsets under
     inclusion).  They must be strictly increasing (as tuples, or as ints),
     which makes the listing a linear extension of the pointwise order;
-    ``ValueError`` is raised otherwise, never a wrong edge.
+    ``ValueError`` is raised otherwise, never a wrong edge.  More than
+    ``MAX_COVER_ELEMENTS`` rows raise ``BudgetExceededError`` first.
 
     Graded rows become their ``thresholds`` first, with m the largest grade
     of any row, so pointwise <= on vectors is inclusion on the ints, and the
@@ -244,6 +247,8 @@ def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> list[list[int]]:
     grades + edges) big-int operations, one walk over each row's bits.
     """
     n = len(rows)
+    if n > MAX_COVER_ELEMENTS:  # before the masks are allocated
+        raise BudgetExceededError(n, MAX_COVER_ELEMENTS, "lattice elements")
     for i in range(1, n):
         if not rows[i - 1] < rows[i]:
             raise ValueError(f"rows {i - 1} and {i} are not strictly increasing")

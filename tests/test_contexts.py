@@ -90,6 +90,10 @@ class TestConstruction:
         for bad in (4, -1, "1", 1.0):
             with pytest.raises(ValueError):
                 BooleanContext(("a",), ("b1", "b2"), (bad,))
+            # as are a subset's bits
+            if isinstance(bad, int):
+                with pytest.raises(ValueError, match="out of range"):
+                    ObjectSubset(DIAG2, bad)
 
     @pytest.mark.parametrize(
         "n_attrs, n_objs",
@@ -123,6 +127,9 @@ class TestConstruction:
             assert 0 in subset
             for outside in (-1, -2, 2, 5, "nope"):
                 assert outside not in subset
+        # a subset iterates over its member names and prints them
+        assert list(DIAG2.all_attributes) == ["a1", "a2"]
+        assert repr(DIAG2.object_set(["b1"])) == "ObjectSubset({b1})"
 
 
 class TestDerivationOperators:
@@ -332,6 +339,7 @@ def test_isotone_connections_preserve_union_and_intersection(drawn):
     ctx, x1, x2 = drawn
     assert up_pi(ctx, x1 | x2) == up_pi(ctx, x1) | up_pi(ctx, x2)
     assert up_n(ctx, x1 & x2) == up_n(ctx, x1) & up_n(ctx, x2)
+    assert x1 - x2 == x1 & x2.complement()
     # attribute-side duals
     y1, y2 = up(ctx, x1), up_n(ctx, x2)
     assert down_pi(ctx, y1 | y2) == down_pi(ctx, y1) | down_pi(ctx, y2)

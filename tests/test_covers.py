@@ -15,6 +15,7 @@ import pytest
 
 from galois_factor import (
     BooleanContext,
+    BudgetExceededError,
     FuzzyContext,
     GradeChain,
     cn_enumerate,
@@ -26,7 +27,7 @@ from galois_factor import (
     join_irreducibles,
     lukasiewicz_triple,
 )
-from galois_factor.order import pointwise_covers
+from galois_factor.order import MAX_COVER_ELEMENTS, pointwise_covers
 from galois_factor.oracles import _naive_down, _naive_up, brute_covers
 from tables import random_context, random_normalized_context
 
@@ -242,3 +243,11 @@ class TestKernel:
         assert pointwise_covers([(2, 0, 1)]) == [[]]
         assert pointwise_covers([0b101]) == [[]]
         assert pointwise_covers([()]) == [[]]  # zero-length vectors
+
+    def test_too_many_rows_are_refused_before_any_mask(self):
+        # a range holds no rows in memory, so only the count check can answer
+        # at once; the masks would take N**2 / 8 bytes
+        with pytest.raises(BudgetExceededError) as err:
+            pointwise_covers(range(MAX_COVER_ELEMENTS + 1))
+        assert (err.value.count, err.value.budget) == (MAX_COVER_ELEMENTS + 1, MAX_COVER_ELEMENTS)
+        assert err.value.unit == "lattice elements"

@@ -159,6 +159,11 @@ class TestFrameArrangements:
         for build in (FuzzyContext, FuzzyContext.from_values):
             with pytest.raises(ValueError, match="at least one adjoint triple"):
                 build(["a"], ["b"], [], [["1"]])
+            # nor a side without names
+            frame = godel_triple(GradeChain(4))
+            for attributes, objects, relation in (([], ["b"], []), (["a"], [], [[]])):
+                with pytest.raises(ValueError, match="sets must be non-empty"):
+                    build(attributes, objects, (frame,), relation)
 
     @pytest.mark.parametrize(
         "kind, names",
@@ -192,6 +197,12 @@ class TestFrameArrangements:
         chain = GradeChain(4)
         with pytest.raises(ValueError):
             FuzzyContext(["a1"], ["b1"], (godel_triple(chain),), [[9]])
+        # and a relation of the wrong shape: a row too many, a row too short
+        frame = (godel_triple(chain),)
+        with pytest.raises(ValueError, match="one row per attribute"):
+            FuzzyContext(["a1"], ["b1", "b2"], frame, [[1, 1], [1, 1]])
+        with pytest.raises(ValueError, match="row length must equal the number of objects"):
+            FuzzyContext(["a1"], ["b1", "b2"], frame, [[1]])
 
     @pytest.mark.parametrize("cell", [1.0, True, -1, "1"])
     def test_relation_takes_only_int_numerators(self, cell):
@@ -222,6 +233,22 @@ class TestGradedSets:
             ctx.graded_objects({"b1": 1, "b2": 0, "zzz": 1})
         with pytest.raises(ValueError, match=r"unknown names \['b1'\]"):
             ctx.graded_attributes({"a1": 1, "a2": 0, "b1": 1})
+        # a mapping must grade every name, a sequence hold one grade per name
+        with pytest.raises(ValueError, match=r"missing grades for \['b2'\]"):
+            ctx.graded_objects({"b1": 1})
+        with pytest.raises(ValueError, match="expected 2 grades, got 3"):
+            ctx.graded_attributes(["1", "0", "1"])
+
+    def test_comparison_takes_a_set_of_the_same_side_chain_and_length(self):
+        chain = GradeChain(4)
+        low, high = GradedObjectSet((0, 1), chain), GradedObjectSet((0, 2), chain)
+        assert low < high and not high < low and not low < low
+        with pytest.raises(TypeError, match="expected GradedObjectSet, got GradedAttributeSet"):
+            low < GradedAttributeSet((0, 2), chain)
+        for other in (GradedObjectSet((0, 2), GradeChain(8)), GradedObjectSet((0, 2, 0), chain)):
+            for compare in (low.__le__, low.__lt__):
+                with pytest.raises(ValueError, match="different chains or universes"):
+                    compare(other)
 
 
 class TestSigma:

@@ -191,6 +191,12 @@ class TestDiscretizedProduct:
     def test_mixed_chains_have_distinct_residua(self):
         t = discretized_product_triple(4, 8, 10)
         assert t.res_left_table != t.res_right_table
+        # so each operation takes grades on its own chains only
+        x, y, z = t.p1.top, t.p2.top, t.p3.top
+        for call, args in ((t.conj, (y, y)), (t.conj, (x, x)), (t.res_left, (x, y)),
+                           (t.res_left, (z, x)), (t.res_right, (y, x)), (t.res_right, (z, y))):
+            with pytest.raises(ValueError, match="expects"):
+                call(*args)
 
 
 class TestResiduaByAdjointness:

@@ -683,6 +683,39 @@ class TestCli:
         path = write(tmp_path, "r2.csv", R2_GODEL_CSV)
         assert main(["fn", path, "--frame", "godel:4", "--budget", "10"]) == 2
 
+    def test_lattice_too_large_for_its_covers_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the covers' masks take N**2 / 8 bytes, so past the cap nothing is
+        # allocated and nothing is written
+        from galois_factor import order
+
+        monkeypatch.setattr(order, "MAX_COVER_ELEMENTS", 2)
+        path = write(tmp_path, "table1.cxt", TABLE1_CXT)
+        assert main(["lattice", path]) == 2
+        assert one_error(capsys) == "error: needs 8 lattice elements but the budget is 2\n"
+        path = write(tmp_path, "r2.csv", R2_GODEL_CSV)
+        assert main(["fn", path, "--frame", "godel:4"]) == 2
+        assert "lattice elements but the budget is 2" in one_error(capsys)
+
+    def test_main_keeps_no_option_between_calls(self, tmp_path, capsys):
+        # the parser is built once per process; each call's options are its own
+        from galois_factor.cli import build_parser
+
+        assert build_parser() is build_parser()
+        cxt = write(tmp_path, "table1.cxt", TABLE1_CXT)
+        csv = write(tmp_path, "r2.csv", R2_GODEL_CSV)
+        fuzzy = ["--frame", "godel:4"]
+        for plain, other in (
+            (["fn", csv, *fuzzy], ["--oracle"]),
+            (["check", csv, *fuzzy], ["--props", "fp1"]),
+            (["lattice", cxt], ["--emit", "dot"]),
+        ):
+            outs = []
+            for argv in (plain, plain + other, plain):
+                assert main(argv) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[2] != outs[1]
+            assert "oracle" not in json.loads(outs[2])  # JSON again, and no oracle member
+
     @pytest.mark.parametrize("budget", ["١_0", " -1", "+5"])
     def test_budget_in_ascii_digits_only(self, tmp_path, capsys, budget):
         # int() reads "١_0" as 10 and " -1" as a budget that runs out at once
@@ -968,6 +1001,31 @@ class TestCli:
         missing = ["concept", "absent from fast enumeration", repr(concepts(TABLE1)[1])]
         assert json.loads(out)["oracle"]["mismatches"] == [missing]
 
+    def test_lattice_oracle_reports_an_extra_pair(self, tmp_path, capsys, monkeypatch):
+        from galois_factor import cli
+        from galois_factor.order import Lattice
+
+        xs = concepts(TABLE1).keys[0]
+        extra = next(x for x in range(1, 64) if x not in xs)  # an extent that is not closed
+        k = next(i for i, x in enumerate(xs) if x > extra)
+
+        def adding(ctx, budget):  # the fast path lists (extra, {}) among the concepts
+            xs, ys = concepts(ctx, budget).keys
+            return Lattice(ctx, FormalConcept, (xs[:k] + [extra] + xs[k:], ys[:k] + [0] + ys[k:]))
+
+        monkeypatch.setattr(cli, "concepts", adding)
+        path = write(tmp_path, "table1.cxt", TABLE1_CXT)
+        assert main(["lattice", path, "--oracle"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "oracle mismatch detected\n"
+        pair = FormalConcept.from_keys(TABLE1, extra, 0)
+        payload = json.loads(out)
+        assert list(payload)[-1] == "oracle"
+        assert payload["oracle"] == {
+            "checked": len(xs) + 1,
+            "mismatches": [["concept", repr(pair), "absent from oracle enumeration"]],
+        }
+
     def test_factor_oracle_reports_a_dropped_block(self, tmp_path, capsys, monkeypatch):
         from galois_factor import factorization
 
@@ -1013,6 +1071,30 @@ class TestProcessEntryPoint:
         done = self.run("lattice", write(tmp_path, "table1.cxt", TABLE1_CXT), "--bogus")
         assert done.returncode == 1
         assert done.stderr.startswith("error: ")
+
+    def test_oracles_load_only_under_the_oracle_flag(self, tmp_path):
+        # the brute-force module is never on a command's path without --oracle
+        script = "\n".join([
+            "import sys",
+            "from galois_factor.cli import main",
+            "cxt, csv, out = sys.argv[1:]",
+            "fuzzy = ['--frame', 'godel:4']",
+            "for argv in (['lattice', cxt], ['cn', cxt], ['factor', cxt],",
+            "             ['reconstruct', cxt], ['fn', csv, *fuzzy], ['check', csv, *fuzzy]):",
+            "    assert main([*argv, '--out', out]) == 0, argv",
+            "    assert 'galois_factor.oracles' not in sys.modules, argv",
+            "assert main(['lattice', cxt, '--oracle', '--out', out]) == 0",
+            "assert 'galois_factor.oracles' in sys.modules",
+        ])
+        done = subprocess.run(
+            [sys.executable, "-c", script, write(tmp_path, "table1.cxt", TABLE1_CXT),
+             write(tmp_path, "r2.csv", R2_GODEL_CSV), str(tmp_path / "out")],
+            capture_output=True,
+            encoding="utf-8",
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_exceeded_budget_exits_2_with_empty_stdout(self, tmp_path):
         done = self.run("lattice", write(tmp_path, "table1.cxt", TABLE1_CXT), "--budget", "1")

@@ -12,6 +12,9 @@ from galois_factor import (
     BooleanContext,
     FuzzyContext,
     FuzzyNecessityPair,
+    GradeChain,
+    GradedAttributeSet,
+    GradedObjectSet,
     NecessityPair,
     block_bounds,
     check_fp1,
@@ -87,12 +90,20 @@ GRADED_OBJECT_OPS = [f_up, f_up_pi, f_up_n]
 GRADED_ATTRIBUTE_OPS = [f_down, f_down_n, f_down_pi]
 
 
+# a set of the right side that does not fit FUZZY_SQUARE: another chain, or
+# another length
+MISFITS = [((4, 4), GradeChain(8)), ((4, 4, 4), GradeChain(4))]
+
+
 @pytest.mark.parametrize("op", GRADED_OBJECT_OPS)
 def test_graded_object_operators_refuse_attribute_sets(op):
     ctx = FUZZY_SQUARE
     assert op(ctx, ctx.g_top) is not None
     with pytest.raises(TypeError, match="expected GradedObjectSet, got GradedAttributeSet"):
         op(ctx, ctx.f_top)
+    for values, chain in MISFITS:
+        with pytest.raises(ValueError, match="GradedObjectSet does not fit this context"):
+            op(ctx, GradedObjectSet(values, chain))
 
 
 @pytest.mark.parametrize("op", GRADED_ATTRIBUTE_OPS)
@@ -101,6 +112,9 @@ def test_graded_attribute_operators_refuse_object_sets(op):
     assert op(ctx, ctx.f_top) is not None
     with pytest.raises(TypeError, match="expected GradedAttributeSet, got GradedObjectSet"):
         op(ctx, ctx.g_top)
+    for values, chain in MISFITS:
+        with pytest.raises(ValueError, match="GradedAttributeSet does not fit this context"):
+            op(ctx, GradedAttributeSet(values, chain))
 
 
 @pytest.mark.parametrize(

@@ -360,8 +360,12 @@ def test_cn_lattice_beyond_the_atom_cutoff():
 def test_oracle_report_is_the_last_member():
     lattice = concepts(tables.TABLE1)
     report = compare_concepts(tables.TABLE1, lattice)
-    tree = {**twin_tree(lattice), "oracle": fio.to_jsonable(report)}
+    oracle = {"checked": report.checked, "mismatches": [list(w) for w in report.mismatches]}
+    tree = {**twin_tree(lattice), "oracle": oracle}
     assert emit_json(lattice, report) == dumps(tree)
+    # emit_json reads a report's two fields; a report is no result of its own
+    with pytest.raises(TypeError, match="no JSON form for OracleReport"):
+        fio.to_jsonable(report)
 
 
 # equal chains, where fn exists, and unequal ones (l1, l2, p) for the
