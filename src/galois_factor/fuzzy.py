@@ -23,6 +23,8 @@ another chain or of another length ``ValueError``.
 The checkers ``check_fp1``-``check_fp4`` and ``interval_from_pair`` claim
 their pair with ``in_fn`` and make one ``_checks`` evaluation; the ``check``
 report makes it per pair unclaimed, as ``fn_enumerate``'s pairs are members.
+``_checks`` returns bools and numerator tuples: only the public checkers
+build ``Fp4Report`` and ``ConceptInterval`` records from them.
 
 Each graded operator is kept in one form (see the kernel comment): the up
 operators as per-cell lookup rows, the down operators as threshold
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -597,6 +600,12 @@ def _checks(ctx: FuzzyContext, g: tuple[int, ...], f: tuple[int, ...], props) ->
     most once, and only when a requested proposition reads it: g-up-pi
     (fp1-fp4), its down-N (fp2), g-up (fp4, fp5), g-up-down, f-down and
     f-down-up (fp5).  fp4 needs L2 = P, as ``check_fp4`` shows members have.
+
+    fp1-fp3 are bools.  fp4 is (strict, tops, either, all, inequality,
+    g_up, g_up_pi), the fields of ``Fp4Report``, and fp5 is (f_down,
+    f_down_up, upper_extent, g_up, ordered), the lower and upper concepts
+    of ``ConceptInterval`` then ``ordered``: bools, tuples of bools and
+    numerator tuples, from which only the public checkers build records.
     """
     props = set(props)
     g_up_pi = _apply(ctx, "up_pi", g) if props & {"fp1", "fp2", "fp3", "fp4"} else None
@@ -610,26 +619,16 @@ def _checks(ctx: FuzzyContext, g: tuple[int, ...], f: tuple[int, ...], props) ->
         out["fp3"] = order.key_le(f, g_up_pi)
     if "fp4" in props:
         top = ctx.p.m
-        strict = tuple(any(a > r for a, r in zip(g, row)) for row in ctx.relation)
-        tops = tuple(any(a == r == top for a, r in zip(g, row)) for row in ctx.relation)
-        either = tuple(s or t for s, t in zip(strict, tops))
-        out["fp4"] = Fp4Report(
-            strict_hypothesis=strict,
-            top_hypothesis=tops,
-            hypothesis_holds_per_attribute=either,
-            all_hypotheses_hold=all(either),
-            inequality_holds=order.key_le(g_up, g_up_pi),
-            g_up=GradedAttributeSet(g_up, ctx.l1),
-            g_up_pi=GradedAttributeSet(g_up_pi, ctx.l1),
-        )
+        strict = tuple([any(map(operator.gt, g, row)) for row in ctx.relation])
+        tops = tuple([(top, top) in zip(g, row) for row in ctx.relation])
+        either = tuple(map(operator.or_, strict, tops))
+        inequality = order.key_le(g_up, g_up_pi)
+        out["fp4"] = (strict, tops, either, all(either), inequality, g_up, g_up_pi)
     if "fp5" in props:
         f_down = _apply(ctx, "down", f)
         upper_extent = _apply(ctx, "down", g_up)
-        out["fp5"] = ConceptInterval(
-            lower=MultiAdjointConcept.from_keys(ctx, f_down, _apply(ctx, "up", f_down)),
-            upper=MultiAdjointConcept.from_keys(ctx, upper_extent, g_up),
-            ordered=order.key_le(f_down, upper_extent),
-        )
+        ordered = order.key_le(f_down, upper_extent)
+        out["fp5"] = (f_down, _apply(ctx, "up", f_down), upper_extent, g_up, ordered)
     return out
 
 
@@ -666,9 +665,17 @@ def check_fp4(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> Fp4Report:
     which the claim ensures: up-N and down-N need the triples' domains to be
     both (L1, P, L2) and (P, L2, L1), so L1 = L2 = P.
     """
-    return _claimed(ctx, pair, "fp4")
+    *hypotheses, g_up, g_up_pi = _claimed(ctx, pair, "fp4")
+    return Fp4Report(
+        *hypotheses, GradedAttributeSet(g_up, ctx.l1), GradedAttributeSet(g_up_pi, ctx.l1)
+    )
 
 
 def interval_from_pair(ctx: FuzzyContext, pair: FuzzyNecessityPair) -> ConceptInterval:
     """The concept interval of the pair: <f-down, f-down-up> to <g-up-down, g-up>."""
-    return _claimed(ctx, pair, "fp5")
+    f_down, f_down_up, upper_extent, g_up, ordered = _claimed(ctx, pair, "fp5")
+    return ConceptInterval(
+        MultiAdjointConcept.from_keys(ctx, f_down, f_down_up),
+        MultiAdjointConcept.from_keys(ctx, upper_extent, g_up),
+        ordered,
+    )

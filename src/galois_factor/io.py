@@ -37,11 +37,15 @@ Hasse edges, in JSON and in DOT, come from ``Lattice.cover_lists`` (for a
 cn lattice the cube's, made by doubling, so the edge tuples of ``covers``
 are not built) and are one join per element over pre-built index strings.
 An oracle report is the last member, read off its two fields.  A ``check``
-report row is its pair's keys and one ``fuzzy._checks`` evaluation, which
-takes each operator image once and trusts ``fn_enumerate``'s pairs to be
-members.  Keys come in a fixed order, so identical inputs produce
-byte-identical output; grades serialize as exact fraction strings, never
-as floats.  DOT digraphs draw the Hasse covers.
+report's rows are ``_Text`` too.  The skeleton of a row, every leaf a NUL
+marker, is written once per report by ``_write`` at the row's level and
+made a ``%`` template, so each row is one ``template % leaves``: its pair
+index, ``true``/``false`` and grade strings encoded once per report, read
+off its pair's keys and one ``fuzzy._checks`` evaluation, which takes each
+operator image once and trusts ``fn_enumerate``'s pairs to be members.
+Keys come in a fixed order, so identical inputs produce byte-identical
+output; grades serialize as exact fraction strings, never as floats.  DOT
+digraphs draw the Hasse covers.
 """
 
 from __future__ import annotations
@@ -67,11 +71,10 @@ from .contexts import (
 from .errors import ContextFormatError
 from .factorization import BlockBounds, CnLattice, Factorization, NecessityPair
 from .fuzzy import (
+    CHECKS,
     FrameKind,
     FuzzyContext,
     FuzzyNecessityPair,
-    GradedAttributeSet,
-    GradedObjectSet,
     MultiAdjointConcept,
     _arrangement,
     _checks,
@@ -271,12 +274,6 @@ def _grade_strings(m: int) -> tuple[str, ...]:
     return tuple(str(Fraction(v, m)) for v in range(m + 1))
 
 
-def _grade_dict(names, m: int, values) -> dict:
-    """Grade strings by name, for the numerators ``values`` over ``m``."""
-    strings = _grade_strings(m)
-    return {name: strings[v] for name, v in zip(names, values)}
-
-
 def _boolean_context_dict(ctx: BooleanContext) -> dict:
     return {
         "attributes": list(ctx.attributes),
@@ -316,21 +313,13 @@ def _fuzzy_context_dict(ctx: FuzzyContext) -> dict:
     return out
 
 
-def _plain(value, ctx=None):
-    """A result record as JSON data: its dataclass fields in order, recursively.
-
-    Subsets become their member names and graded sets their grades by name
-    (``ctx`` names the positions of graded sets); tuples become lists.  So
-    a lattice element's keys are its field names: extent/intent,
-    objects/attrs or g/f.
-    """
-    if isinstance(value, (GradedObjectSet, GradedAttributeSet)):
-        names = ctx.objects if isinstance(value, GradedObjectSet) else ctx.attributes
-        return _grade_dict(names, value.chain.m, value.values)
+def _plain(value):
+    """A ``BlockBounds`` record as JSON data: its dataclass fields in order,
+    recursively; subsets become their member names and tuples lists."""
     if isinstance(value, (ObjectSubset, AttributeSubset)):
         return list(value.names)
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name), ctx) for f in fields(value)}
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return list(value)
     return value
@@ -361,19 +350,39 @@ def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
     pair index a row with the pair and the propositions named in ``props``,
     in ``fuzzy.CHECKS`` order, from one ``fuzzy._checks`` evaluation.  The
     pairs are ``fn_enumerate``'s, members by its proof, so a row claims
-    nothing and builds no pair; only the public checkers claim."""
+    nothing and builds no pair; only the public checkers claim.
+
+    The rows are one ``_Text``: each row is ``_row_template``'s text with
+    its leaves in place, the pair index, ``true``/``false`` and grade
+    strings encoded once per report."""
+    props = [p for p in CHECKS if p in props]
+    template = _row_template(ctx, props)
+    objects = [_encode_str(text) for text in _grade_strings(ctx.l2.m)].__getitem__
+    attributes = [_encode_str(text) for text in _grade_strings(ctx.l1.m)].__getitem__
+    flag = ("false", "true").__getitem__
     gs, fs = lattice.keys
-    rows = []
+    first, between, close = _separators(2)  # rows sit in the document's list
+    rows, sep = _Text(), "[" + first
     for i in selected:
         g, f = gs[i], fs[i]
-        row = {
-            "pair": i,
-            "g": _grade_dict(ctx.objects, ctx.l2.m, g),
-            "f": _grade_dict(ctx.attributes, ctx.l1.m, f),
-        }
+        leaves = [int.__repr__(i), *map(objects, g), *map(attributes, f)]
         for name, value in _checks(ctx, g, f, props).items():
-            row[name] = _plain(value, ctx)
-        rows.append(row)
+            if name == "fp4":
+                strict, tops, either, holds, inequality, g_up, g_up_pi = value
+                leaves += map(flag, (*strict, *tops, *either, holds, inequality))
+                leaves += map(attributes, g_up + g_up_pi)
+            elif name == "fp5":  # two concepts, extent then intent, then ordered
+                f_down, f_down_up, upper_extent, g_up, ordered = value
+                leaves += map(objects, f_down)
+                leaves += map(attributes, f_down_up)
+                leaves += map(objects, upper_extent)
+                leaves += map(attributes, g_up)
+                leaves.append(flag(ordered))
+            else:
+                leaves.append(flag(value))
+        rows += sep, template % tuple(leaves)
+        sep = between
+    rows.append(close + "]" if rows else "[]")
     return {
         "type": "check",
         "preconditions": {
@@ -385,6 +394,43 @@ def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
         "pair_count": len(lattice),
         "rows": rows,
     }
+
+
+# a leaf of a row skeleton: NUL, which ``_encode_str`` escapes in every name
+_LEAF = "\0"
+
+
+def _row_template(ctx: FuzzyContext, props: list[str]) -> str:
+    """A ``check`` row of ``ctx`` with the propositions ``props`` as a ``%``
+    template: the row's skeleton written by ``_write`` at the row's level,
+    every other ``%`` doubled and each leaf a ``%s``, in the order
+    ``check_report`` lists the leaves."""
+    leaf = _Text([_LEAF])
+    objects, attributes = dict.fromkeys(ctx.objects, leaf), dict.fromkeys(ctx.attributes, leaf)
+    flags = [leaf] * len(ctx.attributes)
+    members = {
+        "fp1": leaf,
+        "fp2": leaf,
+        "fp3": leaf,
+        "fp4": {
+            "strict_hypothesis": flags,
+            "top_hypothesis": flags,
+            "hypothesis_holds_per_attribute": flags,
+            "all_hypotheses_hold": leaf,
+            "inequality_holds": leaf,
+            "g_up": attributes,
+            "g_up_pi": attributes,
+        },
+        "fp5": {
+            "lower": {"extent": objects, "intent": attributes},
+            "upper": {"extent": objects, "intent": attributes},
+            "ordered": leaf,
+        },
+    }
+    row = {"pair": leaf, "g": objects, "f": attributes, **{p: members[p] for p in props}}
+    out: list[str] = []
+    _write(row, out, 2)
+    return "".join(out).replace("%", "%%").replace(_LEAF, "%s")
 
 
 def to_jsonable(obj) -> dict:

@@ -1,23 +1,42 @@
-"""Shared worked-example contexts and their reference facts.
+"""Shared worked-example contexts, their reference facts and the writers' twins.
 
 Expected values frozen here were computed by hand or by independent brute
 force before the fast paths existed; tests import them rather than
-re-deriving anything through the code under test.
+re-deriving anything through the code under test.  The twins build the JSON
+data of results from the public records and operators alone, sharing no
+code with the writers they check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 from galois_factor import (
+    AttributeSubset,
     BooleanContext,
+    ConceptInterval,
+    Fp4Report,
     FuzzyContext,
     GradeChain,
+    GradedAttributeSet,
+    GradedObjectSet,
+    MultiAdjointConcept,
+    ObjectSubset,
     discretized_product_triple,
+    f_down,
+    f_down_n,
+    f_up,
+    f_up_n,
+    f_up_pi,
     godel_triple,
+    is_fuzzy_normalized,
+    is_top_normalized,
     lukasiewicz_triple,
 )
+from galois_factor.fuzzy import CHECKS
+from galois_factor.io import SCHEMA
 
 # 6 attributes x 6 objects; 9 incidences
 TABLE1 = BooleanContext.from_rows(
@@ -225,6 +244,18 @@ def dprod_escaped() -> FuzzyContext:
         [["0.5", "0", "1"], ["0", "0.25", "0.75"], ["1", "0.5", "0"]],
     )
 
+
+def godel_metachars() -> FuzzyContext:
+    """A top-normalized godel:4 context whose names hold the metacharacters
+    of ``%`` and ``str.format`` templates: ``%s``, ``%%``, ``%(x)s``, a
+    lone ``%`` and ``{0}``."""
+    return FuzzyContext.from_values(
+        ["%s", "a%%", "%(x)s"],
+        ["{0}", "b%", "%%s{}"],
+        godel4(),
+        [["1", "0.25", "0"], ["0.5", "1", "0.75"], ["0", "0.5", "1"]],
+    )
+
 # 6 attributes x 12 objects for godel:4, cells drawn in row-major order by
 # random.Random(1).choice(["0", "1/4", "1/2", "3/4", "1"]).  Its grid of
 # graded object sets has 5**12 = 244,140,625 points, but the FCbO scans
@@ -292,6 +323,74 @@ def fuzzy_value_set(items, kind="pair"):
     if kind == "pair":
         return {(p.g.values, p.f.values) for p in items}
     return {(c.extent.values, c.intent.values) for c in items}
+
+
+def plain(value, ctx=None):
+    """A result record as JSON data: its dataclass fields in order,
+    recursively.  Subsets become their member names, graded sets their
+    exact grade strings by name (``ctx`` names the positions) and tuples
+    lists, so a lattice element's keys are its field names."""
+    if isinstance(value, (GradedObjectSet, GradedAttributeSet)):
+        names = ctx.objects if isinstance(value, GradedObjectSet) else ctx.attributes
+        return {name: str(Fraction(v, value.chain.m)) for name, v in zip(names, value.values)}
+    if isinstance(value, (ObjectSubset, AttributeSubset)):
+        return list(value.names)
+    if dataclasses.is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name), ctx) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def twin_checks(ctx, pair) -> dict:
+    """fp1-fp5 of ``pair`` from the public operators alone, each image
+    evaluated where the proposition reads it; fp1 and fp3 compare g-up-pi
+    with g-up-N, not with f."""
+    g, f = pair.g, pair.f
+    up_pi, up_n, up = f_up_pi(ctx, g), f_up_n(ctx, g), f_up(ctx, g)
+    strict = tuple(any(b > r for b, r in zip(g.values, row)) for row in ctx.relation)
+    top = tuple(
+        any(b == ctx.l2.m and r == ctx.p.m for b, r in zip(g.values, row))
+        for row in ctx.relation
+    )
+    either = tuple(s or t for s, t in zip(strict, top))
+    lower, upper = f_down(ctx, f), f_down(ctx, up)
+    return {
+        "fp1": up_pi <= up_n,
+        "fp2": f_down_n(ctx, up_pi) == g,
+        "fp3": up_n <= up_pi,
+        "fp4": Fp4Report(strict, top, either, all(either), up <= up_pi, up, up_pi),
+        "fp5": ConceptInterval(
+            MultiAdjointConcept(lower, f_up(ctx, lower)),
+            MultiAdjointConcept(upper, up),
+            lower <= upper,
+        ),
+    }
+
+
+def twin_check_tree(ctx, lattice, selected, props) -> dict:
+    """The ``check`` report document as a JSON tree, its rows the
+    ``plain`` forms of the pairs and of ``twin_checks``, in ``CHECKS``
+    order."""
+    pairs = list(lattice)
+    rows = []
+    for i in selected:
+        twin = twin_checks(ctx, pairs[i])
+        rows.append({"pair": i, **plain(pairs[i], ctx), **{
+            p: plain(twin[p], ctx) for p in CHECKS if p in props
+        }})
+    return {
+        "schema": SCHEMA,
+        "type": "check",
+        "preconditions": {
+            "normalized": is_fuzzy_normalized(ctx),
+            "top_normalized_rows": is_top_normalized(ctx, "rows"),
+            "top_normalized_columns": is_top_normalized(ctx, "columns"),
+            "godel_frame": all(t.is_godel for t in ctx.triples),
+        },
+        "pair_count": len(pairs),
+        "rows": rows,
+    }
 
 
 def random_context(rng: random.Random, max_side: int = 10) -> BooleanContext:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -7,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from galois_factor import (
     BudgetExceededError,
-    ConceptInterval,
-    Fp4Report,
     FrameArrangementError,
     FrameKind,
     FuzzyContext,
@@ -16,7 +15,6 @@ from galois_factor import (
     GradeChain,
     GradedAttributeSet,
     GradedObjectSet,
-    MultiAdjointConcept,
     check_fp1,
     check_fp2,
     check_fp3,
@@ -55,6 +53,8 @@ from tables import (
     random_context,
     random_fuzzy_context,
     random_normalized_context,
+    twin_check_tree,
+    twin_checks,
 )
 
 
@@ -670,55 +670,40 @@ def twin_context(rng, kind: int) -> FuzzyContext:
     )
 
 
-def twin_checks(ctx, pair) -> dict:
-    """fp1-fp5 of ``pair`` from the public operators alone, each image
-    evaluated where the proposition reads it; fp1 and fp3 compare g-up-pi
-    with g-up-N, not with f."""
-    g, f = pair.g, pair.f
-    up_pi, up_n, up = f_up_pi(ctx, g), f_up_n(ctx, g), f_up(ctx, g)
-    strict = tuple(any(b > r for b, r in zip(g.values, row)) for row in ctx.relation)
-    top = tuple(
-        any(b == ctx.l2.m and r == ctx.p.m for b, r in zip(g.values, row))
-        for row in ctx.relation
-    )
-    either = tuple(s or t for s, t in zip(strict, top))
-    lower, upper = f_down(ctx, f), f_down(ctx, up)
-    return {
-        "fp1": up_pi <= up_n,
-        "fp2": f_down_n(ctx, up_pi) == g,
-        "fp3": up_n <= up_pi,
-        "fp4": Fp4Report(strict, top, either, all(either), up <= up_pi, up, up_pi),
-        "fp5": ConceptInterval(
-            MultiAdjointConcept(lower, f_up(ctx, lower)),
-            MultiAdjointConcept(upper, up),
-            lower <= upper,
-        ),
-    }
+# names holding a JSON escape, the report's leaf marker NUL and the
+# metacharacters of ``%`` templates
+TEMPLATE_NAMES = ["\0", "%s", "%%", "%(x)s", "{0}", '"', "\\", "é"]
 
 
 class TestChecksAgainstOperatorTwin:
     CHECKERS = dict(zip(CHECKS, (check_fp1, check_fp2, check_fp3, check_fp4, interval_from_pair)))
 
     def test_report_rows_and_checkers_equal_the_twin(self):
-        # 80 contexts, 20 per frame kind; the report runs with every
-        # proposition and with a shuffled subset of them
+        # 80 contexts, 20 per frame kind, half of them renamed; the report runs
+        # with every, no and a shuffled subset of the propositions, on all
+        # pairs, none, all reversed and a repeating selection
         rng = random.Random(21)
         seen = set()
         for k in range(80):
             ctx = twin_context(rng, k % 4)
+            if k % 2:
+                ctx = dataclasses.replace(
+                    ctx,
+                    attributes=[rng.choice(TEMPLATE_NAMES) + a for a in ctx.attributes],
+                    objects=[rng.choice(TEMPLATE_NAMES) + b for b in ctx.objects],
+                )
             lattice = fn_enumerate(ctx)
-            twins = [twin_checks(ctx, pair) for pair in lattice]
-            for props in (CHECKS, rng.sample(CHECKS, rng.randint(1, 4))):
-                report = fio.check_report(ctx, lattice, range(len(lattice)), props)
-                assert report["rows"] == [
-                    {
-                        "pair": i,
-                        **fio._plain(pair, ctx),
-                        **{p: fio._plain(twin[p], ctx) for p in CHECKS if p in props},
-                    }
-                    for i, (pair, twin) in enumerate(zip(lattice, twins))
-                ]
-            for pair, twin in zip(lattice, twins):
+            n = len(lattice)
+            selections = (range(n), [], range(n - 1, -1, -1), [min(2, n - 1), 0, min(2, n - 1)])
+            for props in (CHECKS, [], rng.sample(CHECKS, rng.randint(1, 4))):
+                for selected in selections:
+                    tree = twin_check_tree(ctx, lattice, selected, props)
+                    report = fio.check_report(ctx, lattice, selected, props)
+                    assert fio.emit_json(report) == json.dumps(
+                        tree, indent=2, ensure_ascii=False
+                    ) + "\n"
+            for pair in lattice:
+                twin = twin_checks(ctx, pair)
                 assert {p: check(ctx, pair) for p, check in self.CHECKERS.items()} == twin
                 seen.add((twin["fp3"], twin["fp4"].inequality_holds, twin["fp5"].ordered))
         # the propositions that are no theorems come out both ways

@@ -9,11 +9,17 @@ subsets that cross byte boundaries.  The ``dprod_escaped`` digests were
 recorded while fn and fuzzy concept elements still went through a dict per
 element: its names need escaping and hold the DOT label's own separators.
 The CLI digests of ``check`` and ``reconstruct`` were recorded while their
-JSON was still assembled in ``cli.py``.  Record again only for an intended
-change of output format.
+JSON was still assembled in ``cli.py``.  The ``dprod_escaped`` and
+``godel_metachars`` digests of ``check``, and all of ``godel_metachars``,
+were recorded before ``check`` rows were rendered from one ``%`` template
+per report, while each row was still a dict tree: ``godel_metachars``'s
+names hold that template's own metacharacters.  Record again only for an
+intended change of output format.
 """
 
+import csv
 import hashlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -38,7 +44,10 @@ BOOLEAN = {
 }
 FUZZY = {
     name: getattr(tables, name)
-    for name in ("godel_r1", "godel_r2", "luk_table3", "dprod_r1", "dprod_r2", "dprod_escaped")
+    for name in (
+        "godel_r1", "godel_r2", "luk_table3", "dprod_r1", "dprod_r2", "dprod_escaped",
+        "godel_metachars",
+    )
 }
 BUILDERS = {
     "concepts": concepts,
@@ -98,6 +107,10 @@ DIGESTS = {
     ("dprod_escaped", "fn", "dot"): "49c9ae2d1f7e9a2160ea53f9cd60cc1957f2a7bcfc71942b53d463661370dfdf",
     ("dprod_escaped", "fuzzy-concepts", "json"): "0d4ce6b2ed26768e763d266f53bd096d0908a23ed0c138f22b41b5187e446dc4",
     ("dprod_escaped", "fuzzy-concepts", "dot"): "f674a651a4513e233f1beb4032407c97e8c80332a0212ae5072aede6e4fccfc4",
+    ("godel_metachars", "fn", "json"): "ab82f04dca382397fa9203ef7ea995a69b306ecf061f8f3d7cf7fbf1d7c9b03c",
+    ("godel_metachars", "fn", "dot"): "17bd935a797c65b4a921ba9e8e410c4bf3b481fb8a9d999febd7bba3c3b76f26",
+    ("godel_metachars", "fuzzy-concepts", "json"): "7e4360fb98a4f51b6aba9e868f09dd944c209c5d7e05fe28d1470df88a4c2947",
+    ("godel_metachars", "fuzzy-concepts", "dot"): "958bf6370b78ae7a80a9c22e6344f4ba09fa1a301c17ef69e240ff5e8e77b29c",
 }
 
 
@@ -139,6 +152,8 @@ CLI_DIGESTS = {
     ("check", "luk_table3"): "70e7e5065f5758cf9d84421ca36474ee0f6b958a6e0d843e03ee92625a171f73",
     ("check", "dprod_r1"): "c3d37bbce38632a3405422908fd348ab55ea72e20bf77d92f06a73880451373f",
     ("check", "dprod_r2"): "64017a61361fbe48ef0c071abbca84f2ae7551a33089f7cdbf4c7f6235ba1143",
+    ("check", "dprod_escaped"): "159fc27507e1dd9a6959a448ddd5c1c522b1f7493fbf32832ce1ff209d7c9033",
+    ("check", "godel_metachars"): "5e21c37e0c35863bc11cbd52d156774f8e7fd9479cdc7248ca3308c2b364059d",
     ("reconstruct", "TABLE1"): "c42623a2e4e91cf68b6a00faa3cf22819146377a1725ce2c521154323d1fc3fe",
     ("reconstruct", "DIAG2"): "31565d78f39449d7bea72c4a2fd77b201fcaac9943c42a2c10e7fb78863ea34b",
     ("reconstruct", "TABLE1_PADDED"): "d5be5898ed28f645174ecf8e7f36ac098b0cb9c29c41d995f637de03b2affb01",
@@ -146,10 +161,13 @@ CLI_DIGESTS = {
 
 
 def _fuzzy_csv(ctx) -> str:
-    lines = [",".join(["R", *ctx.objects])]
+    """The CSV of ``ctx``, its names quoted where they hold a comma or a quote."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["R", *ctx.objects])
     for name, row in zip(ctx.attributes, ctx.relation):
-        lines.append(",".join([name, *(str(Fraction(v, ctx.p.m)) for v in row)]))
-    return "\n".join(lines) + "\n"
+        writer.writerow([name, *(str(Fraction(v, ctx.p.m)) for v in row)])
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("command, name", sorted(CLI_DIGESTS))

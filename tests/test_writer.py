@@ -4,13 +4,13 @@ The generic writer must give the text of ``json.dumps(..., indent=2,
 ensure_ascii=False)`` on every JSON tree and refuse everything else.  The
 lattice path, which joins pre-encoded fragments for all four lattice kinds
 (names for concept and cn lattices, names with grades for fn and fuzzy
-concept lattices), must give the text of the generic writer over
-``_plain`` element dicts, and the DOT text of per-element labels built
-from the same dicts; it never calls ``_plain`` itself.  A cn lattice is
-written from its atoms' bits and the cube's edges, without building a
-pair or reading ``covers``, and no enumeration or writer of the other
-three kinds builds an element.  Every JSON output of the CLI is a fixed point
-of ``json.loads`` then ``json.dumps(indent=2)``.
+concept lattices), must give the text of the generic writer over element
+dicts built by the tests' own ``tables.plain``, and the DOT text of
+per-element labels built from the same dicts; it never calls ``io._plain``.
+A cn lattice is written from its atoms' bits and the cube's edges, without
+building a pair or reading ``covers``, and no enumeration or writer of the
+other three kinds builds an element.  Every JSON output of the CLI is a
+fixed point of ``json.loads`` then ``json.dumps(indent=2)``.
 """
 
 import json
@@ -137,17 +137,17 @@ def twin_kind(lattice) -> tuple[str, str]:
 
 
 def twin_tree(lattice) -> dict:
-    """The lattice document as the generic tree over ``_plain`` elements."""
+    """The lattice document as the generic tree over ``plain`` elements."""
     cn = isinstance(lattice, CnLattice)
     kind, key = twin_kind(lattice)
     tree = {"schema": SCHEMA, "type": kind}
     if cn:
         tree["pair_count"] = lattice.pair_count
         tree["materialized"] = lattice.materialized
-        tree["atom_pairs"] = [fio._plain(p) for p in lattice.atom_pairs]
+        tree["atom_pairs"] = [tables.plain(p) for p in lattice.atom_pairs]
         if not lattice.materialized:
             return tree
-    tree[key] = [fio._plain(e, lattice.context) for e in lattice]
+    tree[key] = [tables.plain(e, lattice.context) for e in lattice]
     tree["covers"] = [list(e) for e in lattice.covers]
     if cn:
         tree["atoms"] = [1 << a for a in range(len(lattice.atom_pairs))]
@@ -159,7 +159,7 @@ def quote(text):
 
 
 def twin_side_label(side) -> str:
-    """A side of a ``_plain`` element as DOT shows it: its names joined by
+    """A side of a ``plain`` element as DOT shows it: its names joined by
     commas, or its name:grade pairs joined by comma and space, in braces."""
     if isinstance(side, dict):
         return "{%s}" % ", ".join(f"{name}:{grade}" for name, grade in side.items())
@@ -169,7 +169,7 @@ def twin_side_label(side) -> str:
 def twin_dot_lines(lattice, prefix="n", indent="  "):
     lines = []
     for i, e in enumerate(lattice):
-        sides = fio._plain(e, lattice.context).values()
+        sides = tables.plain(e, lattice.context).values()
         label = " | ".join(map(twin_side_label, sides))
         lines.append(f"{indent}{prefix}{i} [label={quote(label)}];")
     lines += [f"{indent}{prefix}{l} -> {prefix}{u};" for l, u in sorted(lattice.covers)]
