@@ -26,13 +26,14 @@ report makes it per pair unclaimed, as ``fn_enumerate``'s pairs are members.
 ``_checks`` returns bools and numerator tuples: only the public checkers
 build ``Fp4Report`` and ``ConceptInterval`` records from them.
 
-Each graded operator is kept in one form (see the kernel comment): the up
-operators as per-cell lookup rows, the down operators as threshold
-families, the bitmask rows that ``fn_enumerate`` and ``fuzzy_concepts``
-scan with FCbO.  The two evaluate no graded operator and read their keys
-off the scan's bits: fn's filter counts the leading down-pi rows that the
-extent bits hold, a concept's intent is the bit counts of the closed
-intent, and only the kept extents are decoded.
+Each graded operator is kept in one form (see the kernel comment): a
+threshold family, keyed by object for the up operators and by attribute
+for the down operators.  The down families are the bitmask rows that
+``fn_enumerate`` and ``fuzzy_concepts`` scan with FCbO.  The two evaluate
+no graded operator and read their keys off the scan's bits: fn's filter
+counts the leading down-pi rows that the extent bits hold, a concept's
+intent is the bit counts of the closed intent, and only the kept extents
+are decoded.
 """
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ def _arrangement(
         return (l1, l2, p)
     if kind is FrameKind.PROPERTY_ORIENTED:
         return (p, l2, l1)
-    return (l1, p, l2)
+    if kind is FrameKind.OBJECT_ORIENTED:
+        return (l1, p, l2)
+    raise TypeError(f"kind must be a FrameKind, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +161,8 @@ class FuzzyContext:
                             f"sigma[{i}][{j}]: index {s!r} is not an int in range "
                             f"0..{len(self.triples) - 1}"
                         )
-        # per-operator lookup rows and threshold families, filled on first use
-        object.__setattr__(self, "_lookup", {})
+        # per-operator threshold families, filled on first use
+        object.__setattr__(self, "_families", {})
 
     @classmethod
     def from_values(
@@ -295,17 +298,18 @@ def _require_arrangement(ctx: FuzzyContext, kind: FrameKind, op: str) -> None:
 
 # numerator-level operator kernel
 #
-# Each graded operator is an inf or a sup of the per-cell lookups T(i, j)(c):
+# Each graded operator is an inf or a sup of the per-cell lookups T(i, j)(v):
 # cell (i, j)'s triple table read at the relation grade and the input grade
-# c, in the order its formula names them.  Each is kept in one form, built on
-# first use.  The up operators keep the lookups, so evaluating one is only
-# indexing and min/max: counting nested family rows instead made ``_checks``
-# 1.2-1.7x slower on a 5x4 godel:32 context.  The down operators keep
-# threshold families: F[i][c], c = 0..m1, holds object bit j*m2 + a - 1 iff
-# a <= T(i, j)(c).  Thresholds turn min into meet and max into join, so the
-# image of f is the meet (down, down_n) or join (down_pi) of the rows
-# (i, f(i)).  For X the threshold set of g, with D, N and P the families of
-# down, down_n and down_pi, adjointness gives
+# v, in the order its formula names them.  Each is kept as a threshold
+# family, built on first use, with one row per input position and grade.  A
+# down operator's row F[i][c], c = 0..m1, holds object bit j*m2 + a - 1 iff
+# a <= T(i, j)(c); an up operator's row F[j][a], a = 0..m2, holds attribute
+# bit i*m1 + c - 1 iff c <= T(i, j)(a).  Thresholds turn min into meet and
+# max into join, so the image of x is the meet (the residuum operators up,
+# down, up_n, down_n) or the join (the conjunctor operators up_pi, down_pi)
+# of the rows (y, x(y)), decoded by block bit counts.  For X the threshold
+# set of g, with D, N and P the families of down, down_n and down_pi,
+# adjointness gives
 #
 #     X <= D[i][c]  iff  c <= g-up(i)      (conj(c, a) <= R iff a <= res_right(R, c))
 #     X <= N[i][c]  iff  g-up-pi(i) <= c   (conj(R, a) <= c iff a <= res_right(c, R))
@@ -315,56 +319,46 @@ def _require_arrangement(ctx: FuzzyContext, kind: FrameKind, op: str) -> None:
 # bit, and P[i][0] none.
 
 _OPERATORS = {
-    # name: (triple table, relation grade first, aggregate)
-    "up": ("res_left_table", True, min),
+    # name: (triple table, relation grade first, fold)
+    "up": ("res_left_table", True, int.__and__),
     "down": ("res_right_table", True, int.__and__),
-    "up_pi": ("conj_table", True, max),
+    "up_pi": ("conj_table", True, int.__or__),
     "down_n": ("res_right_table", False, int.__and__),
-    "up_n": ("res_left_table", False, min),
+    "up_n": ("res_left_table", False, int.__and__),
     "down_pi": ("conj_table", False, int.__or__),
 }
 
 _at = tuple.__getitem__
 
 
-def _cells(ctx: FuzzyContext, op: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per attribute i, per object j, the lookup row T(i, j) of ``op`` over
-    the input grades, read off the cell's triple table at R(i, j)."""
-    table_name, relation_first, _ = _OPERATORS[op]
-    tables = [getattr(t, table_name) for t in ctx.triples]
-    if not relation_first:  # index by relation grade
-        tables = [tuple(zip(*table)) for table in tables]
-    return tuple(
-        tuple(tables[ctx.sigma_at(i, j)][r] for j, r in enumerate(row))
-        for i, row in enumerate(ctx.relation)
-    )
-
-
-def _lookup_rows(ctx: FuzzyContext, op: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The cells of up operator ``op``, kept on the context."""
-    if op not in ctx._lookup:
-        ctx._lookup[op] = _cells(ctx, op)
-    return ctx._lookup[op]
-
-
 def _family(ctx: FuzzyContext, op: str) -> tuple[tuple[int, ...], ...]:
-    """The threshold family of down operator ``op``, kept on the context:
-    row c of attribute i is the threshold set of j -> T(i, j)(c)."""
-    if op not in ctx._lookup:
-        ctx._lookup[op] = tuple(
-            tuple(order.thresholds(grades, ctx.l2.m) for grades in zip(*cells))
-            for cells in _cells(ctx, op)
+    """The threshold family of operator ``op``, kept on the context: per
+    input position and grade, the threshold set over the output side."""
+    if op not in ctx._families:
+        table_name, relation_first, _ = _OPERATORS[op]
+        tables = [getattr(t, table_name) for t in ctx.triples]
+        if not relation_first:  # index by relation grade
+            tables = [tuple(zip(*table)) for table in tables]
+        cells = [  # per attribute i, per object j, the lookups T(i, j)
+            [tables[ctx.sigma_at(i, j)][r] for j, r in enumerate(row)]
+            for i, row in enumerate(ctx.relation)
+        ]
+        m = ctx.l2.m
+        if op.startswith("up"):  # keyed by object, over the attributes
+            cells, m = zip(*cells), ctx.l1.m
+        ctx._families[op] = tuple(
+            tuple(order.thresholds(grades, m) for grades in zip(*lookups))
+            for lookups in cells
         )
-    return ctx._lookup[op]
+    return ctx._families[op]
 
 
 def _apply(ctx: FuzzyContext, op: str, x: tuple[int, ...]) -> tuple[int, ...]:
     """Evaluate operator ``op`` on the numerators ``x``."""
-    aggregate = _OPERATORS[op][2]
-    if op.startswith("down"):
-        bits = functools.reduce(aggregate, map(_at, _family(ctx, op), x))
-        return _grades(bits, ctx.l2.m, len(ctx.objects))
-    return tuple([aggregate(map(_at, row, x)) for row in _lookup_rows(ctx, op)])
+    bits = functools.reduce(_OPERATORS[op][2], map(_at, _family(ctx, op), x))
+    if op.startswith("up"):
+        return _grades(bits, ctx.l1.m, len(ctx.attributes))
+    return _grades(bits, ctx.l2.m, len(ctx.objects))
 
 
 def f_up(ctx: FuzzyContext, g: GradedObjectSet) -> GradedAttributeSet:

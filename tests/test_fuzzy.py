@@ -178,6 +178,16 @@ class TestFrameArrangements:
         ctx = FuzzyContext(["a1"], ["b1"], (triple, triple), [[0]], kind=kind)
         assert tuple(getattr(ctx, name) for name in names) == triple.domains
 
+    @pytest.mark.parametrize("kind", ["concept-forming", None])
+    def test_kind_must_be_a_frame_kind(self, kind):
+        # three distinct chains: a kind read as another arrangement would
+        # silently swap two of them
+        triple = discretized_product_triple(2, 3, 4)
+        with pytest.raises(TypeError, match="kind must be a FrameKind"):
+            FuzzyContext.from_values(["a1"], ["b1"], triple, [["1/2"]], kind=kind)
+        with pytest.raises(TypeError, match="kind must be a FrameKind"):
+            FuzzyContext(["a1"], ["b1"], (triple,), [[1]], kind=kind)
+
     def test_chains_are_not_init_fields(self):
         fields = dataclasses.fields(FuzzyContext)
         assert [f.name for f in fields if f.init] == [
@@ -359,7 +369,7 @@ class TestThresholdBitFilter:
     WORKED = (godel_r1, godel_r2, luk_table3, dprod_r1, dprod_r2)
 
     def test_threshold_families_are_nested_in_the_input_grade(self):
-        from galois_factor.fuzzy import _family, _lookup_rows
+        from galois_factor.fuzzy import _family
 
         def grows(rows):  # each row within the next, one row per grade
             return len(rows) == m + 1 and all(a & ~b == 0 for a, b in zip(rows, rows[1:]))
@@ -377,9 +387,16 @@ class TestThresholdBitFilter:
                 assert grows(rows) and rows[m] == every, m
             for rows in _family(ctx, "down_pi"):
                 assert grows(rows) and rows[0] == 0, m
-            for row in _lookup_rows(ctx, "up_n"):
-                for lookups in row:
-                    assert list(lookups) == sorted(lookups), m
+            # the mirror on the attribute side: up shrinks in a; up_pi and up_n grow
+            every = (1 << len(ctx.attributes) * m) - 1
+            for rows in _family(ctx, "up"):
+                assert grows(rows[::-1]) and rows[0] == every, m
+            for rows in _family(ctx, "up_pi"):
+                assert grows(rows) and rows[0] == 0, m
+            for rows in _family(ctx, "up_n"):
+                assert grows(rows) and rows[m] == every, m
+            for op in ("up", "down", "up_pi", "down_n", "up_n", "down_pi"):
+                assert _family(ctx, op) is _family(ctx, op), (m, op)
 
     def keys(self, ctx):
         return fn_enumerate(ctx).keys, fuzzy_concepts(ctx).keys
@@ -402,7 +419,7 @@ class TestThresholdBitFilter:
 
         monkeypatch.setattr(fuzzy, "_apply", refused)
         for ctx in contexts:
-            ctx._lookup.clear()  # the lookup rows are built afresh too
+            ctx._families.clear()  # the threshold families are built afresh too
         assert [self.keys(ctx) for ctx in contexts] == expected
 
 

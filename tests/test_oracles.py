@@ -200,8 +200,8 @@ def sigma_context(rng, triples, kind, n_attrs, n_objs) -> FuzzyContext:
 
 class TestGradedOperatorTwins:
     """``fuzzy._apply`` against the naive twin of every operator a context
-    allows: lookup rows on the attribute side, threshold families on the
-    object side."""
+    allows: threshold families keyed by object for the up operators and by
+    attribute for the down operators."""
 
     def contexts(self, rng):
         kinds = list(ARRANGED)
