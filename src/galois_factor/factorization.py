@@ -30,7 +30,6 @@ from .contexts import (
     _subcontext,
     _up_bits,
     _up_n_bits,
-    concepts,
     normalize,
 )
 from .errors import BudgetExceededError, CrossContextError, NotNormalizedError
@@ -241,12 +240,14 @@ def rstar(ctx: BooleanContext) -> BooleanContext:
 
 @dataclass(frozen=True)
 class BlockBounds:
-    """Concept-lattice interval determined by a necessity-closed pair.
+    """Concept-lattice interval determined by a necessity-closed pair, read
+    off the pair alone: no concept lattice is enumerated or searched.
 
     ``upper`` is <X, X-up> when X-up is nonempty, else None with
     ``upper_identified_with_top`` set; dually for ``lower``.  ``upper_is_coatom``
-    reports whether the upper bound sits directly under the lattice top,
-    and ``lower_within_upper`` whether Y-down is contained in X.
+    reports whether the upper bound sits directly under the lattice top
+    (True whenever ``upper`` is a concept, see ``block_bounds``), and
+    ``lower_within_upper`` whether Y-down is contained in X.
     """
 
     pair: NecessityPair
@@ -261,9 +262,27 @@ class BlockBounds:
 def block_bounds(
     ctx: BooleanContext, pair: NecessityPair, lattice: Lattice | None = None
 ) -> BlockBounds:
-    """Bounds of the concept block generated by a nontrivial pair; the
-    upper bound is found in ``lattice``, the concept lattice of ``ctx``
-    (else ``CrossContextError``), by its extent bits."""
+    """Bounds of the concept block generated by a nontrivial pair, from the
+    pair and two derivations alone.  ``lattice``, if given, must be the
+    concept lattice of ``ctx`` (else ``CrossContextError``); nothing else is
+    read from it.
+
+    ``upper_is_coatom`` is True when X-up is non-empty and None otherwise,
+    for every necessity-closed (X, Y) with X not empty and not B, on any
+    context.  Proof.  X = Y-down-N and Y = X-up-N.
+    - An attribute outside Y has no object in X: such an object's column
+      would hold an attribute outside Y, so it would not be in Y-down-N.
+    - An attribute in Y has all its objects in X, since Y = X-up-N.
+    - So X-up is in Y, as X is non-empty, and every a in X-up has
+      a-down = X.  If X-up is non-empty, X-up-down = X, and <X, X-up> is a
+      concept.
+    - A set E strictly above X is held in full by no attribute: such an
+      attribute holds all of X, so it has a-down = X, not a superset of E.
+      So E-up-down = B, and no extent lies strictly between X and B.  Hence
+      <X, X-up> is a coatom.
+    If X-up is empty, the upper bound is the top and the field is None.
+    The proof needs no normalization.
+    """
     if lattice is not None and lattice.context is not ctx:
         raise CrossContextError("concept lattice enumerated from a different context")
     if not in_cn(ctx, pair):
@@ -271,14 +290,11 @@ def block_bounds(
     xbits = pair.objects.bits
     if xbits == 0 or xbits == ctx._full_objects:
         raise ValueError("block bounds are defined for pairs with X not empty and not B")
-    if lattice is None:
-        lattice = concepts(ctx)
 
     x_up = _up_bits(ctx, xbits)
-    upper = coatom = None
+    upper = None
     if x_up:
         upper = FormalConcept(ObjectSubset(ctx, xbits), AttributeSubset(ctx, x_up))
-        coatom = lattice.cover_lists[lattice.keys[0].index(xbits)] == [lattice.top_index]
 
     y_down = _down_bits(ctx, pair.attrs.bits)
     lower = None
@@ -291,6 +307,6 @@ def block_bounds(
         upper_identified_with_top=x_up == 0,
         lower=lower,
         lower_identified_with_bottom=y_down == 0,
-        upper_is_coatom=coatom,
+        upper_is_coatom=True if x_up else None,
         lower_within_upper=y_down & ~xbits == 0,
     )

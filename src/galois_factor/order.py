@@ -3,14 +3,13 @@
 ``Lattice(context, kind, keys)`` is the one finite-lattice type: the
 concept, fn and fuzzy concept lattices are instances of it, and the cn
 lattice is its subclass ``factorization.CnLattice``.  It offers
-``len(lattice)``, iteration, indexing, ``le(i, j)`` (reflexive order on
-element indices), ``cover_lists`` (per element, its upper covers
-ascending: the one record of the Hasse edges, which the writers read),
-``covers`` (those edges flattened into sorted ``(lower, upper)`` index
-pairs), ``bottom_index`` and ``top_index``; an element's index is the
-index of its first key, ``lattice.keys[0].index(key)``.  The helpers at
-the end of this module, ``join_irreducibles`` and ``atoms``, read
-``cover_lists``.
+``len(lattice)``, iteration, indexing, ``cover_lists`` (per element, its
+upper covers ascending: the one record of the Hasse edges, which the
+writers read), ``covers`` (those edges flattened into sorted ``(lower,
+upper)`` index pairs), ``bottom_index`` and ``top_index``; an element's
+index is the index of its first key, ``lattice.keys[0].index(key)``.  The
+helpers at the end of this module, ``join_irreducibles`` and ``atoms``,
+read ``cover_lists``.
 
 A lattice holds its elements as two key lists, ``keys``: index i holds
 the two sides' keys of element i, subset bits in concept and cn lattices
@@ -18,19 +17,20 @@ and grade numerators in fn and fuzzy concept lattices.  ``kind``, the
 element type, builds an element from its keys with ``from_keys(context,
 x, y)`` only when it is iterated or indexed.  The lattice order is
 ``key_le`` on the first keys: inclusion on bits, pointwise on grade
-vectors; it is the one <= test on keys, which ``le``, the graded sets'
-``<=`` and the ``check`` propositions read.
+vectors; it is the one <= test on keys, which the graded sets' ``<=``
+and the ``check`` propositions read.
 
 Precondition: every lattice lists its elements in a linear extension of
-its order, so ``le(i, j)`` with i != j implies i < j; hence the bottom is
-index 0 and the top is index n - 1.  The concept, fn and fuzzy concept
-enumerations hand their (first key, second key) pairs to
-``sorted_lattice``, the one sort that lists them so (a subset is a smaller
-int; a pointwise smaller vector is a lexicographically smaller tuple); the
-cn lattice lists its cube by atom bits.  ``pointwise_covers`` relies on
-this and checks it: it finds the Hasse edges of every lattice but the cn
-cube's in one reverse pass over the first keys' bits, grade vectors read
-as threshold bitmasks, peeling each element's upper covers off its up-set.
+its order, so ``key_le(keys[0][i], keys[0][j])`` with i != j implies
+i < j; hence the bottom is index 0 and the top is index n - 1.  The
+concept, fn and fuzzy concept enumerations hand their (first key, second
+key) pairs to ``sorted_lattice``, the one sort that lists them so (a
+subset is a smaller int; a pointwise smaller vector is a lexicographically
+smaller tuple); the cn lattice lists its cube by atom bits.
+``pointwise_covers`` relies on this and checks it: it finds the Hasse
+edges of every lattice but the cn cube's in one reverse pass over the
+first keys' bits, grade vectors read as threshold bitmasks, peeling each
+element's upper covers off its up-set.
 
 Every lattice but the cn cube is enumerated by the one scan
 ``closed_sets``, FCbO over a Boolean context's row and column bitmasks;
@@ -81,9 +81,6 @@ class Lattice:
         if isinstance(i, slice):
             return tuple(map(self._element, xs[i], ys[i]))
         return self._element(xs[i], ys[i])
-
-    def le(self, i: int, j: int) -> bool:
-        return key_le(self.keys[0][i], self.keys[0][j])
 
     @cached_property
     def cover_lists(self) -> list[list[int]]:

@@ -27,7 +27,7 @@ from galois_factor import (
     join_irreducibles,
     lukasiewicz_triple,
 )
-from galois_factor.order import MAX_COVER_ELEMENTS, pointwise_covers
+from galois_factor.order import MAX_COVER_ELEMENTS, key_le, pointwise_covers
 from galois_factor.oracles import _naive_down, _naive_up, brute_covers
 from tables import random_context, random_normalized_context
 
@@ -43,15 +43,21 @@ def edges(cover_lists):
     return tuple((i, j) for i, above in enumerate(cover_lists) for j in above)
 
 
+def index_le(lattice):
+    """The order on element indices: ``key_le`` on their first keys."""
+    keys = lattice.keys[0]
+    return lambda i, j: key_le(keys[i], keys[j])
+
+
 def assert_covers_match(lattice):
-    assert lattice.covers == brute_covers(len(lattice), lattice.le)
+    assert lattice.covers == brute_covers(len(lattice), index_le(lattice))
 
 
 def assert_bottom_and_top(lattice):
     # the listing is a linear extension: the bottom first, the top last
-    n = len(lattice)
-    bottoms = [i for i in range(n) if all(lattice.le(i, j) for j in range(n))]
-    tops = [i for i in range(n) if all(lattice.le(j, i) for j in range(n))]
+    n, le = len(lattice), index_le(lattice)
+    bottoms = [i for i in range(n) if all(le(i, j) for j in range(n))]
+    tops = [i for i in range(n) if all(le(j, i) for j in range(n))]
     assert bottoms == [lattice.bottom_index] == [0]
     assert tops == [lattice.top_index] == [n - 1]
 
@@ -158,9 +164,12 @@ class TestJoinIrreducibles:
         for _ in range(100):
             ctx = random_context(rng, max_side=8)
             lattice = concepts(ctx)
+            extents = lattice.keys[0]
             expected = []
             for i, concept in enumerate(lattice):
-                below = [d for j, d in enumerate(lattice) if j != i and lattice.le(j, i)]
+                below = [
+                    d for j, d in enumerate(lattice) if j != i and key_le(extents[j], extents[i])
+                ]
                 union = {x for d in below for x in d.extent.indices}
                 join = _naive_down(ctx, _naive_up(ctx, union))
                 if below and join != set(concept.extent.indices):

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
-from galois_factor import contexts, factorization
+from galois_factor import contexts, factorization, order
 from galois_factor import (
     BooleanContext,
     BudgetExceededError,
     CrossContextError,
+    FuzzyContext,
+    FuzzyNecessityPair,
+    GradeChain,
     NecessityPair,
     NotNormalizedError,
     atoms,
@@ -15,8 +18,11 @@ from galois_factor import (
     cn_enumerate,
     complement,
     concepts,
+    down,
     factorize,
+    godel_triple,
     in_cn,
+    interval_from_pair,
     is_normalized,
     join_irreducibles,
     normalize,
@@ -49,6 +55,28 @@ CONNECTED = BooleanContext.from_rows(
 
 def make_pair(ctx, objs, attrs):
     return NecessityPair(ctx.object_set(objs), ctx.attribute_set(attrs))
+
+
+def raw_contexts(rng: random.Random, count: int):
+    """``count`` raw contexts, 1-6 attributes by 1-7 objects at density 0.2-0.6."""
+    for _ in range(count):
+        n_attrs, n_objs = rng.randint(1, 6), rng.randint(1, 7)
+        density = rng.choice((0.2, 0.4, 0.6))
+        yield BooleanContext.from_rows(
+            [f"a{i}" for i in range(n_attrs)],
+            [f"b{j}" for j in range(n_objs)],
+            [[rng.random() < density for _ in range(n_objs)] for _ in range(n_attrs)],
+        )
+
+
+def lattice_coatom(lattice, xbits):
+    """The oracle of ``upper_is_coatom``: whether the concept with extent
+    ``xbits`` has the top as its only upper cover in ``lattice``, read off
+    its Hasse covers; None when ``xbits`` is not an extent."""
+    extents = lattice.keys[0]
+    if xbits not in extents:
+        return None
+    return lattice.cover_lists[extents.index(xbits)] == [lattice.top_index]
 
 
 class TestCnEnumerate:
@@ -345,37 +373,17 @@ class TestBlockBounds:
 class TestCoatomTheorem:
     def test_upper_is_coatom_exactly_when_x_up_is_non_empty(self):
         """``upper_is_coatom`` is True when X-up is non-empty and None
-        otherwise, for every necessity-closed (X, Y) with X not empty and not
-        B, on any context.
-
-        Proof.  X = Y-down-N and Y = X-up-N.
-        - An attribute outside Y has no object in X: such an object's column
-          would hold an attribute outside Y, so it would not be in Y-down-N.
-        - An attribute in Y has all its objects in X, since Y = X-up-N.
-        - So X-up is in Y, as X is non-empty, and every a in X-up has
-          a-down = X.  If X-up is non-empty, X-up-down = X, and <X, X-up>
-          is a concept.
-        - A set E strictly above X is held in full by no attribute: such an
-          attribute holds all of X, so it has a-down = X, not a superset of
-          E.  So E-up-down = B, and no extent lies strictly between X and B.
-          Hence <X, X-up> is a coatom.
-        If X-up is empty, the upper bound is the top and the field is None.
-        The proof needs no normalization, so the contexts here are raw.
-        """
-        rng = random.Random(2012)
+        otherwise (the proof is in ``block_bounds``' docstring), and it is
+        the coatom read off each context's own concept lattice.  The proof
+        needs no normalization, so the contexts here are raw."""
         outcomes, raw = [], 0
-        for _ in range(300):
-            n_attrs, n_objs = rng.randint(1, 6), rng.randint(1, 7)
-            density = rng.choice((0.2, 0.4, 0.6))
-            ctx = BooleanContext.from_rows(
-                [f"a{i}" for i in range(n_attrs)],
-                [f"b{j}" for j in range(n_objs)],
-                [[rng.random() < density for _ in range(n_objs)] for _ in range(n_attrs)],
-            )
+        for ctx in raw_contexts(random.Random(2012), 300):
+            lattice = concepts(ctx)
             for pair in brute_cn(ctx):
                 if not pair.objects or pair.objects == ctx.all_objects:
                     continue
                 expected = True if up(ctx, pair.objects) else None
+                assert lattice_coatom(lattice, pair.objects.bits) is expected, (ctx, pair)
                 assert block_bounds(ctx, pair).upper_is_coatom is expected, (ctx, pair)
                 outcomes.append(expected)
                 raw += not is_normalized(ctx)
@@ -385,7 +393,7 @@ class TestCoatomTheorem:
 
 class TestBlockBoundPropositions:
     def test_bound_properties_hold_for_every_nontrivial_pair(self):
-        from galois_factor import down, down_n, up, up_pi
+        from galois_factor import down_n, up_pi
 
         rng = random.Random(4242)
         cases = [TABLE1, TABLE2, DIAG2, CONNECTED]
@@ -398,7 +406,8 @@ class TestBlockBoundPropositions:
                     continue
                 # <X, X-up-pi> is property-oriented closed
                 assert down_n(ctx, up_pi(ctx, x)) == x
-                bounds = block_bounds(ctx, pair, lattice)
+                bounds = block_bounds(ctx, pair)
+                assert bounds.upper_is_coatom is lattice_coatom(lattice, x.bits)
                 x_up = up(ctx, x)
                 if x_up:
                     assert down(ctx, x_up) == x
@@ -407,6 +416,78 @@ class TestBlockBoundPropositions:
                 if x_up and y_down:
                     assert y_down <= x
                     assert bounds.lower_within_upper
+
+
+def bits(graded) -> int:
+    """The subset bits of a graded set on the chain of m = 1."""
+    return sum(v << k for k, v in enumerate(graded.values))
+
+
+class TestClassicalIntervalIsFp5:
+    def test_block_bounds_equal_fp5_at_m_1(self):
+        """On the chain of m = 1 the Goedel frame is the Boolean one, so fp5's
+        interval of a lifted cn pair is the classical one: its upper bound
+        <g-up-down, g-up> is <X-up-down, X-up>, and its lower bound
+        <f-down, f-down-up> is <Y-down, Y-down-up>.  For a necessity-closed
+        (X, Y) with X not empty and not B:
+        - X-up-down = X when X-up is non-empty (``block_bounds``' docstring);
+        - Y-down-up = Y when Y-down is non-empty.  Every object in X has all
+          its attributes in Y, and no object outside X has one, so when Y is
+          non-empty Y-down lies in X and each b in Y-down has b-up = Y.  When
+          Y is empty, X holds the objects with no attribute, so no attribute
+          is full and B-up = Y.
+        When X-up is empty the upper bound is the top <B, B-up>, and when
+        Y-down is empty the lower bound is the bottom <A-down, A>.  On a
+        normalized context Y is non-empty, so Y-down lies in X, and
+        ``ordered`` agrees with ``lower_within_upper``.  The two derivations
+        stay apart: one runs on bits and the other on numerators.
+        """
+        rng = random.Random(1)
+        frame = [godel_triple(GradeChain(1))]
+        checked, flags = 0, set()
+        for _ in range(1500):
+            n_attrs, n_objs = rng.randint(2, 6), rng.randint(2, 7)
+            density = rng.uniform(0.3, 0.6)
+            ctx = normalize(BooleanContext.from_rows(
+                [f"a{i}" for i in range(n_attrs)],
+                [f"b{j}" for j in range(n_objs)],
+                [[rng.random() < density for _ in range(n_objs)] for _ in range(n_attrs)],
+            )).core
+            if not ctx.objects or not ctx.attributes:
+                continue
+            lifted = FuzzyContext(ctx.attributes, ctx.objects, frame, [
+                [row >> j & 1 for j in range(len(ctx.objects))] for row in ctx.rows
+            ])
+            top = (ctx.all_objects.bits, up(ctx, ctx.all_objects).bits)
+            bottom = (down(ctx, ctx.all_attributes).bits, ctx.all_attributes.bits)
+            for pair in cn_enumerate(ctx):
+                x, y = pair.objects, pair.attrs
+                if not x or x == ctx.all_objects:
+                    continue
+                interval = interval_from_pair(lifted, FuzzyNecessityPair.from_keys(
+                    lifted,
+                    tuple(x.bits >> j & 1 for j in range(len(ctx.objects))),
+                    tuple(y.bits >> i & 1 for i in range(len(ctx.attributes))),
+                ))
+                bounds = block_bounds(ctx, pair)
+                upper = (bits(interval.upper.extent), bits(interval.upper.intent))
+                lower = (bits(interval.lower.extent), bits(interval.lower.intent))
+                assert bounds.upper_identified_with_top is (bounds.upper is None)
+                if bounds.upper is None:
+                    assert upper == top
+                else:
+                    assert upper == (bounds.upper.extent.bits, bounds.upper.intent.bits)
+                assert bounds.lower_identified_with_bottom is (bounds.lower is None)
+                if bounds.lower is None:
+                    assert lower == bottom
+                else:
+                    assert lower == (bounds.lower.extent.bits, bounds.lower.intent.bits)
+                assert interval.ordered is bounds.lower_within_upper
+                assert bounds.upper_is_coatom is (True if upper[1] else None)
+                checked += 1
+                flags.add((bounds.upper is None, bounds.lower is None))
+        # 1206 pairs, with every combination of None bounds among them
+        assert checked >= 1000 and len(flags) == 4, (checked, flags)
 
 
 class TestRandomizedSoundness:
@@ -494,31 +575,39 @@ class TestOneComponentSplit:
             assert str(err.value) == message
 
 
-def raw_contexts(rng: random.Random, count: int):
-    """``count`` raw contexts drawn as ``TestCoatomTheorem`` draws them."""
-    for _ in range(count):
-        n_attrs, n_objs = rng.randint(1, 6), rng.randint(1, 7)
-        density = rng.choice((0.2, 0.4, 0.6))
-        yield BooleanContext.from_rows(
-            [f"a{i}" for i in range(n_attrs)],
-            [f"b{j}" for j in range(n_objs)],
-            [[rng.random() < density for _ in range(n_objs)] for _ in range(n_attrs)],
-        )
-
-
 class TestBlockBoundsReadKeys:
     def test_bounds_build_no_lattice_element(self, monkeypatch):
         cases = []
         for ctx in [TABLE2, *raw_contexts(random.Random(2012), 300)]:
-            lattice = concepts(ctx)
+            # the oracle reads its covers; the lattice handed to block_bounds
+            # keeps its covers unread, so a read after the patch below fails
+            lattice, oracle = concepts(ctx), concepts(ctx)
             for pair in brute_cn(ctx):
                 if pair.objects and pair.objects != ctx.all_objects:
-                    cases.append((ctx, pair, lattice, block_bounds(ctx, pair, lattice)))
+                    bounds = block_bounds(ctx, pair, lattice)
+                    assert bounds.upper_is_coatom is lattice_coatom(oracle, pair.objects.bits)
+                    cases.append((ctx, pair, lattice, bounds))
         assert len(cases) >= 250 and any(case[3].upper_is_coatom for case in cases)
 
         def refuse(*args):
-            raise AssertionError("a lattice element was built")
+            raise AssertionError("a lattice was enumerated, covered or read")
 
         monkeypatch.setattr(Lattice, "_element", refuse)
+        monkeypatch.setattr(order, "closed_sets", refuse)
+        monkeypatch.setattr(order, "pointwise_covers", refuse)
         for ctx, pair, lattice, bounds in cases:
             assert block_bounds(ctx, pair, lattice) == bounds
+            assert block_bounds(ctx, pair) == bounds
+
+    def test_answers_past_the_cover_cap(self):
+        # a full 2 x 2 block beside the contranominal scale of 18, whose
+        # 2^18 concepts are more than pointwise_covers accepts
+        scale = (1 << 18) - 1
+        ctx = BooleanContext(
+            tuple(f"a{i}" for i in range(20)),
+            tuple(f"b{j}" for j in range(20)),
+            (0b11, 0b11, *((scale ^ (1 << i)) << 2 for i in range(18))),
+        )
+        first = cn_atoms(ctx)[0]
+        assert first.objects.names == ("b0", "b1")
+        assert block_bounds(ctx, first).upper_is_coatom is True

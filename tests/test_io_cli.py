@@ -31,6 +31,7 @@ from galois_factor.io import (
     parse_cxt,
     parse_fuzzy_csv,
 )
+from galois_factor.order import key_le
 from tables import (
     DIAG2,
     HUGE_EXPONENTS,
@@ -600,7 +601,7 @@ class TestDot:
                     changed = True
         for i in range(len(lattice)):
             for j in range(len(lattice)):
-                assert (j in reach[i]) == lattice.le(i, j)
+                assert (j in reach[i]) == key_le(lattice.keys[0][i], lattice.keys[0][j])
 
     def test_fuzzy_lattice_dot_has_seven_nodes(self):
         text = emit_dot(fuzzy_concepts(godel_r2()))
