@@ -75,7 +75,7 @@ class BooleanContext:
                 f"incidence has {len(self.rows)} rows for {len(self.attributes)} attributes"
             )
         for row in self.rows:
-            if not isinstance(row, int) or row < 0 or row >> len(self.objects):
+            if type(row) is not int or row < 0 or row >> len(self.objects):
                 raise ValueError(f"row {row!r} is not a bitmask over {len(self.objects)} objects")
 
     @classmethod
@@ -162,7 +162,7 @@ def _member_bits(members: Iterable[str | int], index: dict[str, int], kind: str)
     """The bits of ``members``, each a name in ``index`` or a position below its size."""
     bits = 0
     for m in members:
-        i = m if isinstance(m, int) else index.get(m, -1)
+        i = m if type(m) is int else index.get(m, -1)
         if not 0 <= i < len(index):
             raise ValueError(f"unknown {kind} {m!r}")
         bits |= 1 << i
@@ -181,6 +181,8 @@ class _Subset:
         return getattr(self.context, self._names_attr)
 
     def __post_init__(self):
+        if type(self.bits) is not int:
+            raise ValueError(f"subset bits {self.bits!r} are not an int")
         if self.bits < 0 or self.bits >> len(self._universe()):
             raise ValueError(f"subset bits {self.bits:#x} out of range")
 
@@ -208,7 +210,7 @@ class _Subset:
                 member = self._universe().index(member)
             except ValueError:
                 return False
-        return member >= 0 and bool(self.bits >> member & 1)
+        return type(member) is int and member >= 0 and bool(self.bits >> member & 1)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)

@@ -29,9 +29,10 @@ class FrameArrangementError(ValueError):
 
 
 class AdjointnessError(ValueError):
-    """A conjunctor admits no residua, or a claimed triple fails adjointness.
+    """A conjunctor admits no residua: no tables satisfy the adjoint property.
 
-    ``witness`` holds the offending (x, y, z) grades when available.
+    ``witness`` holds offending (x, y, z) grades when available; from
+    ``AdjointTriple`` it is a point at which every candidate residuum fails.
     """
 
     def __init__(self, message: str, witness=None):

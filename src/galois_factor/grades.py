@@ -2,17 +2,19 @@
 
 Grades live on a regular partition of the unit interval into m pieces and
 are stored as integer numerators over a fixed denominator m, so equality
-and order are exact integer comparisons.  An adjoint triple bundles a
-conjunctor with its two residua as dense lookup tables over the (small)
-chains; the residua are linked to the conjunctor by the adjoint property
+and order are exact integer comparisons.  An adjoint triple is its
+conjunctor, a dense lookup table over the (small) chains: on finite
+chains the two residua linked to it by the adjoint property
 
     x <= res_left(z, y)  iff  conj(x, y) <= z  iff  y <= res_right(z, x)
 
-which ``AdjointTriple`` checks, in O(m^2), when it is built: no triple
-holds tables that fail it.  ``oracles.brute_adjointness_witness`` is the
-naive O(m^3) twin of that check, and ``oracles.residua_by_adjointness``
-derives residua from a conjunctor alone.  A ``Grade`` has no order of its
-own: code compares numerators.  Grade strings go through
+exist exactly when the conjunctor is monotone and zero-preserving, and
+are then fixed by it.  ``AdjointTriple`` checks that and derives both
+residuum tables, in O(m^2), when it is built; no triple holds tables
+that fail the property.  ``oracles.residua_by_adjointness`` is the
+exhaustive twin of that derivation, and ``oracles.brute_adjointness_witness``
+the naive O(m^3) check of the property on raw tables.  A ``Grade`` has no
+order of its own: code compares numerators.  Grade strings go through
 ``read_grade``, which refuses the ones ``Fraction`` would stall on or reads
 differently across Python versions; ``GradeChain.numerator_of_fraction``
 places a grade already read, so the parsers read each cell once.
@@ -24,11 +26,13 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import AdjointnessError
 
 # the finest chain: a triple's tables have (m + 1)**2 entries, so at m = 256
-# building and checking a triple takes 0.05-0.075 s and holds 1.1 MB
+# building a triple, checks and derived residua included, takes about 0.02 s
+# and holds 1.1 MB
 MAX_GRANULARITY = 256
 
 # ``Fraction`` builds 10**k for a decimal exponent k, hundreds of megabytes
@@ -163,18 +167,32 @@ Table = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class AdjointTriple:
-    """A conjunctor P1 x P2 -> P3 with its residua, as lookup tables.
+    """A conjunctor P1 x P2 -> P3 as a lookup table, with its two residua.
 
-    ``res_left_table[k][j]`` is the numerator of ``(k/m3) res_left (j/m2)``
-    in P1; ``res_right_table[k][i]`` the numerator of
-    ``(k/m3) res_right (i/m1)`` in P2.  Building a triple checks the table
-    sizes and that every entry lies on its chain (``ValueError``), then the
-    adjoint property (``AdjointnessError`` with a violating (x, y, z)).
+    ``conj_table[i][j]`` is the numerator of ``(i/m1) & (j/m2)`` in P3.
+    Building a triple checks the table's size and that every entry lies on
+    P3 (``ValueError``), then that the conjunctor is monotone in each
+    argument with conj(0, y) = 0 = conj(x, 0) (``AdjointnessError``), and
+    derives the residua: ``res_left_table[k][j]``, the numerator of
+    ``(k/m3) res_left (j/m2)`` in P1, is the largest x with conj(x, j) <= k,
+    and ``res_right_table[k][i]``, of ``(k/m3) res_right (i/m1)`` in P2, the
+    largest y with conj(i, y) <= k.
+
+    Those are the only residua the conjunctor can have, and they satisfy
+
+        x <= res_left(z, y)  iff  conj(x, y) <= z  iff  y <= res_right(z, x)
+
+    exactly when the check passes.  If it does, the x with conj(x, y) <= z
+    include 0 and form a lower set, whose top is res_left(z, y), so
+    x <= res_left(z, y) iff conj(x, y) <= z; res_right alike.  If it fails,
+    the error's ``witness`` (x, y, z) has conj(x, y) > z, so adjoint
+    residua would need x > res_left(z, y) and y > res_right(z, x); yet
+    x = 0 or y = 0 leaves no grade below, and conj(x + 1, y) <= z would
+    need x + 1 <= res_left(z, y) (conj(x, y + 1) <= z alike).
 
     On chains adjointness gives the other laws the operators rely on.
-    Boundary: conj(0, y) <= 0 iff 0 <= res_left(0, y), so conj(0, y) = 0,
-    and m1 <= res_left(m3, y) iff conj(m1, y) <= m3, so res_left(m3, y) =
-    m1; conj(x, 0) = 0 and res_right(m3, x) = m2 alike.  Meet distribution:
+    Boundary: conj(m1, y) <= m3, so res_left(m3, y) = m1, and
+    res_right(m3, x) = m2 alike.  Meet distribution:
     x <= res_left(min(z1, z2), y) iff conj(x, y) <= z1 and <= z2 iff
     x <= min(res_left(z1, y), res_left(z2, y)); grades of a chain with the
     same lower bounds are equal, and on a finite chain binary meets settle
@@ -186,28 +204,28 @@ class AdjointTriple:
     p2: GradeChain
     p3: GradeChain
     conj_table: Table = field(repr=False)
-    res_left_table: Table = field(repr=False)
-    res_right_table: Table = field(repr=False)
+    res_left_table: Table = field(init=False, repr=False)
+    res_right_table: Table = field(init=False, repr=False)
 
     def __post_init__(self):
-        tables = (self.conj_table, self.res_left_table, self.res_right_table)
         p1, p2, p3 = self.domains
-        for label, table, rows, cols, out in zip(
-            ("conjunctor", "left residuum", "right residuum"), tables,
-            (p1, p3, p3), (p2, p2, p1), (p3, p1, p2),
-        ):
-            if len(table) != len(rows) or any(
-                len(row) != len(cols) or not out.holds(row) for row in table
-            ):
-                raise ValueError(f"{self.name}: the {label} table must be "
-                                 f"{len(rows)} x {len(cols)} numerators in 0..{out.m}")
-        witness = _adjointness_witness(*tables)
+        rows = self.conj_table
+        if len(rows) != len(p1) or any(len(row) != len(p2) or not p3.holds(row) for row in rows):
+            raise ValueError(f"{self.name}: the conjunctor table must be "
+                             f"{len(p1)} x {len(p2)} numerators in 0..{p3.m}")
+        cols = tuple(zip(*rows))
+        witness = _refutation(rows, cols)
         if witness is not None:
             x, y, z = (Grade(n, c) for n, c in zip(witness, self.domains))
             raise AdjointnessError(
-                f"{self.name}: the adjoint property fails at x={x}, y={y}, z={z}",
+                f"{self.name}: no residua satisfy the adjoint property at x={x}, y={y}, z={z}",
                 witness=(x, y, z),
             )
+        res_left = _largest_below(cols, p3.m)
+        # a commutative conjunctor has one residuum; its triple keeps one table
+        res_right = res_left if rows == cols else _largest_below(rows, p3.m)
+        object.__setattr__(self, "res_left_table", res_left)
+        object.__setattr__(self, "res_right_table", res_right)
 
     @property
     def domains(self) -> tuple[GradeChain, GradeChain, GradeChain]:
@@ -216,9 +234,8 @@ class AdjointTriple:
     @property
     def is_godel(self) -> bool:
         """Whether this is the Goedel triple, decided from the tables, not
-        the name: one chain and the minimum as conjunctor.  Adjointness
-        fixes each residuum entry as the largest grade the conjunctor
-        allows, so the residua are Goedel's too."""
+        the name: one chain and the minimum as conjunctor.  The residua are
+        derived from the conjunctor, so they are Goedel's too."""
         return self.p1 == self.p2 == self.p3 and all(
             v == min(i, j) for i, row in enumerate(self.conj_table) for j, v in enumerate(row)
         )
@@ -239,100 +256,68 @@ class AdjointTriple:
         return Grade(self.res_right_table[z.num][x.num], self.p2)
 
 
-def godel_triple(chain: GradeChain) -> AdjointTriple:
-    """Minimum conjunctor with the two-case residuum, on a single chain.
+def _refutation(rows: Table, cols: Table) -> tuple[int, int, int] | None:
+    """Numerators (x, y, z) at which no residua of the conjunctor exist, or None.
 
-    Both operations stay on the chain, so any granularity works.
+    The first row (x fixed), else the first column (y fixed), that does
+    not start at 0 or that descends gives conj(x, y) > z and x = 0, or
+    y = 0, or conj(x + 1, y) <= z, or conj(x, y + 1) <= z.
     """
+    for in_cols, lines in enumerate((rows, cols)):
+        for v, line in enumerate(lines):
+            if line[0]:
+                u = z = 0
+            elif list(line) == sorted(line):
+                continue
+            else:
+                u = next(u for u in range(len(line)) if line[u] > line[u + 1])
+                z = line[u + 1]
+            return (u, v, z) if in_cols else (v, u, z)
+    return None
+
+
+def _largest_below(lines: Table, top: int) -> Table:
+    """``res[z][v]``, the largest u with ``lines[v][u] <= z``, for z in 0..top.
+
+    Each line starts at 0 and never descends, so that u is one less than
+    the number of its entries <= z: one count and one running sum per line.
+    """
+    sums = []
+    for line in lines:
+        counts = [-1] + [0] * top  # the -1 is the "one less"
+        for value in line:
+            counts[value] += 1
+        sums.append(accumulate(counts))
+    return tuple(zip(*sums))
+
+
+def godel_triple(chain: GradeChain) -> AdjointTriple:
+    """The minimum conjunctor on a single chain; any granularity works."""
     m = chain.m
     conj = tuple(tuple(min(i, j) for j in range(m + 1)) for i in range(m + 1))
-    # z <- y = top if y <= z else z
-    res = tuple(tuple(m if j <= k else k for j in range(m + 1)) for k in range(m + 1))
-    return AdjointTriple(f"godel:{m}", chain, chain, chain, conj, res, res)
+    return AdjointTriple(f"godel:{m}", chain, chain, chain, conj)
 
 
 def lukasiewicz_triple(chain: GradeChain) -> AdjointTriple:
-    """x & y = max(0, x + y - 1) and z <- y = min(1, 1 - y + z) on the chain."""
+    """x & y = max(0, x + y - 1) on a single chain."""
     m = chain.m
     conj = tuple(tuple(max(0, i + j - m) for j in range(m + 1)) for i in range(m + 1))
-    res = tuple(tuple(min(m, m - j + k) for j in range(m + 1)) for k in range(m + 1))
-    return AdjointTriple(f"lukasiewicz:{m}", chain, chain, chain, conj, res, res)
+    return AdjointTriple(f"lukasiewicz:{m}", chain, chain, chain, conj)
 
 
 def discretized_product_triple(m1: int, m2: int, m3: int) -> AdjointTriple:
-    """Product t-norm rounded up onto [0,1]_m3, residua rounded down.
+    """The product t-norm rounded up onto [0,1]_m3, on integers:
 
-        x & y        = ceil(m3 * x * y) / m3
-        z res_left y  = floor(m1 * (z <- y)) / m1
-        z res_right x = floor(m2 * (z <- x)) / m2
+        x & y = ceil(m3 * x * y) / m3
 
-    with the plain product residuum z <- w = 1 if w <= z else z / w.
-    All arithmetic is exact on integers.
+    Its derived residua are the product residuum z <- w = 1 if w <= z else
+    z / w rounded down onto P1 and onto P2.
     """
     p1, p2, p3 = GradeChain(m1), GradeChain(m2), GradeChain(m3)
     conj = tuple(
         tuple(-(-m3 * i * j // (m1 * m2)) for j in range(m2 + 1)) for i in range(m1 + 1)
     )
-
-    def floored_residuum(m_out: int, m_in: int, k: int, w: int) -> int:
-        # w/m_in <= k/m3 iff w * m3 <= k * m_in
-        if w * m3 <= k * m_in:
-            return m_out
-        return m_out * k * m_in // (m3 * w)
-
-    res_left = tuple(
-        tuple(floored_residuum(m1, m2, k, j) for j in range(m2 + 1)) for k in range(m3 + 1)
-    )
-    res_right = tuple(
-        tuple(floored_residuum(m2, m1, k, i) for i in range(m1 + 1)) for k in range(m3 + 1)
-    )
-    return AdjointTriple(f"dprod:{m1},{m2},{m3}", p1, p2, p3, conj, res_left, res_right)
-
-
-def _adjointness_witness(conj: Table, res_left: Table, res_right: Table):
-    """Numerators (x, y, z) at which the adjoint property fails, or None.
-
-    The O(m^2) test: (a) conj is monotone in each argument, (b) each
-    res_left[z][y] is the largest x with conj[x][y] <= z, (c) each
-    res_right[z][x] the largest y with conj[x][y] <= z.  Under (a) those x
-    form a lower set, so u = res_left[z][y] is its top iff conj[u][y] <= z
-    and (u = m1 or conj[u + 1][y] > z): two lookups, no search.
-
-    (a)-(c) are equivalent to the adjoint property.  If they hold,
-    x <= res_left[z][y] iff x is in that lower set iff conj[x][y] <= z, and
-    (c) gives the right half.  Conversely every failure names a witness
-    that violates the property, so an adjoint triple yields none.  At a
-    descent conj[x][y] > conj[x + 1][y] = z, adjointness would need both
-    x + 1 <= res_left[z][y] and x > res_left[z][y]: (x, y, z) fails if
-    x <= res_left[z][y], else (x + 1, y, z).  With u = res_left[z][y],
-    conj[u][y] > z makes (u, y, z) fail and conj[u + 1][y] <= z makes
-    (u + 1, y, z) fail.  Descents in y and (c) are the same against
-    res_right.
-    """
-    top = len(res_left)  # above every numerator on P3
-    by_rows = _first_miss([(*row, top) for row in conj], res_right)  # (x, y, z)
-    if by_rows is not None:
-        return by_rows
-    by_cols = _first_miss([(*col, top) for col in zip(*conj)], res_left)  # (y, x, z)
-    return None if by_cols is None else (by_cols[1], by_cols[0], by_cols[2])
-
-
-def _first_miss(lines, res):
-    """(v, u, z) failing (a) along ``lines[v]`` (the conjunctor with one
-    argument fixed at v, padded with a value above every z) or failing
-    ``res[z][v]`` = the largest u with ``lines[v][u] <= z``; or None."""
-    for v, line in enumerate(lines):
-        if sorted(line) != list(line):
-            u = next(u for u in range(len(line)) if line[u] > line[u + 1])
-            z = line[u + 1]
-            return v, (u if u <= res[z][v] else u + 1), z
-    for z, row in enumerate(res):
-        for v, u in enumerate(row):
-            if lines[v][u] > z:
-                return v, u, z
-            if lines[v][u + 1] <= z:
-                return v, u + 1, z
-    return None
+    return AdjointTriple(f"dprod:{m1},{m2},{m3}", p1, p2, p3, conj)
 
 
 def triple_from_descriptor(descriptor: str, values=None) -> AdjointTriple:

@@ -2,11 +2,12 @@
 
 Everything here re-derives results straight from the definitions —
 quantifier loops over the incidence, full scans of the candidate space,
-residua recomputed from the conjunctor by ``residua_by_adjointness``, the
-library's one exhaustive residuum search, and checked by the O(m^3)
-``brute_adjointness_witness`` — so the fast paths can be validated
-against an independent route.  Deliberately naive; imported only by the
-tests and by ``cli`` under its ``--oracle`` flag, never on the default path.
+residua recomputed from the conjunctor by the exhaustive search of
+``residua_by_adjointness``, the twin of the derivation ``AdjointTriple``
+runs, and checked by the O(m^3) ``brute_adjointness_witness`` — so the
+fast paths can be validated against an independent route.  Deliberately
+naive; imported only by the tests and by ``cli`` under its ``--oracle``
+flag, never on the default path.
 """
 
 from __future__ import annotations
@@ -194,8 +195,8 @@ def bipartite_components(
 
 def brute_adjointness_witness(conj, res_left, res_right):
     """First numerators (x, y, z) breaking x <= res_left(z, y) iff
-    conj(x, y) <= z iff y <= res_right(z, x), or None: the naive O(m^3)
-    twin of the check ``AdjointTriple`` runs, on raw tables."""
+    conj(x, y) <= z iff y <= res_right(z, x), or None: the adjoint
+    property checked by its definition on raw tables, in O(m^3)."""
     grid = product(range(len(conj)), range(len(conj[0])), range(len(res_left)))
     for x, y, z in grid:
         if not (x <= res_left[z][y]) == (conj[x][y] <= z) == (y <= res_right[z][x]):
@@ -207,13 +208,15 @@ def residua_by_adjointness(
     conj: Callable[[Grade, Grade], Grade],
     domains: tuple[GradeChain, GradeChain, GradeChain],
 ) -> tuple[Table, Table]:
-    """Derive both residua of a conjunctor by exhaustive search.
+    """Derive both residua of a conjunctor by exhaustive search: the naive
+    twin of the derivation ``AdjointTriple`` runs.
 
     res_left(z, y) = max{x | conj(x, y) <= z} and symmetrically for
     res_right.  If a maximum does not exist, or the conjunctor is not
     monotone so that the maxima fail the adjoint property (as
-    ``brute_adjointness_witness`` finds, not the check ``AdjointTriple``
-    runs), an AdjointnessError names the offending grades.
+    ``brute_adjointness_witness`` finds, not the monotonicity and zero
+    checks of ``AdjointTriple``), an AdjointnessError names the offending
+    grades.
     """
     p1, p2, p3 = domains
     table = tuple(

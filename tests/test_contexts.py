@@ -131,6 +131,26 @@ class TestConstruction:
         assert list(DIAG2.all_attributes) == ["a1", "a2"]
         assert repr(DIAG2.object_set(["b1"])) == "ObjectSubset({b1})"
 
+    # a bool is an int to isinstance, but it is neither a bitmask nor a position
+    def test_a_bool_row_is_refused(self):
+        with pytest.raises(ValueError, match="is not a bitmask over 1 objects"):
+            BooleanContext(["a"], ["x"], [True])
+
+    def test_a_bool_member_is_refused(self):
+        ctx = BooleanContext(["a", "b"], ["x"], [1, 0])
+        with pytest.raises(ValueError, match="unknown attribute True"):
+            ctx.attribute_set([True, "a"])
+
+    def test_bool_subset_bits_are_refused(self):
+        ctx = BooleanContext(["a"], ["x"], [1])
+        with pytest.raises(ValueError, match="subset bits True are not an int"):
+            ObjectSubset(ctx, True)
+
+    def test_a_bool_is_not_a_member(self):
+        subset = DIAG2.object_set(["b2"])  # bit 1
+        assert 1 in subset
+        assert True not in subset
+
 
 class TestDerivationOperators:
     def test_up_single_object(self):
