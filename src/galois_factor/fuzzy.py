@@ -28,12 +28,14 @@ build ``Fp4Report`` and ``ConceptInterval`` records from them.
 
 Each graded operator is kept in one form (see the kernel comment): a
 threshold family, keyed by object for the up operators and by attribute
-for the down operators.  The down families are the bitmask rows that
-``fn_enumerate`` and ``fuzzy_concepts`` scan with FCbO.  The two evaluate
-no graded operator and read their keys off the scan's bits: fn's filter
-counts the leading down-pi rows that the extent bits hold, a concept's
-intent is the bit counts of the closed intent, and only the kept extents
-are decoded.
+for the down operators.  The down families are bitmask rows over the
+objects' threshold bits.  ``fuzzy_concepts`` scans the down family's rows
+with the FCbO of ``order.closed_sets``; ``fn_enumerate`` walks fn's own
+closure, read off the down_n and down_pi rows by bit tests, so it visits
+the members alone.  Neither evaluates a graded operator, and both read
+their keys off the bits: a concept's intent is the bit counts of the
+closed intent, a member's f counts the leading down_pi rows that its bits
+hold, and only the closed sets are decoded.
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ import functools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import order
 from .contexts import _check_names
-from .errors import FrameArrangementError
+from .errors import BudgetExceededError, FrameArrangementError
 from .grades import AdjointTriple, GradeChain
 
 __all__ = [
@@ -446,61 +448,124 @@ def _grades(bits: int, m: int, n: int) -> tuple[int, ...]:
     return tuple([(bits >> x * m & block).bit_count() for x in range(n)])
 
 
+def _fn_closure(ctx: FuzzyContext):
+    """fn's closure cl on threshold bits (see ``fn_enumerate``): ``close(X)``
+    is (the bits of the least member above X, that member's f = up-N).
+
+    With N and P the down_n and down_pi families, by the kernel comment,
+    up-N(i) counts the leading rows P[i][1], P[i][2], ... that X holds, h(X)
+    is the meet of the rows N[i][up-N(i)], up-pi(i) is the least c with
+    X <= N[i][c], and l(X) is the join of the rows P[i][up-pi(i)].  Both
+    families grow in c, so P[i][up-pi(i)] <= X iff up-pi(i) <= up-N(i) iff
+    X <= N[i][up-N(i)]: up-pi(i) is sought past up-N(i), and only where l
+    adds bits.
+    """
+    m1 = ctx.l1.m
+    rows = [
+        (necessity, tuple(~row for row in necessity), possibility)
+        for necessity, possibility in zip(_family(ctx, "down_n"), _family(ctx, "down_pi"))
+    ]
+
+    def close(x: int) -> tuple[int, tuple[int, ...]]:
+        while True:
+            outside, grown, meet, f = ~x, x, -1, []  # -1 holds every bit
+            for necessity, beyond, possibility in rows:
+                c = 0
+                while c < m1 and not possibility[c + 1] & outside:
+                    c += 1
+                f.append(c)
+                meet &= necessity[c]
+                if x & beyond[c]:  # up-pi(i) > up-N(i); N[i][m1] holds every bit
+                    c += 1
+                    while x & beyond[c]:
+                        c += 1
+                    grown |= possibility[c]
+            grown |= meet
+            if grown == x:
+                return x, tuple(f)
+            x = grown
+
+    return close
+
+
+def _fn_walk(
+    ctx: FuzzyContext, budget: int | order.Budget
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The (threshold bits, f) of every member, each exactly once, by the
+    walk of ``fn_enumerate``; ``budget`` as in ``order.closed_sets``."""
+    close = _fn_closure(ctx)
+    m2, n = ctx.l2.m, len(ctx.objects)
+    block = (1 << m2) - 1
+    pool = budget if isinstance(budget, order.Budget) else order.Budget(budget)
+    limit, spent, found = pool.limit, pool.spent, pool.found
+    try:
+        if spent >= limit:
+            raise BudgetExceededError(spent, limit, found=found)
+        spent += 1
+        x, f = close(0)
+        found += 1
+        yield x, f
+        stack = [(x, 0)]
+        while stack:
+            x, start = stack.pop()
+            children = []
+            for j in range(start, n):
+                a = (x >> j * m2 & block).bit_count()
+                if a == m2:
+                    continue
+                bit = 1 << j * m2 + a
+                if spent >= limit:
+                    raise BudgetExceededError(spent, limit, found=found)
+                spent += 1
+                y, f = close(x | bit)
+                if (y ^ x) & (bit - 1) == 0:
+                    found += 1
+                    yield y, f
+                    children.append((y, j))
+            stack += reversed(children)
+    finally:
+        pool.spent, pool.found = spent, found
+
+
 def fn_enumerate(
     ctx: FuzzyContext, budget: int | order.Budget = order.DEFAULT_ENUM_BUDGET
 ) -> order.Lattice:
     """All necessity-closed pairs, sorted lexicographically on the object grades.
 
-    The composite down-N o up-N is meet-preserving but not a closure
-    operator, so its fixpoints are searched among those of the closure
-    down-N o up-pi; a fixpoint g is kept when g-up-N-down-N = g, with
-    f = g-up-N.
+    The members are the g with h(g) = g, h = down-N o up-N, each with
+    f = g-up-N.  h is monotone but not extensive, so the walk runs on fn's
+    own closure: with l = down-pi o up-pi, cl(g) iterates
+    g <- g v h(g) v l(g) until nothing changes, which it does, as the
+    iterates grow in a finite lattice.
 
-    Nothing is missed.  up-pi and down-N form an isotone Galois connection
-    (up-pi g <= f iff g <= down-N f, cell by cell from the adjoint property),
-    so down-N o up-pi is extensive: g <= g-up-pi-down-N.  For a member g,
-    fp1 gives g-up-pi <= g-up-N, and down-N is monotone, so
-    g-up-pi-down-N <= g-up-N-down-N = g.  Hence every member is a fixpoint
-    of down-N o up-pi.
+    The limit is the least member above g.  Cell by cell from the adjoint
+    property, up-pi g <= f iff g <= down-N f, and down-pi f <= g iff
+    f <= up-N g; so l is left adjoint to h: l(g) <= g' iff
+    up-pi g <= up-N g' iff g <= h(g').  At the limit h(g) <= g and
+    l(g) <= g, that is g <= h(g), so h(g) = g: a member.  And every iterate
+    stays below any member g' above the start: if g <= g', then
+    h(g) <= h(g') = g', h being monotone, and l(g) <= g' since
+    g <= g' = h(g').  So every closed set of cl is a member and every
+    member is closed.
 
-    The fixpoints come from the FCbO scan of ``fuzzy_concepts`` on the rows
-    N[i][c], c = 0..m1 - 1, of the down_n family.  By the kernel comment, for
-    X the threshold set of g, (i, c) holds all of X iff g-up-pi(i) <= c, and
-    for any attribute set Y, with f(i) the least c of Y at i (m1 if none),
-    Y-down is the meet of the rows N[i][f(i)], the threshold set of f-down-N.
-    So the scaled extents decode one to one to the fixpoints.  ``budget`` is
-    as in ``fuzzy_concepts``.
+    The walk is CbO (Kuznetsov & Obiedkov, JETAI 2002) on the threshold
+    bits X of g, object bit j*m2 + a - 1 reading g(j) >= a, with cl taken
+    by bit tests on the down_n and down_pi rows (``_fn_closure``).  A node
+    tries, for each object j >= its start below the top grade, the next
+    grade bit of j, bit = 1 << j*m2 + g(j), and keeps Y = cl(X | bit) as a
+    child starting at j when (Y ^ X) & (bit - 1) == 0, the canonicity test.
+    CbO would also try j's higher bits, but cl's closed sets are threshold
+    sets, so such a Y holds the next bit, below the one tried and not in
+    X, and fails.  So each member is listed once and tries at most n
+    closures: 1 + n |fn| closures in all, the first one of the empty set.
 
-    The filter reads the extent bits X alone.  The down_pi family grows in c
-    and P[i][c] <= X iff c <= g-up-N(i), so f(i) = g-up-N(i) counts the
-    leading rows P[i][1], P[i][2], ... that X holds.  g is a member iff the
-    meet of the rows N[i][f(i)] is X; the meet only shrinks, so the walk over
-    i stops once it misses a bit of X.  Decoding X to g by block bit counts is
-    one to one, so decoding only the members, then sorting, lists the same
-    pairs.
+    ``budget`` caps the closure evaluations as in ``order.closed_sets``: an
+    ``order.Budget`` is shared with other scans, and before evaluation
+    budget + 1 ``BudgetExceededError`` reports the members found so far.
     """
     _require_fn_operators(ctx)
-    m1, m2, n = ctx.l1.m, ctx.l2.m, len(ctx.objects)
-    necessity = _family(ctx, "down_n")
-    rows = [row for family in necessity for row in family[:m1]]
-    scan = order.closed_sets(rows, order.transpose(rows, n * m2), budget)
-    masks = [family[1:] for family in _family(ctx, "down_pi")]
-    members = []
-    for x, _ in scan:
-        outside, meet, f = ~x, -1, []  # -1 holds every bit
-        for chain, family in zip(masks, necessity):
-            c = 0
-            for mask in chain:
-                if mask & outside:
-                    break
-                c += 1
-            f.append(c)
-            meet &= family[c]
-            if meet & x != x:  # the meet only shrinks
-                break
-        else:
-            if meet == x:
-                members.append((_grades(x, m2, n), tuple(f)))
+    m2, n = ctx.l2.m, len(ctx.objects)
+    members = [(_grades(x, m2, n), f) for x, f in _fn_walk(ctx, budget)]
     return order.sorted_lattice(ctx, FuzzyNecessityPair, members)
 
 

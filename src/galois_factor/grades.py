@@ -169,11 +169,13 @@ Table = tuple[tuple[int, ...], ...]
 class AdjointTriple:
     """A conjunctor P1 x P2 -> P3 as a lookup table, with its two residua.
 
-    ``conj_table[i][j]`` is the numerator of ``(i/m1) & (j/m2)`` in P3.
-    Building a triple checks the table's size and that every entry lies on
-    P3 (``ValueError``), then that the conjunctor is monotone in each
-    argument with conj(0, y) = 0 = conj(x, 0) (``AdjointnessError``), and
-    derives the residua: ``res_left_table[k][j]``, the numerator of
+    ``conj_table[i][j]`` is the numerator of ``(i/m1) & (j/m2)`` in P3,
+    kept as a tuple of tuples whatever sequences it is given in, so that
+    triples hash and compare by value.  Building a triple checks the
+    table's size and that every entry lies on P3 (``ValueError``), then
+    that the conjunctor is monotone in each argument with
+    conj(0, y) = 0 = conj(x, 0) (``AdjointnessError``), and derives the
+    residua: ``res_left_table[k][j]``, the numerator of
     ``(k/m3) res_left (j/m2)`` in P1, is the largest x with conj(x, j) <= k,
     and ``res_right_table[k][i]``, of ``(k/m3) res_right (i/m1)`` in P2, the
     largest y with conj(i, y) <= k.
@@ -209,7 +211,8 @@ class AdjointTriple:
 
     def __post_init__(self):
         p1, p2, p3 = self.domains
-        rows = self.conj_table
+        rows = tuple(map(tuple, self.conj_table))
+        object.__setattr__(self, "conj_table", rows)
         if len(rows) != len(p1) or any(len(row) != len(p2) or not p3.holds(row) for row in rows):
             raise ValueError(f"{self.name}: the conjunctor table must be "
                              f"{len(p1)} x {len(p2)} numerators in 0..{p3.m}")

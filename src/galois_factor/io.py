@@ -10,7 +10,8 @@ whose list fields are not JSON arrays.  A Boolean document's incidence
 rows are strings of ``X``, ``x`` or ``.`` cells, one per object, read as
 strictly as the rows of a ``.cxt`` file.  A fuzzy document names its frame
 by its triples' names, so writing a triple whose name is not a descriptor
-that rebuilds it raises ``ValueError``.  Each grade cell is read once.
+that rebuilds it raises ``ValueError``.  Each grade cell is read once, and
+a CSV grid reads each distinct spelling once.
 
 ``emit_json`` writes every document, a lattice's too, as one dict through
 one small recursive writer, with the text ``json.dumps(data, indent=2,
@@ -201,6 +202,18 @@ def _read(read: Callable, value, where: str, line: int | None = None):
         raise ContextFormatError(f"{where}: {exc}", line) from None
 
 
+def _read_cells(read: Callable, seen: dict, name: str, objects, values, line: int) -> list:
+    """``read`` of each of attribute ``name``'s cell ``values``, remembered
+    in ``seen`` per value: only successes are kept, so each value that fails
+    fails at its first cell, which the ``ContextFormatError`` names."""
+    row = []
+    for obj, v in zip(objects, values):
+        if v not in seen:
+            seen[v] = _read(read, v, f"cell ({name}, {obj})", line)
+        row.append(seen[v])
+    return row
+
+
 def _csv_names(kind: str, names, line: int) -> None:
     """The context name check, as a ``ContextFormatError`` at ``line``."""
     try:
@@ -214,7 +227,8 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
 
     First row: corner label then object names; each further row: an
     attribute name then grades (decimals or fractions) on the frame's
-    relation chain.
+    relation chain.  A grid repeats a few spellings, so each spelling is
+    read once per parse, and each grade's numerator taken once.
     """
     reader = csv.reader(_stdio.StringIO(text))
     table = []  # the non-blank rows, each with the line it starts on
@@ -236,6 +250,7 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
 
     attributes = []
     cells: list[list[Fraction]] = []
+    grades: dict[str, Fraction] = {}
     for k, row in table[1:]:
         row = [cell.strip() for cell in row]
         if len(row) != len(objects) + 1:
@@ -247,9 +262,7 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
         if name in attributes:
             raise ContextFormatError(f"duplicate attribute name {name!r}", k)
         attributes.append(name)
-        cells.append(
-            [_read(read_grade, v, f"cell ({name}, {obj})", k) for obj, v in zip(objects, row[1:])]
-        )
+        cells.append(_read_cells(read_grade, grades, name, objects, row[1:], k))
     if not attributes:
         raise ContextFormatError("empty attribute set", top)
 
@@ -258,8 +271,9 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
     except ValueError as exc:  # an unknown frame, or too fine a chain for the grades
         raise ContextFormatError(str(exc)) from None
     numerator = triple.p3.numerator_of_fraction  # concept-forming: relation lives on P
+    numerators: dict[Fraction, int] = {}
     relation = [
-        [_read(numerator, v, f"cell ({name}, {obj})", k) for obj, v in zip(objects, row)]
+        _read_cells(numerator, numerators, name, objects, row, k)
         for (k, _), name, row in zip(table[1:], attributes, cells)
     ]
     return FuzzyContext(attributes, objects, (triple,), relation)

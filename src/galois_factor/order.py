@@ -32,11 +32,13 @@ edges of every lattice but the cn cube's in one reverse pass over the
 first keys' bits, grade vectors read as threshold bitmasks, peeling each
 element's upper covers off its up-set.
 
-Every lattice but the cn cube is enumerated by the one scan
+Every lattice but the cn cube and fn's is enumerated by the one scan
 ``closed_sets``, FCbO over a Boolean context's row and column bitmasks;
-the fn and fuzzy concept lattices run it on a context scaled by grade
-thresholds (see ``fuzzy``).  Its ``budget`` caps the closure evaluations,
-the unit of Kuznetsov & Obiedkov (JETAI 2002), fuzzy ones included: before
+the fuzzy concept lattice runs it on a context scaled by grade thresholds
+(see ``fuzzy``).  The fn lattice is walked by ``fuzzy.fn_enumerate`` on
+the same threshold bits with fn's own closure, whose closed sets are its
+members.  The ``budget`` of either caps the closure evaluations, the unit
+of Kuznetsov & Obiedkov (JETAI 2002), fuzzy ones included: before
 evaluation budget + 1 it raises ``BudgetExceededError`` with the closed
 sets yielded so far.  The ``lattice`` (both kinds), ``fn`` and
 ``check`` commands set it with ``--budget``; the block scans of ``factor

@@ -258,8 +258,8 @@ def godel_metachars() -> FuzzyContext:
 
 # 6 attributes x 12 objects for godel:4, cells drawn in row-major order by
 # random.Random(1).choice(["0", "1/4", "1/2", "3/4", "1"]).  Its grid of
-# graded object sets has 5**12 = 244,140,625 points, but the FCbO scans
-# evaluate 925 closures for fn (5 pairs) and 981 for the 727 concepts.
+# graded object sets has 5**12 = 244,140,625 points, but fn's closure walk
+# evaluates 45 closures (5 pairs) and the FCbO scan 981 for the 727 concepts.
 WIDE_GODEL_CSV = """R,b1,b2,b3,b4,b5,b6,b7,b8,b9,b10,b11,b12
 a1,1/4,1,0,1/2,0,3/4,3/4,3/4,3/4,1/4,0,3/4
 a2,0,3/4,3/4,1,0,3/4,1/2,1/4,1,0,1/2,0
@@ -267,6 +267,17 @@ a3,0,0,1,0,3/4,1/4,3/4,0,1,1/4,3/4,3/4
 a4,1,1/4,1/2,1/4,1/4,3/4,1/2,0,3/4,1,0,1/4
 a5,1/2,0,1/2,1,3/4,1,1/4,1/2,1/2,1,3/4,1
 a6,3/4,1,0,3/4,1/4,3/4,3/4,1/4,1/2,1,1/2,0
+"""
+
+# 5 attributes x 4 objects for lukasiewicz:32.  Its one necessity-closed
+# pair is the top: fn's closure walk evaluates 1 closure, where a scan of
+# the fixpoints of down-N o up-pi evaluated over 100,000.
+LUKASIEWICZ_32_CSV = """R,b1,b2,b3,b4
+a1,1/16,19/32,0,1/8
+a2,3/16,1/16,3/8,13/16
+a3,9/16,1/2,9/32,1/16
+a4,21/32,5/8,23/32,1/4
+a5,3/4,3/4,29/32,3/4
 """
 
 # Goedel R2 concept list (extent values, intent values) on the m=4 chain

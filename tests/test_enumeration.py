@@ -24,17 +24,18 @@ from galois_factor import (
     f_down,
     f_down_n,
     f_up,
-    f_up_pi,
+    f_up_n,
     fn_enumerate,
     fuzzy_concepts,
     godel_triple,
     lukasiewicz_triple,
 )
+from galois_factor import fuzzy
 from galois_factor.cli import main
 from galois_factor.io import format_cxt, parse_fuzzy_csv
 from galois_factor.order import DEFAULT_ENUM_BUDGET, Budget, closed_sets, thresholds, transpose
 from galois_factor.oracles import brute_fn, brute_fuzzy_concepts
-from tables import TABLE1, TABLE2, WIDE_GODEL_CSV, godel_r2
+from tables import LUKASIEWICZ_32_CSV, TABLE1, TABLE2, WIDE_GODEL_CSV, godel_r2
 
 
 def exhausted(scan):
@@ -44,9 +45,9 @@ def exhausted(scan):
 
 
 # (enumerator, context, closures it evaluates, closed sets its scan yields,
-# elements it lists); fn keeps 55 of the 70 fixpoints of down-N o up-pi
+# elements it lists); fn's walk yields its 55 members alone
 WORKED = [
-    pytest.param(fn_enumerate, godel_r2(), 72, 70, 55, id="fn-godel-r2"),
+    pytest.param(fn_enumerate, godel_r2(), 57, 55, 55, id="fn-godel-r2"),
     pytest.param(fuzzy_concepts, godel_r2(), 18, 7, 7, id="fuzzy-concepts-godel-r2"),
     pytest.param(concepts, TABLE1, 15, 8, 8, id="concepts-table1"),
     pytest.param(concepts, TABLE2, 22, 11, 11, id="concepts-table2"),
@@ -117,7 +118,7 @@ class TestEnumeratorsAgainstGridOracles:
             assert is_sorted([p.g.values for p in fast])
 
     def test_fn_enumerate_on_finer_chains(self):
-        # the nested threshold masks of fn's filter on m = 9..16, then on
+        # the nested threshold rows of fn's closure on m = 9..16, then on
         # m = 24..32, 3 x 2 at most: a grid of at most 33**2 points
         rng = random.Random(65536)
         coarse = (triples_by_sigma(rng, rng.randint(9, 16), 2, 3, 2) for _ in range(30))
@@ -157,11 +158,12 @@ def every_grade_context(n, m):
     )
 
 
-# (enumerator, context generator, seed, closure whose fixpoints the scan lists)
+# (enumerator, context generator, seed, map whose fixpoints the scan lists):
+# fn's walk lists the members, the fixpoints of down-N o up-N
 SCALED = [
     pytest.param(
         fn_enumerate, mixed_triple_context, 28,
-        lambda ctx, g: f_down_n(ctx, f_up_pi(ctx, g)), id="fn-mixed-triples",
+        lambda ctx, g: f_down_n(ctx, f_up_n(ctx, g)), id="fn-mixed-triples",
     ),
     pytest.param(
         fuzzy_concepts, mixed_triple_context, 8128,
@@ -180,15 +182,20 @@ class TestThresholdScaling:
 
     @pytest.fixture
     def scanned(self, monkeypatch):
-        """The raw extent bitmasks of every ``closed_sets`` scan run."""
+        """The raw bitmasks of every ``closed_sets`` extent and every member
+        that fn's walk yields."""
         seen = []
 
-        def recording(rows, cols, budget=DEFAULT_ENUM_BUDGET):
-            for extent, intent in closed_sets(rows, cols, budget):
-                seen.append(extent)
-                yield extent, intent
+        def recording(scan):
+            def recorded(*args):
+                for bits, other in scan(*args):
+                    seen.append(bits)
+                    yield bits, other
 
-        monkeypatch.setattr("galois_factor.order.closed_sets", recording)
+            return recorded
+
+        monkeypatch.setattr("galois_factor.order.closed_sets", recording(closed_sets))
+        monkeypatch.setattr("galois_factor.fuzzy._fn_walk", recording(fuzzy._fn_walk))
         return seen
 
     def test_thresholds_decode_by_block_bit_count(self):
@@ -298,6 +305,41 @@ class TestFnMeetClosure:
                     assert members.get(met) == tuple(map(min, f1, f2))
 
 
+class TestFnClosureWalk:
+    """fn's closure cl(g), the least member above g, and the walk over it."""
+
+    def test_closure_is_the_meet_of_the_members_above(self):
+        rng = random.Random(5040)
+        for k in range(30):
+            ctx = mixed_triple_context(rng, fine=k >= 20)
+            close = fuzzy._fn_closure(ctx)
+            members = {p.g.values: p.f.values for p in brute_fn(ctx)}
+            m2, n = ctx.l2.m, len(ctx.objects)
+            for g in product(range(m2 + 1), repeat=n):
+                above = [h for h in members if all(map(int.__le__, g, h))]
+                least = tuple(map(min, (m2,) * n, *above))
+                assert close(thresholds(g, m2)) == (thresholds(least, m2), members[least]), ctx
+
+    def test_at_most_one_closure_per_object_and_member(self):
+        # the first closure, of the empty set, then per member at most one
+        # try per object
+        rng = random.Random(720)
+        for k in range(60):
+            ctx = mixed_triple_context(rng, fine=k >= 40)
+            shared = Budget(DEFAULT_ENUM_BUDGET)
+            members = len(fn_enumerate(ctx, shared))
+            assert shared.found == members
+            assert shared.spent <= 1 + len(ctx.objects) * members, ctx
+
+    def test_a_fine_lukasiewicz_context_takes_one_closure(self):
+        # the closure of the empty set is the top; the old scan over the
+        # fixpoints of down-N o up-pi spent over 100,000 closures here
+        ctx = parse_fuzzy_csv(LUKASIEWICZ_32_CSV, "lukasiewicz:32")
+        shared = Budget(1)
+        assert [p.g.values for p in fn_enumerate(ctx, shared)] == [(32,) * 4]
+        assert (shared.spent, shared.found) == (1, 1)
+
+
 def contranominal(n):
     """The n x n context where object j has every attribute but j: every
     attribute set is an intent, so FCbO closes each concept once and never
@@ -355,16 +397,16 @@ class TestScanBudget:
         assert (shared.spent, shared.found) == (10, 10)
 
     def test_fuzzy_scans_share_a_budget(self):
-        # fn spends 72 closures for 70 fixpoints, the fuzzy concepts 18 for 7;
+        # fn spends 57 closures for 55 members, the fuzzy concepts 18 for 7;
         # the first 5 closures of a second concept scan find 2 concepts
-        shared = Budget(95)
+        shared = Budget(80)
         assert len(fn_enumerate(godel_r2(), shared)) == 55
         assert len(fuzzy_concepts(godel_r2(), shared)) == 7
-        assert (shared.spent, shared.found) == (90, 77)
+        assert (shared.spent, shared.found) == (75, 62)
         with pytest.raises(BudgetExceededError) as err:
             fuzzy_concepts(godel_r2(), shared)
-        assert (err.value.count, err.value.budget, err.value.found) == (95, 95, 79)
-        assert (shared.spent, shared.found) == (95, 79)
+        assert (err.value.count, err.value.budget, err.value.found) == (80, 80, 64)
+        assert (shared.spent, shared.found) == (80, 64)
 
     def test_an_abandoned_scan_charges_what_it_spent(self):
         shared = Budget(10)
@@ -438,9 +480,9 @@ class TestEnumeratorBudget:
     def test_wide_godel_context_runs_under_the_default_budget(self):
         ctx = parse_fuzzy_csv(WIDE_GODEL_CSV, "godel:4")
         assert len(fn_enumerate(ctx)) == 5
-        assert len(fn_enumerate(ctx, budget=925)) == 5
+        assert len(fn_enumerate(ctx, budget=45)) == 5
         with pytest.raises(BudgetExceededError):
-            fn_enumerate(ctx, budget=924)
+            fn_enumerate(ctx, budget=44)
         assert len(fuzzy_concepts(ctx)) == 727
         assert len(fuzzy_concepts(ctx, budget=981)) == 727
         with pytest.raises(BudgetExceededError):

@@ -330,13 +330,13 @@ class TestFnEnumerate:
         assert in_fn(ctx, pair)
 
     def test_budget_exceeded_reports_required(self):
-        # the scan needs 72 closure evaluations and stops before the 72nd
+        # the walk needs 57 closure evaluations and stops before the 57th
         ctx = godel_r2()
         with pytest.raises(BudgetExceededError) as err:
-            fn_enumerate(ctx, budget=71)
-        assert (err.value.count, err.value.budget) == (71, 71)
+            fn_enumerate(ctx, budget=56)
+        assert (err.value.count, err.value.budget) == (56, 56)
         assert err.value.unit == "closure evaluations"
-        assert len(fn_enumerate(ctx, budget=72)) == len(fn_enumerate(ctx))
+        assert len(fn_enumerate(ctx, budget=57)) == len(fn_enumerate(ctx))
 
     def test_canonical_order(self):
         lattice = fn_enumerate(godel_r2())

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from galois_factor import (
     AdjointnessError,
     AdjointTriple,
+    FuzzyContext,
     Grade,
     GradeChain,
     grades,
@@ -17,6 +18,7 @@ from galois_factor import (
     lukasiewicz_triple,
     triple_from_descriptor,
 )
+from galois_factor.io import document_from_json, emit_json
 from galois_factor.oracles import brute_adjointness_witness, residua_by_adjointness
 from tables import HUGE_EXPONENTS, fraction_refusing, godel_r2, triple_law_failures
 
@@ -406,6 +408,36 @@ class TestConstructorCheck:
         with pytest.raises(ValueError, match=message) as err:
             AdjointTriple("bad", chain, chain, chain, **tables)
         assert not isinstance(err.value, AdjointnessError)
+
+
+def list_built_godel(m: int) -> AdjointTriple:
+    """The Goedel triple on {0..m}, its conjunctor given as a list of lists."""
+    chain = GradeChain(m)
+    conj = [list(row) for row in godel_triple(chain).conj_table]
+    return AdjointTriple(f"godel:{m}", chain, chain, chain, conj)
+
+
+class TestListBuiltTables:
+    """A conjunctor given as a list of lists is kept as a tuple of tuples."""
+
+    def test_it_hashes(self):
+        t = list_built_godel(2)
+        assert hash(t) == hash(godel_triple(GradeChain(2)))
+        ctx = FuzzyContext(["a"], ["b"], (t,), [[1]])
+        assert hash(ctx) == hash(FuzzyContext(["a"], ["b"], (godel_triple(GradeChain(2)),), [[1]]))
+
+    def test_it_equals_the_tuple_built_triple(self):
+        t = list_built_godel(2)
+        assert t == godel_triple(GradeChain(2))
+        assert t.conj_table == ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+
+    def test_a_context_on_it_is_written(self):
+        ctx = FuzzyContext(["a1", "a2"], ["b1"], (list_built_godel(2),), [[1], [2]])
+        assert document_from_json(emit_json(ctx)) == ctx
+
+    def test_a_commutative_one_shares_its_residuum_table(self):
+        t = list_built_godel(3)
+        assert t.res_right_table is t.res_left_table
 
 
 class TestDescriptors:

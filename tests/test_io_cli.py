@@ -35,6 +35,7 @@ from galois_factor.order import key_le
 from tables import (
     DIAG2,
     HUGE_EXPONENTS,
+    LUKASIEWICZ_32_CSV,
     TABLE1,
     TABLE2,
     WIDE_GODEL_CSV,
@@ -255,6 +256,24 @@ class TestFuzzyCsvParsing:
         ctx = parse_fuzzy_csv("R,b1\na1,1/4\na2,1\n", "godel:4")
         assert ctx.relation == ((1,), (4,))
 
+    def test_spellings_of_one_grade_read_alike(self):
+        ctx = parse_fuzzy_csv("R,b1,b2\na1,0.5,1/2\na2,1,0.50\na3,1/2,0.5\n", "godel:2")
+        assert ctx.relation == ((1, 1), (2, 1), (1, 1))
+
+    # each spelling and each grade is read once per parse; a failure is not
+    # remembered, so a value that repeats fails at its first cell
+    def test_a_repeated_unreadable_spelling_names_its_first_cell(self):
+        text = "R,b1,b2,b3\na1,1,0,1\na2,0,x,x\na3,x,1,0\n"
+        with pytest.raises(ContextFormatError, match=r"^line 3: cell \(a2, b2\)") as err:
+            parse_fuzzy_csv(text, "godel:4")
+        assert err.value.line == 3
+
+    def test_a_repeated_off_grid_value_names_its_first_cell(self):
+        text = "R,b1,b2,b3\na1,1,0,1\na2,0,0.3,0.3\na3,3/10,1,0\n"
+        with pytest.raises(ContextFormatError, match=r"^line 3: cell \(a2, b2\)") as err:
+            parse_fuzzy_csv(text, "godel:4")
+        assert err.value.line == 3
+
     @pytest.mark.parametrize(
         "text, line",
         [
@@ -327,10 +346,11 @@ class TestFuzzyCsvParsing:
         assert parse_fuzzy_csv("R,b1,b2\na1,1/256,1/2\n", "godel").p.m == 256
 
     def test_each_cell_is_read_once(self, monkeypatch):
+        # at most once: the 42 cells share the one read of their spelling
         calls = count_grade_reads(monkeypatch)
         ctx = parse_fuzzy_csv(GRID_7X6_CSV, "dprod:4,4,4")
         assert ctx.relation[1] == (1, 2, 3, 4, 0, 1)
-        assert len(calls) == 42
+        assert calls == GRID_CELLS
 
     def test_off_chain_cell_messages(self):
         expected = (
@@ -745,7 +765,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, key, closures, elements",
-        [("fn", "pairs", 925, 5), ("lattice", "concepts", 981, 727)],
+        [("fn", "pairs", 45, 5), ("lattice", "concepts", 981, 727)],
     )
     def test_wide_godel_context(self, tmp_path, capsys, command, key, closures, elements):
         path = write(tmp_path, "wide.csv", WIDE_GODEL_CSV)
@@ -760,10 +780,19 @@ class TestCli:
     def test_check_honours_the_budget(self, tmp_path, capsys):
         path = write(tmp_path, "wide.csv", WIDE_GODEL_CSV)
         argv = ["check", path, "--frame", "godel:4", "--props", "fp1"]
-        assert main([*argv, "--budget", "925"]) == 0
+        assert main([*argv, "--budget", "45"]) == 0
         assert json.loads(capsys.readouterr().out)["pair_count"] == 5
-        assert main([*argv, "--budget", "924"]) == 2
+        assert main([*argv, "--budget", "44"]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["fn", "check"])
+    def test_fine_lukasiewicz_context_within_one_closure(self, tmp_path, capsys, command):
+        # its one pair, the top, is the closure of the empty set
+        path = write(tmp_path, "fine.csv", LUKASIEWICZ_32_CSV)
+        assert main([command, path, "--frame", "lukasiewicz:32", "--budget", "1"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert len(document["pairs"] if command == "fn" else document["rows"]) == 1
+        assert main([command, path, "--frame", "lukasiewicz:32", "--budget", "0"]) == 2
 
     def test_boolean_lattice_honours_the_budget(self, tmp_path, capsys):
         path = write(tmp_path, "table1.cxt", format_cxt(TABLE1))
@@ -894,7 +923,7 @@ class TestCli:
         # int() reads "1_0" as 10 and ARABIC-INDIC DIGIT ONE as 1
         path = write(tmp_path, "wide.csv", WIDE_GODEL_CSV)
         argv = ["check", path, "--frame", "godel:4", "--props", "fp1"]
-        for budget in ("925", "1"):  # refused before the enumeration runs
+        for budget in ("45", "1"):  # refused before the enumeration runs
             assert main([*argv, "--pairs", pairs, "--budget", budget]) == 1
             out, err = capsys.readouterr()
             assert out == ""
