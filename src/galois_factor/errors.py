@@ -44,10 +44,10 @@ class BudgetExceededError(RuntimeError):
     """Work beyond a budget; ``unit`` names what was counted.
 
     The FCbO scan ``order.closed_sets`` counts closure evaluations for
-    Boolean and fuzzy concept lattices alike (on a threshold-scaled context
-    for the fuzzy ones), and fn's closure walk ``fuzzy.fn_enumerate`` counts
-    them alike; both stop before evaluation budget + 1: ``count`` is the
-    evaluations done and ``found`` the closed sets yielded.  The ``lattice``,
+    Boolean concept lattices, and the closure walk of ``fuzzy.fn_enumerate``
+    and ``fuzzy.fuzzy_concepts`` counts them alike for the graded ones; both
+    stop before evaluation budget + 1: ``count`` is the evaluations done and
+    ``found`` the closed sets yielded.  The ``lattice``,
     ``fn`` and ``check`` commands set that budget with ``--budget``, and
     ``factor --emit dot`` one budget for all its block scans.  A cn lattice
     beyond its atom cutoff counts pairs, the Hasse covers lattice elements,

@@ -29,13 +29,13 @@ build ``Fp4Report`` and ``ConceptInterval`` records from them.
 Each graded operator is kept in one form (see the kernel comment): a
 threshold family, keyed by object for the up operators and by attribute
 for the down operators.  The down families are bitmask rows over the
-objects' threshold bits.  ``fuzzy_concepts`` scans the down family's rows
-with the FCbO of ``order.closed_sets``; ``fn_enumerate`` walks fn's own
-closure, read off the down_n and down_pi rows by bit tests, so it visits
-the members alone.  Neither evaluates a graded operator, and both read
-their keys off the bits: a concept's intent is the bit counts of the
-closed intent, a member's f counts the leading down_pi rows that its bits
-hold, and only the closed sets are decoded.
+objects' threshold bits.  One walk, ``_walk``, lists both graded lattices
+over those bits, each by its own closure read off the rows by bit tests:
+down o up on the down rows for ``fuzzy_concepts``, fn's closure on the
+down_n and down_pi rows for ``fn_enumerate``.  Neither evaluates a graded
+operator, and both read their keys off the bits: a concept's intent counts
+the leading down rows that its extent bits hold, a member's f the leading
+down_pi rows, and only the closed sets are decoded.
 """
 
 from __future__ import annotations
@@ -488,41 +488,63 @@ def _fn_closure(ctx: FuzzyContext):
     return close
 
 
-def _fn_walk(
-    ctx: FuzzyContext, budget: int | order.Budget
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The (threshold bits, f) of every member, each exactly once, by the
-    walk of ``fn_enumerate``; ``budget`` as in ``order.closed_sets``."""
-    close = _fn_closure(ctx)
+def _concept_closure(ctx: FuzzyContext):
+    """The closure down o up on threshold bits, by bit tests on the down
+    rows (see ``fuzzy_concepts``): ``close(X)`` is (X-up-down's bits, X-up)."""
+    m1 = ctx.l1.m
+    rows = [(down, tuple(~row for row in down)) for down in _family(ctx, "down")]
+
+    def close(x: int) -> tuple[int, tuple[int, ...]]:
+        meet, up = -1, []  # -1 holds every bit
+        for down, beyond in rows:
+            c = 0
+            while c < m1 and not x & beyond[c + 1]:
+                c += 1
+            up.append(c)
+            meet &= down[c]
+        return meet, tuple(up)
+
+    return close
+
+
+def _walk(ctx: FuzzyContext, close, budget: int | order.Budget) -> Iterator[tuple[int, tuple]]:
+    """The (bits, key) that ``close`` returns for each of its closed sets, all
+    threshold sets, once each, by the walk of ``fn_enumerate``."""
     m2, n = ctx.l2.m, len(ctx.objects)
-    block = (1 << m2) - 1
+    full, lowest = (1 << n * m2) - 1, order.thresholds((1,) * n, m2)
     pool = budget if isinstance(budget, order.Budget) else order.Budget(budget)
     limit, spent, found = pool.limit, pool.spent, pool.found
     try:
         if spent >= limit:
             raise BudgetExceededError(spent, limit, found=found)
         spent += 1
-        x, f = close(0)
+        x, key = close(0)
         found += 1
-        yield x, f
-        stack = [(x, 0)]
+        yield x, key
+        stack = [(x, 0, [0] * (n * m2))]
         while stack:
-            x, start = stack.pop()
-            children = []
-            for j in range(start, n):
-                a = (x >> j * m2 & block).bit_count()
-                if a == m2:
+            x, start, failures = stack.pop()
+            inherited, children = failures, []
+            free = ~x & (x << 1 | lowest) & full >> start << start
+            while free:
+                bit = free & -free
+                free ^= bit
+                lower, j = bit - 1, bit.bit_length() - 1
+                if inherited[j] & lower & ~x:
                     continue
-                bit = 1 << j * m2 + a
                 if spent >= limit:
                     raise BudgetExceededError(spent, limit, found=found)
                 spent += 1
-                y, f = close(x | bit)
-                if (y ^ x) & (bit - 1) == 0:
+                y, key = close(x | bit)
+                if (y ^ x) & lower == 0:
                     found += 1
-                    yield y, f
-                    children.append((y, j))
-            stack += reversed(children)
+                    yield y, key
+                    children.append((y, j + 1))
+                else:
+                    if failures is inherited:
+                        failures = failures.copy()
+                    failures[j] = y
+            stack += [(*child, failures) for child in reversed(children)]
     finally:
         pool.spent, pool.found = spent, found
 
@@ -548,24 +570,31 @@ def fn_enumerate(
     g <= g' = h(g').  So every closed set of cl is a member and every
     member is closed.
 
-    The walk is CbO (Kuznetsov & Obiedkov, JETAI 2002) on the threshold
-    bits X of g, object bit j*m2 + a - 1 reading g(j) >= a, with cl taken
-    by bit tests on the down_n and down_pi rows (``_fn_closure``).  A node
-    tries, for each object j >= its start below the top grade, the next
-    grade bit of j, bit = 1 << j*m2 + g(j), and keeps Y = cl(X | bit) as a
-    child starting at j when (Y ^ X) & (bit - 1) == 0, the canonicity test.
-    CbO would also try j's higher bits, but cl's closed sets are threshold
-    sets, so such a Y holds the next bit, below the one tried and not in
-    X, and fails.  So each member is listed once and tries at most n
-    closures: 1 + n |fn| closures in all, the first one of the empty set.
+    The walk (``_walk``) is CbO (Kuznetsov & Obiedkov, JETAI 2002) on the
+    threshold bits X of g, object bit j*m2 + a - 1 reading g(j) >= a, with
+    cl taken by bit tests on the down_n and down_pi rows (``_fn_closure``).
+    A node tries, from its start bit on, each object's next grade bit, the
+    bits of ~X & (X << 1 | lowest), ``lowest`` holding every object's first,
+    and keeps Y = cl(X | bit) as a child starting past the bit when
+    (Y ^ X) & (bit - 1) == 0, the canonicity test.  CbO would also try an
+    object's higher bits, but cl's closed sets are threshold sets, so such
+    a Y holds the next bit, below the one tried and not in X, and fails.
+    So each member is listed once and tries at most n closures: at most
+    1 + n |fn| closures in all, the first one of the empty set.  A Y that
+    fails is recorded at its bit, and the node's children inherit the
+    records, as in FCbO (Outrata & Vychodil, Inf. Sci. 2012): a child X'
+    skips a bit whose record holds a bit below it outside X'.  cl is
+    monotone and X' holds X, so cl(X' | bit) holds the record and fails the
+    same way.  A record whose bit X' already holds lies inside cl(X') = X',
+    so it never causes a skip.
 
-    ``budget`` caps the closure evaluations as in ``order.closed_sets``: an
+    ``budget`` caps the closure evaluations, the first one included: an
     ``order.Budget`` is shared with other scans, and before evaluation
     budget + 1 ``BudgetExceededError`` reports the members found so far.
     """
     _require_fn_operators(ctx)
     m2, n = ctx.l2.m, len(ctx.objects)
-    members = [(_grades(x, m2, n), f) for x, f in _fn_walk(ctx, budget)]
+    members = [(_grades(x, m2, n), f) for x, f in _walk(ctx, _fn_closure(ctx), budget)]
     return order.sorted_lattice(ctx, FuzzyNecessityPair, members)
 
 
@@ -574,26 +603,17 @@ def fuzzy_concepts(
 ) -> order.Lattice:
     """All concepts <g, g-up>, sorted lexicographically on the extents.
 
-    The extents are the fixpoints of the closure down o up.  Scaled by grade
-    thresholds (Belohlavek, Fund. Inform. 2001), they are the extents of a
-    Boolean context, which the one FCbO scan ``order.closed_sets`` lists:
-    object (j, a), a = 1..m2, reads g(j) >= a, and attribute (i, c),
-    c = 1..m1, is the row D[i][c] of the down family.  By the kernel comment,
-    for X the threshold set of g, (i, c) holds all of X iff c <= g-up(i), and
-    for any attribute set Y, with f(i) the largest c of Y at i (0 if none),
-    Y-down is the meet of the rows D[i][f(i)], the threshold set of f-down.
-    So every scaled extent decodes, g(j) being the bit count of block j, to
-    an extent f-down, and the scan's intent of X is X-up, the (i, c) with
-    c <= g-up(i): g-up(i) is the bit count of block i of the intent bits.
-    ``budget`` caps the scan's closure evaluations; an ``order.Budget`` is
-    shared with other scans.
+    The extents are the closed sets of down o up, which ``_walk`` lists as
+    it lists fn's members (see ``fn_enumerate``): each once, in at most
+    1 + n |L| closures.  With D the down family and X the threshold bits of
+    g, X <= D[i][c] iff c <= g-up(i) (the kernel comment), and D shrinks in
+    c, so g-up(i) counts the leading rows D[i][1], D[i][2], ... that hold X,
+    and X-up-down is the meet of the rows D[i][g-up(i)], a threshold set
+    (``_concept_closure``).  ``budget`` is as in ``fn_enumerate``.
     """
     _require_arrangement(ctx, FrameKind.CONCEPT_FORMING, "up")
-    m1, m2 = ctx.l1.m, ctx.l2.m
-    n, k = len(ctx.objects), len(ctx.attributes)
-    rows = [row for family in _family(ctx, "down") for row in family[1:]]
-    scan = order.closed_sets(rows, order.transpose(rows, n * m2), budget)
-    pairs = [(_grades(x, m2, n), _grades(y, m1, k)) for x, y in scan]
+    m2, n = ctx.l2.m, len(ctx.objects)
+    pairs = [(_grades(x, m2, n), up) for x, up in _walk(ctx, _concept_closure(ctx), budget)]
     return order.sorted_lattice(ctx, MultiAdjointConcept, pairs)
 
 

@@ -32,17 +32,17 @@ edges of every lattice but the cn cube's in one reverse pass over the
 first keys' bits, grade vectors read as threshold bitmasks, peeling each
 element's upper covers off its up-set.
 
-Every lattice but the cn cube and fn's is enumerated by the one scan
-``closed_sets``, FCbO over a Boolean context's row and column bitmasks;
-the fuzzy concept lattice runs it on a context scaled by grade thresholds
-(see ``fuzzy``).  The fn lattice is walked by ``fuzzy.fn_enumerate`` on
-the same threshold bits with fn's own closure, whose closed sets are its
-members.  The ``budget`` of either caps the closure evaluations, the unit
-of Kuznetsov & Obiedkov (JETAI 2002), fuzzy ones included: before
-evaluation budget + 1 it raises ``BudgetExceededError`` with the closed
-sets yielded so far.  The ``lattice`` (both kinds), ``fn`` and
-``check`` commands set it with ``--budget``; the block scans of ``factor
---emit dot`` share one ``Budget``.
+The Boolean concept lattice is enumerated by the scan ``closed_sets``,
+FCbO over a Boolean context's row and column bitmasks.  The two graded
+lattices, fn's and the fuzzy concepts', are walked by one CbO over the
+objects' threshold bits with the lattice's own closure, whose closed sets
+are its elements (see ``fuzzy``).  The ``budget`` of either caps the
+closure evaluations, the unit of Kuznetsov & Obiedkov (JETAI 2002), fuzzy
+ones included: before evaluation budget + 1 it raises
+``BudgetExceededError`` with the closed sets yielded so far.  The
+``lattice`` (both kinds), ``fn`` and ``check`` commands set it with
+``--budget``; the block scans of ``factor --emit dot`` share one
+``Budget``.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def key_le(a: int | Sequence[int], b: int | Sequence[int]) -> bool:
 
 
 class Budget:
-    """Closure evaluations shared by several ``closed_sets`` scans: each scan
+    """Closure evaluations shared by several scans, Boolean or graded: each
     adds its evaluations and closed sets to ``spent`` and ``found``, so the
     scans together stop before evaluation ``limit`` + 1."""
 

@@ -259,7 +259,8 @@ def godel_metachars() -> FuzzyContext:
 # 6 attributes x 12 objects for godel:4, cells drawn in row-major order by
 # random.Random(1).choice(["0", "1/4", "1/2", "3/4", "1"]).  Its grid of
 # graded object sets has 5**12 = 244,140,625 points, but fn's closure walk
-# evaluates 45 closures (5 pairs) and the FCbO scan 981 for the 727 concepts.
+# evaluates 45 closures (5 pairs), and the same walk on the concept closure
+# 1,148 for the 727 concepts.
 WIDE_GODEL_CSV = """R,b1,b2,b3,b4,b5,b6,b7,b8,b9,b10,b11,b12
 a1,1/4,1,0,1/2,0,3/4,3/4,3/4,3/4,1/4,0,3/4
 a2,0,3/4,3/4,1,0,3/4,1/2,1/4,1,0,1/2,0

@@ -363,8 +363,9 @@ def every_cell_context(m: int, rng) -> FuzzyContext:
 
 
 class TestThresholdBitFilter:
-    """``fn_enumerate`` and ``fuzzy_concepts`` read their keys off the scan's
-    bits; the graded operator kernel ``fuzzy._apply`` never runs."""
+    """``fn_enumerate`` and ``fuzzy_concepts`` read their keys off the bits of
+    their closures' threshold rows; the graded operator kernel
+    ``fuzzy._apply`` never runs."""
 
     WORKED = (godel_r1, godel_r2, luk_table3, dprod_r1, dprod_r2)
 
@@ -485,11 +486,11 @@ class TestFuzzyConcepts:
         assert ctx.graded_objects(["1", "0", "1"]) in extents
 
     def test_budget_guard(self):
-        # 18 closure evaluations find the 7 concepts; 17 find all but one
+        # 9 closure evaluations find the 7 concepts; 8 find all but one
         with pytest.raises(BudgetExceededError) as err:
-            fuzzy_concepts(godel_r2(), budget=17)
-        assert (err.value.count, err.value.found) == (17, 6)
-        assert len(fuzzy_concepts(godel_r2(), budget=18)) == 7
+            fuzzy_concepts(godel_r2(), budget=8)
+        assert (err.value.count, err.value.found) == (8, 6)
+        assert len(fuzzy_concepts(godel_r2(), budget=9)) == 7
 
 
 class TestChainEmbedding:

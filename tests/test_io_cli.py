@@ -765,7 +765,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, key, closures, elements",
-        [("fn", "pairs", 45, 5), ("lattice", "concepts", 981, 727)],
+        [("fn", "pairs", 45, 5), ("lattice", "concepts", 1148, 727)],
     )
     def test_wide_godel_context(self, tmp_path, capsys, command, key, closures, elements):
         path = write(tmp_path, "wide.csv", WIDE_GODEL_CSV)
