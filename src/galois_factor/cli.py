@@ -125,7 +125,7 @@ def _cmd_cn(args) -> int:
     lattice = fz.cn_enumerate(ctx)
     if lattice.materialized:
         report = _oracle(args, "compare_cn", ctx, lattice)
-    else:  # past the atom cutoff only the atoms are there to check
+    else:  # past order.MAX_ELEMENTS pairs only the atoms are there to check
         report = _oracle(args, "compare_atoms", ctx, lattice.atom_pairs)
     return _emit(args, lattice, report)
 

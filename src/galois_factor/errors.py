@@ -49,10 +49,11 @@ class BudgetExceededError(RuntimeError):
     stop before evaluation budget + 1: ``count`` is the evaluations done and
     ``found`` the closed sets yielded.  The ``lattice``,
     ``fn`` and ``check`` commands set that budget with ``--budget``, and
-    ``factor --emit dot`` one budget for all its block scans.  A cn lattice
-    beyond its atom cutoff counts pairs, the Hasse covers lattice elements,
-    the brute-force oracles subsets or grid points; there ``count`` is what
-    would be needed and ``found`` is None.
+    ``factor --emit dot`` one budget for all its block scans.  The one cap
+    on a written document, ``order.MAX_ELEMENTS``, counts lattice elements
+    (the Hasse covers' rows, a cn lattice's pairs) or ``check`` rows, and
+    the brute-force oracles count subsets or grid points; there ``count``
+    is what would be needed and ``found`` is None.
     """
 
     def __init__(self, count: int, budget: int, unit="closure evaluations", found=None):

@@ -6,10 +6,11 @@ normalized context those pairs are exactly the unions of connected
 components of the bipartite incidence graph, so the lattice is the
 powerset of its atoms (the components), and ``CnLattice`` holds only
 them: the bits of its 2^k elements, its ``keys``, come from doubling two
-int lists.  The exhaustive scan over all object subsets lives in
-:mod:`galois_factor.oracles` as the referee.  The block relation R*, the
-union of the atom rectangles, is a relation on the same attributes and
-objects, so ``rstar`` returns it as a context.
+int lists, while 2^k is at most ``order.MAX_ELEMENTS``.  The exhaustive
+scan over all object subsets lives in :mod:`galois_factor.oracles` as the
+referee.  The block relation R*, the union of the atom rectangles, is a
+relation on the same attributes and objects, so ``rstar`` returns it as a
+context.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import order
 from .contexts import (
     AttributeSubset,
     BooleanContext,
@@ -50,9 +52,6 @@ __all__ = [
     "rstar",
     "block_bounds",
 ]
-
-MAX_MATERIALIZED_ATOMS = 20
-
 
 @dataclass(frozen=True)
 class NecessityPair:
@@ -96,10 +95,10 @@ class CnLattice(Lattice):
     atoms, and equal atoms make equal lattices.  It makes ``keys`` from the
     atoms' bits by doubling, when they are first read, and ``cover_lists``
     from the cube: the Hasse edges are (i, i | 1 << a), for each atom a
-    not in i.  With more than ``MAX_MATERIALIZED_ATOMS`` atoms the lattice
-    is not materialized: only the atoms and the pair count are available,
-    and reading ``keys`` (so ``len``, iteration, indexing) raises
-    ``BudgetExceededError``.
+    not in i.  With more pairs than ``order.MAX_ELEMENTS``, so more than
+    17 atoms, the lattice is not materialized: only the atoms and the pair
+    count are available, and reading ``keys`` (so ``len``, iteration,
+    indexing) raises ``BudgetExceededError``.
     """
 
     kind = NecessityPair
@@ -112,7 +111,7 @@ class CnLattice(Lattice):
 
     @property
     def materialized(self) -> bool:
-        return len(self.atom_pairs) <= MAX_MATERIALIZED_ATOMS
+        return self.pair_count <= order.MAX_ELEMENTS
 
     @property
     def pair_count(self) -> int:
@@ -122,7 +121,7 @@ class CnLattice(Lattice):
     def keys(self) -> tuple[list[int], list[int]]:
         """The object bits and the attribute bits of element i, at index i."""
         if not self.materialized:
-            raise BudgetExceededError(self.pair_count, 1 << MAX_MATERIALIZED_ATOMS, "pairs")
+            raise BudgetExceededError(self.pair_count, order.MAX_ELEMENTS, "lattice elements")
         xs, ys = [0], [0]
         for atom in self.atom_pairs:  # doubling: the second half adds this atom
             xs += [x | atom.objects.bits for x in xs]

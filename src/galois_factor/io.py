@@ -60,6 +60,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from typing import Callable, Sequence
 
+from . import order
 from .contexts import (
     AttributeSubset,
     BooleanContext,
@@ -69,7 +70,7 @@ from .contexts import (
     _check_names,
     concepts,
 )
-from .errors import ContextFormatError
+from .errors import BudgetExceededError, ContextFormatError
 from .factorization import BlockBounds, CnLattice, Factorization, NecessityPair
 from .fuzzy import (
     CHECKS,
@@ -329,13 +330,11 @@ def _fuzzy_context_dict(ctx: FuzzyContext) -> dict:
 
 def _plain(value):
     """A ``BlockBounds`` record as JSON data: its dataclass fields in order,
-    recursively; subsets become their member names and tuples lists."""
+    recursively; subsets become their member names."""
     if isinstance(value, (ObjectSubset, AttributeSubset)):
         return list(value.names)
     if is_dataclass(value):
         return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return list(value)
     return value
 
 
@@ -364,33 +363,33 @@ def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
     pair index a row with the pair and the propositions named in ``props``,
     in ``fuzzy.CHECKS`` order, from one ``fuzzy._checks`` evaluation.  The
     pairs are ``fn_enumerate``'s, members by its proof, so a row claims
-    nothing and builds no pair; only the public checkers claim.
+    nothing and builds no pair; only the public checkers claim.  More rows
+    than ``order.MAX_ELEMENTS`` raise ``BudgetExceededError`` first.
 
     The rows are one ``_Text``: each row is ``_row_template``'s text with
     its leaves in place, the pair index, ``true``/``false`` and grade
-    strings encoded once per report."""
+    strings encoded once per report.  fn's operators need L1 = L2 = P, so
+    one table encodes every grade."""
+    if len(selected) > order.MAX_ELEMENTS:
+        raise BudgetExceededError(len(selected), order.MAX_ELEMENTS, "check rows")
     props = [p for p in CHECKS if p in props]
     template = _row_template(ctx, props)
-    objects = [_encode_str(text) for text in _grade_strings(ctx.l2.m)].__getitem__
-    attributes = [_encode_str(text) for text in _grade_strings(ctx.l1.m)].__getitem__
+    grade = [_encode_str(text) for text in _grade_strings(ctx.p.m)].__getitem__
     flag = ("false", "true").__getitem__
     gs, fs = lattice.keys
     first, between, close = _separators(2)  # rows sit in the document's list
     rows, sep = _Text(), "[" + first
     for i in selected:
         g, f = gs[i], fs[i]
-        leaves = [int.__repr__(i), *map(objects, g), *map(attributes, f)]
+        leaves = [int.__repr__(i), *map(grade, g + f)]
         for name, value in _checks(ctx, g, f, props).items():
             if name == "fp4":
                 strict, tops, either, holds, inequality, g_up, g_up_pi = value
                 leaves += map(flag, (*strict, *tops, *either, holds, inequality))
-                leaves += map(attributes, g_up + g_up_pi)
+                leaves += map(grade, g_up + g_up_pi)
             elif name == "fp5":  # two concepts, extent then intent, then ordered
                 f_down, f_down_up, upper_extent, g_up, ordered = value
-                leaves += map(objects, f_down)
-                leaves += map(attributes, f_down_up)
-                leaves += map(objects, upper_extent)
-                leaves += map(attributes, g_up)
+                leaves += map(grade, f_down + f_down_up + upper_extent + g_up)
                 leaves.append(flag(ordered))
             else:
                 leaves.append(flag(value))

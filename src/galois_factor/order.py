@@ -54,8 +54,10 @@ from typing import Any, Iterable, Iterator, Sequence
 from .errors import BudgetExceededError
 
 DEFAULT_ENUM_BUDGET = 10_000_000
-# pointwise_covers keeps an N-bit mask per element, N**2 / 8 bytes: 2 GiB here
-MAX_COVER_ELEMENTS = 1 << 17
+# the one cap on a written lattice document's elements (cn's pairs, check's
+# rows): covers keep an N-bit mask per element, N**2 / 8 bytes (2 GiB here),
+# and each written element takes about 1-2.5 KB of JSON
+MAX_ELEMENTS = 1 << 17
 
 
 class Lattice:
@@ -232,7 +234,7 @@ def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> list[list[int]]:
     inclusion).  They must be strictly increasing (as tuples, or as ints),
     which makes the listing a linear extension of the pointwise order;
     ``ValueError`` is raised otherwise, never a wrong edge.  More than
-    ``MAX_COVER_ELEMENTS`` rows raise ``BudgetExceededError`` first.
+    ``MAX_ELEMENTS`` rows raise ``BudgetExceededError`` first.
 
     Graded rows become their ``thresholds`` first, with m the largest grade
     of any row, so pointwise <= on vectors is inclusion on the ints, and the
@@ -246,8 +248,8 @@ def pointwise_covers(rows: Sequence[Sequence[int] | int]) -> list[list[int]]:
     grades + edges) big-int operations, one walk over each row's bits.
     """
     n = len(rows)
-    if n > MAX_COVER_ELEMENTS:  # before the masks are allocated
-        raise BudgetExceededError(n, MAX_COVER_ELEMENTS, "lattice elements")
+    if n > MAX_ELEMENTS:  # before the masks are allocated
+        raise BudgetExceededError(n, MAX_ELEMENTS, "lattice elements")
     for i in range(1, n):
         if not rows[i - 1] < rows[i]:
             raise ValueError(f"rows {i - 1} and {i} are not strictly increasing")

@@ -27,7 +27,7 @@ from galois_factor import (
     join_irreducibles,
     lukasiewicz_triple,
 )
-from galois_factor.order import MAX_COVER_ELEMENTS, key_le, pointwise_covers
+from galois_factor.order import MAX_ELEMENTS, key_le, pointwise_covers
 from galois_factor.oracles import _naive_down, _naive_up, brute_covers
 from tables import random_context, random_normalized_context
 
@@ -257,6 +257,6 @@ class TestKernel:
         # a range holds no rows in memory, so only the count check can answer
         # at once; the masks would take N**2 / 8 bytes
         with pytest.raises(BudgetExceededError) as err:
-            pointwise_covers(range(MAX_COVER_ELEMENTS + 1))
-        assert (err.value.count, err.value.budget) == (MAX_COVER_ELEMENTS + 1, MAX_COVER_ELEMENTS)
+            pointwise_covers(range(MAX_ELEMENTS + 1))
+        assert (err.value.count, err.value.budget) == (MAX_ELEMENTS + 1, MAX_ELEMENTS)
         assert err.value.unit == "lattice elements"

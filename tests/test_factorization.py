@@ -31,7 +31,6 @@ from galois_factor import (
     up,
 )
 from galois_factor.cli import main
-from galois_factor.factorization import MAX_MATERIALIZED_ATOMS
 from galois_factor.io import format_cxt
 from galois_factor.oracles import bipartite_components, brute_cn, brute_rstar
 from galois_factor.order import Lattice
@@ -138,7 +137,7 @@ class TestCnEnumerate:
         assert lattice[-1] == pairs[-1]
 
     def test_lattice_by_description_beyond_max_atoms(self):
-        n = MAX_MATERIALIZED_ATOMS + 1
+        n = 18
         diagonal = BooleanContext.from_rows(
             [f"a{i}" for i in range(n)],
             [f"b{j}" for j in range(n)],
@@ -146,7 +145,7 @@ class TestCnEnumerate:
         )
         lattice = cn_enumerate(diagonal)
         assert not lattice.materialized
-        assert lattice.pair_count == 2**21
+        assert lattice.pair_count == 2**18
         pytest.raises(BudgetExceededError, getattr, lattice, "keys")
         first, second = lattice.atom_pairs[:2]
         join = NecessityPair(first.objects | second.objects, first.attrs | second.attrs)
@@ -159,9 +158,10 @@ class TestCnEnumerate:
             names = [f"x{i}" for i in range(n)]
             return BooleanContext.from_rows(names, names, [[i == j for j in names] for i in names])
 
-        big = cn_enumerate(diagonal(MAX_MATERIALIZED_ATOMS + 1))
-        assert big == cn_enumerate(diagonal(MAX_MATERIALIZED_ATOMS + 1))
-        assert big != cn_enumerate(diagonal(MAX_MATERIALIZED_ATOMS + 2))
+        big = cn_enumerate(diagonal(18))
+        assert big.pair_count == 2**18 and not big.materialized
+        assert big == cn_enumerate(diagonal(18))
+        assert big != cn_enumerate(diagonal(19))
 
 
 class TestCnAtoms:

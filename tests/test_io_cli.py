@@ -317,6 +317,12 @@ class TestFuzzyCsvParsing:
             parse_fuzzy_csv(text, "godel:4")
         assert err.value.line == line
 
+    def test_duplicate_attribute_name_with_line_number(self):
+        text = "R,b1,b2\na1,0,1\n\na1,1,0\n"
+        with pytest.raises(ContextFormatError, match="^line 4: duplicate attribute name") as err:
+            parse_fuzzy_csv(text, "godel:4")
+        assert err.value.line == 4
+
     @pytest.mark.parametrize("cell", HUGE_EXPONENTS)
     def test_huge_exponent_refused_before_fraction(self, cell, monkeypatch):
         monkeypatch.setattr(grades, "Fraction", fraction_refusing(cell))
@@ -716,7 +722,7 @@ class TestCli:
         # allocated and nothing is written
         from galois_factor import order
 
-        monkeypatch.setattr(order, "MAX_COVER_ELEMENTS", 2)
+        monkeypatch.setattr(order, "MAX_ELEMENTS", 2)
         path = write(tmp_path, "table1.cxt", TABLE1_CXT)
         assert main(["lattice", path]) == 2
         assert one_error(capsys) == "error: needs 8 lattice elements but the budget is 2\n"

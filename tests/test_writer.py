@@ -32,6 +32,7 @@ from galois_factor import (
     MultiAdjointConcept,
     NecessityPair,
     ObjectSubset,
+    block_bounds,
     cn_enumerate,
     concepts,
     factorize,
@@ -366,6 +367,40 @@ def test_oracle_report_is_the_last_member():
     # emit_json reads a report's two fields; a report is no result of its own
     with pytest.raises(TypeError, match="no JSON form for OracleReport"):
         fio.to_jsonable(report)
+
+
+def test_block_bounds_of_each_table1_atom():
+    # the paper's interval pipeline writes these documents; the bounds of
+    # each atom (X, Y) are <X, X-up> and <Y-down, Y>, read off TABLE1 by hand
+    def concept(extent, intent):
+        return {"extent": extent, "intent": intent}
+
+    bounds = {
+        ("b5", "b6"): (concept(["b5", "b6"], ["a4"]), concept(["b5"], ["a4", "a6"])),
+        ("b2", "b3", "b4"): (concept(["b2", "b3", "b4"], ["a1"]), None),
+        ("b1",): (concept(["b1"], ["a3"]), concept(["b1"], ["a3"])),
+    }
+    ctx = tables.TABLE1
+    for objects, attrs in tables.TABLE1_CN_IRREDUCIBLES:
+        upper, lower = bounds[objects]
+        tree = {
+            "schema": SCHEMA,
+            "type": "block-bounds",
+            "pair": {"objects": list(objects), "attrs": list(attrs)},
+            "upper": upper,
+            "upper_identified_with_top": False,
+            "lower": lower,
+            "lower_identified_with_bottom": lower is None,
+            "upper_is_coatom": True,
+            "lower_within_upper": True,
+        }
+        pair = NecessityPair(ctx.object_set(objects), ctx.attribute_set(attrs))
+        assert emit_json(block_bounds(ctx, pair)) == dumps(tree)
+
+
+def test_emit_dot_refuses_a_context():
+    with pytest.raises(TypeError, match="no DOT form for BooleanContext"):
+        emit_dot(tables.TABLE1)
 
 
 # equal chains, where fn exists, and unequal ones (l1, l2, p) for the
