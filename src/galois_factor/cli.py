@@ -18,13 +18,15 @@ import functools
 import sys
 from pathlib import Path
 
-from . import factorization as fz
-from . import fuzzy as fy
 from . import io as fio
-from . import order
-from .contexts import concepts
+from . import _lazy_submodule, order
+from .contexts import BooleanContext, concepts
 from .errors import BudgetExceededError, ContextFormatError
-from .grades import read_natural
+from .order import read_natural
+
+# loaded on first use: no Boolean command reads fy, and lattice not fz either
+fz = _lazy_submodule("factorization")
+fy = _lazy_submodule("fuzzy")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -47,8 +49,7 @@ _OPTIONS = {
     "budget": dict(type=read_natural, default=order.DEFAULT_ENUM_BUDGET,
                    help="cap on closure evaluations (default %(default)s)"),
     "frame": dict(metavar="NAME:M", help="fuzzy frame, e.g. godel:4"),
-    "props": dict(default=",".join(fy.CHECKS),
-                  help="comma-separated subset of " + ",".join(fy.CHECKS)),
+    "props": dict(help="comma-separated subset of fp1,fp2,fp3,fp4,fp5 (default all)"),
     "pairs": dict(default="all", help="'all' or comma-separated pair indices"),
 }
 
@@ -66,10 +67,10 @@ def _load(args):
     if path.suffix == ".cxt":
         if frame is not None:
             raise CliError("--frame applies only to fuzzy (.csv) input")
-        return fio.parse_cxt(path.read_text(encoding="utf-8"))
+        return fio.parse_cxt(path.read_text(encoding="utf-8-sig"))
     if not frame:
         raise CliError("fuzzy input needs --frame (godel:M, lukasiewicz:M or dprod:M1,M2,M3)")
-    return fio.parse_fuzzy_csv(path.read_text(encoding="utf-8"), frame)
+    return fio.parse_fuzzy_csv(path.read_text(encoding="utf-8-sig"), frame)
 
 
 def _write(args, text: str) -> None:
@@ -112,10 +113,10 @@ def _factorized(args):
 
 def _cmd_lattice(args) -> int:
     ctx = _load(args)
-    if isinstance(ctx, fy.FuzzyContext):
-        enumerate_, compare = fy.fuzzy_concepts, "compare_fuzzy_concepts"
-    else:
+    if isinstance(ctx, BooleanContext):
         enumerate_, compare = concepts, "compare_concepts"
+    else:
+        enumerate_, compare = fy.fuzzy_concepts, "compare_fuzzy_concepts"
     lattice = enumerate_(ctx, budget=args.budget)
     return _emit(args, lattice, _oracle(args, compare, ctx, lattice))
 
@@ -168,7 +169,9 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_check(args) -> int:
     ctx = _load(args)
-    props = [p.strip() for p in args.props.split(",") if p.strip()]
+    props = fy.CHECKS if args.props is None else [
+        p.strip() for p in args.props.split(",") if p.strip()
+    ]
     bad = sorted(set(props) - set(fy.CHECKS))
     if bad:
         raise CliError(f"unknown props {bad}; expected a subset of {list(fy.CHECKS)}")

@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import AdjointnessError
+from .order import read_natural
 
 # the finest chain: a triple's tables have (m + 1)**2 entries, so at m = 256
 # building a triple, checks and derived residua included, takes about 0.02 s
@@ -43,15 +44,6 @@ MAX_GRADE_EXPONENT = 64
 # an error message names a value only below this size; ``str`` of an int
 # past 4300 digits raises instead
 _LARGEST_SHOWN = 10**MAX_GRADE_CHARS
-
-
-def read_natural(text: str) -> int:
-    """``text`` read as ASCII digits alone, blanks around them aside: ``int``
-    would also read a sign, an underscore and other scripts' digits."""
-    digits = text.strip()
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a number in ASCII digits: {text!r}")
-    return int(digits)
 
 
 def read_grade(value) -> Fraction:

@@ -60,31 +60,22 @@ from fractions import Fraction
 from itertools import compress, repeat
 from typing import Callable, Sequence
 
-from . import order
+from . import _lazy_submodule, order
 from .contexts import (
     AttributeSubset,
     BooleanContext,
-    FormalConcept,
     NormalizationReport,
     ObjectSubset,
     _check_names,
     concepts,
 )
 from .errors import BudgetExceededError, ContextFormatError
-from .factorization import BlockBounds, CnLattice, Factorization, NecessityPair
-from .fuzzy import (
-    CHECKS,
-    FrameKind,
-    FuzzyContext,
-    FuzzyNecessityPair,
-    MultiAdjointConcept,
-    _arrangement,
-    _checks,
-    is_fuzzy_normalized,
-    is_top_normalized,
-)
-from .grades import read_grade, read_natural, triple_from_descriptor
-from .order import DEFAULT_ENUM_BUDGET, Budget, Lattice, atoms, transpose
+from .order import DEFAULT_ENUM_BUDGET, Budget, Lattice, atoms, read_natural, transpose
+
+# loaded on first use: Boolean contexts and concept lattices run none of their bodies
+fz = _lazy_submodule("factorization")
+fy = _lazy_submodule("fuzzy")
+grades = _lazy_submodule("grades")
 
 SCHEMA = "galois-factor/1"
 
@@ -195,6 +186,11 @@ def _cell_rows(rows, width: int) -> list[str]:
 # ----------------------------------------------------------------- fuzzy CSV
 
 
+def read_grade(value) -> Fraction:
+    """``grades.read_grade`` under io's own name, which the CSV parser calls."""
+    return grades.read_grade(value)
+
+
 def _read(read: Callable, value, where: str, line: int | None = None):
     """``read(value)``, or ``ContextFormatError`` naming ``where``, the cell or field."""
     try:
@@ -223,7 +219,7 @@ def _csv_names(kind: str, names, line: int) -> None:
         raise ContextFormatError(str(exc), line) from None
 
 
-def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
+def parse_fuzzy_csv(text: str, frame: str) -> fy.FuzzyContext:
     """Parse a fuzzy relation grid.
 
     First row: corner label then object names; each further row: an
@@ -251,7 +247,7 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
 
     attributes = []
     cells: list[list[Fraction]] = []
-    grades: dict[str, Fraction] = {}
+    seen: dict[str, Fraction] = {}
     for k, row in table[1:]:
         row = [cell.strip() for cell in row]
         if len(row) != len(objects) + 1:
@@ -263,12 +259,12 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
         if name in attributes:
             raise ContextFormatError(f"duplicate attribute name {name!r}", k)
         attributes.append(name)
-        cells.append(_read_cells(read_grade, grades, name, objects, row[1:], k))
+        cells.append(_read_cells(read_grade, seen, name, objects, row[1:], k))
     if not attributes:
         raise ContextFormatError("empty attribute set", top)
 
     try:
-        triple = triple_from_descriptor(frame, [v for row in cells for v in row])
+        triple = grades.triple_from_descriptor(frame, [v for row in cells for v in row])
     except ValueError as exc:  # an unknown frame, or too fine a chain for the grades
         raise ContextFormatError(str(exc)) from None
     numerator = triple.p3.numerator_of_fraction  # concept-forming: relation lives on P
@@ -277,7 +273,7 @@ def parse_fuzzy_csv(text: str, frame: str) -> FuzzyContext:
         _read_cells(numerator, numerators, name, objects, row, k)
         for (k, _), name, row in zip(table[1:], attributes, cells)
     ]
-    return FuzzyContext(attributes, objects, (triple,), relation)
+    return fy.FuzzyContext(attributes, objects, (triple,), relation)
 
 
 # ---------------------------------------------------------------------- JSON
@@ -297,12 +293,12 @@ def _boolean_context_dict(ctx: BooleanContext) -> dict:
     }
 
 
-def _frame_names(ctx: FuzzyContext) -> list[str]:
+def _frame_names(ctx: fy.FuzzyContext) -> list[str]:
     """The triples' names, the only record of the frame a document keeps;
     ``ValueError`` unless each name is a descriptor that rebuilds its triple."""
     for t in ctx.triples:
         try:
-            faithful = triple_from_descriptor(t.name) == t
+            faithful = grades.triple_from_descriptor(t.name) == t
         except ValueError:
             faithful = False
         if not faithful:
@@ -313,7 +309,7 @@ def _frame_names(ctx: FuzzyContext) -> list[str]:
     return [t.name for t in ctx.triples]
 
 
-def _fuzzy_context_dict(ctx: FuzzyContext) -> dict:
+def _fuzzy_context_dict(ctx: fy.FuzzyContext) -> dict:
     out = {
         "frames": _frame_names(ctx),
         "arrangement": ctx.kind.value,
@@ -338,13 +334,14 @@ def _plain(value):
     return value
 
 
-# per element type: the lattice's JSON "type" (its DOT graph name with
-# underscores) and the key of its element list
+# per element type, by name so that no lookup loads the fuzzy modules: the
+# lattice's JSON "type" (its DOT graph name with underscores) and the key of
+# its element list
 _LATTICE_KINDS = {
-    FormalConcept: ("concept-lattice", "concepts"),
-    NecessityPair: ("cn-lattice", "pairs"),
-    FuzzyNecessityPair: ("fn-lattice", "pairs"),
-    MultiAdjointConcept: ("fuzzy-concept-lattice", "concepts"),
+    "FormalConcept": ("concept-lattice", "concepts"),
+    "NecessityPair": ("cn-lattice", "pairs"),
+    "FuzzyNecessityPair": ("fn-lattice", "pairs"),
+    "MultiAdjointConcept": ("fuzzy-concept-lattice", "concepts"),
 }
 
 
@@ -358,7 +355,7 @@ def removals_dict(report: NormalizationReport) -> dict:
     }
 
 
-def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
+def check_report(ctx: fy.FuzzyContext, lattice: Lattice, selected, props) -> dict:
     """The ``check`` report: the context's preconditions, then per selected
     pair index a row with the pair and the propositions named in ``props``,
     in ``fuzzy.CHECKS`` order, from one ``fuzzy._checks`` evaluation.  The
@@ -372,7 +369,7 @@ def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
     one table encodes every grade."""
     if len(selected) > order.MAX_ELEMENTS:
         raise BudgetExceededError(len(selected), order.MAX_ELEMENTS, "check rows")
-    props = [p for p in CHECKS if p in props]
+    props = [p for p in fy.CHECKS if p in props]
     template = _row_template(ctx, props)
     grade = [_encode_str(text) for text in _grade_strings(ctx.p.m)].__getitem__
     flag = ("false", "true").__getitem__
@@ -382,7 +379,7 @@ def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
     for i in selected:
         g, f = gs[i], fs[i]
         leaves = [int.__repr__(i), *map(grade, g + f)]
-        for name, value in _checks(ctx, g, f, props).items():
+        for name, value in fy._checks(ctx, g, f, props).items():
             if name == "fp4":
                 strict, tops, either, holds, inequality, g_up, g_up_pi = value
                 leaves += map(flag, (*strict, *tops, *either, holds, inequality))
@@ -399,9 +396,9 @@ def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
     return {
         "type": "check",
         "preconditions": {
-            "normalized": is_fuzzy_normalized(ctx),
-            "top_normalized_rows": is_top_normalized(ctx, "rows"),
-            "top_normalized_columns": is_top_normalized(ctx, "columns"),
+            "normalized": fy.is_fuzzy_normalized(ctx),
+            "top_normalized_rows": fy.is_top_normalized(ctx, "rows"),
+            "top_normalized_columns": fy.is_top_normalized(ctx, "columns"),
             "godel_frame": all(t.is_godel for t in ctx.triples),
         },
         "pair_count": len(lattice),
@@ -413,7 +410,7 @@ def check_report(ctx: FuzzyContext, lattice: Lattice, selected, props) -> dict:
 _LEAF = "\0"
 
 
-def _row_template(ctx: FuzzyContext, props: list[str]) -> str:
+def _row_template(ctx: fy.FuzzyContext, props: list[str]) -> str:
     """A ``check`` row of ``ctx`` with the propositions ``props`` as a ``%``
     template: the row's skeleton written by ``_write`` at the row's level,
     every other ``%`` doubled and each leaf a ``%s``, in the order
@@ -453,9 +450,7 @@ def to_jsonable(obj) -> dict:
         return {"schema": SCHEMA, **obj} if "schema" not in obj else obj
     if isinstance(obj, BooleanContext):
         return {"schema": SCHEMA, "kind": "boolean", **_boolean_context_dict(obj)}
-    if isinstance(obj, FuzzyContext):
-        return {"schema": SCHEMA, "kind": "fuzzy", **_fuzzy_context_dict(obj)}
-    if isinstance(obj, Factorization):
+    if isinstance(obj, fz.Factorization):
         return {
             "schema": SCHEMA,
             "type": "factorization",
@@ -470,8 +465,10 @@ def to_jsonable(obj) -> dict:
                 for b in obj.blocks
             ],
         }
-    if isinstance(obj, BlockBounds):
+    if isinstance(obj, fz.BlockBounds):
         return {"schema": SCHEMA, "type": "block-bounds", **_plain(obj)}
+    if isinstance(obj, fy.FuzzyContext):
+        return {"schema": SCHEMA, "kind": "fuzzy", **_fuzzy_context_dict(obj)}
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
@@ -600,9 +597,9 @@ def _sides(ctx, name, grade, sep: str):
 
 
 def _graded_joiner(names, m: int, name, grade, sep: str) -> Callable[[tuple], str]:
-    grades = [grade(text) for text in _grade_strings(m)]
+    encoded = [grade(text) for text in _grade_strings(m)]
     leads = [sep + name(n) for n in names]
-    tables = [[lead + g for g in grades] for lead in leads]
+    tables = [[lead + g for g in encoded] for lead in leads]
     return lambda values: "".join(map(list.__getitem__, tables, values))[len(sep):]
 
 
@@ -653,9 +650,9 @@ def _elements_json(lattice: Lattice, keys: tuple[list, list]) -> _Text:
 
 def _lattice_dict(lattice: Lattice) -> dict:
     """A lattice document, its element lists and covers rendered as ``_Text``."""
-    kind, key = _LATTICE_KINDS[lattice.kind]
+    kind, key = _LATTICE_KINDS[lattice.kind.__name__]
     doc = {"schema": SCHEMA, "type": kind}
-    if isinstance(lattice, CnLattice):
+    if kind == "cn-lattice":
         pairs = lattice.atom_pairs
         doc.update(pair_count=lattice.pair_count, materialized=lattice.materialized)
         bits = [p.objects.bits for p in pairs], [p.attrs.bits for p in pairs]
@@ -665,7 +662,7 @@ def _lattice_dict(lattice: Lattice) -> dict:
     doc[key] = _elements_json(lattice, lattice.keys)
     edges = _edges(lattice, "\n    [\n      %s,\n      %s\n    ]", ",")
     doc["covers"] = _Text(["[" + edges + "\n  ]" if edges else "[]"])
-    if isinstance(lattice, CnLattice):
+    if kind == "cn-lattice":
         doc["atoms"] = atoms(lattice)
     return doc
 
@@ -698,7 +695,7 @@ def _field(data: dict, field: str) -> list:
     return _array(data[field], field)
 
 
-def document_from_json(text: str) -> BooleanContext | FuzzyContext:
+def document_from_json(text: str) -> BooleanContext | fy.FuzzyContext:
     """The context a document holds: the inverse of ``emit_json`` on contexts."""
     try:
         data = json.loads(text)
@@ -730,13 +727,14 @@ def document_from_json(text: str) -> BooleanContext | FuzzyContext:
             if not isinstance(descriptor, str):
                 raise ContextFormatError(f"bad context document: frames[{k}] is not a string")
             triples.append(
-                _read(triple_from_descriptor, descriptor, f"bad context document: frames[{k}]")
+                _read(grades.triple_from_descriptor, descriptor,
+                      f"bad context document: frames[{k}]")
             )
         if not triples:
             raise ContextFormatError("bad context document: frames is empty")
-        arrangement = data.get("arrangement", FrameKind.CONCEPT_FORMING.value)
-        arrangement = _read(FrameKind, arrangement, "bad context document: arrangement")
-        p_chain = _arrangement(arrangement, *triples[0].domains)[2]
+        arrangement = data.get("arrangement", fy.FrameKind.CONCEPT_FORMING.value)
+        arrangement = _read(fy.FrameKind, arrangement, "bad context document: arrangement")
+        p_chain = fy._arrangement(arrangement, *triples[0].domains)[2]
         relation = [
             [
                 _read(p_chain.numerator_of, v, f"relation[{i}][{j}]")
@@ -748,7 +746,7 @@ def document_from_json(text: str) -> BooleanContext | FuzzyContext:
         if sigma is not None:
             sigma = [_array(row, f"sigma[{i}]") for i, row in enumerate(_array(sigma, "sigma"))]
         try:  # the constructor checks sigma and names its rows and cells
-            return FuzzyContext(attributes, objects, triples, relation, sigma, arrangement)
+            return fy.FuzzyContext(attributes, objects, triples, relation, sigma, arrangement)
         except ValueError as exc:
             raise ContextFormatError(f"bad context document: {exc}") from None
     except ContextFormatError:
@@ -792,11 +790,11 @@ def emit_dot(result, budget: int = DEFAULT_ENUM_BUDGET) -> str:
     """
     lines = []
     if isinstance(result, Lattice):
-        kind, _ = _LATTICE_KINDS[result.kind]
+        kind, _ = _LATTICE_KINDS[result.kind.__name__]
         lines.append(f"digraph {kind.replace('-', '_')} {{")
         lines.append("  rankdir=BT;")
         lines += _lattice_dot_lines(result)
-    elif isinstance(result, Factorization):
+    elif isinstance(result, fz.Factorization):
         lines.append("digraph factorization {")
         lines.append("  rankdir=BT;")
         shared = Budget(budget)

@@ -122,6 +122,15 @@ def key_le(a: int | Sequence[int], b: int | Sequence[int]) -> bool:
     return all(map(operator.le, a, b))
 
 
+def read_natural(text: str) -> int:
+    """``text`` read as ASCII digits alone, blanks around them aside: ``int``
+    would also read a sign, an underscore and other scripts' digits."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a number in ASCII digits: {text!r}")
+    return int(digits)
+
+
 class Budget:
     """Closure evaluations shared by several scans, Boolean or graded: each
     adds its evaluations and closed sets to ``spent`` and ``found``, so the

@@ -657,6 +657,18 @@ class TestCli:
         assert main(["lattice", path]) == 0
         assert len(json.loads(capsys.readouterr().out)["concepts"]) == 4
 
+    @pytest.mark.parametrize("name, text, argv", [
+        ("table1.cxt", TABLE1_CXT, ["lattice"]),
+        ("r2.csv", R2_GODEL_CSV, ["check", "--frame", "godel:4"]),
+    ])
+    def test_a_byte_order_mark_changes_nothing(self, tmp_path, capsys, name, text, argv):
+        # editors on Windows save UTF-8 with a BOM, which is not part of line 1
+        outs = []
+        for bom in ("", "\ufeff"):
+            assert main([argv[0], write(tmp_path, name, bom + text), *argv[1:]]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] != ""
+
     def test_factor_reports_exact_reconstruction(self, tmp_path, capsys):
         path = write(tmp_path, "table1.cxt", TABLE1_CXT)
         assert main(["factor", path, "--emit", "json"]) == 0
@@ -1117,16 +1129,28 @@ class TestProcessEntryPoint:
         assert done.stderr.startswith("error: ")
 
     def test_oracles_load_only_under_the_oracle_flag(self, tmp_path):
-        # the brute-force module is never on a command's path without --oracle
+        # the brute-force module is never on a command's path without --oracle;
+        # nor are fuzzy and grades on a Boolean command's, nor factorization
+        # on lattice's.  A lazily loaded module is a ModuleType only once its
+        # body has run, and the test reads no attribute of it.
         script = "\n".join([
-            "import sys",
+            "import sys, types",
             "from galois_factor.cli import main",
             "cxt, csv, out = sys.argv[1:]",
             "fuzzy = ['--frame', 'godel:4']",
-            "for argv in (['lattice', cxt], ['cn', cxt], ['factor', cxt],",
-            "             ['reconstruct', cxt], ['fn', csv, *fuzzy], ['check', csv, *fuzzy]):",
+            "def ran(*names):",
+            "    return [n for n in names",
+            "            if type(sys.modules.get('galois_factor.' + n)) is types.ModuleType]",
+            "for argv in (['lattice', cxt], ['lattice', cxt, '--emit', 'dot']):",
+            "    assert main([*argv, '--out', out]) == 0, argv",
+            "    assert ran('fuzzy', 'grades', 'factorization', 'oracles') == [], argv",
+            "for argv in (['cn', cxt], ['factor', cxt], ['factor', cxt, '--emit', 'dot'],",
+            "             ['reconstruct', cxt],",
+            "             ['fn', csv, *fuzzy], ['check', csv, *fuzzy], ['lattice', csv, *fuzzy]):",
             "    assert main([*argv, '--out', out]) == 0, argv",
             "    assert 'galois_factor.oracles' not in sys.modules, argv",
+            "    assert argv[1] == csv or ran('fuzzy', 'grades') == [], argv",
+            "assert ran('fuzzy', 'grades', 'factorization') == ['fuzzy', 'grades', 'factorization']",
             "assert main(['lattice', cxt, '--oracle', '--out', out]) == 0",
             "assert 'galois_factor.oracles' in sys.modules",
         ])
