@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -74,10 +76,23 @@ def _load(args):
 
 
 def _write(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    """``text`` on stdout, or over ``--out`` in place, 64 KiB at a time, and cut to
+    length: cheaper than truncating or encoding whole.  A failure empties the file."""
+    if args.out is None:
         sys.stdout.write(text)
+        return
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        regular, length = stat.S_ISREG(os.fstat(fd).st_mode), 0  # ftruncate fails on /dev/null
+        try:
+            with open(fd, "w", encoding="utf-8", closefd=False) as out:
+                out.writelines(text[i:i + (1 << 16)] for i in range(0, len(text), 1 << 16))
+            length = os.lseek(fd, 0, os.SEEK_CUR) if regular else 0
+        finally:
+            if regular:
+                os.ftruncate(fd, length)
+    finally:
+        os.close(fd)
 
 
 def _emit(args, result, oracle_report=None) -> int:

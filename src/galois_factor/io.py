@@ -22,8 +22,8 @@ else (a float, tuple, set, bytes or a non-str key); strings go through
 fragments, is copied in as it stands: a lattice's element lists and covers
 are ``_Text``, so no element is built.  All four lattice kinds share one
 element path, which reads ``Lattice.keys``, the elements' two key lists.
-An element is one string, each of its two sides one
-join of pre-encoded fragments.  A Boolean side (concept and cn lattices)
+An element is appended as fragments, each of its two sides one join of
+pre-encoded fragments.  A Boolean side (concept and cn lattices)
 is a subset's bits: each name is encoded once per document, with its
 newline and indent, into a table per byte of the bits, whose entry b joins
 the names at the set bits of b; an entry is made the first time it is
@@ -626,24 +626,24 @@ _NAME_INDENT = "\n" + "  " * 4
 
 def _elements_json(lattice: Lattice, keys: tuple[list, list]) -> _Text:
     """The elements of ``lattice``'s kind with the two key lists ``keys``
-    as a JSON list one level deep: each element is one string, its sides
-    joined from pre-encoded fragments (a name, or a name and its grade)."""
+    as a JSON list one level deep, appended as fragments: each element's
+    constant text and its two sides, each one join of pre-encoded names (or
+    names and grades), so ``emit_json``'s final join is their only copy."""
     first, second = (_encode_str(f.name) for f in fields(lattice.kind))
-    element = "%s{\n      " + first + ": %s,\n      " + second + ": %s\n    }"
     (objects, attributes), brackets = _sides(
         lattice.context, lambda n: _NAME_INDENT + _encode_str(n),
         lambda text: ": " + _encode_str(text), ",",
     )
-    side = brackets[0] + "%s\n      " + brackets[1]
-    sep = "[\n    "
+    opened, closed = brackets[0], "\n      " + brackets[1]
+    head, middle, end = "{\n      " + first + ": ", ",\n      " + second + ": ", "\n    }"
+    sep, lead = "[\n    " + head, ",\n    " + head
     out = _Text()
     xs, ys = keys
     for x, y in zip(xs, ys):
         names, attrs = objects(x), attributes(y)
-        out.append(element % (
-            sep, side % names if names else brackets, side % attrs if attrs else brackets
-        ))
-        sep = ",\n    "
+        out += (sep, opened, names, closed, middle) if names else (sep, brackets, middle)
+        out += (opened, attrs, closed, end) if attrs else (brackets, end)
+        sep = lead
     out.append("\n  ]" if xs else "[]")
     return out
 

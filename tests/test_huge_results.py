@@ -3,7 +3,9 @@
 Each family has a size knob, and its result grows exponentially with it:
 ``cn`` and ``factor`` on k disjoint full 2 x 2 blocks (2^k cn pairs),
 ``lattice`` on the contranominal scale of k (2^k concepts), and ``fn`` and
-``check`` on the k-cell ``godel:4`` diagonal (5^k members).  Every case
+``check`` on the k-cell ``godel:4`` diagonal (5^k members).  Two fixed
+cases join them: the 11,510 concepts of the 5 x 4 ``lukasiewicz:32``
+context of ``tables.py``, and names of 4,096 characters.  Every case
 writes to ``--out`` and exits 0 or 2, never 1; on exit 2 it writes one
 ``error:`` line, nothing on stdout and no ``--out`` file.  One cap,
 ``order.MAX_ELEMENTS`` (2^17), bounds every written lattice document, so
@@ -17,6 +19,7 @@ import pytest
 from galois_factor import BooleanContext, order
 from galois_factor.cli import main
 from galois_factor.io import format_cxt
+from tables import LUKASIEWICZ_32_CSV
 
 
 def blocks_cxt(k: int) -> str:
@@ -111,3 +114,44 @@ def test_check_and_cn_read_the_cap_when_they_run(tmp_path, capsys, monkeypatch):
     assert status == 0 and len(json.loads(text)["rows"]) == 2
     status, text = run(tmp_path, capsys, "blocks.cxt", blocks_cxt(2), "cn")
     assert status == 0 and json.loads(text)["materialized"] is False
+
+
+def test_lattice_on_the_5_by_4_lukasiewicz_32_context(tmp_path, capsys):
+    # fn and check need one closure here; the concept walk lists every concept
+    status, text = run(
+        tmp_path, capsys, "fine.csv", LUKASIEWICZ_32_CSV, "lattice", "--frame", "lukasiewicz:32"
+    )
+    assert status == 0
+    assert len(json.loads(text)["concepts"]) == 11510
+
+
+
+def long_names(prefix: str) -> list[str]:
+    """Two distinct names of 4,096 characters each."""
+    return [f"{prefix}{i}".rjust(4096, prefix) for i in range(2)]
+
+
+def strings(doc) -> set:
+    """Every string in a JSON document, as a key or as a value."""
+    if isinstance(doc, dict):
+        return set(doc).union(*map(strings, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(strings, doc))
+    return {doc} if isinstance(doc, str) else set()
+
+
+@pytest.mark.parametrize("command, suffix", [
+    ("lattice", ".cxt"), ("cn", ".cxt"), ("lattice", ".csv"), ("fn", ".csv"), ("check", ".csv"),
+])
+def test_names_of_4096_characters(tmp_path, capsys, command, suffix):
+    objects, attributes = long_names("a"), long_names("b")
+    if suffix == ".cxt":
+        argv = [command]
+        text = format_cxt(BooleanContext.from_rows(objects, attributes, [[1, 0], [0, 1]]))
+    else:
+        argv = [command, "--frame", "godel:2"]
+        rows = [f"{objects[0]},1,1/2", f"{objects[1]},0,1"]
+        text = "\n".join([f"R,{attributes[0]},{attributes[1]}", *rows]) + "\n"
+    status, out = run(tmp_path, capsys, "long" + suffix, text, *argv)
+    assert status == 0
+    assert {s for s in strings(json.loads(out)) if len(s) == 4096} == {*objects, *attributes}

@@ -1102,6 +1102,65 @@ class TestCli:
         assert payload["reconstruction"] == "mismatch"
 
 
+class TestOutFile:
+    """``--out`` is written over in place and cut to the document's length."""
+
+    @pytest.mark.parametrize("name, text, argv", [
+        ("table1.cxt", TABLE1_CXT, ["cn"]),
+        ("table1.cxt", TABLE1_CXT, ["lattice", "--emit", "dot"]),
+        ("r2.csv", R2_GODEL_CSV, ["check", "--frame", "godel:4"]),
+    ], ids=["cn", "lattice-dot", "check"])
+    def test_a_longer_old_file_is_cut_to_the_document(self, tmp_path, capsys, name, text, argv):
+        source = write(tmp_path, name, text)
+        assert main([argv[0], source, *argv[1:]]) == 0
+        document = capsys.readouterr().out.encode()
+        out = tmp_path / "out"
+        out.write_bytes(b"\xff" * (2 * len(document) + 10))
+        assert main([argv[0], source, *argv[1:], "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == document
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_the_null_device(self, tmp_path, capsys):
+        # ftruncate fails on a device, which is written and left as it is
+        path = write(tmp_path, "table1.cxt", TABLE1_CXT)
+        assert main(["cn", path, "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_an_empty_path_exits_1(self, tmp_path, capsys):
+        # an unset shell variable in --out "$OUT" names no file, not stdout
+        path = write(tmp_path, "table1.cxt", TABLE1_CXT)
+        assert main(["lattice", path, "--out", ""]) == 1
+        one_error(capsys)
+
+    def test_a_refused_command_leaves_the_file_alone(self, tmp_path, capsys):
+        path = write(tmp_path, "r2.csv", R2_GODEL_CSV)
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_bytes(b"old bytes")
+        os.utime(old, ns=(10**18, 10**18))
+        for out in (new, old):
+            assert main(["fn", path, "--frame", "godel:4", "--budget", "1", "--out", str(out)]) == 2
+            one_error(capsys)
+        assert not new.exists()
+        assert old.read_bytes() == b"old bytes" and old.stat().st_mtime_ns == 10**18
+
+    def test_a_long_text_and_a_failed_write(self, tmp_path):
+        import argparse
+
+        from galois_factor import cli
+
+        out, args = tmp_path / "out.json", argparse.Namespace(out=str(tmp_path / "out.json"))
+        out.write_bytes(b"\xff" * (1 << 18))
+        text = "\u00e9" * (1 << 16) + "\u20ac\n"  # two slices of multi-byte characters
+        cli._write(args, text)
+        assert out.read_bytes() == text.encode("utf-8")
+        # a lone surrogate has no UTF-8 form: the write raises after its
+        # first two slices, and the file is left empty
+        with pytest.raises(UnicodeEncodeError):
+            cli._write(args, "x" * (1 << 17) + "\ud800\n")
+        assert out.read_bytes() == b""
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
