@@ -76,17 +76,18 @@ def _load(args):
 
 
 def _write(args, text: str) -> None:
-    """``text`` on stdout, or over ``--out`` in place, 64 KiB at a time, and cut to
-    length: cheaper than truncating or encoding whole.  A failure empties the file."""
+    """``text`` on stdout, or over ``--out`` in place and cut to length, 64 KiB at
+    a time: cheaper than truncating or encoding whole.  A failure empties the file."""
+    slices = (text[i:i + (1 << 16)] for i in range(0, len(text), 1 << 16))
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(slices)
         return
     fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
         regular, length = stat.S_ISREG(os.fstat(fd).st_mode), 0  # ftruncate fails on /dev/null
         try:
             with open(fd, "w", encoding="utf-8", closefd=False) as out:
-                out.writelines(text[i:i + (1 << 16)] for i in range(0, len(text), 1 << 16))
+                out.writelines(slices)
             length = os.lseek(fd, 0, os.SEEK_CUR) if regular else 0
         finally:
             if regular:

@@ -20,7 +20,7 @@ from galois_factor import (
     normalize,
     rstar,
 )
-from galois_factor import grades
+from galois_factor import fuzzy_io, grades
 from galois_factor import io as fio
 from galois_factor.cli import main
 from galois_factor.io import (
@@ -212,7 +212,7 @@ GRID_7X6_CSV = "R," + ",".join(f"b{j}" for j in range(6)) + "\n" + "".join(
 
 
 def count_grade_reads(monkeypatch) -> list:
-    """Record every ``read_grade`` call; io holds its own name for it."""
+    """Record every ``read_grade`` call; fuzzy_io holds its own name for it."""
     calls = []
     read_grade = grades.read_grade
 
@@ -221,7 +221,7 @@ def count_grade_reads(monkeypatch) -> list:
         return read_grade(value)
 
     monkeypatch.setattr(grades, "read_grade", counted)
-    monkeypatch.setattr(fio, "read_grade", counted)
+    monkeypatch.setattr(fuzzy_io, "read_grade", counted)
     return calls
 
 
@@ -1120,6 +1120,24 @@ class TestOutFile:
         assert capsys.readouterr() == ("", "")
         assert out.read_bytes() == document
 
+    def test_stdout_is_written_in_the_slices_of_out(self, tmp_path, monkeypatch):
+        import io
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        writes = []
+        names = [f"a{i}" for i in range(14)], [f"b{i}" for i in range(14)]
+        blocks = BooleanContext.from_rows(*names, [[i == j for j in range(14)] for i in range(14)])
+        source, out = write(tmp_path, "blocks14.cxt", format_cxt(blocks)), tmp_path / "cn.json"
+        assert main(["cn", source, "--out", str(out)]) == 0
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["cn", source]) == 0
+        assert len(writes) > 1 and max(map(len, writes)) <= 1 << 16
+        assert "".join(writes).encode("utf-8") == out.read_bytes()
+
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
     def test_the_null_device(self, tmp_path, capsys):
         # ftruncate fails on a device, which is written and left as it is
@@ -1189,26 +1207,41 @@ class TestProcessEntryPoint:
 
     def test_oracles_load_only_under_the_oracle_flag(self, tmp_path):
         # the brute-force module is never on a command's path without --oracle;
-        # nor are fuzzy and grades on a Boolean command's, nor factorization
-        # on lattice's.  A lazily loaded module is a ModuleType only once its
-        # body has run, and the test reads no attribute of it.
+        # nor are fuzzy, grades, io's fuzzy half fuzzy_io and the csv module
+        # on a Boolean command's, nor factorization on lattice's.  A lazily
+        # loaded module is a ModuleType only once its body has run, and the
+        # test reads no attribute of it.  Before each .csv command fuzzy_io
+        # is unloaded, and io's names from it unbound, so each loads it anew.
         script = "\n".join([
             "import sys, types",
+            "csv_preloaded = 'csv' in sys.modules",
+            "import galois_factor, galois_factor.io",
             "from galois_factor.cli import main",
             "cxt, csv, out = sys.argv[1:]",
             "fuzzy = ['--frame', 'godel:4']",
             "def ran(*names):",
             "    return [n for n in names",
             "            if type(sys.modules.get('galois_factor.' + n)) is types.ModuleType]",
+            "def unload_fuzzy_io():",
+            "    sys.modules.pop('galois_factor.fuzzy_io', None)",
+            "    vars(galois_factor).pop('fuzzy_io', None)",
+            "    for name in ('parse_fuzzy_csv', 'check_report', 'document_from_json'):",
+            "        vars(galois_factor.io).pop(name, None)",
             "for argv in (['lattice', cxt], ['lattice', cxt, '--emit', 'dot']):",
             "    assert main([*argv, '--out', out]) == 0, argv",
-            "    assert ran('fuzzy', 'grades', 'factorization', 'oracles') == [], argv",
+            "    assert ran('fuzzy', 'grades', 'factorization', 'oracles', 'fuzzy_io') == [], argv",
             "for argv in (['cn', cxt], ['factor', cxt], ['factor', cxt, '--emit', 'dot'],",
             "             ['reconstruct', cxt],",
             "             ['fn', csv, *fuzzy], ['check', csv, *fuzzy], ['lattice', csv, *fuzzy]):",
+            "    if argv[1] == csv:",
+            "        unload_fuzzy_io()",
             "    assert main([*argv, '--out', out]) == 0, argv",
             "    assert 'galois_factor.oracles' not in sys.modules, argv",
-            "    assert argv[1] == csv or ran('fuzzy', 'grades') == [], argv",
+            "    if argv[1] == csv:",
+            "        assert ran('fuzzy_io') == ['fuzzy_io'], argv",
+            "    else:",
+            "        assert ran('fuzzy', 'grades', 'fuzzy_io') == [], argv",
+            "        assert csv_preloaded or 'csv' not in sys.modules, argv",
             "assert ran('fuzzy', 'grades', 'factorization') == ['fuzzy', 'grades', 'factorization']",
             "assert main(['lattice', cxt, '--oracle', '--out', out]) == 0",
             "assert 'galois_factor.oracles' in sys.modules",

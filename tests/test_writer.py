@@ -14,7 +14,11 @@ fixed point of ``json.loads`` then ``json.dumps(indent=2)``.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +44,7 @@ from galois_factor import (
     fuzzy_concepts,
     normalize,
 )
+from galois_factor import fuzzy_io
 from galois_factor import io as fio
 from galois_factor.cli import main
 from galois_factor.grades import triple_from_descriptor
@@ -401,6 +406,34 @@ def test_block_bounds_of_each_table1_atom():
 def test_emit_dot_refuses_a_context():
     with pytest.raises(TypeError, match="no DOT form for BooleanContext"):
         emit_dot(tables.TABLE1)
+
+
+def test_io_reads_its_fuzzy_names_from_fuzzy_io():
+    assert fio.check_report is fuzzy_io.check_report
+    assert not hasattr(fio, "no_such_name")
+
+
+def test_an_io_kept_across_a_package_reimport_reads_a_csv(tmp_path):
+    # as perfbench/run.py's import_cli does: every galois_factor module is
+    # dropped and the CLI imported again, while the old io is still held
+    script = "\n".join([
+        "import sys",
+        "from galois_factor import io as old",
+        "for name in [n for n in sys.modules if n.split('.')[0] == 'galois_factor']:",
+        "    del sys.modules[name]",
+        "import galois_factor.cli",
+        "ctx = old.parse_fuzzy_csv(open(sys.argv[1], encoding='utf-8').read(), 'godel:2')",
+        "assert (ctx.attributes, ctx.objects) == (('a1', 'a2'), ('b1', 'b2'))",
+        "assert ctx.relation == ((2, 1), (0, 2))",
+    ])
+    two = tmp_path / "two.csv"
+    two.write_text("R,b1,b2\na1,1,1/2\na2,0,1\n", encoding="utf-8")
+    src = str(Path(fio.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(two)], capture_output=True, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 # equal chains, where fn exists, and unequal ones (l1, l2, p) for the
